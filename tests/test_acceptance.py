@@ -7,7 +7,6 @@ fraction) were frozen after a 20-seed calibration pilot
 live in fedcoreset.presets.
 """
 
-import time
 from itertools import combinations
 
 import numpy as np
@@ -33,13 +32,12 @@ from fedcoreset.model import (
     per_sample_last_layer_grads,
     sgd_epochs,
 )
-from fedcoreset.presets import blob_benchmark_config
 from fedcoreset.seeding import derive_seed
 from worldgen import balanced_world
 
 ACCURACY_MARGIN = 0.05  # gcfl over fedavg, mean of 5 seeds
 CLEAN_FRACTION_MARGIN = 0.10  # gcfl coreset over random coreset
-SEEDS = (0, 1, 2, 3, 4)
+SEEDS = (0, 1, 2, 3, 4)  # the seeds of the benchmark_runs fixture (conftest.py)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -48,21 +46,6 @@ def report(name: str, ok: bool, detail: str = "") -> None:
         line += f": {detail}"
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module")
-def benchmark_runs():
-    """5 seeds x {fedavg, gcfl, skyline, random} of the blob benchmark."""
-    start = time.monotonic()
-    runs = {}
-    for seed in SEEDS:
-        cfg = blob_benchmark_config(seed=seed)
-        prepared = prepare_experiment(cfg)
-        runs[seed] = {
-            algo.kind: run_training(cfg, algo, prepared) for algo in cfg.arms
-        }
-    runs["elapsed"] = time.monotonic() - start
-    return runs
 
 
 class TestCriterion1BenchmarkOrdering:

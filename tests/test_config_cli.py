@@ -1,16 +1,24 @@
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedcoreset.cli import main
 from fedcoreset.config import (
+    DatasetConfig,
+    ExperimentConfig,
+    ModelConfig,
     SweepSpec,
     apply_override,
     config_to_dict,
     parse_config,
 )
+from fedcoreset.data import NoiseSpec
 from fedcoreset.errors import ConfigurationError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 MINIMAL = """
 [experiment]
@@ -114,6 +122,83 @@ class TestParseConfig:
     def test_bad_noise_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="noise.kind"):
             parse_config(MINIMAL, overrides={"noise.kind": "salt_and_pepper"})
+
+
+def test_dry_run_json_of_full_config_matches_golden(monkeypatch, capsys):
+    monkeypatch.delenv("FEDCORESET_OUT", raising=False)
+    assert main(["run", "--config", FULL, "--dry-run"]) == 0
+    golden = (GOLDEN / "dry_run_full.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+SECTIONS = {
+    "experiment": ExperimentConfig,
+    "dataset": DatasetConfig,
+    "noise": NoiseSpec,
+    "model": ModelConfig,
+}
+# Settings for the fields whose type alone gives no valid non-default value.
+SPECIAL_SAMPLES = {
+    "dataset.kind": ("csv", "csv"),
+    "dataset.stds": (", ".join(["2"] * 10), [2.0] * 10),
+    "noise.kind": ("open_set", "open_set"),
+    "model.arch": ("one_hidden", "one_hidden"),
+    "arms": ("fedavg, fedprox:0.5", ["fedavg", "fedprox_mu0.5"]),
+}
+# dataset.kind = csv is valid only with a path
+COVERAGE_BASE = {"dataset": {"csv_path": "base.csv"}}
+
+
+def _field_keys():
+    for section, cls in SECTIONS.items():
+        for f in fields(cls):
+            if f.name in SECTIONS:
+                continue  # a nested group, covered field by field
+            name = "lambda" if f.name == "lam" else f.name
+            yield section, name, getattr(cls(), f.name)
+
+
+def _sample(key: str, default: object) -> tuple[str, object]:
+    """(INI text, expected config_to_dict echo) for a non-default value."""
+    if key in SPECIAL_SAMPLES:
+        return SPECIAL_SAMPLES[key]
+    if isinstance(default, bool):
+        return str(not default).lower(), not default
+    if default is None or isinstance(default, int):
+        return str((default or 0) + 1), (default or 0) + 1
+    if isinstance(default, float):
+        return repr(default + 0.25), default + 0.25
+    if isinstance(default, str):
+        return f"alt_{key}", f"alt_{key}"
+    raise AssertionError(f"no sample value for config key {key!r}")
+
+
+def _render(sections: dict[str, dict[str, str]]) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+        for name, body in sections.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "section,name,default",
+    list(_field_keys()),
+    ids=[f"{s}.{n}" for s, n, _ in _field_keys()],
+)
+def test_every_config_field_is_settable_and_echoed(section, name, default):
+    key = name if section == "experiment" else f"{section}.{name}"
+    text, expected = _sample(key, default)
+    ini = {s: dict(body) for s, body in COVERAGE_BASE.items()}
+    ini.setdefault(section, {})[name] = text
+    base = parse_config(_render(COVERAGE_BASE))
+
+    def echo(cfg):
+        out = config_to_dict(cfg)
+        return out[name] if section == "experiment" else out[section][name]
+
+    assert echo(base) != expected
+    assert echo(parse_config(_render(ini))) == expected
+    assert echo(apply_override(base, key, text)) == expected
 
 
 class TestApplyOverride:
