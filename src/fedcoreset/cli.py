@@ -151,17 +151,16 @@ def _collect_overrides(extra: list[str]) -> dict[str, str]:
 
 def _resolve_config(args: argparse.Namespace, extra: list[str]) -> ExperimentConfig:
     overrides = _collect_overrides(extra)
-    source = args.config if args.config else "[experiment]\n"
-    cfg = parse_config(source, overrides)
+    # precedence, lowest first: config file, --key flags, --seed, env var, --out
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        overrides["seed"] = str(args.seed)
     env_out = os.environ.get(OUT_ENV_VAR)
     if env_out:
-        cfg = replace(cfg, output_dir=env_out)
+        overrides["output_dir"] = env_out
     if args.out:
-        cfg = replace(cfg, output_dir=args.out)
-    cfg.validate()
-    return cfg
+        overrides["output_dir"] = args.out
+    source = args.config if args.config else "[experiment]\n"
+    return parse_config(source, overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,12 +5,20 @@ in ``[experiment]``; the nested groups ``[dataset]``, ``[noise]`` and
 ``[model]`` are addressed from the command line with dotted flags
 (``--noise.ratio 0.4``), while ``[experiment]`` keys are addressed bare
 (``--rounds 100``).  Unknown keys are rejected by name.
+
+The keys are derived from the dataclass fields: each field of
+:class:`ExperimentConfig` is an ``[experiment]`` key (``lam`` is spelled
+``lambda``) and each field of a nested group is a key of that group's
+section, parsed according to the field's annotation.  Adding a field adds
+its key.  Every config validates itself when it is built, so a config
+object that exists is valid.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +62,9 @@ class DatasetConfig:
             return np.asarray(self.stds, dtype=np.float64)
         return np.linspace(1.0, 8.0, self.num_blobs)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.kind not in ("blobs", "csv"):
             raise ConfigurationError(f"dataset.kind must be blobs or csv, got {self.kind!r}")
@@ -77,6 +88,9 @@ class DatasetConfig:
 class ModelConfig:
     arch: str = "softmax_regression"
     hidden_dim: int = 32
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.arch not in ARCHS:
@@ -116,9 +130,10 @@ class ExperimentConfig:
     fine_tune_epochs: int = 0
     fine_tune_lr: float = 0.0  # 0 -> local_lr
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        self.dataset.validate()
-        self.model.validate()
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1")
         m = self.clients_per_round
@@ -158,123 +173,91 @@ class ExperimentConfig:
             raise ConfigurationError("fine_tune_lr must be non-negative")
 
 
-_TOP_KEYS = {
-    f.name
-    for f in fields(ExperimentConfig)
-    if f.name not in ("dataset", "noise", "model", "arms", "lam", "clients_per_round")
-} | {"lambda", "arms", "clients_per_round"}
-
-_BOOL_TRUE = ("1", "true", "yes", "on")
-_BOOL_FALSE = ("0", "false", "no", "off")
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(text)
 
 
-def _coerce(key: str, text: str, kind: type) -> object:
-    text = text.strip()
-    try:
-        if kind is bool:
-            if text.lower() in _BOOL_TRUE:
-                return True
-            if text.lower() in _BOOL_FALSE:
-                return False
-            raise ValueError(text)
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        return text
-    except ValueError:
-        raise ConfigurationError(
-            f"config key {key!r}: cannot parse {text!r} as {kind.__name__}"
-        ) from None
+def _parse_optional_int(text: str) -> int | None:
+    return None if text.lower() in ("", "all") else int(text)
 
 
-def _parse_floats(key: str, text: str) -> tuple[float, ...]:
-    if not text.strip():
-        return ()
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"config key {key!r}: expected comma-separated floats") from None
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",")) if text else ()
+
+
+def _parse_arms(text: str) -> tuple[Algo, ...]:
+    return tuple(parse_algo(tok) for tok in text.split(",") if tok.strip())
+
+
+# field annotation -> (parser of the stripped text, what a failure reports)
+_PARSERS = {
+    "int": (int, "cannot parse {!r} as int"),
+    "float": (float, "cannot parse {!r} as float"),
+    "str": (str, ""),
+    "bool": (_parse_bool, "cannot parse {!r} as bool"),
+    "int | None": (_parse_optional_int, "cannot parse {!r} as int"),
+    "tuple[float, ...]": (_parse_floats, "expected comma-separated floats"),
+    "tuple[Algo, ...]": (_parse_arms, ""),
+}
+
+_ALIASES = {"lam": "lambda"}  # field name -> config key
+
+# the nested groups: fields of ExperimentConfig that are dataclasses themselves
+_GROUPS = tuple(f.name for f in fields(ExperimentConfig) if is_dataclass(f.default_factory))
+
+
+def _key_table() -> dict[str, tuple[str | None, str, tuple]]:
+    """Config key -> (nested group or None, field name, parser entry)."""
+    table = {}
+    for f in fields(ExperimentConfig):
+        if f.name in _GROUPS:
+            for sub in fields(f.default_factory):
+                table[f"{f.name}.{sub.name}"] = (f.name, sub.name, _PARSERS[sub.type])
+        else:
+            table[_ALIASES.get(f.name, f.name)] = (None, f.name, _PARSERS[f.type])
+    return table
+
+
+_KEYS = _key_table()
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical nested dict echo of a resolved config (JSON-stable)."""
-    out = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "dataset":
-            out["dataset"] = asdict(value) | {"stds": list(value.stds)}
-        elif f.name == "noise":
-            out["noise"] = asdict(value)
-        elif f.name == "model":
-            out["model"] = asdict(value)
-        elif f.name == "arms":
-            out["arms"] = [a.label for a in value]
-        elif f.name == "lam":
-            out["lambda"] = value
-        else:
-            out[f.name] = value
+    out = asdict(cfg)
+    out["arms"] = [a.label for a in cfg.arms]
+    out["dataset"]["stds"] = list(cfg.dataset.stds)
+    for name, key in _ALIASES.items():
+        out[key] = out.pop(name)
     return out
 
 
-def _set_nested(values: dict, key: str, text: str) -> None:
-    """Route one dotted (or bare) key = value pair into the builder dict."""
-    if key.startswith("dataset."):
-        sub = key.split(".", 1)[1]
-        types = {
-            "kind": str,
-            "num_blobs": int,
-            "dim": int,
-            "samples_per_blob": int,
-            "csv_path": str,
-        }
-        if sub == "stds":
-            values["dataset"]["stds"] = _parse_floats(key, text)
-        elif sub in types:
-            values["dataset"][sub] = _coerce(key, text, types[sub])
+def _set(cfg: ExperimentConfig, pairs: Iterable[tuple[str, str]]) -> ExperimentConfig:
+    """Return cfg with each (key, text) pair parsed and applied, later pairs
+    winning.  The new config validates itself as it is built."""
+    top: dict[str, object] = {}
+    groups: dict[str, dict[str, object]] = {}
+    for key, text in pairs:
+        if key not in _KEYS:
+            raise ConfigurationError(f"unknown config key {key!r}")
+        group, name, (parse, failure) = _KEYS[key]
+        text = text.strip()
+        try:
+            value = parse(text)
+        except ConfigurationError:
+            raise
+        except ValueError:
+            raise ConfigurationError(f"config key {key!r}: {failure.format(text)}") from None
+        if group is None:
+            top[name] = value
         else:
-            raise ConfigurationError(f"unknown config key {key!r}")
-    elif key.startswith("noise."):
-        sub = key.split(".", 1)[1]
-        types = {"kind": str, "ratio": float, "severity": float}
-        if sub not in types:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        values["noise"][sub] = _coerce(key, text, types[sub])
-    elif key.startswith("model."):
-        sub = key.split(".", 1)[1]
-        types = {"arch": str, "hidden_dim": int}
-        if sub not in types:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        values["model"][sub] = _coerce(key, text, types[sub])
-    elif key in _TOP_KEYS:
-        if key == "arms":
-            values["arms"] = tuple(parse_algo(tok) for tok in text.split(",") if tok.strip())
-        elif key == "lambda":
-            values["lam"] = _coerce(key, text, float)
-        elif key == "clients_per_round":
-            values["clients_per_round"] = (
-                None if text.strip().lower() in ("", "all") else _coerce(key, text, int)
-            )
-        else:
-            ann = ExperimentConfig.__dataclass_fields__[key].type
-            kind = {"int": int, "float": float, "str": str, "bool": bool}.get(str(ann), str)
-            values[key] = _coerce(key, text, kind)
-    else:
-        raise ConfigurationError(f"unknown config key {key!r}")
-
-
-def _builder() -> dict:
-    return {"dataset": {}, "noise": {}, "model": {}}
-
-
-def _build(values: dict) -> ExperimentConfig:
-    kwargs = {k: v for k, v in values.items() if k not in ("dataset", "noise", "model")}
-    kwargs["dataset"] = DatasetConfig(**values["dataset"])
-    kwargs["noise"] = NoiseSpec(**values["noise"])
-    kwargs["model"] = ModelConfig(**values["model"])
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+            groups.setdefault(group, {})[name] = value
+    for group, changes in groups.items():
+        top[group] = replace(getattr(cfg, group), **changes)
+    return replace(cfg, **top)
 
 
 def parse_config(
@@ -304,43 +287,22 @@ def parse_config(
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config: {exc}") from exc
 
-    values = _builder()
+    pairs: list[tuple[str, str]] = []
     for section in parser.sections():
         if section == "experiment":
-            for key, val in parser.items(section):
-                _set_nested(values, key, val)
-        elif section in ("dataset", "noise", "model"):
-            for key, val in parser.items(section):
-                _set_nested(values, f"{section}.{key}", val)
+            prefix = ""
+        elif section in _GROUPS:
+            prefix = f"{section}."
         else:
             raise ConfigurationError(f"unknown config section [{section}]")
-
-    for key, val in (overrides or {}).items():
-        _set_nested(values, key, val)
-    return _build(values)
+        pairs += [(prefix + key, val) for key, val in parser.items(section)]
+    pairs += (overrides or {}).items()
+    return _set(ExperimentConfig(), pairs)
 
 
 def apply_override(cfg: ExperimentConfig, key: str, text: str) -> ExperimentConfig:
     """Return a new config with one dotted key overridden from text."""
-    values = _builder()
-    if key.startswith("dataset."):
-        values["dataset"] = asdict(cfg.dataset)
-    elif key.startswith("noise."):
-        values["noise"] = asdict(cfg.noise)
-    elif key.startswith("model."):
-        values["model"] = asdict(cfg.model)
-    _set_nested(values, key, text)
-    if key.startswith("dataset."):
-        new = replace(cfg, dataset=DatasetConfig(**values["dataset"]))
-    elif key.startswith("noise."):
-        new = replace(cfg, noise=NoiseSpec(**values["noise"]))
-    elif key.startswith("model."):
-        new = replace(cfg, model=ModelConfig(**values["model"]))
-    else:
-        field_name = "lam" if key == "lambda" else key
-        new = replace(cfg, **{field_name: values[field_name]})
-    new.validate()
-    return new
+    return _set(cfg, [(key, text)])
 
 
 @dataclass(frozen=True)
