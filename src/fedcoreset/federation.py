@@ -397,6 +397,7 @@ def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
         )
         num_classes = kept.size
 
+    _check_prepared(cfg, chunks, val, test)
     return Prepared(
         chunks=chunks,
         val=val,
@@ -405,6 +406,30 @@ def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
         input_dim=ds.dim,
         fingerprint=dataset_fingerprint(chunks, val, test),
     )
+
+
+def _check_prepared(
+    cfg: "ExperimentConfig", chunks: list[ClientChunk], val: Dataset, test: Dataset
+) -> None:
+    """Reject, before any arm runs, a realized world that some arm of cfg
+    would fail on mid-run.  Checks the realized splits, not the fractions:
+    a small fraction of a small class rounds to zero samples."""
+    if test.n == 0:
+        raise ConfigurationError("the test set is empty: raise test_frac")
+    refreshes = cfg.rounds > 0 and any(algo.kind == "gcfl" for algo in cfg.arms)
+    if val.n == 0 and (refreshes or cfg.fine_tune_epochs > 0):
+        raise ConfigurationError(
+            "the validation set is empty, but gcfl selection and fine_tune_epochs "
+            "need it: raise val_frac"
+        )
+    if refreshes:
+        for chunk in chunks:
+            budget = _client_budget(chunk, cfg.budget_fraction)
+            if budget >= 1 and not np.isin(chunk.dataset.labels, val.labels).any():
+                raise ConfigurationError(
+                    f"client {chunk.client_id} shares no class with the validation "
+                    "set, so gcfl cannot select its coreset: raise val_frac"
+                )
 
 
 def run_training(

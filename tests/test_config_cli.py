@@ -15,7 +15,7 @@ from fedcoreset.config import (
     config_to_dict,
     parse_config,
 )
-from fedcoreset.data import NoiseSpec
+from fedcoreset.data import Dataset, NoiseSpec, save_dataset_csv
 from fedcoreset.errors import ConfigurationError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -398,6 +398,71 @@ csv_path = {csv_path}
     def test_csv_kind_requires_path(self):
         with pytest.raises(ConfigurationError, match="csv_path"):
             parse_config("[dataset]\nkind = csv\n")
+
+
+PREFLIGHT_RUN = """
+[experiment]
+num_clients = 3
+rounds = 2
+local_lr = 0.1
+global_lr = 1.0
+arms = fedavg, gcfl
+
+[dataset]
+num_blobs = 3
+dim = 3
+samples_per_blob = 30
+"""
+
+
+class TestPreflight:
+    """Configs that pass validation but whose realized world some arm
+    cannot run on fail before the first arm, naming the key to change."""
+
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["--val_frac", "0.0"], "val_frac"),
+            (["--arms", "fedavg", "--fine_tune_epochs", "1", "--val_frac", "0.0"], "val_frac"),
+            (["--test_frac", "0.0"], "test_frac"),
+            # 0.0009 * 500 rounds to no validation sample in any class
+            (["--val_frac", "0.0009", "--dataset.samples_per_blob", "500"], "val_frac"),
+        ],
+        ids=["gcfl_empty_val", "fine_tune_empty_val", "empty_test", "val_rounds_to_empty"],
+    )
+    def test_rejected_before_any_arm_runs(self, tmp_path, capsys, flags, key):
+        out = tmp_path / "results"
+        code = main(["run", "--config", PREFLIGHT_RUN, "--out", str(out), *flags])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_csv_client_sharing_no_class_with_val(self, tmp_path, capsys):
+        # class 1 has too few samples for a validation share, and at seed 13
+        # the partition leaves client 0 holding only class 1
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(44, 2)), np.array([0] * 40 + [1] * 4), 2)
+        csv_path = tmp_path / "data.csv"
+        save_dataset_csv(ds, str(csv_path))
+        out = tmp_path / "results"
+        code = main(
+            ["run", "--config", PREFLIGHT_RUN, "--out", str(out), "--seed", "13",
+             "--num_clients", "2", "--budget_fraction", "0.5",
+             "--dataset.kind", "csv", "--dataset.csv_path", str(csv_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "shares no class" in err and "val_frac" in err
+        assert not list(out.glob("*.csv"))
+
+    def test_gcfl_without_rounds_needs_no_validation_set(self, tmp_path):
+        out = tmp_path / "results"
+        code = main(
+            ["run", "--config", PREFLIGHT_RUN, "--out", str(out),
+             "--val_frac", "0.0", "--rounds", "0"]
+        )
+        assert code == 0
+        assert (out / "gcfl.csv").exists()
 
 
 class TestCliSweep:
