@@ -372,7 +372,10 @@ def load_dataset_csv(path: str, num_classes: int | None = None) -> Dataset:
     if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
     features = rows[:, :-1]
-    labels = rows[:, -1].astype(np.int64)
+    labels = rows[:, -1]
+    if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
+        raise ValueError(f"{path}: labels must be integers")
+    labels = labels.astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     return Dataset(features, labels, num_classes)

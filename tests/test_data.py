@@ -284,6 +284,13 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.labels, ds.labels)
         assert back.num_classes == ds.num_classes
 
+    @pytest.mark.parametrize("label", ["1.7", "nan"])
+    def test_non_integral_label_rejected(self, tmp_path, label):
+        path = tmp_path / "ds.csv"
+        path.write_text(f"f0,label\n0.5,0\n0.25,{label}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="ds.csv: labels must be integers"):
+            load_dataset_csv(str(path))
+
 
 class TestNoiseSpec:
     def test_validation(self):
