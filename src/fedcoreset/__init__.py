@@ -61,14 +61,11 @@ from .metrics import (
     write_summary,
 )
 from .model import (
-    LastLayerGradient,
     ModelSpec,
     ParamVector,
     init_params,
     labelwise_validation_grads,
     loss,
-    mean_last_layer_grad,
-    per_sample_last_layer_grads,
     sgd_epochs,
 )
 

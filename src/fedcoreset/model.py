@@ -24,13 +24,10 @@ __all__ = [
     "ARCHS",
     "ModelSpec",
     "ParamVector",
-    "LastLayerGradient",
     "init_params",
     "predict_proba",
     "loss",
-    "per_sample_last_layer_grads",
     "last_layer_grad_stack",
-    "mean_last_layer_grad",
     "labelwise_validation_grads",
     "sgd_epochs",
 ]
@@ -105,36 +102,6 @@ class ParamVector:
         return ParamVector(values, self.layout, self.last_layer_slice)
 
 
-@dataclass(frozen=True)
-class LastLayerGradient:
-    """Gradient restricted to the output layer, one row per class.
-
-    Row ``c`` has length h + 1: the weights into output neuron ``c``
-    followed by its bias.
-    """
-
-    rows: np.ndarray  # [num_classes, h + 1]
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.float64)
-        object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2:
-            raise ValueError("rows must be [num_classes, h + 1]")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("gradient contains non-finite entries")
-
-    @property
-    def num_classes(self) -> int:
-        return self.rows.shape[0]
-
-    def row(self, c: int) -> np.ndarray:
-        return self.rows[c]
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.rows.ravel()
-
-
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
     rng = np.random.default_rng(seed)
@@ -205,17 +172,6 @@ def last_layer_grad_stack(params: ParamVector, ds: Dataset) -> np.ndarray:
     probs[np.arange(ds.n), ds.labels] -= 1.0
     act1 = np.concatenate([act, np.ones((ds.n, 1))], axis=1)
     return probs[:, :, None] * act1[:, None, :]
-
-
-def per_sample_last_layer_grads(
-    params: ParamVector, ds: Dataset
-) -> list[LastLayerGradient]:
-    stack = last_layer_grad_stack(params, ds)
-    return [LastLayerGradient(stack[i]) for i in range(ds.n)]
-
-
-def mean_last_layer_grad(params: ParamVector, ds: Dataset) -> LastLayerGradient:
-    return LastLayerGradient(last_layer_grad_stack(params, ds).mean(axis=0))
 
 
 def labelwise_validation_grads(

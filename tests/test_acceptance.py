@@ -27,9 +27,8 @@ from fedcoreset.model import (
     ModelSpec,
     init_params,
     labelwise_validation_grads,
+    last_layer_grad_stack,
     loss,
-    mean_last_layer_grad,
-    per_sample_last_layer_grads,
     sgd_epochs,
 )
 from fedcoreset.seeding import derive_seed
@@ -150,7 +149,7 @@ class TestCriterion4CommunicationOverhead:
         params = init_params(ModelSpec("softmax_regression", 10, 10), seed=1)
         rows = labelwise_validation_grads(params, ds)
         labelwise_size = sum(r.size for r in rows.values())
-        plain_size = mean_last_layer_grad(params, ds).flat.size
+        plain_size = last_layer_grad_stack(params, ds)[0].size
         report(
             "criterion 4: label-wise broadcast equals plain last-layer size",
             labelwise_size == plain_size,
@@ -271,7 +270,7 @@ class TestCriterion6GradientSuite:
                 )
                 params = init_params(spec, seed=int(rng.integers(1 << 30)))
                 params.values[:] = rng.normal(scale=0.6, size=params.values.size)
-                analytic = per_sample_last_layer_grads(params, ds)[0].rows
+                analytic = last_layer_grad_stack(params, ds)[0]
                 off, length = params.last_layer_slice
                 fd = np.zeros(length)
                 for i in range(length):

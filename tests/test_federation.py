@@ -27,8 +27,8 @@ from fedcoreset.federation import (
 from fedcoreset.model import (
     ModelSpec,
     init_params,
+    last_layer_grad_stack,
     loss,
-    mean_last_layer_grad,
     sgd_epochs,
 )
 from fedcoreset.seeding import derive_seed, spawn_rng
@@ -82,7 +82,7 @@ class TestClientUpdate:
         theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=2)
         idx = np.arange(state.chunk.n)
         delta = client_update(state, theta, idx, batch_size=state.chunk.n, seed=0)
-        grad = mean_last_layer_grad(theta, state.chunk.dataset).flat
+        grad = last_layer_grad_stack(theta, state.chunk.dataset).mean(axis=0).ravel()
         assert np.allclose(delta.values, -0.05 * grad, atol=1e-12)
 
     def test_prox_vanishes_at_anchor(self):

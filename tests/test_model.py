@@ -4,14 +4,12 @@ import pytest
 from fedcoreset.data import Dataset, make_blobs
 from fedcoreset.errors import ConfigurationError
 from fedcoreset.model import (
-    LastLayerGradient,
     ModelSpec,
     ParamVector,
     init_params,
     labelwise_validation_grads,
+    last_layer_grad_stack,
     loss,
-    mean_last_layer_grad,
-    per_sample_last_layer_grads,
     predict_proba,
     sgd_epochs,
 )
@@ -118,8 +116,8 @@ class TestLastLayerGrads:
         p = init_params(ModelSpec("softmax_regression", 4, 4), seed=0)
         p.values[:] = 0.0
         p.last_layer()[:, :4] = 50.0 * np.eye(4)
-        g = per_sample_last_layer_grads(p, ds)[0]
-        assert np.linalg.norm(g.rows) < 1e-8
+        g = last_layer_grad_stack(p, ds)[0]
+        assert np.linalg.norm(g) < 1e-8
 
     @pytest.mark.parametrize("spec", [SOFTMAX, HIDDEN])
     def test_finite_difference_oracle(self, spec):
@@ -130,7 +128,7 @@ class TestLastLayerGrads:
             ds = random_dataset(1, 10, 10, seed=100 + case)
             p = init_params(spec, seed=200 + case)
             p.values[:] = rng.normal(scale=0.5, size=p.values.size)
-            analytic = per_sample_last_layer_grads(p, ds)[0].rows
+            analytic = last_layer_grad_stack(p, ds)[0]
             fd = fd_last_layer_grad(p, ds)
             denom = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
             assert np.abs(analytic - fd).max() / denom < 1e-5
@@ -138,16 +136,17 @@ class TestLastLayerGrads:
     def test_mean_equals_average_of_per_sample(self):
         ds = random_dataset(12, 10, 10, seed=8)
         p = init_params(SOFTMAX, seed=9)
-        stack = np.stack([g.rows for g in per_sample_last_layer_grads(p, ds)])
-        mean = mean_last_layer_grad(p, ds)
-        assert np.array_equal(mean.rows, stack.mean(axis=0))
+        # each sample's gradient computed on its own takes another BLAS path,
+        # so the batched mean may differ from their average in the last bit
+        singles = np.stack([last_layer_grad_stack(p, ds.subset([i]))[0] for i in range(ds.n)])
+        mean = last_layer_grad_stack(p, ds).mean(axis=0)
+        assert np.allclose(mean, singles.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_single_sample_mean_is_that_sample(self):
         ds = random_dataset(1, 10, 10, seed=10)
         p = init_params(SOFTMAX, seed=11)
-        assert np.array_equal(
-            mean_last_layer_grad(p, ds).rows, per_sample_last_layer_grads(p, ds)[0].rows
-        )
+        stack = last_layer_grad_stack(p, ds)
+        assert np.array_equal(stack.mean(axis=0), stack[0])
 
     def test_duplicated_dataset_same_mean(self):
         ds = random_dataset(6, 10, 10, seed=12)
@@ -157,13 +156,9 @@ class TestLastLayerGrads:
             ds.num_classes,
         )
         p = init_params(SOFTMAX, seed=13)
-        a = mean_last_layer_grad(p, ds).rows
-        b = mean_last_layer_grad(p, doubled).rows
+        a = last_layer_grad_stack(p, ds).mean(axis=0)
+        b = last_layer_grad_stack(p, doubled).mean(axis=0)
         assert np.allclose(a, b, atol=1e-15)
-
-    def test_gradient_rows_finite_validation(self):
-        with pytest.raises(ValueError):
-            LastLayerGradient(np.array([[np.inf, 0.0]]))
 
 
 class TestLabelwiseGrads:
@@ -181,7 +176,7 @@ class TestLabelwiseGrads:
         rows = labelwise_validation_grads(p, ds)
         total = sum(r.size for r in rows.values())
         assert total == 10 * 11
-        assert total == mean_last_layer_grad(p, ds).flat.size
+        assert total == last_layer_grad_stack(p, ds)[0].size
 
     def test_row_equals_class_filtered_mean(self):
         ds = make_blobs(5, 10, np.ones(5), 12, seed=18)
@@ -189,7 +184,7 @@ class TestLabelwiseGrads:
         rows = labelwise_validation_grads(p, ds)
         for c in range(5):
             class_ds = ds.subset(np.flatnonzero(ds.labels == c))
-            expect = mean_last_layer_grad(p, class_ds).rows[c]
+            expect = last_layer_grad_stack(p, class_ds).mean(axis=0)[c]
             assert np.array_equal(rows[c], expect)
 
 
@@ -206,7 +201,7 @@ class TestSgd:
         ds = random_dataset(20, 10, 10, seed=22)
         p = init_params(SOFTMAX, seed=23)
         out = sgd_epochs(p, ds, epochs=1, lr=0.05, batch_size=ds.n, seed=0)
-        expect = p.values - 0.05 * mean_last_layer_grad(p, ds).flat
+        expect = p.values - 0.05 * last_layer_grad_stack(p, ds).mean(axis=0).ravel()
         assert np.allclose(out.values, expect, atol=1e-12)
 
     def test_descent_on_blobs(self):
