@@ -33,14 +33,11 @@ __all__ = [
 class SelectionConfig:
     """Knobs for gradient-matching selection."""
 
-    budget_fraction: float = 0.1
     lam: float = 0.5  # ridge coefficient on the weight solve
     per_iteration_picks: int = 1
     residual_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.budget_fraction <= 1.0:
-            raise ConfigurationError("budget_fraction must be in (0, 1]")
         if self.lam < 0:
             raise ConfigurationError("lambda must be non-negative")
         if self.per_iteration_picks < 1:

@@ -282,7 +282,6 @@ def run_round(
         rows = labelwise_validation_grads(theta_t, server.val_set)
         row_values = sum(r.size for r in rows.values())
         sel_cfg = SelectionConfig(
-            budget_fraction=cfg.budget_fraction,
             lam=cfg.lam,
             per_iteration_picks=cfg.per_iteration_picks,
             residual_tolerance=cfg.residual_tolerance,

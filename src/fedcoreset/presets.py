@@ -11,8 +11,6 @@ rates (local 0.3, global 1.0) were calibrated once with a 20-seed pilot
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .config import DatasetConfig, ExperimentConfig
 from .data import NoiseSpec
 from .federation import Algo
@@ -25,7 +23,7 @@ BLOB_BENCHMARK_ARMS = (Algo("fedavg"), Algo("gcfl"), Algo("skyline"), Algo("rand
 def blob_benchmark_config(
     seed: int = 0, rounds: int = 100, output_dir: str = "runs/blob_benchmark"
 ) -> ExperimentConfig:
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         dataset=DatasetConfig(
             kind="blobs", num_blobs=10, dim=10, stds=(), samples_per_blob=500
         ),
@@ -46,4 +44,3 @@ def blob_benchmark_config(
         seed=seed,
         output_dir=output_dir,
     )
-    return replace(cfg)

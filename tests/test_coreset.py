@@ -311,8 +311,6 @@ class TestValidation:
 
     def test_selection_config_invariants(self):
         with pytest.raises(ConfigurationError):
-            SelectionConfig(budget_fraction=0.0)
-        with pytest.raises(ConfigurationError):
             SelectionConfig(lam=-1.0)
         with pytest.raises(ConfigurationError):
             SelectionConfig(per_iteration_picks=0)
