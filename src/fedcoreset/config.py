@@ -248,7 +248,7 @@ def _set(cfg: ExperimentConfig, pairs: Iterable[tuple[str, str]]) -> ExperimentC
         try:
             value = parse(text)
         except ConfigurationError:
-            raise
+            raise  # a bad arm token already says what is wrong
         except ValueError:
             raise ConfigurationError(f"config key {key!r}: {failure.format(text)}") from None
         if group is None:

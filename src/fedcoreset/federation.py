@@ -417,14 +417,16 @@ def _check_prepared(
         raise ConfigurationError("the test set is empty: raise test_frac")
     refreshes = cfg.rounds > 0 and any(algo.kind == "gcfl" for algo in cfg.arms)
     if val.n == 0 and (refreshes or cfg.fine_tune_epochs > 0):
+        user = "gcfl selection" if refreshes else "fine_tune_epochs > 0"
         raise ConfigurationError(
-            "the validation set is empty, but gcfl selection and fine_tune_epochs "
-            "need it: raise val_frac"
+            f"the validation set is empty, but {user} needs it: raise val_frac"
         )
     if refreshes:
+        in_val = np.zeros(val.num_classes, dtype=bool)
+        in_val[val.labels] = True
         for chunk in chunks:
             budget = _client_budget(chunk, cfg.budget_fraction)
-            if budget >= 1 and not np.isin(chunk.dataset.labels, val.labels).any():
+            if budget >= 1 and not in_val[chunk.dataset.labels].any():
                 raise ConfigurationError(
                     f"client {chunk.client_id} shares no class with the validation "
                     "set, so gcfl cannot select its coreset: raise val_frac"

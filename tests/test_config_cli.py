@@ -110,6 +110,21 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="rounds"):
             parse_config("[experiment]\nrounds = soon\n")
 
+    @pytest.mark.parametrize(
+        "key,text,message",
+        [
+            ("rounds", "soon", "config key 'rounds': cannot parse 'soon' as int"),
+            ("local_lr", "fast", "config key 'local_lr': cannot parse 'fast' as float"),
+            ("cosine_lr", "maybe", "config key 'cosine_lr': cannot parse 'maybe' as bool"),
+            ("clients_per_round", "two", "config key 'clients_per_round': cannot parse 'two' as int"),
+            ("dataset.stds", "1,x", "config key 'dataset.stds': expected comma-separated floats"),
+        ],
+    )
+    def test_parse_error_wording(self, key, text, message):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(MINIMAL, overrides={key: text})
+        assert str(exc.value) == message
+
     def test_oversampling_rejected_with_named_constraint(self):
         with pytest.raises(ConfigurationError, match="clients_per_round"):
             parse_config("[experiment]\nnum_clients = 2\nclients_per_round = 5\n")
@@ -149,13 +164,13 @@ SPECIAL_SAMPLES = {
 COVERAGE_BASE = {"dataset": {"csv_path": "base.csv"}}
 
 
-def _field_keys():
-    for section, cls in SECTIONS.items():
-        for f in fields(cls):
-            if f.name in SECTIONS:
-                continue  # a nested group, covered field by field
-            name = "lambda" if f.name == "lam" else f.name
-            yield section, name, getattr(cls(), f.name)
+# (section, key within the section, default) for every config field
+FIELD_KEYS = [
+    (section, "lambda" if f.name == "lam" else f.name, getattr(cls(), f.name))
+    for section, cls in SECTIONS.items()
+    for f in fields(cls)
+    if f.name not in SECTIONS  # a nested group is covered field by field
+]
 
 
 def _sample(key: str, default: object) -> tuple[str, object]:
@@ -181,9 +196,7 @@ def _render(sections: dict[str, dict[str, str]]) -> str:
 
 
 @pytest.mark.parametrize(
-    "section,name,default",
-    list(_field_keys()),
-    ids=[f"{s}.{n}" for s, n, _ in _field_keys()],
+    "section,name,default", FIELD_KEYS, ids=[f"{s}.{n}" for s, n, _ in FIELD_KEYS]
 )
 def test_every_config_field_is_settable_and_echoed(section, name, default):
     key = name if section == "experiment" else f"{section}.{name}"
