@@ -2,11 +2,16 @@
 
 The matching-pursuit selector greedily grows a support, at each step adding
 the candidate gradient(s) closest to the current residual and re-solving a
-ridge least-squares problem over the whole support.  The residual that
-drives selection and stopping comes from the unclipped solve (this is what
-makes its norm non-increasing); the nonnegativity clip is applied to the
-weights that are returned.  Weights only steer selection: local training on
-a coreset is unweighted.
+ridge least-squares problem over the whole support.  For lambda > 0 that
+solve is done in the smaller of the support size k and the gradient length
+d: a k x k system while k <= d, and once k > d the d x d system given by
+(C^T C + lam I)^-1 C^T = C^T (C C^T + lam I)^-1, so the solve at each pick
+costs O(d^3) rather than O(k^3) however large the support grows (cf.
+Batch-OMP, Rubinstein, Zibulevsky & Elad 2008).  The residual that drives
+selection and stopping comes from the unclipped solve (this is what makes
+its norm non-increasing); the nonnegativity clip is applied to the weights
+that are returned.  Weights only steer selection: local training on a
+coreset is unweighted.
 """
 
 from __future__ import annotations
@@ -76,11 +81,28 @@ class Coreset:
 
 
 def _solve_ridge(columns: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
-    """argmin_w lam*||w||^2 + ||columns @ w - target||^2 via normal equations."""
-    gram = columns.T @ columns + lam * np.eye(columns.shape[1])
-    rhs = columns.T @ target
-    w, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    return w
+    """argmin_w lam*||w||^2 + ||columns @ w - target||^2 for columns of shape (d, k).
+
+    For lam > 0 the system is solved in min(k, d) unknowns: the k x k normal
+    equations while k <= d, else w = columns^T (columns columns^T + lam I_d)^-1
+    target.  lam = 0 solves the (possibly singular) k x k normal equations by
+    least squares, as does a lam > 0 below the rounding of the gram entries
+    when duplicate columns leave the system exactly singular.
+    """
+    d, k = columns.shape
+    wide = lam > 0 and k > d
+    gram = columns @ columns.T if wide else columns.T @ columns
+    rhs = target if wide else columns.T @ target
+    gram += lam * np.eye(len(gram))
+    x = None
+    if lam > 0:
+        try:
+            x = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    if x is None:
+        x, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    return columns.T @ x if wide else x
 
 
 def _greedy_match(
@@ -96,19 +118,20 @@ def _greedy_match(
     weights = np.empty(0)
     residual = target.astype(np.float64, copy=True)
     norms: list[float] = []
-    taken = np.zeros(n, dtype=bool)
-    while len(selected) < budget and float(np.linalg.norm(residual)) > tol:
-        if taken.all():
-            break
+    while len(selected) < min(budget, n) and float(np.linalg.norm(residual)) > tol:
         dist = np.linalg.norm(cands - residual, axis=1)
-        dist[taken] = np.inf
-        k = min(picks, budget - len(selected), int(n - taken.sum()))
-        # stable sort: ties resolved toward the lowest sample index
-        chosen = np.argsort(dist, kind="stable")[:k]
-        selected.extend(int(j) for j in chosen)
-        taken[chosen] = True
-        weights = _solve_ridge(cands[selected].T, target, lam)
-        residual = target - cands[selected].T @ weights
+        dist[selected] = np.inf
+        k = min(picks, budget - len(selected), n - len(selected))
+        # ties resolved toward the lowest sample index: argmin returns the
+        # first minimum, and the sort is stable
+        if k == 1:
+            chosen = [int(np.argmin(dist))]
+        else:
+            chosen = [int(j) for j in np.argsort(dist, kind="stable")[:k]]
+        selected.extend(chosen)
+        columns = cands[selected].T
+        weights = _solve_ridge(columns, target, lam)
+        residual = target - columns @ weights
         norms.append(float(np.linalg.norm(residual)))
     return selected, weights, norms
 

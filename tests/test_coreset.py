@@ -22,22 +22,41 @@ def chunk_of(ds: Dataset, client_id: int = 0) -> ClientChunk:
     return ClientChunk(ds, np.ones(ds.n, dtype=bool), client_id)
 
 
-def ridge_weights_oracle(columns: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
-    """Independent ridge LS solve on the augmented system, then clip."""
+def ridge_solution(columns: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
+    """Independent unclipped ridge LS solve on the augmented system."""
     d, k = columns.shape
     aug = np.vstack([columns, np.sqrt(lam) * np.eye(k)]) if lam > 0 else columns
     rhs = np.concatenate([target, np.zeros(k)]) if lam > 0 else target
     w, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-    return np.maximum(w, 0.0)
+    return w
+
+
+def ridge_weights_oracle(columns: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
+    """The ridge solution, clipped to nonnegative weights."""
+    return np.maximum(ridge_solution(columns, target, lam), 0.0)
 
 
 def weighted_error(columns: np.ndarray, target: np.ndarray, lam: float) -> float:
     """min_w lam*||w||^2 + ||columns@w - target||^2 (unclipped optimum)."""
-    d, k = columns.shape
-    aug = np.vstack([columns, np.sqrt(lam) * np.eye(k)]) if lam > 0 else columns
-    rhs = np.concatenate([target, np.zeros(k)]) if lam > 0 else target
-    w, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+    w = ridge_solution(columns, target, lam)
     return lam * float(w @ w) + float(np.sum((columns @ w - target) ** 2))
+
+
+def reference_greedy(cands: np.ndarray, target: np.ndarray, budget: int, lam: float,
+                     picks: int) -> list[int]:
+    """Support of the plain greedy: a k x k normal-equation solve by lstsq per step."""
+    selected: list[int] = []
+    residual = target
+    while len(selected) < min(budget, len(cands)) and np.linalg.norm(residual) > 0:
+        dist = np.linalg.norm(cands - residual, axis=1)
+        dist[selected] = np.inf
+        take = min(picks, budget - len(selected))
+        selected += [int(j) for j in np.argsort(dist, kind="stable")[:take]]
+        cols = cands[selected].T
+        gram = cols.T @ cols + lam * np.eye(len(selected))
+        w, *_ = np.linalg.lstsq(gram, cols.T @ target, rcond=None)
+        residual = target - cols @ w
+    return selected
 
 
 class TestOmpHandExamples:
@@ -57,6 +76,15 @@ class TestOmpHandExamples:
     def test_zero_target_returns_empty(self):
         cs = omp_select([np.array([1.0, 0.0])], np.zeros(2), budget=1, lam=0.0)
         assert cs.size == 0
+
+    def test_duplicate_rows_with_tiny_lambda(self):
+        # lam far below the gram's rounding leaves the normal equations of
+        # the two copies exactly singular
+        cands = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, -5.0, 0.0],
+                          [0.0, 0.0, -5.0]])
+        cs = omp_select(cands, np.array([3.0, 1.0, 0.0]), budget=3, lam=1e-20)
+        assert list(cs.indices) == [0, 1, 3]
+        assert np.abs(cs.weights - [1.5, 1.5, 0.0]).max() < 1e-12
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
@@ -91,6 +119,24 @@ class TestOmpVsExhaustive:
             cands = rng.normal(size=(12, 5))
             target = rng.normal(size=5)
             cs = omp_select(cands, target, budget=4, lam=lam)
+            oracle = ridge_weights_oracle(cands[cs.indices].T, target, lam)
+            assert np.abs(cs.weights - oracle).max() < 1e-8
+
+
+class TestOmpSupportWiderThanGradient:
+    """Budgets of 2d-3d, so the ridge solve crosses from k x k to d x d."""
+
+    @pytest.mark.parametrize("picks", [1, 3])
+    @pytest.mark.parametrize("lam", [0.1, 0.5])
+    def test_matches_reference_greedy_and_ridge_oracle(self, lam, picks):
+        rng = np.random.default_rng(11)
+        for trial in range(25):
+            d = 4
+            cands = rng.normal(size=(30, d))
+            target = rng.normal(size=d)
+            budget = int(rng.integers(2 * d, 3 * d + 1))
+            cs = omp_select(cands, target, budget=budget, lam=lam, per_iteration_picks=picks)
+            assert list(cs.indices) == reference_greedy(cands, target, budget, lam, picks)
             oracle = ridge_weights_oracle(cands[cs.indices].T, target, lam)
             assert np.abs(cs.weights - oracle).max() < 1e-8
 
@@ -157,8 +203,35 @@ class TestOmpProperties:
 
     def test_tie_break_lowest_index(self):
         cands = [np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        cs = omp_select(cands, np.array([2.0, 0.0]), budget=1, lam=0.0)
-        assert list(cs.indices) == [0]
+        for lam in (0.0, 0.5):
+            cs = omp_select(cands, np.array([2.0, 0.0]), budget=1, lam=lam)
+            assert list(cs.indices) == [0]
+            cs = omp_select(cands, np.array([2.0, 0.0]), budget=2, lam=lam,
+                            per_iteration_picks=3)
+            assert list(cs.indices) == [0, 1]
+
+    @pytest.mark.parametrize("picks,scale,seed", [(1, 3.0, 24), (3, 1.0, 7)])
+    def test_tie_break_lowest_index_once_support_exceeds_dim(self, picks, scale, seed):
+        # Three copies of one row, nearest to the residual of the first solve
+        # with k = 3 > d = 2.  With one pick per step the lowest copy must be
+        # the 4th pick; with three, the next step takes two, and the two
+        # lowest copies must beat the third.
+        lam, prefix = 0.5, 3
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(10, 2))
+        target = scale * rng.normal(size=2)
+        first = omp_select(base, target, prefix, lam=lam, per_iteration_picks=picks)
+        support = base[first.indices].T
+        copy = target - support @ ridge_solution(support, target, lam)
+        cands = np.insert(base, [1, 4, 10], copy, axis=0)
+        copies = [1, 5, 12]
+        before = omp_select(cands, target, prefix, lam=lam, per_iteration_picks=picks)
+        assert before.size == prefix and not set(before.indices) & set(copies)
+
+        budget = prefix + (1 if picks == 1 else 2)
+        cs = omp_select(cands, target, budget, lam=lam, per_iteration_picks=picks)
+        assert list(cs.indices[:prefix]) == list(before.indices)
+        assert list(cs.indices[prefix:]) == copies[: budget - prefix]
 
 
 class TestLabelwise:
