@@ -80,15 +80,22 @@ def run(cfg: ExperimentConfig) -> int:
 
 def sweep(cfg: ExperimentConfig, spec: SweepSpec) -> int:
     """Run once per sweep value in a value-derived subdirectory and emit a
-    combined JSON of final accuracies per (arm, value)."""
-    base_out = Path(cfg.output_dir)
-    base_out.mkdir(parents=True, exist_ok=True)
+    combined JSON of final accuracies per (arm, value).
 
-    records = []
+    Every point's config is built before the first run, so a value that is
+    invalid against the base config fails before anything is written.
+    """
+    base_out = Path(cfg.output_dir)
+    points = []
     for value in spec.values:
         text = format(value, "g")
         point_cfg = apply_override(cfg, spec.parameter, text)
-        point_cfg = replace(point_cfg, output_dir=str(base_out / f"{spec.parameter}={text}"))
+        point_out = str(base_out / f"{spec.parameter}={text}")
+        points.append((value, replace(point_cfg, output_dir=point_out)))
+    base_out.mkdir(parents=True, exist_ok=True)
+
+    records = []
+    for value, point_cfg in points:
         code = run(point_cfg)
         if code != 0:
             return code
@@ -149,6 +156,16 @@ def _collect_overrides(extra: list[str]) -> dict[str, str]:
     return overrides
 
 
+def _sweep_values(text: str) -> tuple[float, ...]:
+    values = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ConfigurationError(f"--values: {tok.strip()!r} is not a number") from None
+    return tuple(values)
+
+
 def _resolve_config(args: argparse.Namespace, extra: list[str]) -> ExperimentConfig:
     overrides = _collect_overrides(extra)
     # precedence, lowest first: config file, --key flags, --seed, env var, --out
@@ -172,9 +189,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "run":
             return run(cfg)
-        values = tuple(float(tok) for tok in args.values.split(",") if tok.strip())
-        spec = SweepSpec(args.param, values)
-        return sweep(cfg, spec)
+        return sweep(cfg, SweepSpec(args.param, _sweep_values(args.values)))
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

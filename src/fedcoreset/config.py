@@ -319,3 +319,8 @@ class SweepSpec:
             )
         if not self.values:
             raise ConfigurationError("sweep values list is empty")
+        # each point runs in a directory named by its value's %g text
+        texts = [format(value, "g") for value in self.values]
+        for text in texts:
+            if texts.count(text) > 1:
+                raise ConfigurationError(f"sweep value {text} is repeated")

@@ -239,6 +239,10 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec("batch_size", (1, 2))
 
+    def test_repeated_value_rejected(self):
+        with pytest.raises(ConfigurationError, match="sweep value 0.1 is repeated"):
+            SweepSpec("noise.ratio", (0.1, 0.2, 0.1))
+
 
 SMALL_RUN = """
 [experiment]
@@ -525,6 +529,43 @@ class TestCliSweep:
             ["sweep", "--config", str(cfg_path), "--param", "noise.ratio", "--values", ""]
         )
         assert code == 1
+
+    def test_invalid_later_point_fails_before_any_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(SWEEP_CFG.replace("num_clients = 3", "num_clients = 4\n"
+                                              "clients_per_round = 4"), encoding="utf-8")
+        out = tmp_path / "sweepout"
+        code = main(
+            ["sweep", "--config", str(cfg_path), "--out", str(out),
+             "--param", "num_clients", "--values", "4,2"]
+        )
+        assert code == 1
+        assert "clients_per_round" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_value_names_the_flag(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(SWEEP_CFG, encoding="utf-8")
+        out = tmp_path / "sweepout"
+        code = main(
+            ["sweep", "--config", str(cfg_path), "--out", str(out),
+             "--param", "noise.ratio", "--values", "0,x"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --values: 'x' is not a number\n"
+        assert not out.exists()
+
+    def test_repeated_value_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(SWEEP_CFG, encoding="utf-8")
+        out = tmp_path / "sweepout"
+        code = main(
+            ["sweep", "--config", str(cfg_path), "--out", str(out),
+             "--param", "noise.ratio", "--values", "0.1,0.1"]
+        )
+        assert code == 1
+        assert "sweep value 0.1 is repeated" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_arm_isolation_same_fingerprint(self, tmp_path):
         cfg_path = tmp_path / "exp.ini"
