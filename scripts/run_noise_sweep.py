@@ -4,10 +4,12 @@ arm as the flip ratio grows (the curve behind robustness comparisons)."""
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
-from fedcoreset.cli import sweep
+from fedcoreset.cli import parse_sweep_values, sweep
 from fedcoreset.config import SweepSpec
+from fedcoreset.errors import ConfigurationError
 from fedcoreset.presets import blob_benchmark_config
 
 
@@ -20,8 +22,11 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = blob_benchmark_config(seed=args.seed, rounds=args.rounds, output_dir=args.out)
-    values = tuple(float(v) for v in args.values.split(","))
-    code = sweep(cfg, SweepSpec("noise.ratio", values))
+    try:
+        code = sweep(cfg, SweepSpec("noise.ratio", parse_sweep_values(args.values)))
+    except (ConfigurationError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if code != 0:
         return code
 

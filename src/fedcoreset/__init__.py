@@ -17,7 +17,6 @@ from .config import (
 )
 from .coreset import (
     Coreset,
-    SelectionConfig,
     facility_location_select,
     labelwise_omp_select,
     omp_select,
@@ -39,14 +38,11 @@ from .data import (
 from .errors import ConfigurationError
 from .federation import (
     Algo,
-    ClientState,
     CostLedger,
-    ServerState,
     TrainingResult,
     aggregate,
     client_update,
     compute_cost_ratio,
-    fine_tune_on_server,
     prepare_experiment,
     run_round,
     run_training,

@@ -26,6 +26,7 @@ from .config import (
     apply_override,
     config_to_dict,
     parse_config,
+    sweep_value_text,
 )
 from .errors import ConfigurationError
 from .federation import compute_cost_ratio, prepare_experiment, run_training
@@ -88,7 +89,7 @@ def sweep(cfg: ExperimentConfig, spec: SweepSpec) -> int:
     base_out = Path(cfg.output_dir)
     points = []
     for value in spec.values:
-        text = format(value, "g")
+        text = sweep_value_text(value)
         point_cfg = apply_override(cfg, spec.parameter, text)
         point_out = str(base_out / f"{spec.parameter}={text}")
         points.append((value, replace(point_cfg, output_dir=point_out)))
@@ -156,7 +157,7 @@ def _collect_overrides(extra: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _sweep_values(text: str) -> tuple[float, ...]:
+def parse_sweep_values(text: str) -> tuple[float, ...]:
     values = []
     for tok in filter(str.strip, text.split(",")):
         try:
@@ -189,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "run":
             return run(cfg)
-        return sweep(cfg, SweepSpec(args.param, _sweep_values(args.values)))
+        return sweep(cfg, SweepSpec(args.param, parse_sweep_values(args.values)))
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,7 @@ __all__ = [
     "parse_config",
     "config_to_dict",
     "apply_override",
+    "sweep_value_text",
 ]
 
 SWEEPABLE = (
@@ -82,6 +83,8 @@ class DatasetConfig:
                     "dataset.stds must have one entry per blob "
                     f"({len(self.stds)} given for {self.num_blobs} blobs)"
                 )
+            if any(std < 0 for std in self.stds):
+                raise ConfigurationError("dataset.stds must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,12 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        # nan and inf pass every range check below, so reject them first
+        for key, (group, name, (parse, _)) in _KEYS.items():
+            if parse in (float, _parse_floats):
+                value = getattr(getattr(self, group) if group else self, name)
+                if not np.all(np.isfinite(value)):
+                    raise ConfigurationError(f"{key} must be finite, got {value}")
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1")
         m = self.clients_per_round
@@ -305,6 +314,14 @@ def apply_override(cfg: ExperimentConfig, key: str, text: str) -> ExperimentConf
     return _set(cfg, [(key, text)])
 
 
+def sweep_value_text(value: float) -> str:
+    """The text a sweep point is set from and its directory is named by:
+    ``%g`` when that reads back as the value (``4``, ``0.2``), else the
+    shortest text that does (``0.1234567``)."""
+    text = format(value, "g")
+    return text if float(text) == value else repr(float(value))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A one-parameter sweep over explicit values."""
@@ -319,8 +336,8 @@ class SweepSpec:
             )
         if not self.values:
             raise ConfigurationError("sweep values list is empty")
-        # each point runs in a directory named by its value's %g text
-        texts = [format(value, "g") for value in self.values]
+        # each point runs in a directory named by its value's text
+        texts = [sweep_value_text(value) for value in self.values]
         for text in texts:
             if texts.count(text) > 1:
                 raise ConfigurationError(f"sweep value {text} is repeated")

@@ -26,29 +26,11 @@ from .model import ParamVector, last_layer_grad_stack
 
 __all__ = [
     "Coreset",
-    "SelectionConfig",
     "omp_select",
     "labelwise_omp_select",
     "random_select",
     "facility_location_select",
 ]
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    """Knobs for gradient-matching selection."""
-
-    lam: float = 0.5  # ridge coefficient on the weight solve
-    per_iteration_picks: int = 1
-    residual_tolerance: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ConfigurationError("lambda must be non-negative")
-        if self.per_iteration_picks < 1:
-            raise ConfigurationError("per_iteration_picks must be >= 1")
-        if self.residual_tolerance < 0:
-            raise ConfigurationError("residual_tolerance must be non-negative")
 
 
 @dataclass
@@ -193,10 +175,14 @@ def labelwise_omp_select(
     params: ParamVector,
     server_rows: dict[int, np.ndarray],
     budget: int,
-    cfg: SelectionConfig,
+    *,
+    lam: float = 0.5,
+    per_iteration_picks: int = 1,
+    tol: float = 0.0,
 ) -> Coreset:
     """Run one matching-pursuit instance per class the client shares with
-    the server, each against that class's broadcast gradient row.
+    the server, each against that class's broadcast gradient row, with the
+    selection knobs of :func:`omp_select`.
 
     The budget splits as floor(budget/|shared|) per class with the
     remainder allotted to the largest classes; classes the server did not
@@ -225,9 +211,9 @@ def labelwise_omp_select(
             stack[local, c, :],
             server_rows[c],
             shares[c],
-            lam=cfg.lam,
-            per_iteration_picks=cfg.per_iteration_picks,
-            tol=cfg.residual_tolerance,
+            lam=lam,
+            per_iteration_picks=per_iteration_picks,
+            tol=tol,
         )
         idx = local[sub.indices]
         per_class[c] = (idx, sub.weights)

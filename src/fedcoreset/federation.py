@@ -22,7 +22,6 @@ import numpy as np
 
 from .coreset import (
     Coreset,
-    SelectionConfig,
     facility_location_select,
     labelwise_omp_select,
     random_select,
@@ -40,7 +39,7 @@ from .data import (
     split_train_val_test,
 )
 from .errors import ConfigurationError
-from .metrics import RoundMetrics, dataset_fingerprint, evaluate_accuracy
+from .metrics import RoundMetrics, coreset_composition, dataset_fingerprint, evaluate_accuracy
 from .model import ModelSpec, ParamVector, init_params, labelwise_validation_grads, loss, sgd_epochs
 from .seeding import derive_seed, spawn_rng
 
@@ -53,8 +52,6 @@ __all__ = [
     "Algo",
     "parse_algo",
     "CostLedger",
-    "ServerState",
-    "ClientState",
     "TrainingResult",
     "Prepared",
     "prepare_experiment",
@@ -62,7 +59,6 @@ __all__ = [
     "aggregate",
     "run_round",
     "run_training",
-    "fine_tune_on_server",
     "compute_cost_ratio",
 ]
 
@@ -82,8 +78,8 @@ class Algo:
     def __post_init__(self) -> None:
         if self.kind not in ALGO_KINDS:
             raise ConfigurationError(f"algo must be one of {ALGO_KINDS}, got {self.kind!r}")
-        if self.mu < 0:
-            raise ConfigurationError("fedprox mu must be non-negative")
+        if not 0.0 <= self.mu < float("inf"):
+            raise ConfigurationError("fedprox mu must be finite and non-negative")
 
     @property
     def uses_coreset(self) -> bool:
@@ -131,26 +127,6 @@ class CostLedger:
         return replace(self)
 
 
-@dataclass
-class ServerState:
-    params: ParamVector
-    round: int
-    val_set: Dataset
-    global_lr: float
-
-
-@dataclass
-class ClientState:
-    chunk: ClientChunk
-    coreset: Coreset | None
-    local_lr: float
-    local_epochs: int
-
-    @property
-    def client_id(self) -> int:
-        return self.chunk.client_id
-
-
 @dataclass(frozen=True)
 class Prepared:
     """One realized (noisy) data world, shared by every arm of a run."""
@@ -174,57 +150,54 @@ class TrainingResult:
 
 
 def client_update(
-    state: ClientState,
+    chunk: ClientChunk,
     theta_t: ParamVector,
     train_indices: np.ndarray,
-    prox: tuple[float, ParamVector] | None = None,
+    cfg: "ExperimentConfig",
     *,
-    batch_size: int,
     seed: int,
+    prox: tuple[float, ParamVector] | None = None,
     ledger: CostLedger | None = None,
-    momentum: float = 0.0,
-    weight_decay: float = 0.0,
-    cosine_lr: bool = False,
 ) -> ParamVector:
-    """E local epochs from theta_t on the indexed subset; returns the delta
+    """E = cfg.local_epochs epochs of local SGD from theta_t on the indexed
+    subset, with the optimizer settings of cfg; returns the delta
     theta' - theta_t and meters E * |subset| sample visits."""
     idx = np.asarray(train_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("client has no training samples for this round")
-    subset = state.chunk.dataset.subset(idx)
     theta_prime = sgd_epochs(
         theta_t,
-        subset,
-        epochs=state.local_epochs,
-        lr=state.local_lr,
-        batch_size=batch_size,
+        chunk.dataset.subset(idx),
+        epochs=cfg.local_epochs,
+        lr=cfg.local_lr,
+        batch_size=cfg.batch_size,
         seed=seed,
         prox=prox,
-        momentum=momentum,
-        weight_decay=weight_decay,
-        cosine_lr=cosine_lr,
+        momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay,
+        cosine_lr=cfg.cosine_lr,
     )
     if ledger is not None:
-        ledger.sgd_sample_visits += state.local_epochs * idx.size
+        ledger.sgd_sample_visits += cfg.local_epochs * idx.size
     return theta_t.with_values(theta_prime.values - theta_t.values)
 
 
-def aggregate(server: ServerState, deltas: list[ParamVector]) -> ParamVector:
-    """theta + global_lr * mean(deltas).
+def aggregate(params: ParamVector, deltas: list[ParamVector], global_lr: float) -> ParamVector:
+    """params + global_lr * mean(deltas).
 
     The stacked deltas are summed in a canonical (lexicographic) order so
     the result is bitwise independent of how the caller ordered them.
     """
     if not deltas:
         raise ValueError("aggregate needs at least one delta")
-    size = server.params.values.size
+    size = params.values.size
     for d in deltas:
         if d.values.size != size:
             raise ValueError("delta length does not match server parameters")
     stack = np.stack([d.values for d in deltas])
     order = np.lexsort(stack.T[::-1])
     mean = stack[order].mean(axis=0)
-    return server.params.with_values(server.params.values + server.global_lr * mean)
+    return params.with_values(params.values + global_lr * mean)
 
 
 def _client_budget(chunk: ClientChunk, budget_fraction: float) -> int:
@@ -246,90 +219,84 @@ def _init_coreset(
     return random_select(chunk, budget, seed)
 
 
-def _training_indices(state: ClientState, algo: Algo) -> np.ndarray:
+def _training_indices(chunk: ClientChunk, coreset: Coreset | None, algo: Algo) -> np.ndarray:
     if algo.kind in ("fedavg", "fedprox"):
-        return np.arange(state.chunk.n, dtype=np.int64)
+        return np.arange(chunk.n, dtype=np.int64)
     if algo.kind == "skyline":
-        return np.flatnonzero(state.chunk.clean_flags)
-    assert state.coreset is not None
-    return state.coreset.indices
+        return np.flatnonzero(chunk.clean_flags)
+    assert coreset is not None
+    return coreset.indices
 
 
 def run_round(
-    server: ServerState,
-    clients: list[ClientState],
+    params: ParamVector,
+    prepared: Prepared,
+    coresets: list[Coreset | None],
     algo: Algo,
     cfg: "ExperimentConfig",
     round_index: int,
-    rng: np.random.Generator,
     ledger: CostLedger,
-    test_set: Dataset,
-) -> tuple[ServerState, RoundMetrics]:
-    """Execute one communication round and return the new server state plus
-    that round's metrics."""
-    n_clients = len(clients)
+) -> tuple[ParamVector, RoundMetrics]:
+    """Execute one communication round from the global parameters and
+    return the new parameters plus that round's metrics.
+
+    ``coresets`` holds one entry per chunk of ``prepared``; a refresh round
+    replaces the sampled clients' entries in place.
+    """
+    chunks = prepared.chunks
+    n_clients = len(chunks)
     m = cfg.clients_per_round or n_clients
     if m > n_clients:
         raise ConfigurationError(
             f"clients_per_round {m} exceeds num_clients {n_clients}"
         )
+    rng = spawn_rng(cfg.seed, "sample", round_index)
     sampled = np.sort(rng.choice(n_clients, size=m, replace=False))
-    theta_t = server.params
-    theta_size = theta_t.values.size
+    theta_size = params.values.size
 
-    refresh = algo.kind == "gcfl" and round_index % cfg.refresh_period == 0
-    if refresh:
-        rows = labelwise_validation_grads(theta_t, server.val_set)
+    if algo.kind == "gcfl" and round_index % cfg.refresh_period == 0:
+        rows = labelwise_validation_grads(params, prepared.val)
         row_values = sum(r.size for r in rows.values())
-        sel_cfg = SelectionConfig(
-            lam=cfg.lam,
-            per_iteration_picks=cfg.per_iteration_picks,
-            residual_tolerance=cfg.residual_tolerance,
-        )
         for cid in sampled:
             ledger.grads_broadcast += row_values
-            state = clients[cid]
-            budget = _client_budget(state.chunk, cfg.budget_fraction)
-            if state.chunk.n == 0 or budget < 1:
+            chunk = chunks[cid]
+            budget = _client_budget(chunk, cfg.budget_fraction)
+            if chunk.n == 0 or budget < 1:
                 continue
-            ledger.per_sample_grad_evals += state.chunk.n
-            state.coreset = labelwise_omp_select(
-                state.chunk, theta_t, rows, budget, sel_cfg
+            ledger.per_sample_grad_evals += chunk.n
+            coresets[cid] = labelwise_omp_select(
+                chunk,
+                params,
+                rows,
+                budget,
+                lam=cfg.lam,
+                per_iteration_picks=cfg.per_iteration_picks,
+                tol=cfg.residual_tolerance,
             )
 
     deltas: list[ParamVector] = []
     for cid in sampled:
-        state = clients[cid]
         ledger.params_broadcast += theta_size
-        idx = _training_indices(state, algo)
+        idx = _training_indices(chunks[cid], coresets[cid], algo)
         if idx.size == 0:
             continue  # nothing to train on; client sits this round out
-        prox = (algo.mu, theta_t) if algo.kind == "fedprox" else None
-        seed = derive_seed(cfg.seed, "client", int(cid), "round", round_index)
         delta = client_update(
-            state,
-            theta_t,
+            chunks[cid],
+            params,
             idx,
-            prox,
-            batch_size=cfg.batch_size,
-            seed=seed,
+            cfg,
+            seed=derive_seed(cfg.seed, "client", int(cid), "round", round_index),
+            prox=(algo.mu, params) if algo.kind == "fedprox" else None,
             ledger=ledger,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-            cosine_lr=cfg.cosine_lr,
         )
         ledger.update_uploads += theta_size
         deltas.append(delta)
 
-    if deltas:
-        new_params = aggregate(server, deltas)
-    else:
-        new_params = theta_t.copy()
-    new_server = ServerState(new_params, server.round + 1, server.val_set, server.global_lr)
+    new_params = aggregate(params, deltas, cfg.global_lr) if deltas else params.copy()
 
     losses, weights = [], []
     for cid in sampled:
-        chunk = clients[cid].chunk
+        chunk = chunks[cid]
         if chunk.n:
             losses.append(loss(new_params, chunk.dataset))
             weights.append(chunk.n)
@@ -337,22 +304,16 @@ def run_round(
 
     clean_frac = None
     if algo.uses_coreset:
-        picked = clean = 0
-        for cid in sampled:
-            cs = clients[cid].coreset
-            if cs is not None and cs.size:
-                picked += cs.size
-                clean += int(clients[cid].chunk.clean_flags[cs.indices].sum())
-        clean_frac = clean / picked if picked else 1.0
+        clean_frac = coreset_composition((coresets[cid], chunks[cid]) for cid in sampled)
 
     rm = RoundMetrics(
         round=round_index,
-        test_accuracy=evaluate_accuracy(new_params, test_set),
+        test_accuracy=evaluate_accuracy(new_params, prepared.test),
         mean_train_loss=mean_loss,
         coreset_clean_fraction=clean_frac,
         ledger_snapshot=ledger.snapshot(),
     )
-    return new_server, rm
+    return new_params, rm
 
 
 def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
@@ -450,62 +411,36 @@ def run_training(
         hidden_dim=cfg.model.hidden_dim,
     )
     params = init_params(spec, derive_seed(cfg.seed, "init"))
-    server = ServerState(params, 0, prepared.val, cfg.global_lr)
-    clients = [
-        ClientState(
-            chunk,
-            _init_coreset(algo, chunk, _client_budget(chunk, cfg.budget_fraction), cfg.seed),
-            cfg.local_lr,
-            cfg.local_epochs,
-        )
+    coresets = [
+        _init_coreset(algo, chunk, _client_budget(chunk, cfg.budget_fraction), cfg.seed)
         for chunk in prepared.chunks
     ]
     ledger = CostLedger()
 
     series: list[RoundMetrics] = []
     for t in range(cfg.rounds):
-        rng = spawn_rng(cfg.seed, "sample", t)
-        server, rm = run_round(
-            server, clients, algo, cfg, t, rng, ledger, prepared.test
-        )
+        params, rm = run_round(params, prepared, coresets, algo, cfg, t, ledger)
         series.append(rm)
 
-    final_acc = evaluate_accuracy(server.params, prepared.test)
     result = TrainingResult(
         algo=algo,
         rounds=series,
-        final_params=server.params,
-        final_accuracy=final_acc,
+        final_params=params,
+        final_accuracy=evaluate_accuracy(params, prepared.test),
         ledger=ledger,
     )
     if cfg.fine_tune_epochs > 0:
-        tuned = fine_tune_on_server(
-            server.params,
+        # post-hoc SGD on the server's validation data
+        tuned = sgd_epochs(
+            params,
             prepared.val,
-            cfg.fine_tune_epochs,
-            cfg.fine_tune_lr or cfg.local_lr,
+            epochs=cfg.fine_tune_epochs,
+            lr=cfg.fine_tune_lr or cfg.local_lr,
             batch_size=cfg.batch_size,
             seed=derive_seed(cfg.seed, "finetune"),
         )
         result.fine_tuned_accuracy = evaluate_accuracy(tuned, prepared.test)
     return result
-
-
-def fine_tune_on_server(
-    params: ParamVector,
-    val: Dataset,
-    epochs: int,
-    lr: float,
-    *,
-    batch_size: int = 32,
-    seed: int = 0,
-) -> ParamVector:
-    """Post-hoc SGD on the server's validation data."""
-    if val.n == 0:
-        raise ValueError("cannot fine-tune on an empty validation set")
-    if epochs == 0:
-        return params
-    return sgd_epochs(params, val, epochs=epochs, lr=lr, batch_size=batch_size, seed=seed)
 
 
 def compute_cost_ratio(ledger_gcfl: CostLedger, ledger_fedavg: CostLedger) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -83,16 +84,21 @@ def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
     return float(np.mean(pred == test.labels))
 
 
-def coreset_composition(coreset: "Coreset", chunk: ClientChunk) -> float:
-    """Fraction of selected samples the injectors left untouched.
+def coreset_composition(pairs: Iterable[tuple["Coreset", ClientChunk]]) -> float:
+    """Fraction of the samples selected over all (coreset, chunk) pairs that
+    the injectors left untouched.
 
-    Empty coresets score 1.0 (vacuously clean).
+    Nothing selected scores 1.0 (vacuously clean).
     """
-    if coreset.size == 0:
-        return 1.0
-    if coreset.indices.min() < 0 or coreset.indices.max() >= chunk.n:
-        raise ValueError("coreset indices out of range for chunk")
-    return float(np.mean(chunk.clean_flags[coreset.indices]))
+    picked = clean = 0
+    for coreset, chunk in pairs:
+        if coreset.size == 0:
+            continue
+        if coreset.indices.min() < 0 or coreset.indices.max() >= chunk.n:
+            raise ValueError("coreset indices out of range for chunk")
+        picked += coreset.size
+        clean += int(chunk.clean_flags[coreset.indices].sum())
+    return clean / picked if picked else 1.0
 
 
 def dataset_fingerprint(chunks: list[ClientChunk], val: Dataset, test: Dataset) -> str:

@@ -17,7 +17,6 @@ from fedcoreset.coreset import omp_select
 from fedcoreset.data import Dataset, make_blobs
 from fedcoreset.federation import (
     Algo,
-    ServerState,
     aggregate,
     compute_cost_ratio,
     prepare_experiment,
@@ -293,13 +292,11 @@ class TestCriterion7ProtocolSuite:
         rng = np.random.default_rng(5)
         spec = ModelSpec("softmax_regression", 4, 3)
         p0 = init_params(spec, seed=0).with_values(rng.normal(size=15))
-        val = Dataset(np.zeros((1, 4)), np.zeros(1, dtype=int), 3)
-        server = ServerState(p0, 0, val, 0.7)
         deltas = [p0.with_values(rng.normal(size=15)) for _ in range(9)]
-        base = aggregate(server, deltas).values
+        base = aggregate(p0, deltas, 0.7).values
         exact = all(
             np.array_equal(
-                base, aggregate(server, [deltas[i] for i in rng.permutation(9)]).values
+                base, aggregate(p0, [deltas[i] for i in rng.permutation(9)], 0.7).values
             )
             for _ in range(20)
         )
@@ -410,9 +407,9 @@ class TestCriterion8PrivacySurface:
         captured = []
         real = federation.labelwise_omp_select
 
-        def spy(chunk, params, server_rows, budget, sel_cfg):
+        def spy(chunk, params, server_rows, budget, **knobs):
             captured.append(server_rows)
-            return real(chunk, params, server_rows, budget, sel_cfg)
+            return real(chunk, params, server_rows, budget, **knobs)
 
         monkeypatch.setattr(federation, "labelwise_omp_select", spy)
         run_training(cfg, Algo("gcfl"), prepared)

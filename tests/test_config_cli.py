@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,11 +18,13 @@ from fedcoreset.config import (
     apply_override,
     config_to_dict,
     parse_config,
+    sweep_value_text,
 )
 from fedcoreset.data import Dataset, NoiseSpec, save_dataset_csv
 from fedcoreset.errors import ConfigurationError
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """
 [experiment]
@@ -214,6 +220,40 @@ def test_every_config_field_is_settable_and_echoed(section, name, default):
     assert echo(apply_override(base, key, text)) == expected
 
 
+def _config_key(section: str, name: str) -> str:
+    name = "lambda" if name == "lam" else name
+    return name if section == "experiment" else f"{section}.{name}"
+
+
+# every float-valued config key, found from the field annotations
+FLOAT_KEYS = [
+    _config_key(section, f.name)
+    for section, cls in SECTIONS.items()
+    for f in fields(cls)
+    if f.type in ("float", "tuple[float, ...]")
+]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(key):
+    base = parse_config(MINIMAL)  # four blobs
+    for bad in ("nan", "inf", "-inf"):
+        text = f"1,{bad},1,1" if key == "dataset.stds" else bad
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            apply_override(base, key, text)
+
+
+def test_float_keys_cover_every_float_field():
+    assert len(FLOAT_KEYS) == 14
+    assert {"lambda", "noise.severity", "dataset.stds"} <= set(FLOAT_KEYS)
+
+
+def test_negative_std_rejected_before_dry_run_echo(capsys):
+    code = main(["run", "--dry-run", "--dataset.num_blobs", "3", "--dataset.stds=-1,1,1"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: dataset.stds must be non-negative\n")
+
+
 class TestApplyOverride:
     def test_nested_and_flat(self):
         cfg = parse_config(MINIMAL)
@@ -242,6 +282,18 @@ class TestSweepSpec:
     def test_repeated_value_rejected(self):
         with pytest.raises(ConfigurationError, match="sweep value 0.1 is repeated"):
             SweepSpec("noise.ratio", (0.1, 0.2, 0.1))
+
+    def test_values_equal_to_six_digits_are_distinct(self):
+        SweepSpec("noise.ratio", (0.1234567, 0.1234568))
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [(4.0, "4"), (20.0, "20"), (0.2, "0.2"), (1e-05, "1e-05"),
+         (0.1234567, "0.1234567"), (1 / 3, "0.3333333333333333")],
+    )
+    def test_point_text_reads_back_as_the_value(self, value, text):
+        assert sweep_value_text(value) == text
+        assert float(text) == value
 
 
 SMALL_RUN = """
@@ -565,6 +617,42 @@ class TestCliSweep:
         )
         assert code == 1
         assert "sweep value 0.1 is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def sweep_one(self, tmp_path, param, text):
+        """Sweep one value; returns (recorded value, run config, point dir)."""
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(SWEEP_CFG.replace("rounds = 4", "rounds = 1"), encoding="utf-8")
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                     "--param", param, "--values", text, "--noise.kind", "closed_set"])
+        assert code == 0
+        payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        (point,) = [p for p in out.iterdir() if p.is_dir()]
+        summary = json.loads((point / "summary.json").read_text(encoding="utf-8"))
+        return payload["results"][0]["value"], summary["manifest"]["config"], point.name
+
+    def test_value_that_runs_is_value_recorded(self, tmp_path):
+        value, config, name = self.sweep_one(tmp_path, "noise.ratio", "0.1234567")
+        assert value == config["noise"]["ratio"] == 0.1234567
+        assert name == "noise.ratio=0.1234567"
+
+    def test_integral_value_keeps_integer_text(self, tmp_path):
+        value, config, name = self.sweep_one(tmp_path, "num_clients", "4")
+        assert value == config["num_clients"] == 4
+        assert name == "num_clients=4"
+
+    def test_noise_sweep_script_names_the_flag(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / "sweepout"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_noise_sweep.py"),
+             "--values", "0,x", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: --values: 'x' is not a number\n"
         assert not out.exists()
 
     def test_arm_isolation_same_fingerprint(self, tmp_path):

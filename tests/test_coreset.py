@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fedcoreset.coreset import (
     Coreset,
-    SelectionConfig,
     facility_location_select,
     labelwise_omp_select,
     omp_select,
@@ -248,7 +247,7 @@ class TestLabelwise:
         only = Dataset(self.ds.features[:20], np.full(20, 2), 5)
         chunk = chunk_of(only)
         cs = labelwise_omp_select(chunk, self.params, self.rows(), budget=8,
-                                  cfg=SelectionConfig(lam=0.0))
+                                  lam=0.0)
         assert cs.size == 8
         assert set(cs.per_class) == {2}
 
@@ -260,7 +259,7 @@ class TestLabelwise:
         rng = np.random.default_rng(5)
         chunk = chunk_of(Dataset(rng.normal(size=(150, 6)), labels, 5))
         cs = labelwise_omp_select(chunk, self.params, self.rows(), budget=12,
-                                  cfg=SelectionConfig(lam=0.0))
+                                  lam=0.0)
         sizes = {c: idx.size for c, (idx, _) in cs.per_class.items()}
         assert sizes == {0: 3, 1: 3, 2: 2, 3: 2, 4: 2}
         assert cs.size == 12
@@ -272,19 +271,18 @@ class TestLabelwise:
 
     def test_no_shared_classes_rejected(self):
         with pytest.raises(ValueError):
-            labelwise_omp_select(self.chunk, self.params, {99: np.zeros(7)}, budget=4,
-                                 cfg=SelectionConfig())
+            labelwise_omp_select(self.chunk, self.params, {99: np.zeros(7)}, budget=4)
 
     def test_missing_server_class_budget_redistributed(self):
         rows = self.rows(classes=[0, 1])  # server only broadcasts 2 of 5 classes
         cs = labelwise_omp_select(self.chunk, self.params, rows, budget=10,
-                                  cfg=SelectionConfig(lam=0.0))
+                                  lam=0.0)
         assert set(cs.per_class) <= {0, 1}
         assert cs.size == 10
 
     def test_per_class_budgets_sum_to_total(self):
         cs = labelwise_omp_select(self.chunk, self.params, self.rows(), budget=13,
-                                  cfg=SelectionConfig(lam=0.5))
+                                  lam=0.5)
         assert sum(idx.size for idx, _ in cs.per_class.values()) == cs.size
         assert cs.size <= 13
         # selections land inside their own class
@@ -383,7 +381,10 @@ class TestValidation:
             Coreset(np.array([0, 1]), np.array([1.0]))
 
     def test_selection_config_invariants(self):
+        chunk = chunk_of(make_blobs(2, 3, np.ones(2), 10, seed=0))
+        params = init_params(ModelSpec("softmax_regression", 3, 2), seed=0)
+        rows = {c: np.ones(4) for c in range(2)}
         with pytest.raises(ConfigurationError):
-            SelectionConfig(lam=-1.0)
+            labelwise_omp_select(chunk, params, rows, budget=4, lam=-1.0)
         with pytest.raises(ConfigurationError):
-            SelectionConfig(per_iteration_picks=0)
+            labelwise_omp_select(chunk, params, rows, budget=4, per_iteration_picks=0)

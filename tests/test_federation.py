@@ -7,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedcoreset.federation as federation
-from fedcoreset.config import DatasetConfig, ExperimentConfig
-from fedcoreset.data import ClientChunk, Dataset, NoiseSpec, make_blobs
+from fedcoreset.config import DatasetConfig, ExperimentConfig, ModelConfig
+from fedcoreset.data import ClientChunk, NoiseSpec, make_blobs
 from fedcoreset.errors import ConfigurationError
 from fedcoreset.federation import (
     Algo,
-    ClientState,
     CostLedger,
-    ServerState,
     aggregate,
     client_update,
     compute_cost_ratio,
-    fine_tune_on_server,
     parse_algo,
     prepare_experiment,
     run_round,
@@ -31,7 +28,7 @@ from fedcoreset.model import (
     loss,
     sgd_epochs,
 )
-from fedcoreset.seeding import derive_seed, spawn_rng
+from fedcoreset.seeding import derive_seed
 from worldgen import balanced_world
 
 
@@ -66,69 +63,68 @@ class TestAlgo:
 
 
 class TestClientUpdate:
-    def make_state(self, epochs=1, n=20, lr=0.1):
+    def make_chunk(self, n=20):
         ds = make_blobs(4, 5, np.ones(4), n // 4, seed=0)
-        chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
-        return ClientState(chunk, None, local_lr=lr, local_epochs=epochs)
+        return ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
 
     def test_zero_epochs_zero_delta(self):
-        state = self.make_state(epochs=0)
+        chunk = self.make_chunk()
+        cfg = tiny_cfg(local_epochs=0, batch_size=8)
         theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=1)
-        delta = client_update(state, theta, np.arange(state.chunk.n), batch_size=8, seed=0)
+        delta = client_update(chunk, theta, np.arange(chunk.n), cfg, seed=0)
         assert np.all(delta.values == 0.0)
 
     def test_single_full_batch_step_identity(self):
-        state = self.make_state(epochs=1, lr=0.05)
+        chunk = self.make_chunk()
+        cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
         theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=2)
-        idx = np.arange(state.chunk.n)
-        delta = client_update(state, theta, idx, batch_size=state.chunk.n, seed=0)
-        grad = last_layer_grad_stack(theta, state.chunk.dataset).mean(axis=0).ravel()
+        idx = np.arange(chunk.n)
+        delta = client_update(chunk, theta, idx, cfg, seed=0)
+        grad = last_layer_grad_stack(theta, chunk.dataset).mean(axis=0).ravel()
         assert np.allclose(delta.values, -0.05 * grad, atol=1e-12)
 
     def test_prox_vanishes_at_anchor(self):
-        state = self.make_state(epochs=1, lr=0.05)
+        chunk = self.make_chunk()
+        cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
         theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=3)
-        idx = np.arange(state.chunk.n)
-        plain = client_update(state, theta, idx, batch_size=state.chunk.n, seed=0)
-        proxed = client_update(
-            state, theta, idx, (5.0, theta), batch_size=state.chunk.n, seed=0
-        )
+        idx = np.arange(chunk.n)
+        plain = client_update(chunk, theta, idx, cfg, seed=0)
+        proxed = client_update(chunk, theta, idx, cfg, seed=0, prox=(5.0, theta))
         # one step from the anchor itself: prox gradient mu*(theta-anchor)=0
         assert np.allclose(plain.values, proxed.values, atol=1e-12)
 
     def test_empty_subset_rejected(self):
-        state = self.make_state()
+        chunk = self.make_chunk()
         theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=4)
         with pytest.raises(ValueError):
-            client_update(state, theta, np.array([], dtype=int), batch_size=8, seed=0)
+            client_update(chunk, theta, np.array([], dtype=int), tiny_cfg(batch_size=8), seed=0)
 
     def test_ledger_counts_sample_visits(self):
-        state = self.make_state(epochs=3)
+        chunk = self.make_chunk()
+        cfg = tiny_cfg(local_epochs=3, batch_size=4)
         theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=5)
         ledger = CostLedger()
-        client_update(state, theta, np.arange(10), batch_size=4, seed=0, ledger=ledger)
+        client_update(chunk, theta, np.arange(10), cfg, seed=0, ledger=ledger)
         assert ledger.sgd_sample_visits == 30
 
 
 class TestAggregate:
-    def make_server(self, values, lr=1.0):
+    def make_params(self, values):
         spec = ModelSpec("softmax_regression", 1, 1)
-        p = init_params(spec, seed=0).with_values(np.asarray(values, dtype=float))
-        val = Dataset(np.zeros((1, 1)), np.zeros(1, dtype=int), 1)
-        return ServerState(p, 0, val, lr)
+        return init_params(spec, seed=0).with_values(np.asarray(values, dtype=float))
 
     def test_zero_deltas_keep_params(self):
-        server = self.make_server([1.0, 2.0])
-        out = aggregate(server, [server.params.with_values(np.zeros(2))])
+        params = self.make_params([1.0, 2.0])
+        out = aggregate(params, [params.with_values(np.zeros(2))], 1.0)
         assert np.array_equal(out.values, [1.0, 2.0])
 
     def test_arithmetic_example(self):
-        server = self.make_server([1.0, 1.0])
+        params = self.make_params([1.0, 1.0])
         deltas = [
-            server.params.with_values(np.array([1.0, 0.0])),
-            server.params.with_values(np.array([0.0, 1.0])),
+            params.with_values(np.array([1.0, 0.0])),
+            params.with_values(np.array([0.0, 1.0])),
         ]
-        out = aggregate(server, deltas)
+        out = aggregate(params, deltas, 1.0)
         assert np.array_equal(out.values, [1.5, 1.5])
 
     @given(seed=st.integers(0, 1000), n=st.integers(2, 8))
@@ -137,22 +133,20 @@ class TestAggregate:
         rng = np.random.default_rng(seed)
         spec = ModelSpec("softmax_regression", 3, 1)  # 4 parameters
         p0 = init_params(spec, seed=0).with_values(rng.normal(size=4))
-        val = Dataset(np.zeros((1, 3)), np.zeros(1, dtype=int), 1)
-        server = ServerState(p0, 0, val, 1.0)
-        deltas = [server.params.with_values(rng.normal(size=4)) for _ in range(n)]
-        out1 = aggregate(server, deltas)
+        deltas = [p0.with_values(rng.normal(size=4)) for _ in range(n)]
+        out1 = aggregate(p0, deltas, 1.0)
         perm = [deltas[i] for i in rng.permutation(n)]
-        out2 = aggregate(server, perm)
+        out2 = aggregate(p0, perm, 1.0)
         assert np.array_equal(out1.values, out2.values)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate(self.make_server([0.0]), [])
+            aggregate(self.make_params([0.0]), [], 1.0)
 
     def test_length_mismatch_rejected(self):
-        server = self.make_server([1.0, 2.0])
+        params = self.make_params([1.0, 2.0])
         with pytest.raises(ValueError):
-            aggregate(server, [server.params.with_values(np.zeros(3))])
+            aggregate(params, [params.with_values(np.zeros(3))], 1.0)
 
 
 class TestRunRound:
@@ -160,11 +154,10 @@ class TestRunRound:
         cfg = tiny_cfg(clients_per_round=4)
         prepared = prepare_experiment(cfg)
         spec = ModelSpec("softmax_regression", prepared.input_dim, prepared.num_classes)
-        server = ServerState(init_params(spec, 0), 0, prepared.val, 1.0)
-        clients = [ClientState(c, None, 0.1, 1) for c in prepared.chunks[:2]]
+        fewer = replace(prepared, chunks=prepared.chunks[:2])
         with pytest.raises(ConfigurationError):
-            run_round(server, clients, Algo("fedavg"), cfg, 0,
-                      spawn_rng(0, "sample", 0), CostLedger(), prepared.test)
+            run_round(init_params(spec, 0), fewer, [None, None], Algo("fedavg"), cfg, 0,
+                      CostLedger())
 
     def test_skyline_trains_only_on_clean(self, monkeypatch):
         cfg = tiny_cfg(noise=NoiseSpec("closed_set", 0.4))
@@ -172,9 +165,9 @@ class TestRunRound:
         seen: list[np.ndarray] = []
         real = federation.client_update
 
-        def spy(state, theta, idx, *args, **kw):
-            seen.append((state.chunk.clean_flags, np.asarray(idx)))
-            return real(state, theta, idx, *args, **kw)
+        def spy(chunk, theta, idx, *args, **kw):
+            seen.append((chunk.clean_flags, np.asarray(idx)))
+            return real(chunk, theta, idx, *args, **kw)
 
         monkeypatch.setattr(federation, "client_update", spy)
         run_training(cfg, Algo("skyline"), prepared)
@@ -336,24 +329,26 @@ class TestNoisePathsEndToEnd:
 
 
 class TestFineTune:
+    """Server fine-tuning is ``sgd_epochs`` on the validation split."""
+
     def test_zero_epochs_identity(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelSpec("softmax_regression", 4, 4), seed=0)
-        out = fine_tune_on_server(p, prepared.val, epochs=0, lr=0.1)
+        out = sgd_epochs(p, prepared.val, epochs=0, lr=0.1, batch_size=32, seed=0)
         assert out is p
 
     def test_loss_non_increasing_on_val(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelSpec("softmax_regression", 4, 4), seed=1)
         before = loss(p, prepared.val)
-        tuned = fine_tune_on_server(p, prepared.val, epochs=50, lr=0.05, seed=2)
+        tuned = sgd_epochs(p, prepared.val, epochs=50, lr=0.05, batch_size=32, seed=2)
         assert loss(tuned, prepared.val) <= before
 
     def test_empty_val_rejected(self):
         ds = make_blobs(2, 2, [1, 1], 5, seed=0)
         p = init_params(ModelSpec("softmax_regression", 2, 2), seed=0)
         with pytest.raises(ValueError):
-            fine_tune_on_server(p, ds.subset([]), epochs=1, lr=0.1)
+            sgd_epochs(p, ds.subset([]), epochs=1, lr=0.1, batch_size=32, seed=0)
 
 
 class TestCostRatio:
@@ -417,9 +412,9 @@ class TestPrivacySurface:
         captured = []
         real = federation.labelwise_omp_select
 
-        def spy(chunk, params, server_rows, budget, sel_cfg):
+        def spy(chunk, params, server_rows, budget, **knobs):
             captured.append(server_rows)
-            return real(chunk, params, server_rows, budget, sel_cfg)
+            return real(chunk, params, server_rows, budget, **knobs)
 
         monkeypatch.setattr(federation, "labelwise_omp_select", spy)
         run_training(cfg, Algo("gcfl"), prepared)
@@ -440,3 +435,66 @@ class TestPrivacySurface:
             for name, param in inspect.signature(fn).parameters.items():
                 ann = str(param.annotation)
                 assert "Dataset" not in ann, f"{fn.__name__}({name}) exposes a Dataset"
+
+
+@st.composite
+def small_experiments(draw):
+    """A small valid config (every arm kind reachable) and its arms."""
+    num_clients = draw(st.integers(1, 4))
+    num_blobs = draw(st.integers(2, 4))
+    arms = draw(st.lists(st.sampled_from(federation.ALGO_KINDS), min_size=1, max_size=3,
+                         unique=True))
+    cfg = ExperimentConfig(
+        dataset=DatasetConfig(num_blobs=num_blobs, dim=draw(st.integers(1, 4)), stds=(),
+                              samples_per_blob=draw(st.integers(6, 20))),
+        noise=NoiseSpec(draw(st.sampled_from(("none", "closed_set", "open_set", "attribute"))),
+                        draw(st.sampled_from((0.0, 0.2, 0.5))), 0.5),
+        model=ModelConfig(draw(st.sampled_from(("softmax_regression", "one_hidden"))), 3),
+        num_clients=num_clients,
+        clients_per_round=draw(st.one_of(st.none(), st.integers(1, num_clients))),
+        rounds=draw(st.integers(0, 4)),
+        refresh_period=draw(st.integers(1, 3)),
+        budget_fraction=draw(st.sampled_from((0.05, 0.3, 1.0))),
+        local_epochs=draw(st.integers(0, 2)),
+        local_lr=0.1,
+        global_lr=1.0,
+        lam=draw(st.sampled_from((0.0, 0.5))),
+        dirichlet_alpha=draw(st.sampled_from((0.1, 1.0, 100.0))),
+        batch_size=draw(st.integers(1, 16)),
+        arms=tuple(parse_algo(kind) for kind in arms),
+        val_frac=draw(st.sampled_from((0.0, 0.1, 0.3))),
+        test_frac=draw(st.sampled_from((0.1, 0.2))),
+        seed=draw(st.integers(0, 10_000)),
+        per_iteration_picks=draw(st.integers(1, 3)),
+        residual_tolerance=draw(st.sampled_from((0.0, 0.1))),
+        momentum=draw(st.sampled_from((0.0, 0.9))),
+        cosine_lr=draw(st.booleans()),
+        fine_tune_epochs=draw(st.integers(0, 1)),
+    )
+    return cfg
+
+
+class TestProtocolProperties:
+    @given(cfg=small_experiments())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_every_arm_completes_with_ledger_identities(self, cfg):
+        try:
+            prepared = prepare_experiment(cfg)
+        except ConfigurationError:
+            return  # rejected before round 0: allowed
+        m = cfg.clients_per_round or len(prepared.chunks)
+        for algo in cfg.arms:
+            result = run_training(cfg, algo, prepared)
+            size = result.final_params.values.size
+            before = CostLedger()
+            for rm in result.rounds:
+                now = rm.ledger_snapshot
+                refresh = algo.kind == "gcfl" and rm.round % cfg.refresh_period == 0
+                assert now.params_broadcast - before.params_broadcast == m * size
+                uploads = now.update_uploads - before.update_uploads
+                assert uploads % size == 0 and uploads <= m * size
+                if not refresh:
+                    assert now.per_sample_grad_evals == before.per_sample_grad_evals
+                    assert now.grads_broadcast == before.grads_broadcast
+                before = now
+            assert len(result.rounds) == cfg.rounds

@@ -58,12 +58,12 @@ class TestComposition:
         ds = make_blobs(2, 2, [1, 1], 10, seed=0)
         chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
         cs = Coreset(np.array([0, 3, 7]), np.ones(3))
-        assert coreset_composition(cs, chunk) == 1.0
+        assert coreset_composition([(cs, chunk)]) == 1.0
 
     def test_empty_coreset_is_vacuously_clean(self):
         ds = make_blobs(2, 2, [1, 1], 10, seed=0)
         chunk = ClientChunk(ds, np.zeros(ds.n, dtype=bool), 0)
-        assert coreset_composition(Coreset(np.empty(0), np.empty(0)), chunk) == 1.0
+        assert coreset_composition([(Coreset(np.empty(0), np.empty(0)), chunk)]) == 1.0
 
     def test_counts_clean_flags(self):
         ds = make_blobs(4, 2, np.ones(4), 25, seed=1)
@@ -71,15 +71,30 @@ class TestComposition:
         noisy = inject_closed_set(chunk, 0.4, seed=2)
         idx = np.arange(noisy.n)
         cs = Coreset(idx, np.ones(idx.size))
-        assert coreset_composition(cs, noisy) == pytest.approx(
+        assert coreset_composition([(cs, noisy)]) == pytest.approx(
             noisy.clean_flags.mean()
         )
+
+    def test_pools_over_pairs(self):
+        ds = make_blobs(2, 2, [1, 1], 10, seed=0)
+        flags = np.ones(ds.n, dtype=bool)
+        flags[:3] = False
+        one = ClientChunk(ds, flags, 0)
+        two = ClientChunk(ds, np.ones(ds.n, dtype=bool), 1)
+        pairs = [
+            (Coreset(np.array([0, 1, 2, 5]), np.ones(4)), one),  # 1 of 4 clean
+            (Coreset(np.empty(0), np.empty(0)), one),
+            (Coreset(np.array([4, 9]), np.ones(2)), two),  # 2 of 2 clean
+        ]
+        # pooled 3/6, not the mean 0.625 of the per-pair fractions
+        assert coreset_composition(pairs) == 0.5
+        assert coreset_composition([]) == 1.0
 
     def test_out_of_range_rejected(self):
         ds = make_blobs(2, 2, [1, 1], 5, seed=0)
         chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
         with pytest.raises(ValueError):
-            coreset_composition(Coreset(np.array([99]), np.ones(1)), chunk)
+            coreset_composition([(Coreset(np.array([99]), np.ones(1)), chunk)])
 
 
 def series_of(n, with_fraction=True):
