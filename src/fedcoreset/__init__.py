@@ -57,7 +57,6 @@ from .metrics import (
     write_summary,
 )
 from .model import (
-    ModelSpec,
     ParamVector,
     init_params,
     labelwise_validation_grads,

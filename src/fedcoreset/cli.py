@@ -83,14 +83,17 @@ def sweep(cfg: ExperimentConfig, spec: SweepSpec) -> int:
     """Run once per sweep value in a value-derived subdirectory and emit a
     combined JSON of final accuracies per (arm, value).
 
-    Every point's config is built before the first run, so a value that is
-    invalid against the base config fails before anything is written.
+    Every point's config is built and its data world prepared before the
+    first run, so a value that is invalid against the base config, or whose
+    realized world fails the pre-flight checks, fails before anything is
+    written.
     """
     base_out = Path(cfg.output_dir)
     points = []
     for value in spec.values:
         text = sweep_value_text(value)
         point_cfg = apply_override(cfg, spec.parameter, text)
+        prepare_experiment(point_cfg)
         point_out = str(base_out / f"{spec.parameter}={text}")
         points.append((value, replace(point_cfg, output_dir=point_out)))
     base_out.mkdir(parents=True, exist_ok=True)

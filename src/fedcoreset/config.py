@@ -11,7 +11,9 @@ The keys are derived from the dataclass fields: each field of
 ``lambda``) and each field of a nested group is a key of that group's
 section, parsed according to the field's annotation.  Adding a field adds
 its key.  Every config validates itself when it is built, so a config
-object that exists is valid.
+object that exists is valid.  The nested groups live beside the code that
+consumes them (``DatasetConfig`` and ``NoiseSpec`` in :mod:`.data`,
+``ModelConfig`` in :mod:`.model`) and are re-exported here.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NoiseSpec
+from .data import DatasetConfig, NoiseSpec
 from .errors import ConfigurationError
 from .federation import Algo, parse_algo
-from .model import ARCHS
+from .model import ModelConfig
 
 __all__ = [
     "DatasetConfig",
@@ -47,59 +49,6 @@ SWEEPABLE = (
     "refresh_period",
     "num_clients",
 )
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    kind: str = "blobs"  # blobs | csv
-    num_blobs: int = 10
-    dim: int = 10
-    stds: tuple[float, ...] = ()  # empty -> linspace(1, 8, num_blobs)
-    samples_per_blob: int = 500
-    csv_path: str = ""
-
-    def resolved_stds(self) -> np.ndarray:
-        if self.stds:
-            return np.asarray(self.stds, dtype=np.float64)
-        return np.linspace(1.0, 8.0, self.num_blobs)
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if self.kind not in ("blobs", "csv"):
-            raise ConfigurationError(f"dataset.kind must be blobs or csv, got {self.kind!r}")
-        if self.kind == "csv" and not self.csv_path:
-            raise ConfigurationError("dataset.csv_path is required when dataset.kind = csv")
-        if self.kind == "blobs":
-            if self.num_blobs < 1:
-                raise ConfigurationError("dataset.num_blobs must be >= 1")
-            if self.dim < 1:
-                raise ConfigurationError("dataset.dim must be >= 1")
-            if self.samples_per_blob < 1:
-                raise ConfigurationError("dataset.samples_per_blob must be >= 1")
-            if self.stds and len(self.stds) != self.num_blobs:
-                raise ConfigurationError(
-                    "dataset.stds must have one entry per blob "
-                    f"({len(self.stds)} given for {self.num_blobs} blobs)"
-                )
-            if any(std < 0 for std in self.stds):
-                raise ConfigurationError("dataset.stds must be non-negative")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    arch: str = "softmax_regression"
-    hidden_dim: int = 32
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if self.arch not in ARCHS:
-            raise ConfigurationError(f"model.arch must be one of {ARCHS}, got {self.arch!r}")
-        if self.arch == "one_hidden" and self.hidden_dim < 1:
-            raise ConfigurationError("model.hidden_dim must be >= 1 for one_hidden")
 
 
 @dataclass(frozen=True)

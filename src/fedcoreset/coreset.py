@@ -37,14 +37,12 @@ __all__ = [
 class Coreset:
     """Selected sample indices with nonnegative importance weights.
 
-    ``per_class`` is populated by label-wise selection and maps a class to
-    its (indices, weights) share.  ``residual_norms`` traces the matching
-    residual after each weight re-solve, for diagnostics.
+    ``residual_norms`` traces the matching residual after each weight
+    re-solve, for diagnostics.
     """
 
     indices: np.ndarray
     weights: np.ndarray
-    per_class: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
     residual_norms: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -202,7 +200,6 @@ def labelwise_omp_select(
 
     all_idx: list[np.ndarray] = []
     all_w: list[np.ndarray] = []
-    per_class: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for c in shared:
         if shares[c] == 0:
             continue
@@ -216,13 +213,12 @@ def labelwise_omp_select(
             tol=tol,
         )
         idx = local[sub.indices]
-        per_class[c] = (idx, sub.weights)
         all_idx.append(idx)
         all_w.append(sub.weights)
 
     indices = np.concatenate(all_idx) if all_idx else np.empty(0, dtype=np.int64)
     weights = np.concatenate(all_w) if all_w else np.empty(0)
-    return Coreset(indices, weights, per_class=per_class)
+    return Coreset(indices, weights)
 
 
 def random_select(chunk: ClientChunk, budget: int, seed: int) -> Coreset:

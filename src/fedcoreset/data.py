@@ -1,4 +1,5 @@
-"""Synthetic datasets, non-IID client partitioning, and noise injectors.
+"""Synthetic datasets, non-IID client partitioning, and noise injectors,
+with the ``DatasetConfig`` and ``NoiseSpec`` groups that drive them.
 
 Every operation is a pure function of its explicit inputs and an integer
 seed: calling it twice with the same arguments returns bitwise-identical
@@ -22,6 +23,7 @@ from .errors import ConfigurationError
 __all__ = [
     "Dataset",
     "ClientChunk",
+    "DatasetConfig",
     "NoiseSpec",
     "NOISE_KINDS",
     "round_half_away",
@@ -117,6 +119,49 @@ def _fresh_chunk(ds: Dataset, client_id: int) -> ClientChunk:
 
 
 @dataclass(frozen=True)
+class DatasetConfig:
+    """Where the data comes from: Gaussian blobs or a CSV file.
+
+    The blob fields are checked whatever ``kind`` is, so every
+    ``DatasetConfig`` can build its blobs.
+    """
+
+    kind: str = "blobs"  # blobs | csv
+    num_blobs: int = 10
+    dim: int = 10
+    stds: tuple[float, ...] = ()  # empty -> linspace(1, 8, num_blobs)
+    samples_per_blob: int = 500
+    csv_path: str = ""
+
+    def resolved_stds(self) -> np.ndarray:
+        if self.stds:
+            return np.asarray(self.stds, dtype=np.float64)
+        return np.linspace(1.0, 8.0, self.num_blobs)
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        if self.kind not in ("blobs", "csv"):
+            raise ConfigurationError(f"dataset.kind must be blobs or csv, got {self.kind!r}")
+        if self.kind == "csv" and not self.csv_path:
+            raise ConfigurationError("dataset.csv_path is required when dataset.kind = csv")
+        if self.num_blobs < 1:
+            raise ConfigurationError("dataset.num_blobs must be >= 1")
+        if self.dim < 1:
+            raise ConfigurationError("dataset.dim must be >= 1")
+        if self.samples_per_blob < 1:
+            raise ConfigurationError("dataset.samples_per_blob must be >= 1")
+        if self.stds and len(self.stds) != self.num_blobs:
+            raise ConfigurationError(
+                "dataset.stds must have one entry per blob "
+                f"({len(self.stds)} given for {self.num_blobs} blobs)"
+            )
+        if any(std < 0 for std in self.stds):
+            raise ConfigurationError("dataset.stds must be non-negative")
+
+
+@dataclass(frozen=True)
 class NoiseSpec:
     """Which injector to run and how hard.
 
@@ -141,44 +186,23 @@ class NoiseSpec:
             )
 
 
-def make_blobs(
-    num_blobs: int,
-    dim: int,
-    stds: np.ndarray | list[float],
-    samples_per_blob: int,
-    seed: int,
-) -> Dataset:
+def make_blobs(dc: DatasetConfig, seed: int) -> Dataset:
     """Isotropic Gaussian blobs, one class per blob.
 
     Centers are drawn uniformly in [-10, 10]^dim from ``seed``; blob ``j``
     then contributes ``samples_per_blob`` points N(center_j, stds[j]^2 I)
     labeled ``j``.
     """
-    stds = np.asarray(stds, dtype=np.float64)
-    if num_blobs < 1:
-        raise ConfigurationError("num_blobs must be >= 1")
-    if dim < 1:
-        raise ConfigurationError("dim must be >= 1")
-    if stds.ndim != 1 or stds.size == 0:
-        raise ConfigurationError("stds must be a non-empty vector")
-    if stds.size != num_blobs:
-        raise ConfigurationError(
-            f"stds has {stds.size} entries but num_blobs is {num_blobs}"
-        )
-    if np.any(stds < 0):
-        raise ConfigurationError("blob standard deviations must be non-negative")
-    if samples_per_blob < 1:
-        raise ConfigurationError("samples_per_blob must be >= 1")
-
+    stds = dc.resolved_stds()
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(CENTER_LOW, CENTER_HIGH, size=(num_blobs, dim))
+    centers = rng.uniform(CENTER_LOW, CENTER_HIGH, size=(dc.num_blobs, dc.dim))
     parts = []
-    for j in range(num_blobs):
-        noise = rng.standard_normal(size=(samples_per_blob, dim))
+    for j in range(dc.num_blobs):
+        noise = rng.standard_normal(size=(dc.samples_per_blob, dc.dim))
         parts.append(centers[j] + stds[j] * noise)
     features = np.concatenate(parts, axis=0)
-    labels = np.repeat(np.arange(num_blobs, dtype=np.int64), samples_per_blob)
-    return Dataset(features, labels, num_blobs)
+    labels = np.repeat(np.arange(dc.num_blobs, dtype=np.int64), dc.samples_per_blob)
+    return Dataset(features, labels, dc.num_blobs)
 
 
 def split_train_val_test(
@@ -251,18 +275,16 @@ def dirichlet_partition(
     return chunks
 
 
-def inject_closed_set(chunk: ClientChunk, ratio: float, seed: int) -> ClientChunk:
+def inject_closed_set(chunk: ClientChunk, noise: NoiseSpec, seed: int) -> ClientChunk:
     """Flip the labels of round(ratio * n) samples to a uniform other class."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigurationError("closed-set ratio must be in [0, 1]")
-    if ratio == 0.0 or chunk.n == 0:
+    if noise.ratio == 0.0 or chunk.n == 0:
         return chunk
     num_classes = chunk.dataset.num_classes
     if num_classes < 2:
         raise ConfigurationError("closed-set noise needs at least two classes")
 
     rng = np.random.default_rng(seed)
-    k = round_half_away(ratio * chunk.n)
+    k = round_half_away(noise.ratio * chunk.n)
     flip = rng.choice(chunk.n, size=k, replace=False)
     labels = chunk.dataset.labels.copy()
     # uniform over the other num_classes - 1 labels
@@ -278,7 +300,7 @@ def inject_open_set(
     train_chunks: list[ClientChunk],
     test: Dataset,
     val: Dataset,
-    ratio: float,
+    noise: NoiseSpec,
     seed: int,
 ) -> tuple[list[ClientChunk], Dataset, Dataset, np.ndarray]:
     """Mark ceil(ratio * |Y|) classes irrelevant and shrink the task.
@@ -289,19 +311,17 @@ def inject_open_set(
     compact range [0, |Y'|).  Returns the new chunks, test, val and the
     original ids of the surviving classes.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigurationError("open-set ratio must be in [0, 1]")
     num_classes = test.num_classes
     for part in [c.dataset for c in train_chunks] + [val]:
         if part.num_classes != num_classes:
             raise ValueError("inputs disagree on num_classes")
 
-    n_remove = math.ceil(ratio * num_classes)
+    n_remove = math.ceil(noise.ratio * num_classes)
     if n_remove == 0:
         return train_chunks, test, val, np.arange(num_classes, dtype=np.int64)
     if n_remove >= num_classes:
         raise ConfigurationError(
-            f"open-set ratio {ratio} removes all {num_classes} classes"
+            f"open-set ratio {noise.ratio} removes all {num_classes} classes"
         )
 
     rng = np.random.default_rng(seed)
@@ -331,22 +351,16 @@ def inject_open_set(
     return new_chunks, filter_remap(test), filter_remap(val), kept.astype(np.int64)
 
 
-def inject_attribute(
-    chunk: ClientChunk, ratio: float, severity: float, seed: int
-) -> ClientChunk:
+def inject_attribute(chunk: ClientChunk, noise: NoiseSpec, seed: int) -> ClientChunk:
     """Add severity * N(0, I) to the features of round(ratio * n) samples."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigurationError("attribute ratio must be in [0, 1]")
-    if severity < 0:
-        raise ConfigurationError("attribute severity must be non-negative")
-    if ratio == 0.0 or chunk.n == 0:
+    if noise.ratio == 0.0 or chunk.n == 0:
         return chunk
 
     rng = np.random.default_rng(seed)
-    k = round_half_away(ratio * chunk.n)
+    k = round_half_away(noise.ratio * chunk.n)
     hit = rng.choice(chunk.n, size=k, replace=False)
     features = chunk.dataset.features.copy()
-    features[hit] += severity * rng.standard_normal(size=(k, chunk.dataset.dim))
+    features[hit] += noise.severity * rng.standard_normal(size=(k, chunk.dataset.dim))
     flags = chunk.clean_flags.copy()
     flags[hit] = False
     ds = Dataset(features, chunk.dataset.labels, chunk.dataset.num_classes)

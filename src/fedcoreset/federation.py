@@ -40,7 +40,7 @@ from .data import (
 )
 from .errors import ConfigurationError
 from .metrics import RoundMetrics, coreset_composition, dataset_fingerprint, evaluate_accuracy
-from .model import ModelSpec, ParamVector, init_params, labelwise_validation_grads, loss, sgd_epochs
+from .model import ParamVector, init_params, labelwise_validation_grads, loss, sgd_epochs
 from .seeding import derive_seed, spawn_rng
 
 if TYPE_CHECKING:
@@ -73,7 +73,7 @@ class Algo:
     """An algorithm arm.  ``mu`` is the fedprox proximal coefficient."""
 
     kind: str
-    mu: float = 0.0
+    mu: float = DEFAULT_FEDPROX_MU
 
     def __post_init__(self) -> None:
         if self.kind not in ALGO_KINDS:
@@ -96,9 +96,9 @@ def parse_algo(token: str) -> Algo:
     """Parse an arm token like ``gcfl`` or ``fedprox:0.5``."""
     name, _, arg = token.strip().partition(":")
     name = name.strip()
-    if name == "fedprox":
+    if name == "fedprox" and arg:
         try:
-            mu = float(arg) if arg else DEFAULT_FEDPROX_MU
+            mu = float(arg)
         except ValueError:
             raise ConfigurationError(f"bad fedprox mu in arm {token!r}") from None
         return Algo("fedprox", mu=mu)
@@ -318,17 +318,10 @@ def run_round(
 
 def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
     """Synthesize, split, partition and corrupt one data world from cfg.seed."""
-    dc = cfg.dataset
-    if dc.kind == "blobs":
-        ds = make_blobs(
-            dc.num_blobs,
-            dc.dim,
-            dc.resolved_stds(),
-            dc.samples_per_blob,
-            derive_seed(cfg.seed, "dataset"),
-        )
+    if cfg.dataset.kind == "blobs":
+        ds = make_blobs(cfg.dataset, derive_seed(cfg.seed, "dataset"))
     else:
-        ds = load_dataset_csv(dc.csv_path)
+        ds = load_dataset_csv(cfg.dataset.csv_path)
 
     train, val, test = split_train_val_test(
         ds, cfg.val_frac, cfg.test_frac, derive_seed(cfg.seed, "split")
@@ -341,19 +334,17 @@ def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
     num_classes = ds.num_classes
     if noise.kind == "closed_set" and noise.ratio > 0:
         chunks = [
-            inject_closed_set(c, noise.ratio, derive_seed(cfg.seed, "noise", c.client_id))
+            inject_closed_set(c, noise, derive_seed(cfg.seed, "noise", c.client_id))
             for c in chunks
         ]
     elif noise.kind == "attribute" and noise.ratio > 0:
         chunks = [
-            inject_attribute(
-                c, noise.ratio, noise.severity, derive_seed(cfg.seed, "noise", c.client_id)
-            )
+            inject_attribute(c, noise, derive_seed(cfg.seed, "noise", c.client_id))
             for c in chunks
         ]
     elif noise.kind == "open_set" and noise.ratio > 0:
         chunks, test, val, kept = inject_open_set(
-            chunks, test, val, noise.ratio, derive_seed(cfg.seed, "noise")
+            chunks, test, val, noise, derive_seed(cfg.seed, "noise")
         )
         num_classes = kept.size
 
@@ -404,13 +395,9 @@ def run_training(
     if prepared is None:
         prepared = prepare_experiment(cfg)
 
-    spec = ModelSpec(
-        arch=cfg.model.arch,
-        input_dim=prepared.input_dim,
-        num_classes=prepared.num_classes,
-        hidden_dim=cfg.model.hidden_dim,
+    params = init_params(
+        cfg.model, prepared.input_dim, prepared.num_classes, derive_seed(cfg.seed, "init")
     )
-    params = init_params(spec, derive_seed(cfg.seed, "init"))
     coresets = [
         _init_coreset(algo, chunk, _client_budget(chunk, cfg.budget_fraction), cfg.seed)
         for chunk in prepared.chunks

@@ -22,7 +22,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "ARCHS",
-    "ModelSpec",
+    "ModelConfig",
     "ParamVector",
     "init_params",
     "predict_proba",
@@ -36,19 +36,20 @@ ARCHS = ("softmax_regression", "one_hidden")
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    arch: str
-    input_dim: int
-    num_classes: int
-    hidden_dim: int = 0  # ignored for softmax_regression
+class ModelConfig:
+    """The client model; ``hidden_dim`` is ignored for softmax_regression."""
+
+    arch: str = "softmax_regression"
+    hidden_dim: int = 32
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         if self.arch not in ARCHS:
-            raise ConfigurationError(f"arch must be one of {ARCHS}, got {self.arch!r}")
-        if self.input_dim < 1 or self.num_classes < 1:
-            raise ConfigurationError("input_dim and num_classes must be positive")
+            raise ConfigurationError(f"model.arch must be one of {ARCHS}, got {self.arch!r}")
         if self.arch == "one_hidden" and self.hidden_dim < 1:
-            raise ConfigurationError("one_hidden requires hidden_dim >= 1")
+            raise ConfigurationError("model.hidden_dim must be >= 1 for one_hidden")
 
 
 @dataclass
@@ -57,22 +58,23 @@ class ParamVector:
 
     ``layout`` lists ``(name, (rows, cols))`` blocks in storage order; each
     block reshapes to ``[rows, cols]`` with the bias in the final column.
-    ``last_layer_slice`` is the (offset, length) of the output block.
+    The output block is the last one.
     """
 
     values: np.ndarray
     layout: tuple[tuple[str, tuple[int, int]], ...]
-    last_layer_slice: tuple[int, int]
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         total = sum(r * c for _, (r, c) in self.layout)
         if total != self.values.size:
             raise ValueError("layout does not cover the parameter vector")
-        off, length = self.last_layer_slice
+
+    @property
+    def last_layer_slice(self) -> tuple[int, int]:
+        """(offset, length) of the output block."""
         rows, cols = self.layout[-1][1]
-        if off + length != self.values.size or length != rows * cols:
-            raise ValueError("last_layer_slice must cover exactly the output block")
+        return self.values.size - rows * cols, rows * cols
 
     def block(self, name: str) -> np.ndarray:
         off = 0
@@ -96,21 +98,23 @@ class ParamVector:
         return self.layout[-1][1][1] - 1
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout, self.last_layer_slice)
+        return ParamVector(self.values.copy(), self.layout)
 
     def with_values(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values, self.layout, self.last_layer_slice)
+        return ParamVector(values, self.layout)
 
 
-def init_params(spec: ModelSpec, seed: int) -> ParamVector:
+def init_params(model: ModelConfig, input_dim: int, num_classes: int, seed: int) -> ParamVector:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
+    if input_dim < 1 or num_classes < 1:
+        raise ConfigurationError("input_dim and num_classes must be positive")
     rng = np.random.default_rng(seed)
-    if spec.arch == "softmax_regression":
-        blocks = [("output", (spec.num_classes, spec.input_dim + 1))]
+    if model.arch == "softmax_regression":
+        blocks = [("output", (num_classes, input_dim + 1))]
     else:
         blocks = [
-            ("hidden", (spec.hidden_dim, spec.input_dim + 1)),
-            ("output", (spec.num_classes, spec.hidden_dim + 1)),
+            ("hidden", (model.hidden_dim, input_dim + 1)),
+            ("output", (num_classes, model.hidden_dim + 1)),
         ]
     parts = []
     for _, (rows, cols) in blocks:
@@ -118,10 +122,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(rows, fan_in))
         parts.append(np.concatenate([w, np.zeros((rows, 1))], axis=1).ravel())
-    values = np.concatenate(parts)
-    out_rows, out_cols = blocks[-1][1]
-    length = out_rows * out_cols
-    return ParamVector(values, tuple(blocks), (values.size - length, length))
+    return ParamVector(np.concatenate(parts), tuple(blocks))
 
 
 def _penultimate(params: ParamVector, x: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 
 from fedcoreset.config import DatasetConfig, ExperimentConfig
 from fedcoreset.coreset import omp_select
-from fedcoreset.data import Dataset, make_blobs
+from fedcoreset.data import Dataset
 from fedcoreset.federation import (
     Algo,
     aggregate,
@@ -23,7 +23,7 @@ from fedcoreset.federation import (
     run_training,
 )
 from fedcoreset.model import (
-    ModelSpec,
+    ModelConfig,
     init_params,
     labelwise_validation_grads,
     last_layer_grad_stack,
@@ -31,7 +31,7 @@ from fedcoreset.model import (
     sgd_epochs,
 )
 from fedcoreset.seeding import derive_seed
-from worldgen import balanced_world
+from worldgen import balanced_world, blobs
 
 ACCURACY_MARGIN = 0.05  # gcfl over fedavg, mean of 5 seeds
 CLEAN_FRACTION_MARGIN = 0.10  # gcfl coreset over random coreset
@@ -144,8 +144,8 @@ class TestCriterion4CommunicationOverhead:
         )
 
     def test_labelwise_broadcast_equals_plain_size(self):
-        ds = make_blobs(10, 10, np.ones(10), 30, seed=0)
-        params = init_params(ModelSpec("softmax_regression", 10, 10), seed=1)
+        ds = blobs(10, 10, np.ones(10), 30, seed=0)
+        params = init_params(ModelConfig("softmax_regression"), 10, 10, seed=1)
         rows = labelwise_validation_grads(params, ds)
         labelwise_size = sum(r.size for r in rows.values())
         plain_size = last_layer_grad_stack(params, ds)[0].size
@@ -262,12 +262,12 @@ class TestCriterion6GradientSuite:
         worst = 0.0
         rng = np.random.default_rng(4)
         for arch, hidden in (("softmax_regression", 0), ("one_hidden", 7)):
-            spec = ModelSpec(arch, input_dim=8, num_classes=5, hidden_dim=hidden)
+            model = ModelConfig(arch, hidden_dim=hidden)
             for case in range(50):
                 ds = Dataset(
                     rng.normal(size=(1, 8)), rng.integers(0, 5, size=1), 5
                 )
-                params = init_params(spec, seed=int(rng.integers(1 << 30)))
+                params = init_params(model, 8, 5, seed=int(rng.integers(1 << 30)))
                 params.values[:] = rng.normal(scale=0.6, size=params.values.size)
                 analytic = last_layer_grad_stack(params, ds)[0]
                 off, length = params.last_layer_slice
@@ -290,8 +290,7 @@ class TestCriterion6GradientSuite:
 class TestCriterion7ProtocolSuite:
     def test_aggregation_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        spec = ModelSpec("softmax_regression", 4, 3)
-        p0 = init_params(spec, seed=0).with_values(rng.normal(size=15))
+        p0 = init_params(ModelConfig("softmax_regression"), 4, 3, seed=0).with_values(rng.normal(size=15))
         deltas = [p0.with_values(rng.normal(size=15)) for _ in range(9)]
         base = aggregate(p0, deltas, 0.7).values
         exact = all(
@@ -318,7 +317,9 @@ class TestCriterion7ProtocolSuite:
         prepared = prepare_experiment(cfg)
         fed = run_training(cfg, Algo("fedavg"), prepared)
         theta = init_params(
-            ModelSpec("softmax_regression", prepared.input_dim, prepared.num_classes),
+            ModelConfig("softmax_regression"),
+            prepared.input_dim,
+            prepared.num_classes,
             derive_seed(cfg.seed, "init"),
         )
         ds = prepared.chunks[0].dataset

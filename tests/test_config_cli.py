@@ -443,9 +443,9 @@ samples_per_blob = 30
 
 class TestCsvDataset:
     def test_run_from_csv_file(self, tmp_path):
-        from fedcoreset.data import make_blobs, save_dataset_csv
+        from worldgen import blobs
 
-        ds = make_blobs(3, 4, np.ones(3), 40, seed=0)
+        ds = blobs(3, 4, np.ones(3), 40, seed=0)
         csv_path = tmp_path / "data.csv"
         save_dataset_csv(ds, str(csv_path))
         cfg_text = f"""
@@ -593,6 +593,18 @@ class TestCliSweep:
         )
         assert code == 1
         assert "clients_per_round" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_later_point_failing_preflight_fails_before_any_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(SWEEP_CFG.replace("num_blobs = 3", "num_blobs = 4"), encoding="utf-8")
+        out = tmp_path / "sweepout"
+        code = main(
+            ["sweep", "--config", str(cfg_path), "--out", str(out),
+             "--param", "noise.ratio", "--values", "0.5,1.0", "--noise.kind", "open_set"]
+        )
+        assert code == 1
+        assert "removes all 4 classes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_numeric_value_names_the_flag(self, tmp_path, capsys):

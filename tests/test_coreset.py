@@ -12,9 +12,10 @@ from fedcoreset.coreset import (
     omp_select,
     random_select,
 )
-from fedcoreset.data import ClientChunk, Dataset, inject_closed_set, make_blobs
+from fedcoreset.data import ClientChunk, Dataset, NoiseSpec, inject_closed_set
 from fedcoreset.errors import ConfigurationError
-from fedcoreset.model import ModelSpec, init_params
+from fedcoreset.model import ModelConfig, init_params
+from worldgen import blobs
 
 
 def chunk_of(ds: Dataset, client_id: int = 0) -> ClientChunk:
@@ -235,9 +236,9 @@ class TestOmpProperties:
 
 class TestLabelwise:
     def setup_method(self):
-        self.ds = make_blobs(5, 6, np.ones(5), 30, seed=0)
+        self.ds = blobs(5, 6, np.ones(5), 30, seed=0)
         self.chunk = chunk_of(self.ds)
-        self.params = init_params(ModelSpec("softmax_regression", 6, 5), seed=1)
+        self.params = init_params(ModelConfig("softmax_regression"), 6, 5, seed=1)
 
     def rows(self, classes=range(5)):
         rng = np.random.default_rng(9)
@@ -249,7 +250,7 @@ class TestLabelwise:
         cs = labelwise_omp_select(chunk, self.params, self.rows(), budget=8,
                                   lam=0.0)
         assert cs.size == 8
-        assert set(cs.per_class) == {2}
+        assert set(chunk.dataset.labels[cs.indices]) == {2}
 
     def test_budget_split_remainder_to_largest(self):
         # counts: class 0 -> 40, class 1 -> 35, classes 2..4 -> 25 each
@@ -260,7 +261,8 @@ class TestLabelwise:
         chunk = chunk_of(Dataset(rng.normal(size=(150, 6)), labels, 5))
         cs = labelwise_omp_select(chunk, self.params, self.rows(), budget=12,
                                   lam=0.0)
-        sizes = {c: idx.size for c, (idx, _) in cs.per_class.items()}
+        classes, counts = np.unique(chunk.dataset.labels[cs.indices], return_counts=True)
+        sizes = dict(zip(classes.tolist(), counts.tolist()))
         assert sizes == {0: 3, 1: 3, 2: 2, 3: 2, 4: 2}
         assert cs.size == 12
 
@@ -277,29 +279,29 @@ class TestLabelwise:
         rows = self.rows(classes=[0, 1])  # server only broadcasts 2 of 5 classes
         cs = labelwise_omp_select(self.chunk, self.params, rows, budget=10,
                                   lam=0.0)
-        assert set(cs.per_class) <= {0, 1}
+        assert set(self.chunk.dataset.labels[cs.indices]) <= {0, 1}
         assert cs.size == 10
 
     def test_per_class_budgets_sum_to_total(self):
         cs = labelwise_omp_select(self.chunk, self.params, self.rows(), budget=13,
                                   lam=0.5)
-        assert sum(idx.size for idx, _ in cs.per_class.values()) == cs.size
+        labels = self.chunk.dataset.labels[cs.indices]
+        assert np.bincount(labels, minlength=5).sum() == cs.size
         assert cs.size <= 13
-        # selections land inside their own class
-        for c, (idx, _) in cs.per_class.items():
-            assert np.all(self.ds.labels[idx] == c)
+        # selections land inside their own class: one block per class, in order
+        assert np.all(np.diff(labels) >= 0)
 
 
 class TestRandomSelect:
     def test_full_budget_selects_everything(self):
-        chunk = chunk_of(make_blobs(3, 2, np.ones(3), 10, seed=0))
+        chunk = chunk_of(blobs(3, 2, np.ones(3), 10, seed=0))
         cs = random_select(chunk, budget=30, seed=1)
         assert set(cs.indices) == set(range(30))
         assert np.all(cs.weights == 1.0)
 
     def test_clean_fraction_matches_noise_level(self):
-        chunk = chunk_of(make_blobs(4, 2, np.ones(4), 50, seed=2))
-        noisy = inject_closed_set(chunk, 0.4, seed=3)
+        chunk = chunk_of(blobs(4, 2, np.ones(4), 50, seed=2))
+        noisy = inject_closed_set(chunk, NoiseSpec("closed_set", 0.4), seed=3)
         fracs = [
             noisy.clean_flags[random_select(noisy, 40, seed=s).indices].mean()
             for s in range(200)
@@ -307,13 +309,13 @@ class TestRandomSelect:
         assert abs(np.mean(fracs) - 0.60) < 0.05
 
     def test_deterministic(self):
-        chunk = chunk_of(make_blobs(2, 2, [1, 1], 20, seed=4))
+        chunk = chunk_of(blobs(2, 2, [1, 1], 20, seed=4))
         a = random_select(chunk, 10, seed=5)
         b = random_select(chunk, 10, seed=5)
         assert np.array_equal(a.indices, b.indices)
 
     def test_empty_chunk_gives_empty_coreset(self):
-        ds = make_blobs(2, 2, [1, 1], 5, seed=0)
+        ds = blobs(2, 2, [1, 1], 5, seed=0)
         empty = ClientChunk(ds.subset([]), np.ones(0, dtype=bool), 0)
         assert random_select(empty, 3, seed=0).size == 0
 
@@ -381,8 +383,8 @@ class TestValidation:
             Coreset(np.array([0, 1]), np.array([1.0]))
 
     def test_selection_config_invariants(self):
-        chunk = chunk_of(make_blobs(2, 3, np.ones(2), 10, seed=0))
-        params = init_params(ModelSpec("softmax_regression", 3, 2), seed=0)
+        chunk = chunk_of(blobs(2, 3, np.ones(2), 10, seed=0))
+        params = init_params(ModelConfig("softmax_regression"), 3, 2, seed=0)
         rows = {c: np.ones(4) for c in range(2)}
         with pytest.raises(ConfigurationError):
             labelwise_omp_select(chunk, params, rows, budget=4, lam=-1.0)

@@ -6,18 +6,19 @@ from hypothesis import strategies as st
 from fedcoreset.data import (
     ClientChunk,
     Dataset,
+    DatasetConfig,
     NoiseSpec,
     dirichlet_partition,
     inject_attribute,
     inject_closed_set,
     inject_open_set,
     load_dataset_csv,
-    make_blobs,
     round_half_away,
     save_dataset_csv,
     split_train_val_test,
 )
 from fedcoreset.errors import ConfigurationError
+from worldgen import blobs
 
 
 def chunk_of(ds: Dataset, client_id: int = 0) -> ClientChunk:
@@ -40,59 +41,61 @@ class TestRounding:
 
 class TestMakeBlobs:
     def test_benchmark_shape(self):
-        ds = make_blobs(10, 10, np.linspace(1, 8, 10), 500, seed=0)
+        ds = blobs(10, 10, np.linspace(1, 8, 10), 500, seed=0)
         assert ds.n == 5000
         assert ds.dim == 10
         assert ds.num_classes == 10
         assert np.array_equal(np.unique(ds.labels), np.arange(10))
 
     def test_zero_variance_collapses_to_centers(self):
-        ds = make_blobs(2, 2, [0.0, 0.0], 5, seed=1)
+        ds = blobs(2, 2, [0.0, 0.0], 5, seed=1)
         for c in range(2):
             rows = ds.features[ds.labels == c]
             assert np.all(rows == rows[0])
 
     def test_same_seed_bitwise_identical(self):
-        a = make_blobs(3, 4, [1, 2, 3], 10, seed=7)
-        b = make_blobs(3, 4, [1, 2, 3], 10, seed=7)
+        a = blobs(3, 4, [1, 2, 3], 10, seed=7)
+        b = blobs(3, 4, [1, 2, 3], 10, seed=7)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_blobs(2, 0, [1, 1], 5, seed=0)
+            DatasetConfig(dim=0)
         with pytest.raises(ConfigurationError):
-            make_blobs(1, 2, [], 5, seed=0)
-        with pytest.raises(ConfigurationError):
-            make_blobs(2, 2, [1.0], 5, seed=0)
+            DatasetConfig(num_blobs=2, stds=(1.0,))
+
+    def test_blob_fields_checked_for_csv_kind(self):
+        with pytest.raises(ConfigurationError, match="num_blobs"):
+            DatasetConfig(kind="csv", csv_path="data.csv", num_blobs=0)
 
 
 class TestSplit:
     def test_zero_fractions_identity(self):
-        ds = make_blobs(3, 2, [1, 1, 1], 20, seed=0)
+        ds = blobs(3, 2, [1, 1, 1], 20, seed=0)
         train, val, test = split_train_val_test(ds, 0.0, 0.0, seed=1)
         assert row_multiset(train) == row_multiset(ds)
         assert val.n == 0 and test.n == 0
 
     def test_fifteen_percent_test(self):
-        ds = make_blobs(10, 3, np.ones(10), 100, seed=0)
+        ds = blobs(10, 3, np.ones(10), 100, seed=0)
         _, _, test = split_train_val_test(ds, 0.0, 0.15, seed=2)
         assert abs(test.n - 150) <= ds.num_classes
 
     def test_partition_property(self):
-        ds = make_blobs(4, 2, np.ones(4), 25, seed=3)
+        ds = blobs(4, 2, np.ones(4), 25, seed=3)
         train, val, test = split_train_val_test(ds, 0.2, 0.3, seed=4)
         combined = row_multiset(train) + row_multiset(val) + row_multiset(test)
         assert sorted(combined) == row_multiset(ds)
         assert train.n + val.n + test.n == ds.n
 
     def test_stratified_val_covers_all_classes(self):
-        ds = make_blobs(10, 2, np.ones(10), 50, seed=5)
+        ds = blobs(10, 2, np.ones(10), 50, seed=5)
         _, val, _ = split_train_val_test(ds, 0.1, 0.15, seed=6)
         assert set(np.unique(val.labels)) == set(range(10))
 
     def test_bad_fractions(self):
-        ds = make_blobs(2, 2, [1, 1], 10, seed=0)
+        ds = blobs(2, 2, [1, 1], 10, seed=0)
         with pytest.raises(ConfigurationError):
             split_train_val_test(ds, 0.6, 0.5, seed=0)
         with pytest.raises(ConfigurationError):
@@ -101,7 +104,7 @@ class TestSplit:
 
 class TestDirichletPartition:
     def test_single_client_gets_everything(self):
-        ds = make_blobs(3, 2, np.ones(3), 30, seed=0)
+        ds = blobs(3, 2, np.ones(3), 30, seed=0)
         chunks = dirichlet_partition(ds, 1, 0.4, seed=1)
         assert len(chunks) == 1
         assert row_multiset(chunks[0].dataset) == row_multiset(ds)
@@ -118,7 +121,7 @@ class TestDirichletPartition:
         assert abs(np.mean(sizes) - 50) <= 1
 
     def test_low_alpha_skews(self):
-        ds = make_blobs(10, 2, np.ones(10), 100, seed=2)
+        ds = blobs(10, 2, np.ones(10), 100, seed=2)
         chunks = dirichlet_partition(ds, 10, 0.4, seed=3)
         shares = []
         for c in chunks:
@@ -131,7 +134,7 @@ class TestDirichletPartition:
         assert np.mean(shares) > 0.25
 
     def test_partition_completeness(self):
-        ds = make_blobs(5, 3, np.ones(5), 40, seed=4)
+        ds = blobs(5, 3, np.ones(5), 40, seed=4)
         chunks = dirichlet_partition(ds, 7, 0.4, seed=5)
         assert sum(c.n for c in chunks) == ds.n
         combined = []
@@ -140,7 +143,7 @@ class TestDirichletPartition:
         assert sorted(combined) == row_multiset(ds)
 
     def test_bad_config(self):
-        ds = make_blobs(2, 2, [1, 1], 10, seed=0)
+        ds = blobs(2, 2, [1, 1], 10, seed=0)
         with pytest.raises(ConfigurationError):
             dirichlet_partition(ds, 0, 0.4, seed=0)
         with pytest.raises(ConfigurationError):
@@ -149,21 +152,21 @@ class TestDirichletPartition:
 
 class TestClosedSet:
     def test_ratio_zero_is_identity(self):
-        chunk = chunk_of(make_blobs(3, 2, np.ones(3), 10, seed=0))
-        out = inject_closed_set(chunk, 0.0, seed=1)
+        chunk = chunk_of(blobs(3, 2, np.ones(3), 10, seed=0))
+        out = inject_closed_set(chunk, NoiseSpec("closed_set", 0.0), seed=1)
         assert out.clean_flags.all()
         assert np.array_equal(out.dataset.labels, chunk.dataset.labels)
 
     def test_ratio_one_binary_toggles_everything(self):
-        chunk = chunk_of(make_blobs(2, 2, [1, 1], 10, seed=0))
-        out = inject_closed_set(chunk, 1.0, seed=1)
+        chunk = chunk_of(blobs(2, 2, [1, 1], 10, seed=0))
+        out = inject_closed_set(chunk, NoiseSpec("closed_set", 1.0), seed=1)
         assert not out.clean_flags.any()
         assert np.array_equal(out.dataset.labels, 1 - chunk.dataset.labels)
 
     def test_exact_flip_count(self):
-        ds = make_blobs(5, 2, np.ones(5), 2, seed=0)  # n = 10
+        ds = blobs(5, 2, np.ones(5), 2, seed=0)  # n = 10
         chunk = chunk_of(ds)
-        out = inject_closed_set(chunk, 0.4, seed=2)
+        out = inject_closed_set(chunk, NoiseSpec("closed_set", 0.4), seed=2)
         flipped = ~out.clean_flags
         assert flipped.sum() == 4
         assert np.all(out.dataset.labels[flipped] != chunk.dataset.labels[flipped])
@@ -172,13 +175,13 @@ class TestClosedSet:
     def test_single_class_rejected(self):
         ds = Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 1)
         with pytest.raises(ConfigurationError):
-            inject_closed_set(chunk_of(ds), 0.5, seed=0)
+            inject_closed_set(chunk_of(ds), NoiseSpec("closed_set", 0.5), seed=0)
 
     @given(ratio=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_bookkeeping_and_validity(self, ratio, seed):
-        chunk = chunk_of(make_blobs(4, 2, np.ones(4), 8, seed=11))
-        out = inject_closed_set(chunk, ratio, seed=seed)
+        chunk = chunk_of(blobs(4, 2, np.ones(4), 8, seed=11))
+        out = inject_closed_set(chunk, NoiseSpec("closed_set", ratio), seed=seed)
         k = round_half_away(ratio * chunk.n)
         assert (~out.clean_flags).sum() == k
         changed = out.dataset.labels != chunk.dataset.labels
@@ -187,20 +190,20 @@ class TestClosedSet:
 
 class TestOpenSet:
     def make_world(self, seed=0):
-        ds = make_blobs(10, 3, np.ones(10), 30, seed=seed)
+        ds = blobs(10, 3, np.ones(10), 30, seed=seed)
         train, val, test = split_train_val_test(ds, 0.1, 0.15, seed=seed + 1)
         chunks = dirichlet_partition(train, 4, 0.4, seed=seed + 2)
         return chunks, test, val
 
     def test_ratio_zero_identity(self):
         chunks, test, val = self.make_world()
-        out_chunks, out_test, out_val, kept = inject_open_set(chunks, test, val, 0.0, seed=3)
+        out_chunks, out_test, out_val, kept = inject_open_set(chunks, test, val, NoiseSpec("open_set", 0.0), seed=3)
         assert out_chunks is chunks and out_test is test and out_val is val
         assert np.array_equal(kept, np.arange(10))
 
     def test_forty_percent_removes_four(self):
         chunks, test, val = self.make_world()
-        out_chunks, out_test, out_val, kept = inject_open_set(chunks, test, val, 0.4, seed=4)
+        out_chunks, out_test, out_val, kept = inject_open_set(chunks, test, val, NoiseSpec("open_set", 0.4), seed=4)
         assert kept.size == 6
         for part in [out_test, out_val] + [c.dataset for c in out_chunks]:
             assert part.num_classes == 6
@@ -213,38 +216,38 @@ class TestOpenSet:
 
     def test_test_set_filtered(self):
         chunks, test, val = self.make_world()
-        _, out_test, _, kept = inject_open_set(chunks, test, val, 0.4, seed=5)
+        _, out_test, _, kept = inject_open_set(chunks, test, val, NoiseSpec("open_set", 0.4), seed=5)
         # remapped test labels correspond only to kept original classes
         assert out_test.n == int(np.isin(test.labels, kept).sum())
 
     def test_removing_all_classes_rejected(self):
         chunks, test, val = self.make_world()
         with pytest.raises(ConfigurationError):
-            inject_open_set(chunks, test, val, 1.0, seed=6)
+            inject_open_set(chunks, test, val, NoiseSpec("open_set", 1.0), seed=6)
 
 
 class TestAttribute:
     def test_zero_severity_keeps_features(self):
-        chunk = chunk_of(make_blobs(2, 3, [1, 1], 10, seed=0))
-        out = inject_attribute(chunk, 0.5, 0.0, seed=1)
+        chunk = chunk_of(blobs(2, 3, [1, 1], 10, seed=0))
+        out = inject_attribute(chunk, NoiseSpec("attribute", 0.5, 0.0), seed=1)
         assert np.array_equal(out.dataset.features, chunk.dataset.features)
         assert (~out.clean_flags).sum() == 10
 
     def test_ratio_zero_identity(self):
-        chunk = chunk_of(make_blobs(2, 3, [1, 1], 10, seed=0))
-        out = inject_attribute(chunk, 0.0, 5.0, seed=1)
+        chunk = chunk_of(blobs(2, 3, [1, 1], 10, seed=0))
+        out = inject_attribute(chunk, NoiseSpec("attribute", 0.0, 5.0), seed=1)
         assert out.clean_flags.all()
 
     def test_variance_inflation(self):
         # std-1 blobs corrupted with severity 10 -> per-coordinate variance ~ 101
-        ds = make_blobs(1, 5, [1.0], 4000, seed=2)
-        out = inject_attribute(chunk_of(ds), 1.0, 10.0, seed=3)
+        ds = blobs(1, 5, [1.0], 4000, seed=2)
+        out = inject_attribute(chunk_of(ds), NoiseSpec("attribute", 1.0, 10.0), seed=3)
         var = out.dataset.features.var(axis=0).mean()
         assert abs(var - 101.0) / 101.0 < 0.20
 
     def test_exact_corruption_count(self):
-        chunk = chunk_of(make_blobs(2, 2, [1, 1], 15, seed=0))  # n = 30
-        out = inject_attribute(chunk, 0.3, 1.0, seed=4)
+        chunk = chunk_of(blobs(2, 2, [1, 1], 15, seed=0))  # n = 30
+        out = inject_attribute(chunk, NoiseSpec("attribute", 0.3, 1.0), seed=4)
         assert (~out.clean_flags).sum() == round_half_away(0.3 * 30)
         assert np.array_equal(out.dataset.labels, chunk.dataset.labels)
 
@@ -252,19 +255,19 @@ class TestAttribute:
 class TestDeterminism:
     @pytest.mark.parametrize("op", ["closed", "attribute"])
     def test_injectors_deterministic(self, op):
-        chunk = chunk_of(make_blobs(4, 3, np.ones(4), 20, seed=0))
+        chunk = chunk_of(blobs(4, 3, np.ones(4), 20, seed=0))
         if op == "closed":
-            a = inject_closed_set(chunk, 0.3, seed=9)
-            b = inject_closed_set(chunk, 0.3, seed=9)
+            a = inject_closed_set(chunk, NoiseSpec("closed_set", 0.3), seed=9)
+            b = inject_closed_set(chunk, NoiseSpec("closed_set", 0.3), seed=9)
         else:
-            a = inject_attribute(chunk, 0.3, 2.0, seed=9)
-            b = inject_attribute(chunk, 0.3, 2.0, seed=9)
+            a = inject_attribute(chunk, NoiseSpec("attribute", 0.3, 2.0), seed=9)
+            b = inject_attribute(chunk, NoiseSpec("attribute", 0.3, 2.0), seed=9)
         assert np.array_equal(a.dataset.labels, b.dataset.labels)
         assert np.array_equal(a.dataset.features, b.dataset.features)
         assert np.array_equal(a.clean_flags, b.clean_flags)
 
     def test_partition_deterministic(self):
-        ds = make_blobs(3, 2, np.ones(3), 30, seed=0)
+        ds = blobs(3, 2, np.ones(3), 30, seed=0)
         a = dirichlet_partition(ds, 5, 0.4, seed=10)
         b = dirichlet_partition(ds, 5, 0.4, seed=10)
         for ca, cb in zip(a, b):
@@ -273,7 +276,7 @@ class TestDeterminism:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        ds = make_blobs(3, 4, [1, 2, 3], 10, seed=0)
+        ds = blobs(3, 4, [1, 2, 3], 10, seed=0)
         path = str(tmp_path / "ds.csv")
         save_dataset_csv(ds, path)
         with open(path, encoding="utf-8") as fh:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fedcoreset.federation as federation
 from fedcoreset.config import DatasetConfig, ExperimentConfig, ModelConfig
-from fedcoreset.data import NOISE_KINDS, ClientChunk, NoiseSpec, make_blobs
+from fedcoreset.data import NOISE_KINDS, ClientChunk, NoiseSpec
 from fedcoreset.errors import ConfigurationError
 from fedcoreset.federation import (
     Algo,
@@ -23,14 +23,13 @@ from fedcoreset.federation import (
 )
 from fedcoreset.model import (
     ARCHS,
-    ModelSpec,
     init_params,
     last_layer_grad_stack,
     loss,
     sgd_epochs,
 )
 from fedcoreset.seeding import derive_seed
-from worldgen import balanced_world
+from worldgen import balanced_world, blobs
 
 
 def tiny_cfg(**kw) -> ExperimentConfig:
@@ -57,6 +56,9 @@ class TestAlgo:
         assert parse_algo("gcfl") == Algo("gcfl")
         assert parse_algo("fedprox:0.5") == Algo("fedprox", mu=0.5)
         assert parse_algo("fedprox").mu == pytest.approx(0.1)
+
+    def test_bare_fedprox_arm_matches_its_token(self):
+        assert Algo("fedprox") == parse_algo("fedprox")
         with pytest.raises(ConfigurationError):
             parse_algo("gcfl:3")
         with pytest.raises(ConfigurationError):
@@ -65,20 +67,20 @@ class TestAlgo:
 
 class TestClientUpdate:
     def make_chunk(self, n=20):
-        ds = make_blobs(4, 5, np.ones(4), n // 4, seed=0)
+        ds = blobs(4, 5, np.ones(4), n // 4, seed=0)
         return ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
 
     def test_zero_epochs_zero_delta(self):
         chunk = self.make_chunk()
         cfg = tiny_cfg(local_epochs=0, batch_size=8)
-        theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=1)
+        theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=1)
         delta = client_update(chunk, theta, np.arange(chunk.n), cfg, seed=0)
         assert np.all(delta.values == 0.0)
 
     def test_single_full_batch_step_identity(self):
         chunk = self.make_chunk()
         cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
-        theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=2)
+        theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=2)
         idx = np.arange(chunk.n)
         delta = client_update(chunk, theta, idx, cfg, seed=0)
         grad = last_layer_grad_stack(theta, chunk.dataset).mean(axis=0).ravel()
@@ -87,7 +89,7 @@ class TestClientUpdate:
     def test_prox_vanishes_at_anchor(self):
         chunk = self.make_chunk()
         cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
-        theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=3)
+        theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=3)
         idx = np.arange(chunk.n)
         plain = client_update(chunk, theta, idx, cfg, seed=0)
         proxed = client_update(chunk, theta, idx, cfg, seed=0, prox=(5.0, theta))
@@ -96,14 +98,14 @@ class TestClientUpdate:
 
     def test_empty_subset_rejected(self):
         chunk = self.make_chunk()
-        theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=4)
+        theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=4)
         with pytest.raises(ValueError):
             client_update(chunk, theta, np.array([], dtype=int), tiny_cfg(batch_size=8), seed=0)
 
     def test_ledger_counts_sample_visits(self):
         chunk = self.make_chunk()
         cfg = tiny_cfg(local_epochs=3, batch_size=4)
-        theta = init_params(ModelSpec("softmax_regression", 5, 4), seed=5)
+        theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=5)
         ledger = CostLedger()
         client_update(chunk, theta, np.arange(10), cfg, seed=0, ledger=ledger)
         assert ledger.sgd_sample_visits == 30
@@ -111,8 +113,7 @@ class TestClientUpdate:
 
 class TestAggregate:
     def make_params(self, values):
-        spec = ModelSpec("softmax_regression", 1, 1)
-        return init_params(spec, seed=0).with_values(np.asarray(values, dtype=float))
+        return init_params(ModelConfig("softmax_regression"), 1, 1, seed=0).with_values(np.asarray(values, dtype=float))
 
     def test_zero_deltas_keep_params(self):
         params = self.make_params([1.0, 2.0])
@@ -132,8 +133,7 @@ class TestAggregate:
     @settings(max_examples=30, deadline=None)
     def test_permutation_invariance_exact(self, seed, n):
         rng = np.random.default_rng(seed)
-        spec = ModelSpec("softmax_regression", 3, 1)  # 4 parameters
-        p0 = init_params(spec, seed=0).with_values(rng.normal(size=4))
+        p0 = init_params(ModelConfig("softmax_regression"), 3, 1, seed=0).with_values(rng.normal(size=4))
         deltas = [p0.with_values(rng.normal(size=4)) for _ in range(n)]
         out1 = aggregate(p0, deltas, 1.0)
         perm = [deltas[i] for i in rng.permutation(n)]
@@ -154,10 +154,10 @@ class TestRunRound:
     def test_oversampling_rejected(self):
         cfg = tiny_cfg(clients_per_round=4)
         prepared = prepare_experiment(cfg)
-        spec = ModelSpec("softmax_regression", prepared.input_dim, prepared.num_classes)
+        params = init_params(ModelConfig("softmax_regression"), prepared.input_dim, prepared.num_classes, 0)
         fewer = replace(prepared, chunks=prepared.chunks[:2])
         with pytest.raises(ConfigurationError):
-            run_round(init_params(spec, 0), fewer, [None, None], Algo("fedavg"), cfg, 0,
+            run_round(params, fewer, [None, None], Algo("fedavg"), cfg, 0,
                       CostLedger())
 
     def test_skyline_trains_only_on_clean(self, monkeypatch):
@@ -211,8 +211,9 @@ class TestSingleClientEquivalence:
         prepared = prepare_experiment(cfg)
         fed = run_training(cfg, Algo("fedavg"), prepared)
 
-        spec = ModelSpec("softmax_regression", prepared.input_dim, prepared.num_classes)
-        theta = init_params(spec, derive_seed(cfg.seed, "init"))
+        theta = init_params(
+            ModelConfig("softmax_regression"), prepared.input_dim, prepared.num_classes, derive_seed(cfg.seed, "init")
+        )
         ds = prepared.chunks[0].dataset
         for t in range(cfg.rounds):
             theta = sgd_epochs(
@@ -227,8 +228,7 @@ class TestRunTraining:
         cfg = tiny_cfg(rounds=0)
         result = run_training(cfg, Algo("fedavg"))
         assert result.rounds == []
-        spec = ModelSpec("softmax_regression", 4, 4)
-        expect = init_params(spec, derive_seed(cfg.seed, "init"))
+        expect = init_params(ModelConfig("softmax_regression"), 4, 4, derive_seed(cfg.seed, "init"))
         assert np.array_equal(result.final_params.values, expect.values)
 
     def test_bitwise_deterministic(self):
@@ -334,20 +334,20 @@ class TestFineTune:
 
     def test_zero_epochs_identity(self):
         prepared = prepare_experiment(tiny_cfg())
-        p = init_params(ModelSpec("softmax_regression", 4, 4), seed=0)
+        p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
         out = sgd_epochs(p, prepared.val, epochs=0, lr=0.1, batch_size=32, seed=0)
         assert out is p
 
     def test_loss_non_increasing_on_val(self):
         prepared = prepare_experiment(tiny_cfg())
-        p = init_params(ModelSpec("softmax_regression", 4, 4), seed=1)
+        p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=1)
         before = loss(p, prepared.val)
         tuned = sgd_epochs(p, prepared.val, epochs=50, lr=0.05, batch_size=32, seed=2)
         assert loss(tuned, prepared.val) <= before
 
     def test_empty_val_rejected(self):
-        ds = make_blobs(2, 2, [1, 1], 5, seed=0)
-        p = init_params(ModelSpec("softmax_regression", 2, 2), seed=0)
+        ds = blobs(2, 2, [1, 1], 5, seed=0)
+        p = init_params(ModelConfig("softmax_regression"), 2, 2, seed=0)
         with pytest.raises(ValueError):
             sgd_epochs(p, ds.subset([]), epochs=1, lr=0.1, batch_size=32, seed=0)
 

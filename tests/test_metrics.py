@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedcoreset.coreset import Coreset
-from fedcoreset.data import ClientChunk, Dataset, inject_closed_set, make_blobs
+from fedcoreset.data import ClientChunk, Dataset, NoiseSpec, inject_closed_set
 from fedcoreset.federation import CostLedger
 from fedcoreset.metrics import (
     ROUND_LOG_HEADER,
@@ -18,11 +18,12 @@ from fedcoreset.metrics import (
     write_round_log,
     write_summary,
 )
-from fedcoreset.model import ModelSpec, init_params
+from fedcoreset.model import ModelConfig, init_params
+from worldgen import blobs
 
 
 def zero_params(input_dim, num_classes):
-    p = init_params(ModelSpec("softmax_regression", input_dim, num_classes), seed=0)
+    p = init_params(ModelConfig("softmax_regression"), input_dim, num_classes, seed=0)
     return p.with_values(np.zeros_like(p.values))
 
 
@@ -40,35 +41,35 @@ class TestAccuracy:
         assert evaluate_accuracy(p, ds) == 1.0
 
     def test_permutation_invariant(self):
-        ds = make_blobs(3, 4, np.ones(3), 20, seed=1)
-        p = init_params(ModelSpec("softmax_regression", 4, 3), seed=2)
+        ds = blobs(3, 4, np.ones(3), 20, seed=1)
+        p = init_params(ModelConfig("softmax_regression"), 4, 3, seed=2)
         rng = np.random.default_rng(3)
         perm = rng.permutation(ds.n)
         shuffled = Dataset(ds.features[perm], ds.labels[perm], 3)
         assert evaluate_accuracy(p, ds) == evaluate_accuracy(p, shuffled)
 
     def test_empty_rejected(self):
-        ds = make_blobs(2, 2, [1, 1], 4, seed=0)
+        ds = blobs(2, 2, [1, 1], 4, seed=0)
         with pytest.raises(ValueError):
             evaluate_accuracy(zero_params(2, 2), ds.subset([]))
 
 
 class TestComposition:
     def test_all_clean_chunk(self):
-        ds = make_blobs(2, 2, [1, 1], 10, seed=0)
+        ds = blobs(2, 2, [1, 1], 10, seed=0)
         chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
         cs = Coreset(np.array([0, 3, 7]), np.ones(3))
         assert coreset_composition([(cs, chunk)]) == 1.0
 
     def test_empty_coreset_is_vacuously_clean(self):
-        ds = make_blobs(2, 2, [1, 1], 10, seed=0)
+        ds = blobs(2, 2, [1, 1], 10, seed=0)
         chunk = ClientChunk(ds, np.zeros(ds.n, dtype=bool), 0)
         assert coreset_composition([(Coreset(np.empty(0), np.empty(0)), chunk)]) == 1.0
 
     def test_counts_clean_flags(self):
-        ds = make_blobs(4, 2, np.ones(4), 25, seed=1)
+        ds = blobs(4, 2, np.ones(4), 25, seed=1)
         chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
-        noisy = inject_closed_set(chunk, 0.4, seed=2)
+        noisy = inject_closed_set(chunk, NoiseSpec("closed_set", 0.4), seed=2)
         idx = np.arange(noisy.n)
         cs = Coreset(idx, np.ones(idx.size))
         assert coreset_composition([(cs, noisy)]) == pytest.approx(
@@ -76,7 +77,7 @@ class TestComposition:
         )
 
     def test_pools_over_pairs(self):
-        ds = make_blobs(2, 2, [1, 1], 10, seed=0)
+        ds = blobs(2, 2, [1, 1], 10, seed=0)
         flags = np.ones(ds.n, dtype=bool)
         flags[:3] = False
         one = ClientChunk(ds, flags, 0)
@@ -91,7 +92,7 @@ class TestComposition:
         assert coreset_composition([]) == 1.0
 
     def test_out_of_range_rejected(self):
-        ds = make_blobs(2, 2, [1, 1], 5, seed=0)
+        ds = blobs(2, 2, [1, 1], 5, seed=0)
         chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
         with pytest.raises(ValueError):
             coreset_composition([(Coreset(np.array([99]), np.ones(1)), chunk)])
@@ -190,12 +191,12 @@ class TestSummary:
 
 class TestFingerprint:
     def test_sensitive_to_any_field(self):
-        ds = make_blobs(2, 2, [1, 1], 10, seed=0)
+        ds = blobs(2, 2, [1, 1], 10, seed=0)
         chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
         base = dataset_fingerprint([chunk], ds, ds)
         flipped = ClientChunk(ds, np.zeros(ds.n, dtype=bool), 0)
         assert dataset_fingerprint([flipped], ds, ds) != base
-        other = make_blobs(2, 2, [1, 1], 10, seed=1)
+        other = blobs(2, 2, [1, 1], 10, seed=1)
         assert dataset_fingerprint([chunk], other, ds) != base
 
     def test_validation_ranges(self):

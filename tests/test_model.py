@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fedcoreset.data import Dataset, make_blobs
+from fedcoreset.data import Dataset
 from fedcoreset.errors import ConfigurationError
 from fedcoreset.model import (
-    ModelSpec,
+    ModelConfig,
     ParamVector,
     init_params,
     labelwise_validation_grads,
@@ -13,9 +13,11 @@ from fedcoreset.model import (
     predict_proba,
     sgd_epochs,
 )
+from worldgen import blobs
 
-SOFTMAX = ModelSpec("softmax_regression", input_dim=10, num_classes=10)
-HIDDEN = ModelSpec("one_hidden", input_dim=10, num_classes=10, hidden_dim=7)
+# (model, input_dim, num_classes), the leading arguments of init_params
+SOFTMAX = (ModelConfig("softmax_regression"), 10, 10)
+HIDDEN = (ModelConfig("one_hidden", hidden_dim=7), 10, 10)
 
 
 def random_dataset(n, dim, num_classes, seed):
@@ -41,45 +43,51 @@ def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarra
 
 class TestInit:
     def test_same_seed_identical(self):
-        a = init_params(SOFTMAX, seed=3)
-        b = init_params(SOFTMAX, seed=3)
+        a = init_params(*SOFTMAX, seed=3)
+        b = init_params(*SOFTMAX, seed=3)
         assert np.array_equal(a.values, b.values)
 
     def test_softmax_param_count(self):
-        p = init_params(SOFTMAX, seed=0)
+        p = init_params(*SOFTMAX, seed=0)
         assert p.values.size == 10 * 11
         assert p.last_layer_slice == (0, 110)
 
     def test_hidden_layout(self):
-        p = init_params(HIDDEN, seed=0)
+        p = init_params(*HIDDEN, seed=0)
         assert p.values.size == 7 * 11 + 10 * 8
         assert p.last_layer_slice == (77, 80)
         assert p.penultimate_width == 7
 
     @pytest.mark.parametrize("spec", [SOFTMAX, HIDDEN])
     def test_biases_zero(self, spec):
-        p = init_params(spec, seed=1)
+        p = init_params(*spec, seed=1)
         for name, _ in p.layout:
             assert np.all(p.block(name)[:, -1] == 0.0)
 
     def test_bad_spec(self):
         with pytest.raises(ConfigurationError):
-            ModelSpec("resnet", 4, 2)
+            ModelConfig("resnet")
         with pytest.raises(ConfigurationError):
-            ModelSpec("one_hidden", 4, 2, hidden_dim=0)
+            ModelConfig("one_hidden", hidden_dim=0)
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ConfigurationError):
+            init_params(ModelConfig("softmax_regression"), 0, 2, seed=0)
+        with pytest.raises(ConfigurationError):
+            init_params(ModelConfig("one_hidden"), 4, 0, seed=0)
 
 
 class TestLoss:
     def test_uniform_predictor_ln_k(self):
         ds = random_dataset(50, 10, 10, seed=0)
-        p = init_params(SOFTMAX, seed=0)
+        p = init_params(*SOFTMAX, seed=0)
         zeros = p.with_values(np.zeros_like(p.values))
         assert loss(zeros, ds) == pytest.approx(np.log(10), abs=1e-12)
 
     def test_large_margin_drives_loss_to_zero(self):
         # logits with margin 20 at the true class
         ds = Dataset(np.eye(4), np.arange(4), 4)
-        p = init_params(ModelSpec("softmax_regression", 4, 4), seed=0)
+        p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
         p = p.with_values(np.zeros_like(p.values))
         ll = p.last_layer()
         ll[:, :4] = 20.0 * np.eye(4)
@@ -87,13 +95,13 @@ class TestLoss:
 
     def test_mean_of_per_sample_losses(self):
         ds = random_dataset(16, 10, 10, seed=1)
-        p = init_params(SOFTMAX, seed=2)
+        p = init_params(*SOFTMAX, seed=2)
         singles = [loss(p, ds.subset([i])) for i in range(ds.n)]
         assert loss(p, ds) == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_empty_dataset_rejected(self):
         ds = random_dataset(4, 10, 10, seed=1)
-        p = init_params(SOFTMAX, seed=0)
+        p = init_params(*SOFTMAX, seed=0)
         with pytest.raises(ValueError):
             loss(p, ds.subset([]))
 
@@ -103,7 +111,7 @@ class TestSoftmax:
     def test_probabilities_normalized(self, spec):
         rng = np.random.default_rng(4)
         ds = random_dataset(64, 10, 10, seed=5)
-        p = init_params(spec, seed=6)
+        p = init_params(*spec, seed=6)
         p.values[:] = rng.normal(scale=3.0, size=p.values.size)
         probs = predict_proba(p, ds.features)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -113,7 +121,7 @@ class TestSoftmax:
 class TestLastLayerGrads:
     def test_near_one_hot_gives_near_zero_grad(self):
         ds = Dataset(np.eye(4)[:1], np.array([0]), 4)
-        p = init_params(ModelSpec("softmax_regression", 4, 4), seed=0)
+        p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
         p.values[:] = 0.0
         p.last_layer()[:, :4] = 50.0 * np.eye(4)
         g = last_layer_grad_stack(p, ds)[0]
@@ -126,7 +134,7 @@ class TestLastLayerGrads:
         rng = np.random.default_rng(7)
         for case in range(10):
             ds = random_dataset(1, 10, 10, seed=100 + case)
-            p = init_params(spec, seed=200 + case)
+            p = init_params(*spec, seed=200 + case)
             p.values[:] = rng.normal(scale=0.5, size=p.values.size)
             analytic = last_layer_grad_stack(p, ds)[0]
             fd = fd_last_layer_grad(p, ds)
@@ -135,7 +143,7 @@ class TestLastLayerGrads:
 
     def test_mean_equals_average_of_per_sample(self):
         ds = random_dataset(12, 10, 10, seed=8)
-        p = init_params(SOFTMAX, seed=9)
+        p = init_params(*SOFTMAX, seed=9)
         # each sample's gradient computed on its own takes another BLAS path,
         # so the batched mean may differ from their average in the last bit
         singles = np.stack([last_layer_grad_stack(p, ds.subset([i]))[0] for i in range(ds.n)])
@@ -144,7 +152,7 @@ class TestLastLayerGrads:
 
     def test_single_sample_mean_is_that_sample(self):
         ds = random_dataset(1, 10, 10, seed=10)
-        p = init_params(SOFTMAX, seed=11)
+        p = init_params(*SOFTMAX, seed=11)
         stack = last_layer_grad_stack(p, ds)
         assert np.array_equal(stack.mean(axis=0), stack[0])
 
@@ -155,7 +163,7 @@ class TestLastLayerGrads:
             np.concatenate([ds.labels, ds.labels]),
             ds.num_classes,
         )
-        p = init_params(SOFTMAX, seed=13)
+        p = init_params(*SOFTMAX, seed=13)
         a = last_layer_grad_stack(p, ds).mean(axis=0)
         b = last_layer_grad_stack(p, doubled).mean(axis=0)
         assert np.allclose(a, b, atol=1e-15)
@@ -165,22 +173,22 @@ class TestLabelwiseGrads:
     def test_single_class_val(self):
         ds = random_dataset(8, 10, 10, seed=14)
         only = Dataset(ds.features, np.full(8, 3), 10)
-        p = init_params(SOFTMAX, seed=15)
+        p = init_params(*SOFTMAX, seed=15)
         rows = labelwise_validation_grads(p, only)
         assert set(rows) == {3}
         assert rows[3].shape == (11,)
 
     def test_total_size_matches_full_broadcast(self):
-        ds = make_blobs(10, 10, np.ones(10), 20, seed=16)
-        p = init_params(SOFTMAX, seed=17)
+        ds = blobs(10, 10, np.ones(10), 20, seed=16)
+        p = init_params(*SOFTMAX, seed=17)
         rows = labelwise_validation_grads(p, ds)
         total = sum(r.size for r in rows.values())
         assert total == 10 * 11
         assert total == last_layer_grad_stack(p, ds)[0].size
 
     def test_row_equals_class_filtered_mean(self):
-        ds = make_blobs(5, 10, np.ones(5), 12, seed=18)
-        p = init_params(ModelSpec("softmax_regression", 10, 5), seed=19)
+        ds = blobs(5, 10, np.ones(5), 12, seed=18)
+        p = init_params(ModelConfig("softmax_regression"), 10, 5, seed=19)
         rows = labelwise_validation_grads(p, ds)
         for c in range(5):
             class_ds = ds.subset(np.flatnonzero(ds.labels == c))
@@ -191,7 +199,7 @@ class TestLabelwiseGrads:
 class TestSgd:
     def test_zero_epochs_identity(self):
         ds = random_dataset(10, 10, 10, seed=20)
-        p = init_params(SOFTMAX, seed=21)
+        p = init_params(*SOFTMAX, seed=21)
         out = sgd_epochs(p, ds, epochs=0, lr=0.1, batch_size=4, seed=0)
         assert np.array_equal(out.values, p.values)
 
@@ -199,14 +207,14 @@ class TestSgd:
         # for softmax regression the whole model is the last layer, so one
         # full-batch step must equal theta - lr * mean last-layer gradient
         ds = random_dataset(20, 10, 10, seed=22)
-        p = init_params(SOFTMAX, seed=23)
+        p = init_params(*SOFTMAX, seed=23)
         out = sgd_epochs(p, ds, epochs=1, lr=0.05, batch_size=ds.n, seed=0)
         expect = p.values - 0.05 * last_layer_grad_stack(p, ds).mean(axis=0).ravel()
         assert np.allclose(out.values, expect, atol=1e-12)
 
     def test_descent_on_blobs(self):
-        ds = make_blobs(3, 4, [0.5, 0.5, 0.5], 30, seed=24)
-        p = init_params(ModelSpec("softmax_regression", 4, 3), seed=25)
+        ds = blobs(3, 4, [0.5, 0.5, 0.5], 30, seed=24)
+        p = init_params(ModelConfig("softmax_regression"), 4, 3, seed=25)
         before = loss(p, ds)
         out = sgd_epochs(p, ds, epochs=200, lr=0.1, batch_size=32, seed=1)
         after = loss(out, ds)
@@ -214,14 +222,14 @@ class TestSgd:
 
     def test_deterministic(self):
         ds = random_dataset(25, 10, 10, seed=26)
-        p = init_params(HIDDEN, seed=27)
+        p = init_params(*HIDDEN, seed=27)
         a = sgd_epochs(p, ds, epochs=3, lr=0.1, batch_size=8, seed=5)
         b = sgd_epochs(p, ds, epochs=3, lr=0.1, batch_size=8, seed=5)
         assert np.array_equal(a.values, b.values)
 
     def test_prox_pulls_toward_anchor(self):
         ds = random_dataset(30, 10, 10, seed=28)
-        p = init_params(SOFTMAX, seed=29)
+        p = init_params(*SOFTMAX, seed=29)
         anchor = p.copy()
         plain = sgd_epochs(p, ds, epochs=5, lr=0.2, batch_size=8, seed=6)
         proxed = sgd_epochs(p, ds, epochs=5, lr=0.2, batch_size=8, seed=6, prox=(10.0, anchor))
@@ -231,13 +239,13 @@ class TestSgd:
 
     def test_empty_dataset_rejected(self):
         ds = random_dataset(4, 10, 10, seed=30)
-        p = init_params(SOFTMAX, seed=31)
+        p = init_params(*SOFTMAX, seed=31)
         with pytest.raises(ValueError):
             sgd_epochs(p, ds.subset([]), epochs=1, lr=0.1, batch_size=4, seed=0)
 
     def test_one_hidden_trains(self):
-        ds = make_blobs(3, 4, [0.5] * 3, 30, seed=32)
-        p = init_params(ModelSpec("one_hidden", 4, 3, hidden_dim=8), seed=33)
+        ds = blobs(3, 4, [0.5] * 3, 30, seed=32)
+        p = init_params(ModelConfig("one_hidden", hidden_dim=8), 4, 3, seed=33)
         out = sgd_epochs(p, ds, epochs=100, lr=0.2, batch_size=16, seed=7)
         assert loss(out, ds) < 0.5 * loss(p, ds)
 
@@ -245,8 +253,8 @@ class TestSgd:
 class TestOptimizerToggles:
     # off by default; each knob must engage and keep descending
     def setup_method(self):
-        self.ds = make_blobs(3, 4, [0.5] * 3, 30, seed=40)
-        self.p = init_params(ModelSpec("softmax_regression", 4, 3), seed=41)
+        self.ds = blobs(3, 4, [0.5] * 3, 30, seed=40)
+        self.p = init_params(ModelConfig("softmax_regression"), 4, 3, seed=41)
 
     def run(self, **kw):
         return sgd_epochs(self.p, self.ds, epochs=20, lr=0.1, batch_size=16, seed=8, **kw)

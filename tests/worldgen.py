@@ -1,18 +1,24 @@
 """Hand-built data worlds with exactly controlled chunk sizes, for tests
-that check counter arithmetic."""
+that check counter arithmetic, and blobs built from loose values."""
 
 import numpy as np
 
-from fedcoreset.data import ClientChunk, make_blobs
+from fedcoreset.data import ClientChunk, DatasetConfig, make_blobs
 from fedcoreset.federation import Prepared
 from fedcoreset.metrics import dataset_fingerprint
+
+
+def blobs(num_blobs, dim, stds, samples_per_blob, seed):
+    """``make_blobs`` of the blob config with these fields."""
+    dc = DatasetConfig(num_blobs=num_blobs, dim=dim, stds=tuple(map(float, stds)), samples_per_blob=samples_per_blob)
+    return make_blobs(dc, seed)
 
 
 def balanced_world(num_clients=10, per_class_per_client=10, dim=6, num_classes=10, seed=0):
     """Prepared world where every client holds exactly
     per_class_per_client samples of every class, plus balanced val/test."""
     per_blob = per_class_per_client * num_clients + 20
-    ds = make_blobs(num_classes, dim, np.ones(num_classes), per_blob, seed=seed)
+    ds = blobs(num_classes, dim, np.ones(num_classes), per_blob, seed=seed)
     rng = np.random.default_rng(seed + 1)
     chunk_idx: list[list[int]] = [[] for _ in range(num_clients)]
     val_idx, test_idx = [], []
