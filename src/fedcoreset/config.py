@@ -18,12 +18,11 @@ consumes them (``DatasetConfig`` and ``NoiseSpec`` in :mod:`.data`,
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .data import DatasetConfig, NoiseSpec
 from .errors import ConfigurationError
@@ -86,11 +85,12 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        # nan and inf pass every range check below, so reject them first
+        # nan and inf pass every range check below, so reject them first;
+        # the nested groups check their own floats when they are built
         for key, (group, name, (parse, _)) in _KEYS.items():
-            if parse in (float, _parse_floats):
-                value = getattr(getattr(self, group) if group else self, name)
-                if not np.all(np.isfinite(value)):
+            if group is None and parse is float:
+                value = getattr(self, name)
+                if not math.isfinite(value):
                     raise ConfigurationError(f"{key} must be finite, got {value}")
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1")

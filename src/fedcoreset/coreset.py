@@ -184,7 +184,11 @@ def labelwise_omp_select(
 
     The budget splits as floor(budget/|shared|) per class with the
     remainder allotted to the largest classes; classes the server did not
-    broadcast are skipped and their share flows back into the split.
+    broadcast are skipped and their share flows back into the split.  The
+    indices, weights and ``residual_norms`` of the per-class selections are
+    concatenated in class order (classes with a zero share contribute
+    nothing), so ``residual_norms`` holds each class's residual trace in
+    turn.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -200,6 +204,7 @@ def labelwise_omp_select(
 
     all_idx: list[np.ndarray] = []
     all_w: list[np.ndarray] = []
+    norms: list[float] = []
     for c in shared:
         if shares[c] == 0:
             continue
@@ -215,10 +220,11 @@ def labelwise_omp_select(
         idx = local[sub.indices]
         all_idx.append(idx)
         all_w.append(sub.weights)
+        norms.extend(sub.residual_norms)
 
     indices = np.concatenate(all_idx) if all_idx else np.empty(0, dtype=np.int64)
     weights = np.concatenate(all_w) if all_w else np.empty(0)
-    return Coreset(indices, weights)
+    return Coreset(indices, weights, residual_norms=tuple(norms))
 
 
 def random_select(chunk: ClientChunk, budget: int, seed: int) -> Coreset:

@@ -157,6 +157,9 @@ class DatasetConfig:
                 "dataset.stds must have one entry per blob "
                 f"({len(self.stds)} given for {self.num_blobs} blobs)"
             )
+        # nan and inf pass the sign check, so reject them first
+        if not all(math.isfinite(std) for std in self.stds):
+            raise ConfigurationError(f"dataset.stds must be finite, got {self.stds}")
         if any(std < 0 for std in self.stds):
             raise ConfigurationError("dataset.stds must be non-negative")
 
@@ -180,6 +183,8 @@ class NoiseSpec:
             )
         if not 0.0 <= self.ratio <= 1.0:
             raise ConfigurationError(f"noise.ratio must be in [0, 1], got {self.ratio}")
+        if not math.isfinite(self.severity):
+            raise ConfigurationError(f"noise.severity must be finite, got {self.severity}")
         if self.severity < 0.0:
             raise ConfigurationError(
                 f"noise.severity must be non-negative, got {self.severity}"

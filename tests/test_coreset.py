@@ -14,7 +14,7 @@ from fedcoreset.coreset import (
 )
 from fedcoreset.data import ClientChunk, Dataset, NoiseSpec, inject_closed_set
 from fedcoreset.errors import ConfigurationError
-from fedcoreset.model import ModelConfig, init_params
+from fedcoreset.model import ModelConfig, init_params, last_layer_grad_stack
 from worldgen import blobs
 
 
@@ -290,6 +290,20 @@ class TestLabelwise:
         assert cs.size <= 13
         # selections land inside their own class: one block per class, in order
         assert np.all(np.diff(labels) >= 0)
+
+    def test_residual_norms_are_the_per_class_traces_in_class_order(self):
+        # budget 13 over 5 classes: class 0..2 get 3, classes 3, 4 get 2
+        cs = labelwise_omp_select(self.chunk, self.params, self.rows(), budget=13,
+                                  lam=0.5)
+        stack = last_layer_grad_stack(self.params, self.ds)
+        labels = self.ds.labels
+        expected = []
+        for c, share in enumerate([3, 3, 3, 2, 2]):
+            local = np.flatnonzero(labels == c)
+            sub = omp_select(stack[local, c, :], self.rows()[c], share, lam=0.5)
+            expected.extend(sub.residual_norms)
+        assert cs.residual_norms == tuple(expected)
+        assert len(cs.residual_norms) == cs.size  # one pick per re-solve
 
 
 class TestRandomSelect:

@@ -70,6 +70,17 @@ class TestMakeBlobs:
             DatasetConfig(kind="csv", csv_path="data.csv", num_blobs=0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_config_groups_reject_non_finite_when_built(bad):
+    # built directly, without an ExperimentConfig around them
+    with pytest.raises(ConfigurationError, match=r"^dataset\.stds must be finite"):
+        DatasetConfig(num_blobs=2, stds=(bad, 1.0))
+    with pytest.raises(ConfigurationError, match=r"^noise\.severity must be finite"):
+        NoiseSpec("attribute", 0.3, bad)
+    with pytest.raises(ConfigurationError, match=r"^noise\.ratio must be in \[0, 1\]"):
+        NoiseSpec("attribute", bad, 1.0)
+
+
 class TestSplit:
     def test_zero_fractions_identity(self):
         ds = blobs(3, 2, [1, 1, 1], 20, seed=0)

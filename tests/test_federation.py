@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fedcoreset.federation as federation
 from fedcoreset.config import DatasetConfig, ExperimentConfig, ModelConfig
@@ -23,6 +24,7 @@ from fedcoreset.federation import (
 )
 from fedcoreset.model import (
     ARCHS,
+    ParamVector,
     init_params,
     last_layer_grad_stack,
     loss,
@@ -148,6 +150,78 @@ class TestAggregate:
         params = self.make_params([1.0, 2.0])
         with pytest.raises(ValueError):
             aggregate(params, [params.with_values(np.zeros(3))], 1.0)
+
+
+# few distinct values, so leading columns tie often; includes the floats
+# whose comparisons are special: signed zeros, infinities and NaN
+ORDER_POOL = (0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def delta_stacks(draw):
+    """m x P stacks whose first ``lead`` columns come from ORDER_POOL and the
+    rest from all floats, NaN and infinities included."""
+    m = draw(st.integers(1, 100))
+    p = draw(st.integers(1, 9))
+    lead = draw(st.integers(0, p))
+    pooled = draw(hnp.arrays(np.float64, (m, lead), elements=st.sampled_from(ORDER_POOL)))
+    free = draw(hnp.arrays(np.float64, (m, p - lead), elements=st.floats() | st.sampled_from(ORDER_POOL)))
+    return np.hstack([pooled, free])
+
+
+class TestCanonicalOrder:
+    """aggregate's order must be exactly np.lexsort over all P columns, so
+    its mean is bitwise that of the full-lexsort reference."""
+
+    @staticmethod
+    def check(stack):
+        params = ParamVector(np.zeros(stack.shape[1]), (("out", (1, stack.shape[1])),))
+        deltas = [params.with_values(row) for row in stack]
+        full = np.lexsort(stack.T[::-1])
+        assert np.array_equal(federation._canonical_order(list(stack)), full)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge sums
+            reference = params.values + 0.5 * stack[full].mean(axis=0)
+            out = aggregate(params, deltas, 0.5).values
+        assert out.tobytes() == reference.tobytes()
+
+    @given(stack=delta_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_lexsort(self, stack):
+        self.check(stack)
+
+    def test_all_zero_leading_column(self):
+        # a constant input feature leaves column 0 of every delta at 0.0
+        rng = np.random.default_rng(0)
+        stack = rng.normal(size=(10, 6))
+        stack[:, 0] = 0.0
+        stack[::2, 0] = -0.0
+        self.check(stack)
+
+    def test_ties_broken_at_column_two_or_later(self):
+        rng = np.random.default_rng(1)
+        for col in (2, 3, 5):
+            stack = rng.normal(size=(12, 7))
+            stack[:, :col] = rng.choice([0.0, 1.0], size=(12, 1))
+            self.check(stack)
+
+    def test_rows_identical_in_every_column(self):
+        rng = np.random.default_rng(2)
+        stack = rng.normal(size=(8, 5))
+        stack[5] = stack[1]
+        self.check(stack)
+        stack[:] = stack[1]
+        self.check(stack)
+
+    def test_distinct_leading_column_skips_lexsort(self, monkeypatch):
+        stack = np.random.default_rng(3).normal(size=(10, 3914))
+
+        def full_sort(keys):
+            raise AssertionError("lexsort ran on a stack with a distinct column 0")
+
+        monkeypatch.setattr(np, "lexsort", full_sort)
+        assert np.array_equal(
+            federation._canonical_order(list(stack)), np.argsort(stack[:, 0], kind="stable")
+        )
 
 
 class TestRunRound:
