@@ -223,6 +223,21 @@ class TestCanonicalOrder:
             federation._canonical_order(list(stack)), np.argsort(stack[:, 0], kind="stable")
         )
 
+    def test_tie_takes_one_full_lexsort(self, monkeypatch):
+        # all-zero deltas (local_epochs = 0) tie in every column: one
+        # lexsort over all P keys, as aggregate ran before the argsort path
+        stack = np.zeros((10, 3914))
+        widths = []
+        full_sort = np.lexsort
+
+        def counting_sort(keys):
+            widths.append(len(keys))
+            return full_sort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting_sort)
+        assert np.array_equal(federation._canonical_order(list(stack)), np.arange(10))
+        assert widths == [3914]
+
 
 class TestRunRound:
     def test_oversampling_rejected(self):
