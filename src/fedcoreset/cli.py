@@ -2,6 +2,7 @@
 
     fedcoreset run --config exp.ini [--dry-run] [--out DIR] [--seed N] [--key value ...]
     fedcoreset sweep --config exp.ini --param noise.ratio --values 0,0.2,0.4 [...]
+    fedcoreset sweep --config exp.ini --param seed --values 0,1,2,3,4 [...]
 
 Any config key can be overridden with ``--<key> <value>``, using dots for
 the nested groups (``--noise.ratio 0.4``, ``--dataset.dim 20``).  The
@@ -17,7 +18,9 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
+from statistics import fmean, pstdev
 
 from .config import (
     SWEEPABLE,
@@ -33,6 +36,8 @@ from .federation import compute_cost_ratio, prepare_experiment, run_training
 from .metrics import RunManifest, write_round_log, write_summary
 
 OUT_ENV_VAR = "FEDCORESET_OUT"
+# per-arm values of a summary.json that sweep.json records and compares
+POINT_METRICS = ("final_accuracy", "final_clean_fraction")
 
 
 def _version() -> str:
@@ -53,10 +58,9 @@ def _build_manifest(cfg: ExperimentConfig, fingerprint: str) -> RunManifest:
 def run(cfg: ExperimentConfig) -> int:
     """Execute every arm on one shared data realization; write per-arm
     round logs and a single summary.json under cfg.output_dir."""
+    prepared = prepare_experiment(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    prepared = prepare_experiment(cfg)
     manifest = _build_manifest(cfg, prepared.fingerprint)
 
     arms_summary: dict[str, dict] = {}
@@ -67,21 +71,58 @@ def run(cfg: ExperimentConfig) -> int:
         entry = {"final_accuracy": result.final_accuracy}
         if result.fine_tuned_accuracy is not None:
             entry["fine_tuned_accuracy"] = result.fine_tuned_accuracy
+        clean = result.rounds[-1].coreset_clean_fraction if result.rounds else None
+        if clean is not None:
+            entry["final_clean_fraction"] = clean
         arms_summary[algo.label] = entry
         ledgers[algo.label] = result.ledger
 
     comparisons: dict[str, float] = {}
-    if "gcfl" in ledgers and "fedavg" in ledgers and cfg.rounds > 0:
+    # the ratio is undefined when fedavg made no SGD visits (no rounds, or E = 0)
+    fedavg = ledgers.get("fedavg")
+    if "gcfl" in ledgers and fedavg is not None and fedavg.sgd_sample_visits > 0:
         comparisons["compute_cost_ratio_gcfl_vs_fedavg"] = compute_cost_ratio(
-            ledgers["gcfl"], ledgers["fedavg"]
+            ledgers["gcfl"], fedavg
         )
     write_summary(str(out / "summary.json"), manifest, arms_summary, comparisons)
     return 0
 
 
+def _spread(values: list[float]) -> dict[str, float]:
+    return {"mean": fmean(values), "std": pstdev(values), "min": min(values), "max": max(values)}
+
+
+def _over_points(records: list[dict], labels: list[str]) -> dict:
+    """Per arm, the spread of each point metric over the sweep points; per
+    pair of arms (later minus earlier in run order), the spread of the
+    paired gap and ``wins``, the number of points where the gap is > 0."""
+    series = {
+        label: {
+            metric: [rec[metric][label] for rec in records]
+            for metric in POINT_METRICS
+            if all(label in rec[metric] for rec in records)
+        }
+        for label in labels
+    }
+    pairs = {}
+    for early, late in combinations(labels, 2):
+        gaps = {}
+        for metric in POINT_METRICS:
+            if metric in series[early] and metric in series[late]:
+                gap = [b - a for a, b in zip(series[early][metric], series[late][metric])]
+                gaps[metric] = {**_spread(gap), "wins": sum(g > 0 for g in gap)}
+        pairs[f"{late} - {early}"] = gaps
+    arms = {
+        label: {metric: _spread(values) for metric, values in by_metric.items()}
+        for label, by_metric in series.items()
+    }
+    return {"arms": arms, "pairs": pairs}
+
+
 def sweep(cfg: ExperimentConfig, spec: SweepSpec) -> int:
-    """Run once per sweep value in a value-derived subdirectory and emit a
-    combined JSON of final accuracies per (arm, value).
+    """Run once per sweep value in a value-derived subdirectory and write
+    sweep.json: per point, each arm's final accuracy and clean fraction;
+    over the points, their spread and the paired gaps between arms.
 
     Every point's config is built and its data world prepared before the
     first run, so a value that is invalid against the base config, or whose
@@ -100,22 +141,21 @@ def sweep(cfg: ExperimentConfig, spec: SweepSpec) -> int:
 
     records = []
     for value, point_cfg in points:
-        code = run(point_cfg)
-        if code != 0:
-            return code
+        run(point_cfg)
         with open(Path(point_cfg.output_dir) / "summary.json", encoding="utf-8") as fh:
             summary = json.load(fh)
-        records.append(
-            {
-                "value": value,
-                "final_accuracy": {
-                    arm: entry["final_accuracy"] for arm, entry in summary["arms"].items()
-                },
-                "comparisons": summary["comparisons"],
+        record = {"value": value, "comparisons": summary["comparisons"]}
+        for metric in POINT_METRICS:
+            record[metric] = {
+                arm: entry[metric] for arm, entry in summary["arms"].items() if metric in entry
             }
-        )
+        records.append(record)
 
-    combined = {"parameter": spec.parameter, "results": records}
+    combined = {
+        "parameter": spec.parameter,
+        "results": records,
+        "over_points": _over_points(records, [algo.label for algo in cfg.arms]),
+    }
     with open(base_out / "sweep.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(combined, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -47,6 +47,7 @@ SWEEPABLE = (
     "dirichlet_alpha",
     "refresh_period",
     "num_clients",
+    "seed",
 )
 
 
@@ -129,6 +130,8 @@ class ExperimentConfig:
             raise ConfigurationError("fine_tune_epochs must be >= 0")
         if self.fine_tune_lr < 0:
             raise ConfigurationError("fine_tune_lr must be non-negative")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
 
 def _parse_bool(text: str) -> bool:
@@ -265,8 +268,11 @@ def apply_override(cfg: ExperimentConfig, key: str, text: str) -> ExperimentConf
 
 def sweep_value_text(value: float) -> str:
     """The text a sweep point is set from and its directory is named by:
-    ``%g`` when that reads back as the value (``4``, ``0.2``), else the
-    shortest text that does (``0.1234567``)."""
+    the integer text of an integral value (``4``, ``12345678``, so integer
+    keys such as ``seed`` parse it), else ``%g`` when that reads back as
+    the value (``0.2``), else the shortest text that does (``0.1234567``)."""
+    if float(value).is_integer():
+        return str(int(value))
     text = format(value, "g")
     return text if float(text) == value else repr(float(value))
 

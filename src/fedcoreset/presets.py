@@ -1,12 +1,16 @@
 """Canned experiment configurations.
 
-``blob_benchmark_config`` is the blob benchmark the acceptance suite and the
-bundled scripts run: ten Gaussian blobs in R^10 with standard deviations
+``blob_benchmark_config`` is the blob benchmark the acceptance suite and
+``perfbench`` run: ten Gaussian blobs in R^10 with standard deviations
 spanning 1 to 8, a 15% test split, ten clients under a Dirichlet(0.4)
 partition, 40% closed-set label flips, softmax regression, T=100 rounds
 with m=N, E=1, a 10% coreset budget and K=10 refresh period.  The learning
 rates (local 0.3, global 1.0) were calibrated once with a 20-seed pilot
-(scripts/calibrate_margins.py) and frozen.
+and frozen.  On the command line it is the default config with the flags
+``--local_lr 0.3 --global_lr 1.0 --noise.kind closed_set --noise.ratio 0.4
+--arms fedavg,gcfl,skyline,random``; the pilot is ``fedcoreset sweep
+--param seed --values $(seq -s, 0 19)`` with those flags (README,
+"Experiments").
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.  The empirical margins (0.05 accuracy, 0.10 clean
-fraction) were frozen after a 20-seed calibration pilot
-(scripts/calibrate_margins.py); the learning rates of the blob benchmark
-live in fedcoreset.presets.
+fraction) were frozen after a 20-seed calibration pilot, ``fedcoreset sweep
+--param seed --values $(seq -s, 0 19)`` on the blob benchmark flags (README,
+"Experiments"); the learning rates of the blob benchmark live in
+fedcoreset.presets.
 """
 
 from itertools import combinations

@@ -1,8 +1,5 @@
 import json
-import os
 import re
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,9 +19,9 @@ from fedcoreset.config import (
 )
 from fedcoreset.data import Dataset, NoiseSpec, save_dataset_csv
 from fedcoreset.errors import ConfigurationError
+from fedcoreset.presets import blob_benchmark_config
 
 GOLDEN = Path(__file__).parent / "golden"
-ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """
 [experiment]
@@ -254,6 +251,24 @@ def test_negative_std_rejected_before_dry_run_echo(capsys):
     assert capsys.readouterr() == ("", "error: dataset.stds must be non-negative\n")
 
 
+def test_negative_seed_rejected_before_dry_run_echo(capsys):
+    assert main(["run", "--dry-run", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be non-negative\n")
+
+
+# the README's blob benchmark command: these flags on the default config
+BLOB_FLAGS = ["--local_lr", "0.3", "--global_lr", "1.0", "--noise.kind", "closed_set",
+              "--noise.ratio", "0.4", "--arms", "fedavg,gcfl,skyline,random"]
+
+
+def test_blob_flags_give_the_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FEDCORESET_OUT", raising=False)
+    out = str(tmp_path / "blob")
+    assert main(["run", "--dry-run", *BLOB_FLAGS, "--out", out]) == 0
+    preset = config_to_dict(blob_benchmark_config(output_dir=out))
+    assert capsys.readouterr().out == json.dumps(preset, indent=2, sort_keys=True) + "\n"
+
+
 class TestApplyOverride:
     def test_nested_and_flat(self):
         cfg = parse_config(MINIMAL)
@@ -288,7 +303,7 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize(
         "value,text",
-        [(4.0, "4"), (20.0, "20"), (0.2, "0.2"), (1e-05, "1e-05"),
+        [(4.0, "4"), (20.0, "20"), (12345678.0, "12345678"), (0.2, "0.2"), (1e-05, "1e-05"),
          (0.1234567, "0.1234567"), (1 / 3, "0.3333333333333333")],
     )
     def test_point_text_reads_back_as_the_value(self, value, text):
@@ -391,6 +406,33 @@ class TestCliRun:
         assert json.dumps(payload["manifest"]["config"], sort_keys=True) == json.dumps(
             config_to_dict(cfg), sort_keys=True
         )
+
+    def run_summary(self, tmp_path, *flags):
+        out = tmp_path / "results"
+        assert main(["run", "--config", self.write_cfg(tmp_path), "--out", str(out), *flags]) == 0
+        return out, json.loads((out / "summary.json").read_text(encoding="utf-8"))
+
+    def test_coreset_arms_record_final_clean_fraction(self, tmp_path):
+        out, summary = self.run_summary(tmp_path, "--arms", "fedavg,gcfl,random")
+        assert "final_clean_fraction" not in summary["arms"]["fedavg"]
+        for arm in ("gcfl", "random"):
+            last = (out / f"{arm}.csv").read_text(encoding="utf-8").splitlines()[-1]
+            frac = summary["arms"][arm]["final_clean_fraction"]
+            assert format(frac, ".9g") == last.split(",")[3]
+
+    def test_no_rounds_omits_final_clean_fraction(self, tmp_path):
+        _, summary = self.run_summary(tmp_path, "--rounds", "0")
+        assert all("final_clean_fraction" not in entry for entry in summary["arms"].values())
+        assert summary["comparisons"] == {}
+
+    def test_zero_local_epochs_runs_to_a_summary_without_cost_ratio(self, tmp_path):
+        # fedavg makes no SGD visits, so the compute ratio is undefined
+        out, summary = self.run_summary(
+            tmp_path, "--arms", "gcfl,fedavg", "--local_epochs", "0"
+        )
+        assert sorted(summary["arms"]) == ["fedavg", "gcfl"]
+        assert summary["comparisons"] == {}
+        assert (out / "fedavg.csv").exists()
 
     def test_summary_reproducible_from_manifest(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
@@ -504,7 +546,7 @@ class TestPreflight:
         code = main(["run", "--config", PREFLIGHT_RUN, "--out", str(out), *flags])
         assert code == 1
         assert key in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_csv_client_sharing_no_class_with_val(self, tmp_path, capsys):
         # class 1 has too few samples for a validation share, and at seed 13
@@ -522,7 +564,7 @@ class TestPreflight:
         assert code == 1
         err = capsys.readouterr().err
         assert "shares no class" in err and "val_frac" in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     def test_gcfl_without_rounds_needs_no_validation_set(self, tmp_path):
         out = tmp_path / "results"
@@ -654,17 +696,58 @@ class TestCliSweep:
         assert value == config["num_clients"] == 4
         assert name == "num_clients=4"
 
-    def test_noise_sweep_script_names_the_flag(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        out = tmp_path / "sweepout"
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_noise_sweep.py"),
-             "--values", "0,x", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
+    def test_large_seed_keeps_integer_text(self, tmp_path):
+        # %g would give 1.23457e+07, which no int key parses
+        value, config, name = self.sweep_one(tmp_path, "seed", "12345678")
+        assert value == config["seed"] == 12345678
+        assert name == "seed=12345678"
+
+    def seed_sweep(self, tmp_path, values):
+        out = tmp_path / "seeds"
+        code = main(["sweep", "--config", SMALL_RUN, "--out", str(out), "--arms",
+                     "fedavg,gcfl,random", "--param", "seed", f"--values={values}"])
+        return code, out
+
+    def test_seed_points_equal_single_runs(self, tmp_path):
+        code, out = self.seed_sweep(tmp_path, "0,7")
+        assert code == 0
+        for seed in (0, 7):
+            single = tmp_path / f"single{seed}"
+            assert main(["run", "--config", SMALL_RUN, "--out", str(single), "--arms",
+                         "fedavg,gcfl,random", "--seed", str(seed)]) == 0
+            for name in ("fedavg.csv", "gcfl.csv", "random.csv"):
+                assert (out / f"seed={seed}" / name).read_bytes() == (single / name).read_bytes()
+
+    def test_statistics_over_points(self, tmp_path):
+        code, out = self.seed_sweep(tmp_path, "0,1,2")
+        assert code == 0
+        payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        records = payload["results"]
+        assert [rec["value"] for rec in records] == [0, 1, 2]
+        for rec in records:
+            assert sorted(rec["final_clean_fraction"]) == ["gcfl", "random"]
+        stats = payload["over_points"]
+        assert sorted(stats["arms"]["fedavg"]) == ["final_accuracy"]
+        assert sorted(stats["arms"]["gcfl"]) == ["final_accuracy", "final_clean_fraction"]
+        assert sorted(stats["pairs"]) == ["gcfl - fedavg", "random - fedavg", "random - gcfl"]
+        assert sorted(stats["pairs"]["random - gcfl"]) == [
+            "final_accuracy", "final_clean_fraction"
+        ]
+        acc = np.array([[rec["final_accuracy"][a] for a in ("fedavg", "gcfl")] for rec in records])
+        assert stats["arms"]["gcfl"]["final_accuracy"] == pytest.approx(
+            {"mean": acc[:, 1].mean(), "std": acc[:, 1].std(),
+             "min": acc[:, 1].min(), "max": acc[:, 1].max()}, abs=1e-12
         )
-        assert proc.returncode == 1
-        assert proc.stderr == "error: --values: 'x' is not a number\n"
+        gap = acc[:, 1] - acc[:, 0]
+        assert stats["pairs"]["gcfl - fedavg"]["final_accuracy"] == pytest.approx(
+            {"mean": gap.mean(), "std": gap.std(), "min": gap.min(), "max": gap.max(),
+             "wins": int((gap > 0).sum())}, abs=1e-12
+        )
+
+    def test_negative_seed_fails_before_any_point_runs(self, tmp_path, capsys):
+        code, out = self.seed_sweep(tmp_path, "-1,0")
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
         assert not out.exists()
 
     def test_arm_isolation_same_fingerprint(self, tmp_path):

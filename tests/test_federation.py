@@ -143,8 +143,8 @@ class TestAggregate:
         assert np.array_equal(out1.values, out2.values)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate(self.make_params([0.0]), [], 1.0)
+        with pytest.raises(ValueError, match="at least one delta"):
+            aggregate(self.make_params([0.0, 0.0]), [], 1.0)
 
     def test_length_mismatch_rejected(self):
         params = self.make_params([1.0, 2.0])
