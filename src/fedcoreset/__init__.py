@@ -12,7 +12,6 @@ from .config import (
     DatasetConfig,
     ExperimentConfig,
     ModelConfig,
-    SweepSpec,
     parse_config,
 )
 from .coreset import (

@@ -1,11 +1,12 @@
 """Experiment runner CLI.
 
-    fedcoreset run --config exp.ini [--dry-run] [--out DIR] [--seed N] [--key value ...]
+    fedcoreset run --config exp.ini [--dry-run] [--out DIR] [--key value ...]
     fedcoreset sweep --config exp.ini --param noise.ratio --values 0,0.2,0.4 [...]
     fedcoreset sweep --config exp.ini --param seed --values 0,1,2,3,4 [...]
 
 Any config key can be overridden with ``--<key> <value>``, using dots for
-the nested groups (``--noise.ratio 0.4``, ``--dataset.dim 20``).  The
+the nested groups (``--noise.ratio 0.4``, ``--dataset.dim 20``, ``--seed 7``).
+Each ``--values`` entry of a sweep is applied as ``--<param> <entry>`` is.  The
 ``FEDCORESET_OUT`` environment variable overrides the configured output
 directory; an explicit ``--out`` wins over both.  Every arm of a run sees
 the same realized dataset, partition and noise, so arms are paired.
@@ -17,7 +18,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 from statistics import fmean, pstdev
@@ -25,11 +28,9 @@ from statistics import fmean, pstdev
 from .config import (
     SWEEPABLE,
     ExperimentConfig,
-    SweepSpec,
     apply_override,
     config_to_dict,
     parse_config,
-    sweep_value_text,
 )
 from .errors import ConfigurationError
 from .federation import compute_cost_ratio, prepare_experiment, run_training
@@ -119,24 +120,31 @@ def _over_points(records: list[dict], labels: list[str]) -> dict:
     return {"arms": arms, "pairs": pairs}
 
 
-def sweep(cfg: ExperimentConfig, spec: SweepSpec) -> int:
-    """Run once per sweep value in a value-derived subdirectory and write
-    sweep.json: per point, each arm's final accuracy and clean fraction;
-    over the points, their spread and the paired gaps between arms.
+def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
+    """Run once per entry, set as ``--<param> <entry>`` sets it, in the
+    subdirectory ``<param>=<entry>`` and write sweep.json: per point, the
+    value that ran and each arm's final accuracy and clean fraction; over
+    the points, their spread and the paired gaps between arms.
 
     Every point's config is built and its data world prepared before the
-    first run, so a value that is invalid against the base config, or whose
-    realized world fails the pre-flight checks, fails before anything is
-    written.
+    first run, so an unknown parameter, no entry, two entries parsing to
+    equal values, a value that is invalid against the base config, or one
+    whose realized world fails the pre-flight checks, fails before anything
+    is written.  Blank entries are skipped.
     """
+    if param not in SWEEPABLE:
+        raise ConfigurationError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
     base_out = Path(cfg.output_dir)
     points = []
-    for value in spec.values:
-        text = sweep_value_text(value)
-        point_cfg = apply_override(cfg, spec.parameter, text)
+    for text in filter(None, map(str.strip, entries)):
+        point_cfg = apply_override(cfg, param, text)
+        value = reduce(getattr, param.split("."), point_cfg)
+        if any(value == seen for seen, _ in points):
+            raise ConfigurationError(f"sweep value {value} is repeated")
         prepare_experiment(point_cfg)
-        point_out = str(base_out / f"{spec.parameter}={text}")
-        points.append((value, replace(point_cfg, output_dir=point_out)))
+        points.append((value, replace(point_cfg, output_dir=str(base_out / f"{param}={text}"))))
+    if not points:
+        raise ConfigurationError("sweep needs at least one --values entry")
     base_out.mkdir(parents=True, exist_ok=True)
 
     records = []
@@ -152,7 +160,7 @@ def sweep(cfg: ExperimentConfig, spec: SweepSpec) -> int:
         records.append(record)
 
     combined = {
-        "parameter": spec.parameter,
+        "parameter": param,
         "results": records,
         "over_points": _over_points(records, [algo.label for algo in cfg.arms]),
     }
@@ -173,10 +181,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=False, help="INI config file path")
         p.add_argument("--dry-run", action="store_true", help="print resolved config and exit")
         p.add_argument("--out", help="output directory (overrides config and env)")
-        p.add_argument("--seed", type=int, help="master seed override")
         if name == "sweep":
-            p.add_argument("--param", required=True, choices=SWEEPABLE)
-            p.add_argument("--values", required=True, help="comma-separated values")
+            # --values is read with the --key value pairs, which take the
+            # next token verbatim, so a list may start with a minus sign
+            p.add_argument("--param", required=True, help=f"one of {', '.join(SWEEPABLE)}")
     return parser
 
 
@@ -200,21 +208,8 @@ def _collect_overrides(extra: list[str]) -> dict[str, str]:
     return overrides
 
 
-def parse_sweep_values(text: str) -> tuple[float, ...]:
-    values = []
-    for tok in filter(str.strip, text.split(",")):
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ConfigurationError(f"--values: {tok.strip()!r} is not a number") from None
-    return tuple(values)
-
-
-def _resolve_config(args: argparse.Namespace, extra: list[str]) -> ExperimentConfig:
-    overrides = _collect_overrides(extra)
-    # precedence, lowest first: config file, --key flags, --seed, env var, --out
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
+def _resolve_config(args: argparse.Namespace, overrides: dict[str, str]) -> ExperimentConfig:
+    # precedence, lowest first: config file, --key flags, env var, --out
     env_out = os.environ.get(OUT_ENV_VAR)
     if env_out:
         overrides["output_dir"] = env_out
@@ -227,13 +222,16 @@ def _resolve_config(args: argparse.Namespace, extra: list[str]) -> ExperimentCon
 def main(argv: list[str] | None = None) -> int:
     args, extra = _parser().parse_known_args(argv)
     try:
-        cfg = _resolve_config(args, extra)
+        overrides = _collect_overrides(extra)
+        # left in the overrides under run, --values fails as an unknown key
+        entries = overrides.pop("values", "") if args.command == "sweep" else ""
+        cfg = _resolve_config(args, overrides)
         if args.dry_run:
             print(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
             return 0
         if args.command == "run":
             return run(cfg)
-        return sweep(cfg, SweepSpec(args.param, parse_sweep_values(args.values)))
+        return sweep(cfg, args.param, entries.split(","))
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

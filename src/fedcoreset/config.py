@@ -33,12 +33,10 @@ __all__ = [
     "DatasetConfig",
     "ModelConfig",
     "ExperimentConfig",
-    "SweepSpec",
     "SWEEPABLE",
     "parse_config",
     "config_to_dict",
     "apply_override",
-    "sweep_value_text",
 ]
 
 SWEEPABLE = (
@@ -118,6 +116,11 @@ class ExperimentConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if not self.arms:
             raise ConfigurationError("at least one algorithm arm is required")
+        # each arm writes its round log and summary entry under its label
+        labels = [algo.label for algo in self.arms]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigurationError(f"arms: {label} is listed more than once")
         if self.val_frac < 0 or self.test_frac < 0 or self.val_frac + self.test_frac >= 1:
             raise ConfigurationError("val_frac and test_frac must be >= 0 and sum below 1")
         if self.per_iteration_picks < 1:
@@ -229,10 +232,10 @@ def parse_config(
     type mismatch, or violated invariant."""
     import configparser
 
+    # inline text has a section header or several lines; a path may hold
+    # "=", as every sweep point directory does
     looks_like_path = isinstance(source, Path) or (
-        "\n" not in str(source)
-        and "=" not in str(source)
-        and not str(source).lstrip().startswith("[")
+        "\n" not in str(source) and not str(source).lstrip().startswith("[")
     )
     if isinstance(source, Path) or os.path.exists(str(source)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -264,35 +267,3 @@ def parse_config(
 def apply_override(cfg: ExperimentConfig, key: str, text: str) -> ExperimentConfig:
     """Return a new config with one dotted key overridden from text."""
     return _set(cfg, [(key, text)])
-
-
-def sweep_value_text(value: float) -> str:
-    """The text a sweep point is set from and its directory is named by:
-    the integer text of an integral value (``4``, ``12345678``, so integer
-    keys such as ``seed`` parse it), else ``%g`` when that reads back as
-    the value (``0.2``), else the shortest text that does (``0.1234567``)."""
-    if float(value).is_integer():
-        return str(int(value))
-    text = format(value, "g")
-    return text if float(text) == value else repr(float(value))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-parameter sweep over explicit values."""
-
-    parameter: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.parameter not in SWEEPABLE:
-            raise ConfigurationError(
-                f"sweep parameter must be one of {SWEEPABLE}, got {self.parameter!r}"
-            )
-        if not self.values:
-            raise ConfigurationError("sweep values list is empty")
-        # each point runs in a directory named by its value's text
-        texts = [sweep_value_text(value) for value in self.values]
-        for text in texts:
-            if texts.count(text) > 1:
-                raise ConfigurationError(f"sweep value {text} is repeated")

@@ -58,7 +58,7 @@ class ParamVector:
 
     ``layout`` lists ``(name, (rows, cols))`` blocks in storage order; each
     block reshapes to ``[rows, cols]`` with the bias in the final column.
-    The output block is the last one.
+    The output block is the last one; a ``hidden`` block, if any, is first.
     """
 
     values: np.ndarray
@@ -89,14 +89,6 @@ class ParamVector:
         rows, cols = self.layout[-1][1]
         return self.values[off : off + length].reshape(rows, cols)
 
-    @property
-    def num_classes(self) -> int:
-        return self.layout[-1][1][0]
-
-    @property
-    def penultimate_width(self) -> int:
-        return self.layout[-1][1][1] - 1
-
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
 
@@ -126,8 +118,7 @@ def init_params(model: ModelConfig, input_dim: int, num_classes: int, seed: int)
 
 
 def _penultimate(params: ParamVector, x: np.ndarray) -> np.ndarray:
-    names = [name for name, _ in params.layout]
-    if "hidden" in names:
+    if params.layout[0][0] == "hidden":
         w1 = params.block("hidden")
         return np.tanh(x @ w1[:, :-1].T + w1[:, -1])
     return x
@@ -211,8 +202,7 @@ def _full_grad(
 
     act1 = np.concatenate([act, np.ones((n, 1))], axis=1)
     g_out = delta.T @ act1
-    names = [name for name, _ in params.layout]
-    if "hidden" in names:
+    if params.layout[0][0] == "hidden":
         w_out = params.last_layer()
         d_act = delta @ w_out[:, :-1]
         d_z1 = d_act * (1.0 - act * act)

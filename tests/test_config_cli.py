@@ -6,16 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcoreset.cli import main
+from fedcoreset.cli import main, sweep
 from fedcoreset.config import (
     DatasetConfig,
     ExperimentConfig,
     ModelConfig,
-    SweepSpec,
     apply_override,
     config_to_dict,
     parse_config,
-    sweep_value_text,
 )
 from fedcoreset.data import Dataset, NoiseSpec, save_dataset_csv
 from fedcoreset.errors import ConfigurationError
@@ -100,6 +98,9 @@ class TestParseConfig:
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             parse_config(str(tmp_path / "nope.ini"))
+        # a sweep point directory: a path with "=" is still a path
+        with pytest.raises(ConfigurationError, match="not found"):
+            parse_config(str(tmp_path / "noise.ratio=0.2" / "exp.ini"))
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError, match="warp_speed"):
@@ -256,6 +257,22 @@ def test_negative_seed_rejected_before_dry_run_echo(capsys):
     assert capsys.readouterr() == ("", "error: seed must be non-negative\n")
 
 
+def test_non_integer_seed_names_the_key(capsys):
+    assert main(["run", "--dry-run", "--seed", "x"]) == 1
+    assert capsys.readouterr() == ("", "error: config key 'seed': cannot parse 'x' as int\n")
+
+
+def test_repeated_arm_label_rejected(capsys):
+    # both arms would write fedprox_mu0.1.csv and one summary entry
+    assert main(["run", "--dry-run", "--arms", "gcfl,fedprox,fedprox:0.1"]) == 1
+    assert capsys.readouterr() == ("", "error: arms: fedprox_mu0.1 is listed more than once\n")
+
+
+def test_run_rejects_values(capsys):
+    assert main(["run", "--dry-run", "--values", "0,1"]) == 1
+    assert capsys.readouterr() == ("", "error: unknown config key 'values'\n")
+
+
 # the README's blob benchmark command: these flags on the default config
 BLOB_FLAGS = ["--local_lr", "0.3", "--global_lr", "1.0", "--noise.kind", "closed_set",
               "--noise.ratio", "0.4", "--arms", "fedavg,gcfl,skyline,random"]
@@ -286,29 +303,37 @@ class TestApplyOverride:
 
 
 class TestSweepSpec:
-    def test_empty_values_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepSpec("noise.ratio", ())
+    """The checks ``sweep`` makes on its parameter and entries."""
 
-    def test_unknown_parameter_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepSpec("batch_size", (1, 2))
+    def base(self, tmp_path):
+        out = str(tmp_path / "sweepout")
+        return parse_config(SWEEP_CFG, {"rounds": "1", "output_dir": out}), Path(out)
 
-    def test_repeated_value_rejected(self):
+    def test_empty_values_rejected(self, tmp_path):
+        cfg, out = self.base(tmp_path)
+        with pytest.raises(ConfigurationError):
+            sweep(cfg, "noise.ratio", ())
+        assert not out.exists()
+
+    def test_unknown_parameter_rejected(self, tmp_path):
+        cfg, out = self.base(tmp_path)
+        with pytest.raises(ConfigurationError):
+            sweep(cfg, "batch_size", ("1", "2"))
+        assert not out.exists()
+
+    def test_repeated_value_rejected(self, tmp_path):
+        cfg, out = self.base(tmp_path)
         with pytest.raises(ConfigurationError, match="sweep value 0.1 is repeated"):
-            SweepSpec("noise.ratio", (0.1, 0.2, 0.1))
+            sweep(cfg, "noise.ratio", ("0.1", "0.2", "0.1"))
+        assert not out.exists()
 
-    def test_values_equal_to_six_digits_are_distinct(self):
-        SweepSpec("noise.ratio", (0.1234567, 0.1234568))
-
-    @pytest.mark.parametrize(
-        "value,text",
-        [(4.0, "4"), (20.0, "20"), (12345678.0, "12345678"), (0.2, "0.2"), (1e-05, "1e-05"),
-         (0.1234567, "0.1234567"), (1 / 3, "0.3333333333333333")],
-    )
-    def test_point_text_reads_back_as_the_value(self, value, text):
-        assert sweep_value_text(value) == text
-        assert float(text) == value
+    def test_values_equal_to_six_digits_are_distinct(self, tmp_path):
+        cfg, out = self.base(tmp_path)
+        assert sweep(cfg, "noise.ratio", ("0.1234567", "0.1234568")) == 0
+        payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        assert [rec["value"] for rec in payload["results"]] == [0.1234567, 0.1234568]
+        for text in ("0.1234567", "0.1234568"):
+            assert (out / f"noise.ratio={text}" / "summary.json").exists()
 
 
 SMALL_RUN = """
@@ -658,7 +683,17 @@ class TestCliSweep:
              "--param", "noise.ratio", "--values", "0,x"]
         )
         assert code == 1
-        assert capsys.readouterr().err == "error: --values: 'x' is not a number\n"
+        assert capsys.readouterr().err == "error: config key 'noise.ratio': cannot parse 'x' as float\n"
+        assert not out.exists()
+
+    def test_int_key_rejects_float_text_as_its_flag_does(self, tmp_path, capsys):
+        assert main(["run", "--config", SWEEP_CFG, "--dry-run", "--num_clients", "4.0"]) == 1
+        flag_err = capsys.readouterr().err
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", SWEEP_CFG, "--out", str(out),
+                     "--param", "num_clients", "--values", "3,4.0"])
+        assert code == 1
+        assert capsys.readouterr().err == flag_err
         assert not out.exists()
 
     def test_repeated_value_rejected(self, tmp_path, capsys):
@@ -674,7 +709,7 @@ class TestCliSweep:
         assert not out.exists()
 
     def sweep_one(self, tmp_path, param, text):
-        """Sweep one value; returns (recorded value, run config, point dir)."""
+        """Sweep one value; returns (recorded value, run manifest, point dir)."""
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(SWEEP_CFG.replace("rounds = 4", "rounds = 1"), encoding="utf-8")
         out = tmp_path / "sweepout"
@@ -684,32 +719,39 @@ class TestCliSweep:
         payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
         (point,) = [p for p in out.iterdir() if p.is_dir()]
         summary = json.loads((point / "summary.json").read_text(encoding="utf-8"))
-        return payload["results"][0]["value"], summary["manifest"]["config"], point.name
+        return payload["results"][0]["value"], summary["manifest"], point.name
 
     def test_value_that_runs_is_value_recorded(self, tmp_path):
-        value, config, name = self.sweep_one(tmp_path, "noise.ratio", "0.1234567")
-        assert value == config["noise"]["ratio"] == 0.1234567
+        value, manifest, name = self.sweep_one(tmp_path, "noise.ratio", "0.1234567")
+        assert value == manifest["config"]["noise"]["ratio"] == 0.1234567
         assert name == "noise.ratio=0.1234567"
 
     def test_integral_value_keeps_integer_text(self, tmp_path):
-        value, config, name = self.sweep_one(tmp_path, "num_clients", "4")
-        assert value == config["num_clients"] == 4
+        value, manifest, name = self.sweep_one(tmp_path, "num_clients", "4")
+        assert value == manifest["config"]["num_clients"] == 4
         assert name == "num_clients=4"
 
     def test_large_seed_keeps_integer_text(self, tmp_path):
         # %g would give 1.23457e+07, which no int key parses
-        value, config, name = self.sweep_one(tmp_path, "seed", "12345678")
-        assert value == config["seed"] == 12345678
+        value, manifest, name = self.sweep_one(tmp_path, "seed", "12345678")
+        assert value == manifest["config"]["seed"] == 12345678
         assert name == "seed=12345678"
 
-    def seed_sweep(self, tmp_path, values):
+    def test_seed_above_two_to_the_53_runs_exactly(self, tmp_path):
+        # a float holds no odd integer above 2**53
+        seed = 2**53 + 1
+        value, manifest, name = self.sweep_one(tmp_path, "seed", str(seed))
+        assert value == manifest["seed"] == manifest["config"]["seed"] == seed
+        assert name == f"seed={seed}"
+
+    def seed_sweep(self, tmp_path, *values_flags):
         out = tmp_path / "seeds"
         code = main(["sweep", "--config", SMALL_RUN, "--out", str(out), "--arms",
-                     "fedavg,gcfl,random", "--param", "seed", f"--values={values}"])
+                     "fedavg,gcfl,random", "--param", "seed", *values_flags])
         return code, out
 
     def test_seed_points_equal_single_runs(self, tmp_path):
-        code, out = self.seed_sweep(tmp_path, "0,7")
+        code, out = self.seed_sweep(tmp_path, "--values", "0,7")
         assert code == 0
         for seed in (0, 7):
             single = tmp_path / f"single{seed}"
@@ -719,7 +761,7 @@ class TestCliSweep:
                 assert (out / f"seed={seed}" / name).read_bytes() == (single / name).read_bytes()
 
     def test_statistics_over_points(self, tmp_path):
-        code, out = self.seed_sweep(tmp_path, "0,1,2")
+        code, out = self.seed_sweep(tmp_path, "--values", "0,1,2")
         assert code == 0
         payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
         records = payload["results"]
@@ -745,10 +787,11 @@ class TestCliSweep:
         )
 
     def test_negative_seed_fails_before_any_point_runs(self, tmp_path, capsys):
-        code, out = self.seed_sweep(tmp_path, "-1,0")
-        assert code == 1
-        assert capsys.readouterr().err == "error: seed must be non-negative\n"
-        assert not out.exists()
+        for values_flags in (["--values=-1,0"], ["--values", "-1,0"]):
+            code, out = self.seed_sweep(tmp_path, *values_flags)
+            assert code == 1
+            assert capsys.readouterr().err == "error: seed must be non-negative\n"
+            assert not out.exists()
 
     def test_arm_isolation_same_fingerprint(self, tmp_path):
         cfg_path = tmp_path / "exp.ini"

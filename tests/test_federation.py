@@ -399,7 +399,7 @@ class TestNoisePathsEndToEnd:
         for kind in ("gcfl", "fedavg", "skyline"):
             result = run_training(cfg, Algo(kind), prepared)
             assert len(result.rounds) == 3
-            assert result.final_params.num_classes == 3
+            assert result.final_params.layout[-1][1][0] == 3
 
     def test_attribute_noise_runs_with_flags(self):
         cfg = tiny_cfg(noise=NoiseSpec("attribute", 0.5, severity=5.0), rounds=2)

@@ -56,7 +56,7 @@ class TestInit:
         p = init_params(*HIDDEN, seed=0)
         assert p.values.size == 7 * 11 + 10 * 8
         assert p.last_layer_slice == (77, 80)
-        assert p.penultimate_width == 7
+        assert p.layout[-1][1] == (10, 7 + 1)  # penultimate width 7
 
     @pytest.mark.parametrize("spec", [SOFTMAX, HIDDEN])
     def test_biases_zero(self, spec):
