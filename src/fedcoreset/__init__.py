@@ -48,7 +48,6 @@ from .federation import (
 )
 from .metrics import (
     RoundMetrics,
-    RunManifest,
     coreset_composition,
     evaluate_accuracy,
     read_round_log,

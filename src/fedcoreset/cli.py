@@ -25,6 +25,7 @@ from itertools import combinations
 from pathlib import Path
 from statistics import fmean, pstdev
 
+from . import __version__
 from .config import (
     SWEEPABLE,
     ExperimentConfig,
@@ -34,26 +35,11 @@ from .config import (
 )
 from .errors import ConfigurationError
 from .federation import compute_cost_ratio, prepare_experiment, run_training
-from .metrics import RunManifest, write_round_log, write_summary
+from .metrics import write_round_log, write_summary
 
 OUT_ENV_VAR = "FEDCORESET_OUT"
 # per-arm values of a summary.json that sweep.json records and compares
 POINT_METRICS = ("final_accuracy", "final_clean_fraction")
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
-
-
-def _build_manifest(cfg: ExperimentConfig, fingerprint: str) -> RunManifest:
-    return RunManifest(
-        config=config_to_dict(cfg),
-        version=_version(),
-        seed=cfg.seed,
-        dataset_fingerprint=fingerprint,
-    )
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -62,7 +48,12 @@ def run(cfg: ExperimentConfig) -> int:
     prepared = prepare_experiment(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _build_manifest(cfg, prepared.fingerprint)
+    manifest = {
+        "config": config_to_dict(cfg),
+        "version": __version__,
+        "seed": cfg.seed,
+        "dataset_fingerprint": prepared.fingerprint,
+    }
 
     arms_summary: dict[str, dict] = {}
     ledgers = {}
@@ -120,6 +111,26 @@ def _over_points(records: list[dict], labels: list[str]) -> dict:
     return {"arms": arms, "pairs": pairs}
 
 
+def _sweep_points(
+    cfg: ExperimentConfig, param: str, entries: Iterable[str]
+) -> list[tuple[str, object, ExperimentConfig]]:
+    """(entry, value, config) per non-blank entry, each config set as
+    ``--<param> <entry>`` sets it.  Rejects a parameter outside SWEEPABLE,
+    no entry, and two entries parsing to equal values."""
+    if param not in SWEEPABLE:
+        raise ConfigurationError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
+    points: list[tuple[str, object, ExperimentConfig]] = []
+    for text in filter(None, map(str.strip, entries)):
+        point_cfg = apply_override(cfg, param, text)
+        value = reduce(getattr, param.split("."), point_cfg)
+        if any(value == seen for _, seen, _ in points):
+            raise ConfigurationError(f"sweep value {value} is repeated")
+        points.append((text, value, point_cfg))
+    if not points:
+        raise ConfigurationError("sweep needs at least one --values entry")
+    return points
+
+
 def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
     """Run once per entry, set as ``--<param> <entry>`` sets it, in the
     subdirectory ``<param>=<entry>`` and write sweep.json: per point, the
@@ -132,19 +143,13 @@ def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
     whose realized world fails the pre-flight checks, fails before anything
     is written.  Blank entries are skipped.
     """
-    if param not in SWEEPABLE:
-        raise ConfigurationError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
     base_out = Path(cfg.output_dir)
-    points = []
-    for text in filter(None, map(str.strip, entries)):
-        point_cfg = apply_override(cfg, param, text)
-        value = reduce(getattr, param.split("."), point_cfg)
-        if any(value == seen for seen, _ in points):
-            raise ConfigurationError(f"sweep value {value} is repeated")
+    points = [
+        (value, replace(point_cfg, output_dir=str(base_out / f"{param}={text}")))
+        for text, value, point_cfg in _sweep_points(cfg, param, entries)
+    ]
+    for _, point_cfg in points:
         prepare_experiment(point_cfg)
-        points.append((value, replace(point_cfg, output_dir=str(base_out / f"{param}={text}"))))
-    if not points:
-        raise ConfigurationError("sweep needs at least one --values entry")
     base_out.mkdir(parents=True, exist_ok=True)
 
     records = []
@@ -227,6 +232,8 @@ def main(argv: list[str] | None = None) -> int:
         entries = overrides.pop("values", "") if args.command == "sweep" else ""
         cfg = _resolve_config(args, overrides)
         if args.dry_run:
+            if args.command == "sweep":
+                _sweep_points(cfg, args.param, entries.split(","))
             print(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
             return 0
         if args.command == "run":

@@ -74,9 +74,6 @@ class ExperimentConfig:
     output_dir: str = "runs"
     per_iteration_picks: int = 1
     residual_tolerance: float = 0.0
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    cosine_lr: bool = False
     fine_tune_epochs: int = 0
     fine_tune_lr: float = 0.0  # 0 -> local_lr
 
@@ -127,22 +124,12 @@ class ExperimentConfig:
             raise ConfigurationError("per_iteration_picks must be >= 1")
         if self.residual_tolerance < 0:
             raise ConfigurationError("residual_tolerance must be non-negative")
-        if self.momentum < 0 or self.weight_decay < 0:
-            raise ConfigurationError("momentum and weight_decay must be non-negative")
         if self.fine_tune_epochs < 0:
             raise ConfigurationError("fine_tune_epochs must be >= 0")
         if self.fine_tune_lr < 0:
             raise ConfigurationError("fine_tune_lr must be non-negative")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
 
 
 def _parse_optional_int(text: str) -> int | None:
@@ -162,7 +149,6 @@ _PARSERS = {
     "int": (int, "cannot parse {!r} as int"),
     "float": (float, "cannot parse {!r} as float"),
     "str": (str, ""),
-    "bool": (_parse_bool, "cannot parse {!r} as bool"),
     "int | None": (_parse_optional_int, "cannot parse {!r} as int"),
     "tuple[float, ...]": (_parse_floats, "expected comma-separated floats"),
     "tuple[Algo, ...]": (_parse_arms, ""),

@@ -163,12 +163,11 @@ def client_update(
     cfg: "ExperimentConfig",
     *,
     seed: int,
-    prox: tuple[float, ParamVector] | None = None,
-    ledger: CostLedger | None = None,
+    mu: float = 0.0,
 ) -> ParamVector:
     """E = cfg.local_epochs epochs of local SGD from theta_t on the indexed
-    subset, with the optimizer settings of cfg; returns the delta
-    theta' - theta_t and meters E * |subset| sample visits."""
+    subset at rate cfg.local_lr, with a FedProx pull of strength mu toward
+    theta_t; returns the delta theta' - theta_t."""
     idx = np.asarray(train_indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("client has no training samples for this round")
@@ -179,13 +178,8 @@ def client_update(
         lr=cfg.local_lr,
         batch_size=cfg.batch_size,
         seed=seed,
-        prox=prox,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        cosine_lr=cfg.cosine_lr,
+        mu=mu,
     )
-    if ledger is not None:
-        ledger.sgd_sample_visits += cfg.local_epochs * idx.size
     return theta_t.with_values(theta_prime.values - theta_t.values)
 
 
@@ -315,9 +309,9 @@ def run_round(
             idx,
             cfg,
             seed=derive_seed(cfg.seed, "client", int(cid), "round", round_index),
-            prox=(algo.mu, params) if algo.kind == "fedprox" else None,
-            ledger=ledger,
+            mu=algo.mu if algo.kind == "fedprox" else 0.0,
         )
+        ledger.sgd_sample_visits += cfg.local_epochs * idx.size
         ledger.update_uploads += theta_size
         deltas.append(delta)
 

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SCHEMA_VERSION",
     "RoundMetrics",
-    "RunManifest",
     "evaluate_accuracy",
     "coreset_composition",
     "dataset_fingerprint",
@@ -56,24 +55,6 @@ class RoundMetrics:
         frac = self.coreset_clean_fraction
         if frac is not None and not 0.0 <= frac <= 1.0:
             raise ValueError("coreset_clean_fraction out of [0, 1]")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run byte-for-byte."""
-
-    config: dict[str, Any]
-    version: str
-    seed: int
-    dataset_fingerprint: str
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "seed": self.seed,
-            "dataset_fingerprint": self.dataset_fingerprint,
-        }
 
 
 def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
@@ -169,15 +150,16 @@ def read_round_log(path: str) -> list[dict[str, Any]]:
 
 def write_summary(
     path: str,
-    manifest: RunManifest,
+    manifest: dict[str, Any],
     arms: dict[str, Any],
     comparisons: dict[str, Any] | None = None,
 ) -> None:
-    """JSON summary: manifest echo, one entry per algorithm arm, and any
-    cross-arm comparisons (cost ratios)."""
+    """JSON summary: the manifest (everything needed to reproduce the run:
+    config echo, version, seed, dataset fingerprint), one entry per
+    algorithm arm, and any cross-arm comparisons (cost ratios)."""
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "manifest": manifest.as_dict(),
+        "manifest": manifest,
         "arms": arms,
         "comparisons": comparisons or {},
     }

@@ -186,13 +186,7 @@ def labelwise_validation_grads(
     }
 
 
-def _full_grad(
-    params: ParamVector,
-    x: np.ndarray,
-    y: np.ndarray,
-    prox: tuple[float, ParamVector] | None,
-    weight_decay: float,
-) -> np.ndarray:
+def _full_grad(params: ParamVector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient for a batch, flattened to layout order."""
     n = x.shape[0]
     z, act = _logits(params, x)
@@ -208,16 +202,8 @@ def _full_grad(
         d_z1 = d_act * (1.0 - act * act)
         x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
         g_hid = d_z1.T @ x1
-        grad = np.concatenate([g_hid.ravel(), g_out.ravel()])
-    else:
-        grad = g_out.ravel()
-
-    if weight_decay:
-        grad = grad + weight_decay * params.values
-    if prox is not None:
-        mu, anchor = prox
-        grad = grad + mu * (params.values - anchor.values)
-    return grad
+        return np.concatenate([g_hid.ravel(), g_out.ravel()])
+    return g_out.ravel()
 
 
 def sgd_epochs(
@@ -227,16 +213,14 @@ def sgd_epochs(
     lr: float,
     batch_size: int,
     seed: int,
-    prox: tuple[float, ParamVector] | None = None,
-    momentum: float = 0.0,
-    weight_decay: float = 0.0,
-    cosine_lr: bool = False,
+    mu: float = 0.0,
 ) -> ParamVector:
-    """Shuffled mini-batch SGD on mean cross-entropy.
+    """Shuffled mini-batch SGD on mean cross-entropy, each step
+    ``theta - lr * grad``.
 
-    With ``prox=(mu, anchor)`` the objective gains mu/2 * ||theta - anchor||^2.
-    Momentum, weight decay and cosine learning-rate annealing are off by
-    default.  Deterministic given (params, ds, seed, hyperparameters).
+    With ``mu > 0`` the objective gains the FedProx term
+    mu/2 * ||theta - params||^2, a pull toward the parameters SGD started
+    from.  Deterministic given (params, ds, seed, hyperparameters).
     """
     if epochs < 0:
         raise ConfigurationError("epochs must be >= 0")
@@ -251,18 +235,12 @@ def sgd_epochs(
 
     rng = np.random.default_rng(seed)
     theta = params.copy()
-    velocity = np.zeros_like(theta.values)
-    for e in range(epochs):
-        lr_e = lr * 0.5 * (1.0 + np.cos(np.pi * e / epochs)) if cosine_lr else lr
+    for _ in range(epochs):
         order = rng.permutation(ds.n)
         for start in range(0, ds.n, batch_size):
             batch = order[start : start + batch_size]
-            grad = _full_grad(
-                theta, ds.features[batch], ds.labels[batch], prox, weight_decay
-            )
-            if momentum:
-                velocity = momentum * velocity + grad
-                theta.values = theta.values - lr_e * velocity
-            else:
-                theta.values = theta.values - lr_e * grad
+            grad = _full_grad(theta, ds.features[batch], ds.labels[batch])
+            if mu:
+                grad = grad + mu * (theta.values - params.values)
+            theta.values = theta.values - lr * grad
     return theta

@@ -1,3 +1,4 @@
+import configparser
 import json
 import re
 from dataclasses import fields
@@ -119,7 +120,6 @@ class TestParseConfig:
         [
             ("rounds", "soon", "config key 'rounds': cannot parse 'soon' as int"),
             ("local_lr", "fast", "config key 'local_lr': cannot parse 'fast' as float"),
-            ("cosine_lr", "maybe", "config key 'cosine_lr': cannot parse 'maybe' as bool"),
             ("clients_per_round", "two", "config key 'clients_per_round': cannot parse 'two' as int"),
             ("dataset.stds", "1,x", "config key 'dataset.stds': expected comma-separated floats"),
         ],
@@ -181,8 +181,6 @@ def _sample(key: str, default: object) -> tuple[str, object]:
     """(INI text, expected config_to_dict echo) for a non-default value."""
     if key in SPECIAL_SAMPLES:
         return SPECIAL_SAMPLES[key]
-    if isinstance(default, bool):
-        return str(not default).lower(), not default
     if default is None or isinstance(default, int):
         return str((default or 0) + 1), (default or 0) + 1
     if isinstance(default, float):
@@ -242,8 +240,18 @@ def test_non_finite_float_rejected(key):
 
 
 def test_float_keys_cover_every_float_field():
-    assert len(FLOAT_KEYS) == 14
+    assert len(FLOAT_KEYS) == 12
     assert {"lambda", "noise.severity", "dataset.stds"} <= set(FLOAT_KEYS)
+
+
+def test_readme_config_block_parses_and_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    parse_config(block)
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(block)
+    named = {_config_key(section, key) for section in ini.sections() for key in ini[section]}
+    assert named == {_config_key(section, name) for section, name, _ in FIELD_KEYS}
 
 
 def test_negative_std_rejected_before_dry_run_echo(capsys):
@@ -706,6 +714,34 @@ class TestCliSweep:
         )
         assert code == 1
         assert "sweep value 0.1 is repeated" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param,values,message",
+        [
+            ("batch_size", "x,x", "sweep parameter must be one of"),
+            ("rounds", "1,2", "sweep parameter must be one of"),
+            ("noise.ratio", "0.1,0.10", "sweep value 0.1 is repeated"),
+        ],
+    )
+    def test_dry_run_checks_the_sweep(self, tmp_path, capsys, param, values, message):
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", SWEEP_CFG, "--out", str(out), "--dry-run",
+                     "--param", param, "--values", values])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
+    def test_dry_run_prints_the_run_echo(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("FEDCORESET_OUT", raising=False)
+        out = tmp_path / "sweepout"
+        flags = ["--config", SWEEP_CFG, "--out", str(out), "--dry-run"]
+        assert main(["run", *flags]) == 0
+        run_echo = capsys.readouterr().out
+        assert main(["sweep", *flags, "--param", "seed", "--values", "0,1"]) == 0
+        assert capsys.readouterr().out == run_echo
         assert not out.exists()
 
     def sweep_one(self, tmp_path, param, text):

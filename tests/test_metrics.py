@@ -10,7 +10,6 @@ from fedcoreset.metrics import (
     ROUND_LOG_HEADER,
     SCHEMA_VERSION,
     RoundMetrics,
-    RunManifest,
     coreset_composition,
     dataset_fingerprint,
     evaluate_accuracy,
@@ -163,9 +162,12 @@ class TestRoundLog:
 
 class TestSummary:
     def manifest(self):
-        return RunManifest(
-            config={"rounds": 3}, version="0.1.0", seed=7, dataset_fingerprint="ab" * 32
-        )
+        return {
+            "config": {"rounds": 3},
+            "version": "0.1.0",
+            "seed": 7,
+            "dataset_fingerprint": "ab" * 32,
+        }
 
     def test_schema_version_present(self, tmp_path):
         path = str(tmp_path / "summary.json")
