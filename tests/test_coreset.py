@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedcoreset import coreset
 from fedcoreset.coreset import (
     Coreset,
     facility_location_select,
@@ -57,6 +58,28 @@ def reference_greedy(cands: np.ndarray, target: np.ndarray, budget: int, lam: fl
         w, *_ = np.linalg.lstsq(gram, cols.T @ target, rcond=None)
         residual = target - cols @ w
     return selected
+
+
+def reference_facility_greedy(feats: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense facility-location greedy: every candidate's gain over the
+    whole similarity matrix at every pick, argmax ties to the lowest index;
+    weights are cluster sizes, earliest pick winning ties."""
+    n = len(feats)
+    norms = np.linalg.norm(feats, axis=1)
+    unit = feats / np.maximum(norms, 1e-300)[:, None]
+    sim = 0.5 * (1.0 + unit @ unit.T)
+    size = min(budget, n)
+    selected: list[int] = []
+    best = np.zeros(n)
+    for _ in range(size):
+        gains = np.maximum(sim, best[:, None]).sum(axis=0) - best.sum()
+        gains[selected] = -np.inf
+        j = int(np.argmax(gains))
+        selected.append(j)
+        best = np.maximum(best, sim[:, j])
+    rep = np.argmax(sim[:, selected], axis=1)
+    weights = np.bincount(rep, minlength=size).astype(np.float64)
+    return np.asarray(selected, dtype=np.int64), weights
 
 
 class TestOmpHandExamples:
@@ -386,6 +409,66 @@ class TestFacilityLocation:
         cs = facility_location_select(chunk_of(ds), budget=5)
         assert cs.weights.sum() == 25
 
+
+    @staticmethod
+    def tie_heavy_features(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+        d = int(rng.integers(1, 6))
+        feats = rng.normal(size=(n, d))
+        if kind == "rounded":  # few distinct directions: exact gain ties
+            feats = np.round(feats)
+        elif kind == "duplicated":
+            protos = rng.normal(size=(max(1, n // 5), d))
+            feats = protos[rng.integers(0, len(protos), n)]
+        elif kind == "zero_rows":
+            feats = np.round(2 * feats) / 2
+            feats[rng.random(n) < 0.2] = 0.0
+        return feats
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rounded", "duplicated", "zero_rows"])
+    def test_lazy_equals_dense_greedy(self, kind, monkeypatch):
+        """Indices and weights equal the dense greedy's bit for bit on 75
+        random chunks per kind: n in [1, 400], budget in [1, n + 2]."""
+        sizes: list[int] = []
+        helper = coreset._column_coverage
+
+        def recording(sim, best, cols):
+            sizes.append(len(cols))
+            return helper(sim, best, cols)
+
+        monkeypatch.setattr(coreset, "_column_coverage", recording)
+        rng = np.random.default_rng(["gaussian", "rounded", "duplicated", "zero_rows"].index(kind))
+        for _ in range(75):
+            n = int(rng.integers(1, 401))
+            budget = int(rng.integers(1, n + 3))
+            feats = self.tie_heavy_features(rng, n, kind)
+            ds = Dataset(feats, np.zeros(n, dtype=int), 1)
+            cs = facility_location_select(chunk_of(ds), budget=budget)
+            indices, weights = reference_facility_greedy(feats, budget)
+            assert np.array_equal(cs.indices, indices), (n, budget)
+            assert np.array_equal(cs.weights, weights), (n, budget)
+        # some step computed a single gain, the case a plain row sum gets wrong
+        assert 1 in sizes
+
+    def test_exactness_premises(self):
+        """What the lazy greedy's bit-for-bit equality rests on: the gram
+        matrix is exactly symmetric, and the column helper adds each column
+        in the dense reduction's order for any number of columns."""
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 17, 100, 400):
+            feats = np.round(rng.normal(size=(n, 4)), 1)
+            feats[rng.random(n) < 0.1] = 0.0
+            unit = feats / np.maximum(np.linalg.norm(feats, axis=1), 1e-300)[:, None]
+            gram = unit @ unit.T
+            assert np.array_equal(gram, gram.T), n
+            sim = 0.5 * (1.0 + gram)
+            picks = rng.choice(n, size=min(n, 5), replace=False)
+            best = sim[:, picks].max(axis=1)
+            dense = np.maximum(sim, best[:, None]).sum(axis=0)
+            for k in (1, 2, 17, n):
+                if k > n:
+                    continue
+                cols = rng.choice(n, size=k, replace=False)
+                assert np.array_equal(coreset._column_coverage(sim, best, cols), dense[cols]), (n, k)
 
 class TestValidation:
     def test_coreset_invariants(self):
