@@ -281,9 +281,10 @@ def facility_location_select(chunk: ClientChunk, budget: int) -> Coreset:
     computes the 16 highest stale gains, then every candidate whose bound
     reaches the best gain computed so far, until none is left; the others
     cannot reach the maximum, not even as a tie.  A step that would compute
-    more than n / 4 gains computes them all at once (the first step always
-    does).  After the O(n^2) first step a pick usually costs O(16 n) rather
-    than O(n^2); the n x n similarity matrix still sets the memory.
+    more than n / 4 gains computes them all at once, in O(n^2); the first
+    step always does, and the next few often do while the stale gains are
+    far off.  Later picks usually compute about 16 gains, O(16 n).  The
+    n x n similarity matrix still sets the memory.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

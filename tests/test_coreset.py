@@ -409,6 +409,7 @@ class TestFacilityLocation:
         cs = facility_location_select(chunk_of(ds), budget=5)
         assert cs.weights.sum() == 25
 
+    FEATURE_KINDS = ("gaussian", "rounded", "duplicated", "zero_rows")
 
     @staticmethod
     def tie_heavy_features(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
@@ -424,7 +425,7 @@ class TestFacilityLocation:
             feats[rng.random(n) < 0.2] = 0.0
         return feats
 
-    @pytest.mark.parametrize("kind", ["gaussian", "rounded", "duplicated", "zero_rows"])
+    @pytest.mark.parametrize("kind", FEATURE_KINDS)
     def test_lazy_equals_dense_greedy(self, kind, monkeypatch):
         """Indices and weights equal the dense greedy's bit for bit on 75
         random chunks per kind: n in [1, 400], budget in [1, n + 2]."""
@@ -436,7 +437,7 @@ class TestFacilityLocation:
             return helper(sim, best, cols)
 
         monkeypatch.setattr(coreset, "_column_coverage", recording)
-        rng = np.random.default_rng(["gaussian", "rounded", "duplicated", "zero_rows"].index(kind))
+        rng = np.random.default_rng(self.FEATURE_KINDS.index(kind))
         for _ in range(75):
             n = int(rng.integers(1, 401))
             budget = int(rng.integers(1, n + 3))
@@ -464,11 +465,10 @@ class TestFacilityLocation:
             picks = rng.choice(n, size=min(n, 5), replace=False)
             best = sim[:, picks].max(axis=1)
             dense = np.maximum(sim, best[:, None]).sum(axis=0)
-            for k in (1, 2, 17, n):
-                if k > n:
-                    continue
+            for k in [k for k in (1, 2, 17, n) if k <= n]:
                 cols = rng.choice(n, size=k, replace=False)
                 assert np.array_equal(coreset._column_coverage(sim, best, cols), dense[cols]), (n, k)
+
 
 class TestValidation:
     def test_coreset_invariants(self):
