@@ -72,10 +72,7 @@ class ExperimentConfig:
     test_frac: float = 0.15
     seed: int = 0
     output_dir: str = "runs"
-    per_iteration_picks: int = 1
-    residual_tolerance: float = 0.0
     fine_tune_epochs: int = 0
-    fine_tune_lr: float = 0.0  # 0 -> local_lr
 
     def __post_init__(self) -> None:
         self.validate()
@@ -120,14 +117,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"arms: {label} is listed more than once")
         if self.val_frac < 0 or self.test_frac < 0 or self.val_frac + self.test_frac >= 1:
             raise ConfigurationError("val_frac and test_frac must be >= 0 and sum below 1")
-        if self.per_iteration_picks < 1:
-            raise ConfigurationError("per_iteration_picks must be >= 1")
-        if self.residual_tolerance < 0:
-            raise ConfigurationError("residual_tolerance must be non-negative")
         if self.fine_tune_epochs < 0:
             raise ConfigurationError("fine_tune_epochs must be >= 0")
-        if self.fine_tune_lr < 0:
-            raise ConfigurationError("fine_tune_lr must be non-negative")
         if self.seed < 0:
             raise ConfigurationError("seed must be non-negative")
 

@@ -1,7 +1,7 @@
 """Coreset selection: greedy gradient matching plus the two baselines.
 
 The matching-pursuit selector greedily grows a support, at each step adding
-the candidate gradient(s) closest to the current residual and re-solving a
+the candidate gradient closest to the current residual and re-solving a
 ridge least-squares problem over the whole support.  For lambda > 0 that
 solve is done in the smaller of the support size k and the gradient length
 d: a k x k system while k <= d, and once k > d the d x d system given by
@@ -94,50 +94,17 @@ def _solve_ridge(columns: np.ndarray, target: np.ndarray, lam: float) -> np.ndar
     return columns.T @ x if wide else x
 
 
-def _greedy_match(
-    cands: np.ndarray,
-    target: np.ndarray,
-    budget: int,
-    lam: float,
-    picks: int,
-    tol: float,
-) -> tuple[list[int], np.ndarray, list[float]]:
-    n = cands.shape[0]
-    selected: list[int] = []
-    weights = np.empty(0)
-    residual = target.astype(np.float64, copy=True)
-    norms: list[float] = []
-    while len(selected) < min(budget, n) and float(np.linalg.norm(residual)) > tol:
-        dist = np.linalg.norm(cands - residual, axis=1)
-        dist[selected] = np.inf
-        k = min(picks, budget - len(selected), n - len(selected))
-        # ties resolved toward the lowest sample index: argmin returns the
-        # first minimum, and the sort is stable
-        if k == 1:
-            chosen = [int(np.argmin(dist))]
-        else:
-            chosen = [int(j) for j in np.argsort(dist, kind="stable")[:k]]
-        selected.extend(chosen)
-        columns = cands[selected].T
-        weights = _solve_ridge(columns, target, lam)
-        residual = target - columns @ weights
-        norms.append(float(np.linalg.norm(residual)))
-    return selected, weights, norms
-
-
 def omp_select(
     candidate_grads: np.ndarray | list[np.ndarray],
     target: np.ndarray,
     budget: int,
     lam: float = 0.5,
-    per_iteration_picks: int = 1,
-    tol: float = 0.0,
 ) -> Coreset:
     """Match ``target`` with a sparse nonnegative combination of candidates.
 
-    Iterates greedy pick(s) of the candidates nearest the residual followed
+    Iterates a greedy pick of the candidate nearest the residual followed
     by a ridge re-solve over the support, until the budget is reached or
-    the residual norm drops to ``tol``.  A zero target therefore yields an
+    the residual norm is exactly 0.  A zero target therefore yields an
     empty coreset.  Ties in the greedy argmin go to the lowest index.
     """
     cands = np.atleast_2d(np.asarray(candidate_grads, dtype=np.float64))
@@ -150,14 +117,21 @@ def omp_select(
         )
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if per_iteration_picks < 1:
-        raise ConfigurationError("per_iteration_picks must be >= 1")
-    if lam < 0 or tol < 0:
-        raise ConfigurationError("lambda and tol must be non-negative")
+    if lam < 0:
+        raise ConfigurationError("lambda must be non-negative")
 
-    selected, weights, norms = _greedy_match(
-        cands, target, budget, lam, per_iteration_picks, tol
-    )
+    selected: list[int] = []
+    weights = np.empty(0)
+    residual = target
+    norms: list[float] = []
+    while len(selected) < min(budget, len(cands)) and float(np.linalg.norm(residual)) > 0:
+        dist = np.linalg.norm(cands - residual, axis=1)
+        dist[selected] = np.inf
+        selected.append(int(np.argmin(dist)))  # first minimum: lowest index
+        columns = cands[selected].T
+        weights = _solve_ridge(columns, target, lam)
+        residual = target - columns @ weights
+        norms.append(float(np.linalg.norm(residual)))
     return Coreset(
         np.asarray(selected, dtype=np.int64),
         np.maximum(weights, 0.0),
@@ -184,12 +158,10 @@ def labelwise_omp_select(
     budget: int,
     *,
     lam: float = 0.5,
-    per_iteration_picks: int = 1,
-    tol: float = 0.0,
 ) -> Coreset:
     """Run one matching-pursuit instance per class the client shares with
     the server, each against that class's broadcast gradient row, with the
-    selection knobs of :func:`omp_select`.
+    ridge ``lam`` of :func:`omp_select`.
 
     The budget splits as floor(budget/|shared|) per class with the
     remainder allotted to the largest classes; classes the server did not
@@ -218,14 +190,7 @@ def labelwise_omp_select(
         if shares[c] == 0:
             continue
         local = np.flatnonzero(labels == c)
-        sub = omp_select(
-            stack[local, c, :],
-            server_rows[c],
-            shares[c],
-            lam=lam,
-            per_iteration_picks=per_iteration_picks,
-            tol=tol,
-        )
+        sub = omp_select(stack[local, c, :], server_rows[c], shares[c], lam=lam)
         idx = local[sub.indices]
         all_idx.append(idx)
         all_w.append(sub.weights)

@@ -287,15 +287,7 @@ def run_round(
             if chunk.n == 0 or budget < 1:
                 continue
             ledger.per_sample_grad_evals += chunk.n
-            coresets[cid] = labelwise_omp_select(
-                chunk,
-                params,
-                rows,
-                budget,
-                lam=cfg.lam,
-                per_iteration_picks=cfg.per_iteration_picks,
-                tol=cfg.residual_tolerance,
-            )
+            coresets[cid] = labelwise_omp_select(chunk, params, rows, budget, lam=cfg.lam)
 
     deltas: list[ParamVector] = []
     for cid in sampled:
@@ -445,7 +437,7 @@ def run_training(
             params,
             prepared.val,
             epochs=cfg.fine_tune_epochs,
-            lr=cfg.fine_tune_lr or cfg.local_lr,
+            lr=cfg.local_lr,
             batch_size=cfg.batch_size,
             seed=derive_seed(cfg.seed, "finetune"),
         )

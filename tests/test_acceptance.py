@@ -189,7 +189,7 @@ class TestCriterion5OmpSuite:
             support = rng.choice(n, size=k, replace=False)
             coeffs = rng.uniform(0.5, 2.0, size=k)
             target = coeffs @ cands[support]
-            cs = omp_select(cands, target, budget=k, lam=0.0, tol=1e-9)
+            cs = omp_select(cands, target, budget=k, lam=0.0)
             if set(cs.indices) != set(support):
                 failures += 1
                 continue

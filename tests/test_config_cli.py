@@ -240,7 +240,7 @@ def test_non_finite_float_rejected(key):
 
 
 def test_float_keys_cover_every_float_field():
-    assert len(FLOAT_KEYS) == 12
+    assert len(FLOAT_KEYS) == 10
     assert {"lambda", "noise.severity", "dataset.stds"} <= set(FLOAT_KEYS)
 
 

@@ -561,8 +561,6 @@ def small_experiments(draw):
         val_frac=draw(st.sampled_from((0.0, 0.1, 0.3))),
         test_frac=draw(st.sampled_from((0.1, 0.2))),
         seed=draw(st.integers(0, 10_000)),
-        per_iteration_picks=draw(st.integers(1, 3)),
-        residual_tolerance=draw(st.sampled_from((0.0, 0.1))),
         fine_tune_epochs=draw(st.integers(0, 1)),
     )
 
