@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -417,8 +418,9 @@ class TestFacilityLocation:
 
     def test_exactness_premises(self):
         """What the lazy greedy's bit-for-bit equality rests on: the gram
-        matrix is exactly symmetric, and the column helper adds each column
-        in the dense reduction's order for any number of columns."""
+        matrix is exactly symmetric, and both the column helper and the
+        row-slab pass add each column in the dense reduction's order, for any
+        number of columns and any slab height."""
         rng = np.random.default_rng(12)
         for n in (1, 2, 17, 100, 400):
             feats = np.round(rng.normal(size=(n, 4)), 1)
@@ -430,9 +432,25 @@ class TestFacilityLocation:
             picks = rng.choice(n, size=min(n, 5), replace=False)
             best = sim[:, picks].max(axis=1)
             dense = np.maximum(sim, best[:, None]).sum(axis=0)
+            for block in (1, 7, 64, 256):
+                assert np.array_equal(coreset._coverage(sim, best, block), dense), (n, block)
             for k in [k for k in (1, 2, 17, n) if k <= n]:
                 cols = rng.choice(n, size=k, replace=False)
                 assert np.array_equal(coreset._column_coverage(sim, best, cols), dense[cols]), (n, k)
+
+    def test_peak_memory_near_one_similarity_matrix(self):
+        """The selector holds one n x n similarity matrix, not a second n x n
+        temporary for the gains (which would make the peak about 2 x 8 n^2)."""
+        n = 1000
+        feats = np.random.default_rng(13).normal(size=(n, 10))
+        chunk = chunk_of(Dataset(feats, np.zeros(n, dtype=int), 1))
+        tracemalloc.start()
+        try:
+            facility_location_select(chunk, budget=n // 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 8 * n * n, peak / (8 * n * n)
 
 
 class TestValidation:
