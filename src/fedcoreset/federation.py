@@ -101,15 +101,15 @@ class Algo:
 
 def parse_algo(token: str) -> Algo:
     """Parse an arm token like ``gcfl`` or ``fedprox:0.5``."""
-    name, _, arg = token.strip().partition(":")
+    name, sep, arg = token.strip().partition(":")
     name = name.strip()
-    if name == "fedprox" and arg:
+    if name == "fedprox" and sep:
         try:
             mu = float(arg)
         except ValueError:
             raise ConfigurationError(f"bad fedprox mu in arm {token!r}") from None
         return Algo("fedprox", mu=mu)
-    if arg:
+    if sep:
         raise ConfigurationError(f"arm {token!r} does not take an argument")
     return Algo(name)
 

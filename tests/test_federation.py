@@ -63,6 +63,10 @@ class TestAlgo:
         assert Algo("fedprox") == parse_algo("fedprox")
         with pytest.raises(ConfigurationError):
             parse_algo("gcfl:3")
+        with pytest.raises(ConfigurationError, match="does not take an argument"):
+            parse_algo("gcfl:")
+        with pytest.raises(ConfigurationError, match="bad fedprox mu"):
+            parse_algo("fedprox:")
         with pytest.raises(ConfigurationError):
             parse_algo("adaboost")
 
