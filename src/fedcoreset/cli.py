@@ -1,22 +1,21 @@
 """Experiment runner CLI.
 
-    fedcoreset run --config exp.ini [--dry-run] [--out DIR] [--key value ...]
-    fedcoreset sweep --config exp.ini --param noise.ratio --values 0,0.2,0.4 [...]
-    fedcoreset sweep --config exp.ini --param seed --values 0,1,2,3,4 [...]
+    fedcoreset run [--config exp.ini] [--dry-run] [--key value ...]
+    fedcoreset sweep [--config exp.ini] --param noise.ratio --values 0,0.2,0.4 [...]
+    fedcoreset sweep [--config exp.ini] --param seed --values 0,1,2,3,4 [...]
 
 Any config key can be overridden with ``--<key> <value>``, using dots for
-the nested groups (``--noise.ratio 0.4``, ``--dataset.dim 20``, ``--seed 7``).
-Each ``--values`` entry of a sweep is applied as ``--<param> <entry>`` is.  The
-``FEDCORESET_OUT`` environment variable overrides the configured output
-directory; an explicit ``--out`` wins over both.  Every arm of a run sees
-the same realized dataset, partition and noise, so arms are paired.
+the nested groups (``--noise.ratio 0.4``, ``--dataset.dim 20``, ``--seed 7``,
+``--output_dir runs/demo``); a flag beats the config file, and a run without
+``--config`` starts from the defaults.  Each ``--values`` entry of a sweep is
+applied as ``--<param> <entry>`` is.  Every arm of a run sees the same
+realized dataset, partition and noise, so arms are paired.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Iterable
 from dataclasses import replace
@@ -37,7 +36,6 @@ from .errors import ConfigurationError
 from .federation import compute_cost_ratio, prepare_experiment, run_training
 from .metrics import write_round_log, write_summary
 
-OUT_ENV_VAR = "FEDCORESET_OUT"
 # per-arm values of a summary.json that sweep.json records and compares
 POINT_METRICS = ("final_accuracy", "final_clean_fraction")
 
@@ -185,7 +183,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", required=False, help="INI config file path")
         p.add_argument("--dry-run", action="store_true", help="print resolved config and exit")
-        p.add_argument("--out", help="output directory (overrides config and env)")
         if name == "sweep":
             # --values is read with the --key value pairs, which take the
             # next token verbatim, so a list may start with a minus sign
@@ -213,24 +210,14 @@ def _collect_overrides(extra: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _resolve_config(args: argparse.Namespace, overrides: dict[str, str]) -> ExperimentConfig:
-    # precedence, lowest first: config file, --key flags, env var, --out
-    env_out = os.environ.get(OUT_ENV_VAR)
-    if env_out:
-        overrides["output_dir"] = env_out
-    if args.out:
-        overrides["output_dir"] = args.out
-    source = args.config if args.config else "[experiment]\n"
-    return parse_config(source, overrides)
-
-
 def main(argv: list[str] | None = None) -> int:
     args, extra = _parser().parse_known_args(argv)
     try:
         overrides = _collect_overrides(extra)
         # left in the overrides under run, --values fails as an unknown key
         entries = overrides.pop("values", "") if args.command == "sweep" else ""
-        cfg = _resolve_config(args, overrides)
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+        cfg = parse_config(text, overrides)
         if args.dry_run:
             if args.command == "sweep":
                 _sweep_points(cfg, args.param, entries.split(","))

@@ -5,6 +5,9 @@ in ``[experiment]``; the nested groups ``[dataset]``, ``[noise]`` and
 ``[model]`` are addressed from the command line with dotted flags
 (``--noise.ratio 0.4``), while ``[experiment]`` keys are addressed bare
 (``--rounds 100``).  Unknown keys are rejected by name.
+:func:`parse_config` takes INI text, not a path; the CLI reads the
+``--config`` file itself and passes its flags as overrides, which beat the
+file.
 
 The keys are derived from the dataclass fields: each field of
 :class:`ExperimentConfig` is an ``[experiment]`` key (``lam`` is spelled
@@ -19,10 +22,8 @@ consumes them (``DatasetConfig`` and ``NoiseSpec`` in :mod:`.data`,
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from pathlib import Path
 
 from .data import DatasetConfig, NoiseSpec
 from .errors import ConfigurationError
@@ -100,8 +101,10 @@ class ExperimentConfig:
             raise ConfigurationError("budget_fraction must be in (0, 1]")
         if self.local_epochs < 0:
             raise ConfigurationError("local_epochs must be >= 0")
-        if self.local_lr <= 0 or self.global_lr <= 0:
-            raise ConfigurationError("learning rates must be > 0")
+        if self.local_lr <= 0:
+            raise ConfigurationError("local_lr must be > 0")
+        if self.global_lr <= 0:
+            raise ConfigurationError("global_lr must be > 0")
         if self.lam < 0:
             raise ConfigurationError("lambda must be non-negative")
         if self.dirichlet_alpha <= 0:
@@ -201,26 +204,11 @@ def _set(cfg: ExperimentConfig, pairs: Iterable[tuple[str, str]]) -> ExperimentC
     return replace(cfg, **top)
 
 
-def parse_config(
-    source: str | Path, overrides: dict[str, str] | None = None
-) -> ExperimentConfig:
-    """Parse an INI config from a file path or inline text, then apply
-    dotted-key overrides.  Raises ConfigurationError naming any unknown key,
-    type mismatch, or violated invariant."""
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """Parse INI config text, then apply dotted-key overrides.  Raises
+    ConfigurationError naming any unknown key, type mismatch, or violated
+    invariant."""
     import configparser
-
-    # inline text has a section header or several lines; a path may hold
-    # "=", as every sweep point directory does
-    looks_like_path = isinstance(source, Path) or (
-        "\n" not in str(source) and not str(source).lstrip().startswith("[")
-    )
-    if isinstance(source, Path) or os.path.exists(str(source)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif looks_like_path:
-        raise ConfigurationError(f"config file not found: {source}")
-    else:
-        text = str(source)
 
     parser = configparser.ConfigParser(interpolation=None)
     try:

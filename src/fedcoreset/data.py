@@ -217,13 +217,9 @@ def split_train_val_test(
 
     Per class, ``round_half_away(frac * n_class)`` samples go to test and
     val respectively; the rest stay in train, so split sizes are within
-    one sample per class of the requested fractions.
+    one sample per class of the requested fractions, which
+    ``ExperimentConfig`` keeps non-negative and summing below 1.
     """
-    if val_frac < 0 or test_frac < 0:
-        raise ConfigurationError("split fractions must be non-negative")
-    if val_frac + test_frac >= 1.0:
-        raise ConfigurationError("val_frac + test_frac must be < 1")
-
     rng = np.random.default_rng(seed)
     train_idx, val_idx, test_idx = [], [], []
     for c in range(ds.num_classes):
@@ -251,13 +247,9 @@ def dirichlet_partition(
     For each class a proportion vector over clients is sampled from a
     symmetric Dirichlet; smaller alpha yields more skew.  Chunk sizes sum
     to ``ds.n`` exactly.  A client may end up with zero samples; downstream
-    code must tolerate empty chunks.
+    code must tolerate empty chunks.  ``ExperimentConfig`` keeps
+    ``num_clients >= 1`` and ``alpha > 0``.
     """
-    if num_clients < 1:
-        raise ConfigurationError("num_clients must be >= 1")
-    if alpha <= 0:
-        raise ConfigurationError("dirichlet alpha must be > 0")
-
     rng = np.random.default_rng(seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
     for c in range(ds.num_classes):
@@ -381,8 +373,9 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
 
 
-def load_dataset_csv(path: str, num_classes: int | None = None) -> Dataset:
-    """Read a dataset written by :func:`save_dataset_csv`."""
+def load_dataset_csv(path: str) -> Dataset:
+    """Read a dataset written by :func:`save_dataset_csv`, with one class per
+    label up to the largest; any error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[-1] != "label":
@@ -395,6 +388,7 @@ def load_dataset_csv(path: str, num_classes: int | None = None) -> Dataset:
     if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
         raise ValueError(f"{path}: labels must be integers")
     labels = labels.astype(np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    return Dataset(features, labels, num_classes)
+    try:
+        return Dataset(features, labels, int(labels.max()) + 1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -264,15 +264,12 @@ def run_round(
     return the new parameters plus that round's metrics.
 
     ``coresets`` holds one entry per chunk of ``prepared``; a refresh round
-    replaces the sampled clients' entries in place.
+    replaces the sampled clients' entries in place.  ``prepared`` is the
+    world of ``cfg``, so it has ``num_clients >= clients_per_round`` chunks.
     """
     chunks = prepared.chunks
     n_clients = len(chunks)
     m = cfg.clients_per_round or n_clients
-    if m > n_clients:
-        raise ConfigurationError(
-            f"clients_per_round {m} exceeds num_clients {n_clients}"
-        )
     rng = spawn_rng(cfg.seed, "sample", round_index)
     sampled = np.sort(rng.choice(n_clients, size=m, replace=False))
     theta_size = params.values.size

@@ -97,9 +97,8 @@ class ParamVector:
 
 
 def init_params(model: ModelConfig, input_dim: int, num_classes: int, seed: int) -> ParamVector:
-    """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
-    if input_dim < 1 or num_classes < 1:
-        raise ConfigurationError("input_dim and num_classes must be positive")
+    """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero.  The
+    dimensions come from a :class:`Dataset`, which keeps both positive."""
     rng = np.random.default_rng(seed)
     if model.arch == "softmax_regression":
         blocks = [("output", (num_classes, input_dim + 1))]
@@ -220,14 +219,10 @@ def sgd_epochs(
 
     With ``mu > 0`` the objective gains the FedProx term
     mu/2 * ||theta - params||^2, a pull toward the parameters SGD started
-    from.  Deterministic given (params, ds, seed, hyperparameters).
+    from.  Deterministic given (params, ds, seed, hyperparameters), which
+    are values ``ExperimentConfig`` has checked: epochs >= 0, lr > 0,
+    batch_size >= 1.
     """
-    if epochs < 0:
-        raise ConfigurationError("epochs must be >= 0")
-    if lr <= 0:
-        raise ConfigurationError("learning rate must be > 0")
-    if batch_size < 1:
-        raise ConfigurationError("batch_size must be >= 1")
     if epochs == 0:
         return params
     if ds.n == 0:

@@ -1,21 +1,22 @@
 """Canned experiment configurations.
 
 ``blob_benchmark_config`` is the blob benchmark the acceptance suite and
-``perfbench`` run: ten Gaussian blobs in R^10 with standard deviations
-spanning 1 to 8, a 15% test split, ten clients under a Dirichlet(0.4)
-partition, 40% closed-set label flips, softmax regression, T=100 rounds
-with m=N, E=1, a 10% coreset budget and K=10 refresh period.  The learning
-rates (local 0.3, global 1.0) were calibrated once with a 20-seed pilot
-and frozen.  On the command line it is the default config with the flags
-``--local_lr 0.3 --global_lr 1.0 --noise.kind closed_set --noise.ratio 0.4
---arms fedavg,gcfl,skyline,random``; the pilot is ``fedcoreset sweep
---param seed --values $(seq -s, 0 19)`` with those flags (README,
-"Experiments").
+``perfbench`` run.  The defaults of :class:`ExperimentConfig` give ten
+Gaussian blobs in R^10 with standard deviations spanning 1 to 8, a 15% test
+split, ten clients under a Dirichlet(0.4) partition, softmax regression,
+T=100 rounds with m=N, E=1, a 10% coreset budget and K=10 refresh period;
+the benchmark adds 40% closed-set label flips, four arms and the learning
+rates (local 0.3, global 1.0), which were calibrated once with a 20-seed
+pilot and frozen.  On the command line it is the default config with the
+flags ``--local_lr 0.3 --global_lr 1.0 --noise.kind closed_set
+--noise.ratio 0.4 --arms fedavg,gcfl,skyline,random``; the pilot is
+``fedcoreset sweep --param seed --values $(seq -s, 0 19)`` with those flags
+(README, "Experiments").
 """
 
 from __future__ import annotations
 
-from .config import DatasetConfig, ExperimentConfig
+from .config import ExperimentConfig
 from .data import NoiseSpec
 from .federation import Algo
 
@@ -25,26 +26,13 @@ BLOB_BENCHMARK_ARMS = (Algo("fedavg"), Algo("gcfl"), Algo("skyline"), Algo("rand
 
 
 def blob_benchmark_config(
-    seed: int = 0, rounds: int = 100, output_dir: str = "runs/blob_benchmark"
+    seed: int = 0, output_dir: str = "runs/blob_benchmark"
 ) -> ExperimentConfig:
     return ExperimentConfig(
-        dataset=DatasetConfig(
-            kind="blobs", num_blobs=10, dim=10, stds=(), samples_per_blob=500
-        ),
-        num_clients=10,
-        clients_per_round=None,
-        rounds=rounds,
-        refresh_period=10,
-        budget_fraction=0.1,
-        local_epochs=1,
         local_lr=0.3,
         global_lr=1.0,
-        lam=0.5,
-        dirichlet_alpha=0.4,
         noise=NoiseSpec("closed_set", 0.4),
         arms=BLOB_BENCHMARK_ARMS,
-        val_frac=0.10,
-        test_frac=0.15,
         seed=seed,
         output_dir=output_dir,
     )

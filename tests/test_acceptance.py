@@ -359,9 +359,11 @@ samples_per_blob = 40
 kind = closed_set
 ratio = 0.4
 """
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(cfg_text, encoding="utf-8")
         out1, out2 = tmp_path / "one", tmp_path / "two"
-        assert main(["run", "--config", cfg_text, "--out", str(out1)]) == 0
-        assert main(["run", "--config", cfg_text, "--out", str(out2)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--output_dir", str(out1)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--output_dir", str(out2)]) == 0
         same = all(
             (out1 / name).read_bytes() == (out2 / name).read_bytes()
             for name in ("fedavg.csv", "gcfl.csv")

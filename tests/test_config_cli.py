@@ -1,6 +1,7 @@
 import configparser
 import json
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,6 +22,13 @@ from fedcoreset.errors import ConfigurationError
 from fedcoreset.presets import blob_benchmark_config
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def write_ini(tmp_path, text):
+    path = tmp_path / "exp.ini"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
 
 MINIMAL = """
 [experiment]
@@ -90,18 +98,18 @@ class TestParseConfig:
         assert cfg.noise.ratio == 0.3
         assert cfg.model.hidden_dim == 9
 
-    def test_file_source(self, tmp_path):
-        path = tmp_path / "exp.ini"
-        path.write_text(MINIMAL, encoding="utf-8")
-        cfg = parse_config(str(path))
-        assert cfg.num_clients == 4
+    def test_file_source(self, tmp_path, capsys):
+        # the CLI reads the --config file and parses its text
+        assert main(["run", "--config", write_ini(tmp_path, MINIMAL), "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out) == config_to_dict(parse_config(MINIMAL))
 
-    def test_missing_file_named(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="not found"):
-            parse_config(str(tmp_path / "nope.ini"))
-        # a sweep point directory: a path with "=" is still a path
-        with pytest.raises(ConfigurationError, match="not found"):
-            parse_config(str(tmp_path / "noise.ratio=0.2" / "exp.ini"))
+    def test_missing_file_named(self, tmp_path, capsys):
+        # a sweep point directory: a path with "=" is a path like any other
+        for path in (tmp_path / "missing.ini", tmp_path / "noise.ratio=0.2" / "exp.ini"):
+            assert main(["run", "--config", str(path), "--dry-run"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and str(path) in captured.err
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError, match="warp_speed"):
@@ -143,9 +151,8 @@ class TestParseConfig:
             parse_config(MINIMAL, overrides={"noise.kind": "salt_and_pepper"})
 
 
-def test_dry_run_json_of_full_config_matches_golden(monkeypatch, capsys):
-    monkeypatch.delenv("FEDCORESET_OUT", raising=False)
-    assert main(["run", "--config", FULL, "--dry-run"]) == 0
+def test_dry_run_json_of_full_config_matches_golden(tmp_path, capsys):
+    assert main(["run", "--config", write_ini(tmp_path, FULL), "--dry-run"]) == 0
     golden = (GOLDEN / "dry_run_full.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
 
@@ -239,19 +246,86 @@ def test_non_finite_float_rejected(key):
             apply_override(base, key, text)
 
 
+# one value outside each range rule of ExperimentConfig.validate; the
+# engine functions trust these rules and do not check the values again
+RANGE_VIOLATIONS = [
+    ("num_clients", "0"),
+    ("clients_per_round", "0"),
+    ("clients_per_round", "11"),
+    ("rounds", "-1"),
+    ("refresh_period", "0"),
+    ("budget_fraction", "0"),
+    ("budget_fraction", "1.5"),
+    ("local_epochs", "-1"),
+    ("local_lr", "0"),
+    ("global_lr", "-1"),
+    ("lambda", "-0.1"),
+    ("dirichlet_alpha", "0"),
+    ("batch_size", "0"),
+    ("val_frac", "-0.1"),
+    ("test_frac", "-0.1"),
+    ("val_frac", "0.85"),
+    ("test_frac", "0.9"),
+    ("fine_tune_epochs", "-1"),
+    ("seed", "-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "key,text", RANGE_VIOLATIONS, ids=[f"{k}={t}" for k, t in RANGE_VIOLATIONS]
+)
+def test_range_rule_names_the_key(key, text):
+    with pytest.raises(ConfigurationError) as exc:
+        apply_override(ExperimentConfig(), key, text)
+    assert key in str(exc.value)
+
+
 def test_float_keys_cover_every_float_field():
     assert len(FLOAT_KEYS) == 10
     assert {"lambda", "noise.severity", "dataset.stds"} <= set(FLOAT_KEYS)
 
 
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+(README_INI,) = re.findall(r"```ini\n(.*?)```", README, flags=re.S)
+
+
 def test_readme_config_block_parses_and_names_every_key():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
-    parse_config(block)
+    parse_config(README_INI)
     ini = configparser.ConfigParser(interpolation=None)
-    ini.read_string(block)
+    ini.read_string(README_INI)
     named = {_config_key(section, key) for section in ini.sections() for key in ini[section]}
     assert named == {_config_key(section, name) for section, name, _ in FIELD_KEYS}
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``fedcoreset`` line in the bash blocks of the
+    README's CLI and Experiments sections, with ``$BLOB`` and
+    ``$(seq -s, A B)`` expanded as the shell would."""
+    blocks = []
+    for section in ("CLI", "Experiments"):
+        body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+        blocks += re.findall(r"```bash\n(.*?)```", body, flags=re.S)
+    text = "\n".join(blocks)
+    for name, value in re.findall(r'^(\w+)="(.*)"$', text, flags=re.M):
+        text = text.replace(f"${name}", value)
+    text = re.sub(
+        r"\$\(seq -s, (\d+) (\d+)\)",
+        lambda m: ",".join(str(i) for i in range(int(m[1]), int(m[2]) + 1)),
+        text,
+    )
+    lines = [line for line in text.splitlines() if line.startswith("fedcoreset ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_commands_pass_a_dry_run(tmp_path, capsys):
+    """Every README command line resolves its config, so a flag or key the
+    CLI no longer takes cannot linger in the docs."""
+    commands = _readme_commands()
+    assert len(commands) == 8  # five in CLI, three in Experiments
+    ini = write_ini(tmp_path, README_INI)
+    for argv in commands:
+        argv = [ini if arg == "exp.ini" else arg for arg in argv]
+        assert main([*argv, "--dry-run"]) == 0, (argv, capsys.readouterr().err)
 
 
 def test_negative_std_rejected_before_dry_run_echo(capsys):
@@ -281,15 +355,19 @@ def test_run_rejects_values(capsys):
     assert capsys.readouterr() == ("", "error: unknown config key 'values'\n")
 
 
+def test_output_dir_has_one_flag(capsys):
+    assert main(["run", "--dry-run", "--out", "x"]) == 1
+    assert capsys.readouterr() == ("", "error: unknown config key 'out'\n")
+
+
 # the README's blob benchmark command: these flags on the default config
 BLOB_FLAGS = ["--local_lr", "0.3", "--global_lr", "1.0", "--noise.kind", "closed_set",
               "--noise.ratio", "0.4", "--arms", "fedavg,gcfl,skyline,random"]
 
 
-def test_blob_flags_give_the_preset(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("FEDCORESET_OUT", raising=False)
+def test_blob_flags_give_the_preset(tmp_path, capsys):
     out = str(tmp_path / "blob")
-    assert main(["run", "--dry-run", *BLOB_FLAGS, "--out", out]) == 0
+    assert main(["run", "--dry-run", *BLOB_FLAGS, "--output_dir", out]) == 0
     preset = config_to_dict(blob_benchmark_config(output_dir=out))
     assert capsys.readouterr().out == json.dumps(preset, indent=2, sort_keys=True) + "\n"
 
@@ -367,15 +445,13 @@ ratio = 0.4
 
 
 class TestCliRun:
-    def write_cfg(self, tmp_path, text=SMALL_RUN):
-        path = tmp_path / "exp.ini"
-        path.write_text(text, encoding="utf-8")
-        return str(path)
+    def write_cfg(self, tmp_path):
+        return write_ini(tmp_path, SMALL_RUN)
 
     def test_three_arms_make_three_csvs_and_summary(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "results"
-        code = main(["run", "--config", cfg_path, "--out", str(out)])
+        code = main(["run", "--config", cfg_path, "--output_dir", str(out)])
         assert code == 0
         assert sorted(p.name for p in out.glob("*.csv")) == [
             "fedavg.csv",
@@ -387,15 +463,15 @@ class TestCliRun:
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", cfg_path, "--out", str(out1)]) == 0
-        assert main(["run", "--config", cfg_path, "--out", str(out2)]) == 0
+        assert main(["run", "--config", cfg_path, "--output_dir", str(out1)]) == 0
+        assert main(["run", "--config", cfg_path, "--output_dir", str(out2)]) == 0
         for name in ("fedavg.csv", "gcfl.csv", "skyline.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_dry_run_prints_config_and_writes_nothing(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "results"
-        code = main(["run", "--config", cfg_path, "--out", str(out), "--dry-run"])
+        code = main(["run", "--config", cfg_path, "--output_dir", str(out), "--dry-run"])
         assert code == 0
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["num_clients"] == 3
@@ -413,14 +489,6 @@ class TestCliRun:
         assert resolved["rounds"] == 9
         assert resolved["seed"] == 42
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
-        cfg_path = self.write_cfg(tmp_path)
-        monkeypatch.setenv("FEDCORESET_OUT", str(tmp_path / "envout"))
-        code = main(["run", "--config", cfg_path, "--dry-run"])
-        assert code == 0
-        resolved = json.loads(capsys.readouterr().out)
-        assert resolved["output_dir"] == str(tmp_path / "envout")
-
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         code = main(["run", "--config", self.write_cfg(tmp_path), "--rounds", "never"])
         assert code == 1
@@ -429,10 +497,10 @@ class TestCliRun:
     def test_manifest_echoes_resolved_config(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "results"
-        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["run", "--config", cfg_path, "--output_dir", str(out)]) == 0
         with open(out / "summary.json", encoding="utf-8") as fh:
             payload = json.load(fh)
-        cfg = parse_config(cfg_path)
+        cfg = parse_config(SMALL_RUN)
         from dataclasses import replace
 
         cfg = replace(cfg, output_dir=str(out))
@@ -442,7 +510,7 @@ class TestCliRun:
 
     def run_summary(self, tmp_path, *flags):
         out = tmp_path / "results"
-        assert main(["run", "--config", self.write_cfg(tmp_path), "--out", str(out), *flags]) == 0
+        assert main(["run", "--config", self.write_cfg(tmp_path), "--output_dir", str(out), *flags]) == 0
         return out, json.loads((out / "summary.json").read_text(encoding="utf-8"))
 
     def test_coreset_arms_record_final_clean_fraction(self, tmp_path):
@@ -470,7 +538,7 @@ class TestCliRun:
     def test_summary_reproducible_from_manifest(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "results"
-        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["run", "--config", cfg_path, "--output_dir", str(out)]) == 0
         with open(out / "summary.json", encoding="utf-8") as fh:
             first = json.load(fh)
         # rebuild a config from the manifest echo and re-run
@@ -487,7 +555,8 @@ class TestCliRun:
         lines.append(f"kind = {manifest_cfg['noise']['kind']}")
         lines.append(f"ratio = {manifest_cfg['noise']['ratio']}")
         out2 = tmp_path / "again"
-        code = main(["run", "--config", "\n".join(lines), "--out", str(out2)])
+        code = main(["run", "--config", write_ini(tmp_path, "\n".join(lines)),
+                     "--output_dir", str(out2)])
         assert code == 0
         with open(out2 / "summary.json", encoding="utf-8") as fh:
             second = json.load(fh)
@@ -536,7 +605,8 @@ kind = csv
 csv_path = {csv_path}
 """
         out = tmp_path / "csvrun"
-        assert main(["run", "--config", cfg_text, "--out", str(out)]) == 0
+        assert main(["run", "--config", write_ini(tmp_path, cfg_text),
+                     "--output_dir", str(out)]) == 0
         assert (out / "fedavg.csv").exists()
 
     def test_csv_kind_requires_path(self):
@@ -576,7 +646,7 @@ class TestPreflight:
     )
     def test_rejected_before_any_arm_runs(self, tmp_path, capsys, flags, key):
         out = tmp_path / "results"
-        code = main(["run", "--config", PREFLIGHT_RUN, "--out", str(out), *flags])
+        code = main(["run", "--config", write_ini(tmp_path, PREFLIGHT_RUN), "--output_dir", str(out), *flags])
         assert code == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
@@ -590,7 +660,7 @@ class TestPreflight:
         save_dataset_csv(ds, str(csv_path))
         out = tmp_path / "results"
         code = main(
-            ["run", "--config", PREFLIGHT_RUN, "--out", str(out), "--seed", "13",
+            ["run", "--config", write_ini(tmp_path, PREFLIGHT_RUN), "--output_dir", str(out), "--seed", "13",
              "--num_clients", "2", "--budget_fraction", "0.5",
              "--dataset.kind", "csv", "--dataset.csv_path", str(csv_path)]
         )
@@ -602,7 +672,7 @@ class TestPreflight:
     def test_gcfl_without_rounds_needs_no_validation_set(self, tmp_path):
         out = tmp_path / "results"
         code = main(
-            ["run", "--config", PREFLIGHT_RUN, "--out", str(out),
+            ["run", "--config", write_ini(tmp_path, PREFLIGHT_RUN), "--output_dir", str(out),
              "--val_frac", "0.0", "--rounds", "0"]
         )
         assert code == 0
@@ -615,7 +685,7 @@ class TestCliSweep:
         cfg_path.write_text(SWEEP_CFG, encoding="utf-8")
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--out", str(out),
+            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
              "--param", "noise.ratio", "--values", "0,0.2,0.4",
              "--noise.kind", "closed_set"]
         )
@@ -637,7 +707,7 @@ class TestCliSweep:
         cfg_path.write_text(SWEEP_CFG.replace("rounds = 4", "rounds = 20"), encoding="utf-8")
         out = tmp_path / "ksweep"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--out", str(out),
+            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
              "--param", "refresh_period", "--values", "5,10,20"]
         )
         assert code == 0
@@ -663,7 +733,7 @@ class TestCliSweep:
                                               "clients_per_round = 4"), encoding="utf-8")
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--out", str(out),
+            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
              "--param", "num_clients", "--values", "4,2"]
         )
         assert code == 1
@@ -675,7 +745,7 @@ class TestCliSweep:
         cfg_path.write_text(SWEEP_CFG.replace("num_blobs = 3", "num_blobs = 4"), encoding="utf-8")
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--out", str(out),
+            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
              "--param", "noise.ratio", "--values", "0.5,1.0", "--noise.kind", "open_set"]
         )
         assert code == 1
@@ -687,7 +757,7 @@ class TestCliSweep:
         cfg_path.write_text(SWEEP_CFG, encoding="utf-8")
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--out", str(out),
+            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
              "--param", "noise.ratio", "--values", "0,x"]
         )
         assert code == 1
@@ -695,10 +765,11 @@ class TestCliSweep:
         assert not out.exists()
 
     def test_int_key_rejects_float_text_as_its_flag_does(self, tmp_path, capsys):
-        assert main(["run", "--config", SWEEP_CFG, "--dry-run", "--num_clients", "4.0"]) == 1
+        cfg_path = write_ini(tmp_path, SWEEP_CFG)
+        assert main(["run", "--config", cfg_path, "--dry-run", "--num_clients", "4.0"]) == 1
         flag_err = capsys.readouterr().err
         out = tmp_path / "sweepout"
-        code = main(["sweep", "--config", SWEEP_CFG, "--out", str(out),
+        code = main(["sweep", "--config", cfg_path, "--output_dir", str(out),
                      "--param", "num_clients", "--values", "3,4.0"])
         assert code == 1
         assert capsys.readouterr().err == flag_err
@@ -709,7 +780,7 @@ class TestCliSweep:
         cfg_path.write_text(SWEEP_CFG, encoding="utf-8")
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--out", str(out),
+            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
              "--param", "noise.ratio", "--values", "0.1,0.1"]
         )
         assert code == 1
@@ -726,7 +797,8 @@ class TestCliSweep:
     )
     def test_dry_run_checks_the_sweep(self, tmp_path, capsys, param, values, message):
         out = tmp_path / "sweepout"
-        code = main(["sweep", "--config", SWEEP_CFG, "--out", str(out), "--dry-run",
+        code = main(["sweep", "--config", write_ini(tmp_path, SWEEP_CFG), "--output_dir",
+                     str(out), "--dry-run",
                      "--param", param, "--values", values])
         assert code == 1
         captured = capsys.readouterr()
@@ -734,10 +806,9 @@ class TestCliSweep:
         assert message in captured.err
         assert not out.exists()
 
-    def test_dry_run_prints_the_run_echo(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("FEDCORESET_OUT", raising=False)
+    def test_dry_run_prints_the_run_echo(self, tmp_path, capsys):
         out = tmp_path / "sweepout"
-        flags = ["--config", SWEEP_CFG, "--out", str(out), "--dry-run"]
+        flags = ["--config", write_ini(tmp_path, SWEEP_CFG), "--output_dir", str(out), "--dry-run"]
         assert main(["run", *flags]) == 0
         run_echo = capsys.readouterr().out
         assert main(["sweep", *flags, "--param", "seed", "--values", "0,1"]) == 0
@@ -749,7 +820,7 @@ class TestCliSweep:
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(SWEEP_CFG.replace("rounds = 4", "rounds = 1"), encoding="utf-8")
         out = tmp_path / "sweepout"
-        code = main(["sweep", "--config", str(cfg_path), "--out", str(out),
+        code = main(["sweep", "--config", str(cfg_path), "--output_dir", str(out),
                      "--param", param, "--values", text, "--noise.kind", "closed_set"])
         assert code == 0
         payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
@@ -782,7 +853,8 @@ class TestCliSweep:
 
     def seed_sweep(self, tmp_path, *values_flags):
         out = tmp_path / "seeds"
-        code = main(["sweep", "--config", SMALL_RUN, "--out", str(out), "--arms",
+        code = main(["sweep", "--config", write_ini(tmp_path, SMALL_RUN), "--output_dir",
+                     str(out), "--arms",
                      "fedavg,gcfl,random", "--param", "seed", *values_flags])
         return code, out
 
@@ -791,7 +863,8 @@ class TestCliSweep:
         assert code == 0
         for seed in (0, 7):
             single = tmp_path / f"single{seed}"
-            assert main(["run", "--config", SMALL_RUN, "--out", str(single), "--arms",
+            assert main(["run", "--config", write_ini(tmp_path, SMALL_RUN), "--output_dir",
+                         str(single), "--arms",
                          "fedavg,gcfl,random", "--seed", str(seed)]) == 0
             for name in ("fedavg.csv", "gcfl.csv", "random.csv"):
                 assert (out / f"seed={seed}" / name).read_bytes() == (single / name).read_bytes()
@@ -833,7 +906,7 @@ class TestCliSweep:
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(SMALL_RUN, encoding="utf-8")
         out = tmp_path / "iso"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--output_dir", str(out)]) == 0
         with open(out / "summary.json", encoding="utf-8") as fh:
             payload = json.load(fh)
         # one manifest for the whole run: every arm saw the same realization

@@ -15,7 +15,6 @@ from fedcoreset.coreset import (
     random_select,
 )
 from fedcoreset.data import ClientChunk, Dataset, NoiseSpec, inject_closed_set
-from fedcoreset.errors import ConfigurationError
 from fedcoreset.model import ModelConfig, init_params, last_layer_grad_stack
 from worldgen import blobs
 
@@ -110,11 +109,12 @@ class TestOmpHandExamples:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            omp_select([], np.array([1.0]), budget=1)
+            omp_select([], np.array([1.0]), budget=1, lam=0.5)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            omp_select([np.array([1.0, 0.0])], np.array([1.0, 0.0, 0.0]), budget=1)
+            omp_select([np.array([1.0, 0.0])], np.array([1.0, 0.0, 0.0]), budget=1,
+                       lam=0.5)
 
 
 class TestOmpVsExhaustive:
@@ -262,7 +262,8 @@ class TestLabelwise:
 
     def test_no_shared_classes_rejected(self):
         with pytest.raises(ValueError):
-            labelwise_omp_select(self.chunk, self.params, {99: np.zeros(7)}, budget=4)
+            labelwise_omp_select(self.chunk, self.params, {99: np.zeros(7)}, budget=4,
+                                 lam=0.5)
 
     def test_missing_server_class_budget_redistributed(self):
         rows = self.rows(classes=[0, 1])  # server only broadcasts 2 of 5 classes
@@ -452,6 +453,24 @@ class TestFacilityLocation:
             tracemalloc.stop()
         assert peak < 1.6 * 8 * n * n, peak / (8 * n * n)
 
+    def test_column_coverage_holds_one_buffer(self):
+        """A lazy step's column gains take one k x n buffer of gathered rows,
+        not separate arrays for the maximum and the running sums (about
+        2 x 8 k n)."""
+        n, k = 976, 244
+        feats = np.random.default_rng(14).normal(size=(n, 10))
+        unit = feats / np.linalg.norm(feats, axis=1)[:, None]
+        sim = 0.5 * (1.0 + unit @ unit.T)
+        best = np.maximum(sim[:, 3], sim[:, 70])
+        cols = np.arange(0, n, n // k)
+        tracemalloc.start()
+        try:
+            coreset._column_coverage(sim, best, cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * k * n, peak / (8 * k * n)
+
 
 class TestValidation:
     def test_coreset_invariants(self):
@@ -461,10 +480,3 @@ class TestValidation:
             Coreset(np.array([0]), np.array([-0.5]))
         with pytest.raises(ValueError):
             Coreset(np.array([0, 1]), np.array([1.0]))
-
-    def test_selection_config_invariants(self):
-        chunk = chunk_of(blobs(2, 3, np.ones(2), 10, seed=0))
-        params = init_params(ModelConfig("softmax_regression"), 3, 2, seed=0)
-        rows = {c: np.ones(4) for c in range(2)}
-        with pytest.raises(ConfigurationError):
-            labelwise_omp_select(chunk, params, rows, budget=4, lam=-1.0)

@@ -251,15 +251,6 @@ class TestCanonicalOrder:
 
 
 class TestRunRound:
-    def test_oversampling_rejected(self):
-        cfg = tiny_cfg(clients_per_round=4)
-        prepared = prepare_experiment(cfg)
-        params = init_params(ModelConfig("softmax_regression"), prepared.input_dim, prepared.num_classes, 0)
-        fewer = replace(prepared, chunks=prepared.chunks[:2])
-        with pytest.raises(ConfigurationError):
-            run_round(params, fewer, [None, None], Algo("fedavg"), cfg, 0,
-                      CostLedger())
-
     def test_skyline_trains_only_on_clean(self, monkeypatch):
         cfg = tiny_cfg(noise=NoiseSpec("closed_set", 0.4))
         prepared = prepare_experiment(cfg)

@@ -70,12 +70,6 @@ class TestInit:
         with pytest.raises(ConfigurationError):
             ModelConfig("one_hidden", hidden_dim=0)
 
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ConfigurationError):
-            init_params(ModelConfig("softmax_regression"), 0, 2, seed=0)
-        with pytest.raises(ConfigurationError):
-            init_params(ModelConfig("one_hidden"), 4, 0, seed=0)
-
 
 class TestLoss:
     def test_uniform_predictor_ln_k(self):
