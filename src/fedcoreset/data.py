@@ -374,8 +374,8 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
 
 
 def load_dataset_csv(path: str) -> Dataset:
-    """Read a dataset written by :func:`save_dataset_csv`, with one class per
-    label up to the largest; any error names the file."""
+    """Read a dataset written by :func:`save_dataset_csv`, one class per label
+    up to the largest; header, label and ``Dataset`` errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[-1] != "label":

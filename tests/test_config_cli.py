@@ -510,7 +510,8 @@ class TestCliRun:
 
     def run_summary(self, tmp_path, *flags):
         out = tmp_path / "results"
-        assert main(["run", "--config", self.write_cfg(tmp_path), "--output_dir", str(out), *flags]) == 0
+        cfg_path = self.write_cfg(tmp_path)
+        assert main(["run", "--config", cfg_path, "--output_dir", str(out), *flags]) == 0
         return out, json.loads((out / "summary.json").read_text(encoding="utf-8"))
 
     def test_coreset_arms_record_final_clean_fraction(self, tmp_path):
@@ -646,7 +647,8 @@ class TestPreflight:
     )
     def test_rejected_before_any_arm_runs(self, tmp_path, capsys, flags, key):
         out = tmp_path / "results"
-        code = main(["run", "--config", write_ini(tmp_path, PREFLIGHT_RUN), "--output_dir", str(out), *flags])
+        cfg_path = write_ini(tmp_path, PREFLIGHT_RUN)
+        code = main(["run", "--config", cfg_path, "--output_dir", str(out), *flags])
         assert code == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
@@ -660,7 +662,8 @@ class TestPreflight:
         save_dataset_csv(ds, str(csv_path))
         out = tmp_path / "results"
         code = main(
-            ["run", "--config", write_ini(tmp_path, PREFLIGHT_RUN), "--output_dir", str(out), "--seed", "13",
+            ["run", "--config", write_ini(tmp_path, PREFLIGHT_RUN), "--output_dir", str(out),
+             "--seed", "13",
              "--num_clients", "2", "--budget_fraction", "0.5",
              "--dataset.kind", "csv", "--dataset.csv_path", str(csv_path)]
         )
@@ -681,11 +684,10 @@ class TestPreflight:
 
 class TestCliSweep:
     def test_noise_sweep_produces_six_records(self, tmp_path):
-        cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(SWEEP_CFG, encoding="utf-8")
+        cfg_path = write_ini(tmp_path, SWEEP_CFG)
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
+            ["sweep", "--config", cfg_path, "--output_dir", str(out),
              "--param", "noise.ratio", "--values", "0,0.2,0.4",
              "--noise.kind", "closed_set"]
         )
@@ -703,11 +705,10 @@ class TestCliSweep:
             assert (out / f"noise.ratio={value:g}" / "summary.json").exists()
 
     def test_refresh_period_sweep_cost_ratio_decreases(self, tmp_path):
-        cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(SWEEP_CFG.replace("rounds = 4", "rounds = 20"), encoding="utf-8")
+        cfg_path = write_ini(tmp_path, SWEEP_CFG.replace("rounds = 4", "rounds = 20"))
         out = tmp_path / "ksweep"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
+            ["sweep", "--config", cfg_path, "--output_dir", str(out),
              "--param", "refresh_period", "--values", "5,10,20"]
         )
         assert code == 0
@@ -720,20 +721,18 @@ class TestCliSweep:
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_empty_values_rejected(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(SWEEP_CFG, encoding="utf-8")
+        cfg_path = write_ini(tmp_path, SWEEP_CFG)
         code = main(
-            ["sweep", "--config", str(cfg_path), "--param", "noise.ratio", "--values", ""]
+            ["sweep", "--config", cfg_path, "--param", "noise.ratio", "--values", ""]
         )
         assert code == 1
 
     def test_invalid_later_point_fails_before_any_run(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(SWEEP_CFG.replace("num_clients = 3", "num_clients = 4\n"
-                                              "clients_per_round = 4"), encoding="utf-8")
+        cfg_path = write_ini(tmp_path, SWEEP_CFG.replace(
+            "num_clients = 3", "num_clients = 4\nclients_per_round = 4"))
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
+            ["sweep", "--config", cfg_path, "--output_dir", str(out),
              "--param", "num_clients", "--values", "4,2"]
         )
         assert code == 1
@@ -741,11 +740,10 @@ class TestCliSweep:
         assert not out.exists()
 
     def test_later_point_failing_preflight_fails_before_any_run(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(SWEEP_CFG.replace("num_blobs = 3", "num_blobs = 4"), encoding="utf-8")
+        cfg_path = write_ini(tmp_path, SWEEP_CFG.replace("num_blobs = 3", "num_blobs = 4"))
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
+            ["sweep", "--config", cfg_path, "--output_dir", str(out),
              "--param", "noise.ratio", "--values", "0.5,1.0", "--noise.kind", "open_set"]
         )
         assert code == 1
@@ -753,11 +751,10 @@ class TestCliSweep:
         assert not out.exists()
 
     def test_non_numeric_value_names_the_flag(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(SWEEP_CFG, encoding="utf-8")
+        cfg_path = write_ini(tmp_path, SWEEP_CFG)
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
+            ["sweep", "--config", cfg_path, "--output_dir", str(out),
              "--param", "noise.ratio", "--values", "0,x"]
         )
         assert code == 1
@@ -776,11 +773,10 @@ class TestCliSweep:
         assert not out.exists()
 
     def test_repeated_value_rejected(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(SWEEP_CFG, encoding="utf-8")
+        cfg_path = write_ini(tmp_path, SWEEP_CFG)
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", "--config", str(cfg_path), "--output_dir", str(out),
+            ["sweep", "--config", cfg_path, "--output_dir", str(out),
              "--param", "noise.ratio", "--values", "0.1,0.1"]
         )
         assert code == 1
@@ -817,10 +813,9 @@ class TestCliSweep:
 
     def sweep_one(self, tmp_path, param, text):
         """Sweep one value; returns (recorded value, run manifest, point dir)."""
-        cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(SWEEP_CFG.replace("rounds = 4", "rounds = 1"), encoding="utf-8")
+        cfg_path = write_ini(tmp_path, SWEEP_CFG.replace("rounds = 4", "rounds = 1"))
         out = tmp_path / "sweepout"
-        code = main(["sweep", "--config", str(cfg_path), "--output_dir", str(out),
+        code = main(["sweep", "--config", cfg_path, "--output_dir", str(out),
                      "--param", param, "--values", text, "--noise.kind", "closed_set"])
         assert code == 0
         payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
@@ -903,10 +898,9 @@ class TestCliSweep:
             assert not out.exists()
 
     def test_arm_isolation_same_fingerprint(self, tmp_path):
-        cfg_path = tmp_path / "exp.ini"
-        cfg_path.write_text(SMALL_RUN, encoding="utf-8")
+        cfg_path = write_ini(tmp_path, SMALL_RUN)
         out = tmp_path / "iso"
-        assert main(["run", "--config", str(cfg_path), "--output_dir", str(out)]) == 0
+        assert main(["run", "--config", cfg_path, "--output_dir", str(out)]) == 0
         with open(out / "summary.json", encoding="utf-8") as fh:
             payload = json.load(fh)
         # one manifest for the whole run: every arm saw the same realization

@@ -19,7 +19,6 @@ from fedcoreset.federation import (
     compute_cost_ratio,
     parse_algo,
     prepare_experiment,
-    run_round,
     run_training,
 )
 from fedcoreset.model import (
