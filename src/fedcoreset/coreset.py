@@ -8,10 +8,24 @@ d: a k x k system while k <= d, and once k > d the d x d system given by
 (C^T C + lam I)^-1 C^T = C^T (C C^T + lam I)^-1, so the solve at each pick
 costs O(d^3) rather than O(k^3) however large the support grows (cf.
 Batch-OMP, Rubinstein, Zibulevsky & Elad 2008).  The residual that drives
-selection and stopping comes from the unclipped solve (this is what makes
-its norm non-increasing); the nonnegativity clip is applied to the weights
-that are returned.  Weights only steer selection: local training on a
-coreset is unweighted.
+selection and stopping comes from the unclipped solve; the nonnegativity
+clip is applied to the weights that are returned.  Over the growing
+support the ridge objective lam ||w||^2 + ||r||^2 never increases, and so
+at lambda = 0 the residual norm; at lambda > 0 the residual norm alone can
+rise.  Weights only steer selection: local training on a coreset is
+unweighted.
+
+Label-wise selection (one pursuit per class, as in GRAD-MATCH, Killamsetty
+et al. 2021) advances all of a client's classes in one lockstep loop over a
+padded [classes, largest class, d] candidate stack.  Each step scores every
+class's candidates with one stacked matmul, ||c||^2 / 2 - c.r, the
+expansion of ||c - r||^2 with ||c||^2 cached (Batch-OMP's trick), and
+re-solves every class's weights with one stacked solve.  The expansion
+rounds differently from the distance itself, so candidates within its
+rounding bound of the best score are re-ranked by ||c - r||: the picks are
+those of the per-class loop with the direct distance, ties to the lowest
+index, and the weights are bit for bit that loop's.  ``omp_select`` is the
+same kernel on one class.
 
 The facility-location baseline is a lazy greedy (Minoux 1978; used for
 coresets in CRAIG, Mirzasoleiman et al. 2020) whose picks equal the dense
@@ -30,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ClientChunk
-from .model import ParamVector, last_layer_grad_stack
+from .model import ParamVector, own_class_grads
+from .model import last_layer_grad_stack  # noqa: F401  perfbench/tracing.py wraps this name
 
 __all__ = [
     "Coreset",
@@ -93,6 +108,115 @@ def _solve_ridge(columns: np.ndarray, target: np.ndarray, lam: float) -> np.ndar
     return columns.T @ x if wide else x
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ad,ad->a", rows, rows))
+
+
+def _solve_stacked(supports: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`_solve_ridge` of every stacked support, one [A, k] weight array.
+
+    ``supports[a]`` holds class a's k picked candidates as rows.  For
+    lam > 0 one stacked ``np.linalg.solve`` takes the A systems of size
+    min(k, d); each system is the one ``_solve_ridge`` builds, and numpy
+    runs the stacked matmuls and solves one system at a time, so the
+    weights are bit for bit ``_solve_ridge``'s.  lam = 0, or a singular
+    system (``LinAlgError``), sends every class of the step through
+    ``_solve_ridge``.
+    """
+    k, d = supports.shape[1:]
+    if lam > 0:
+        wide = k > d
+        flipped = supports.transpose(0, 2, 1)
+        gram = flipped @ supports if wide else supports @ flipped
+        gram += lam * np.eye(len(gram[0]))
+        rhs = targets[:, :, None]
+        try:
+            x = np.linalg.solve(gram, rhs if wide else supports @ rhs)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return (supports @ x if wide else x)[..., 0]
+    return np.stack([_solve_ridge(s.T, t, lam) for s, t in zip(supports, targets)])
+
+
+def _matching_pursuits(
+    cands: np.ndarray,
+    counts: np.ndarray,
+    targets: np.ndarray,
+    limits: np.ndarray,
+    lam: float,
+) -> list[Coreset]:
+    """One matching pursuit per stacked class, all advanced in one loop.
+
+    ``cands`` is [A, n_max, d]: class a's candidates fill rows
+    [0, counts[a]), the rest is padding.  Class a matches ``targets[a]``
+    with at most ``limits[a]`` <= counts[a] picks.  Each step scores every
+    live class's candidates c against its residual r with one stacked
+    matmul, s = ||c||^2 / 2 - c.r (half of ||c - r||^2 less the class's
+    constant ||r||^2), with ||c||^2 / 2 cached and +inf on padding and
+    picked rows.  The pick is the candidate nearest by ||c - r|| itself,
+    first minimum (so lowest index) on ties: only candidates whose s lies
+    within the rounding bound ``tol`` of the least s can be nearest, and
+    where more than one does (duplicate rows, near-ties) they are ranked
+    by ||c - r||.  Then :func:`_solve_stacked` re-solves the ridge weights of
+    every live class at once.  A class drops out at its limit or at an
+    exactly zero residual.  Returns one coreset per class, indices local
+    to the class.
+
+    ``tol`` bounds how far the two orders can disagree.  The computed
+    ||c - r||^2 and 2 s are each within gamma (||c|| + ||r||)^2 of their
+    exact values, gamma = (d + 4) eps / 2 (the rounding bound of a sum of
+    d terms, Higham 2002, plus the few roundings around it), so the
+    nearest candidate's s is within 2 gamma (||c|| + ||r||)^2 of the least
+    s.  ``tol`` is twice that, with ||c|| the class's largest row norm.
+    """
+    A, n_max, d = cands.shape
+    half = np.einsum("and,and->an", cands, cands) / 2
+    half[np.arange(n_max) >= counts[:, None]] = np.inf
+    reach = np.sqrt(2 * np.max(half, axis=1, where=np.isfinite(half), initial=0.0))
+    slack = 2.0 * (d + 4) * np.finfo(np.float64).eps
+    width = int(limits.max(initial=0))
+    picks = np.zeros((A, width), dtype=np.int64)
+    weights = np.zeros((A, width))
+    traces = np.zeros((A, width))
+    made = np.zeros(A, dtype=np.int64)
+
+    norms = _row_norms(targets)
+    live = np.flatnonzero((limits > 0) & (norms > 0))
+    cand, half, goal, residual = cands[live], half[live], targets[live], targets[live]
+    reach, norms = reach[live], norms[live]
+    k = 0
+    while live.size:
+        scores = half - (cand @ residual[:, :, None])[..., 0]
+        rows = np.arange(live.size)
+        pick = scores.argmin(axis=1)
+        tol = slack * (reach + norms) ** 2
+        near = scores <= (scores[rows, pick] + tol)[:, None]
+        for a in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+            ties = np.flatnonzero(near[a])
+            dist = np.linalg.norm(cand[a, ties] - residual[a], axis=1)
+            pick[a] = ties[np.argmin(dist)]  # first minimum: lowest index
+        half[rows, pick] = np.inf
+        picks[live, k] = pick
+        made[live] = k = k + 1
+        support = cand[rows[:, None], picks[live, :k]]
+        w = _solve_stacked(support, goal, lam)
+        residual = goal - (support.transpose(0, 2, 1) @ w[:, :, None])[..., 0]
+        norms = _row_norms(residual)
+        weights[live, :k] = w
+        traces[live, k - 1] = norms
+        keep = (k < limits[live]) & (norms > 0)
+        if not keep.all():
+            live, cand, half, goal, residual, reach, norms = (
+                x[keep] for x in (live, cand, half, goal, residual, reach, norms)
+            )
+    return [
+        Coreset(picks[a, :m], np.maximum(weights[a, :m], 0.0),
+                residual_norms=tuple(traces[a, :m].tolist()))
+        for a, m in enumerate(made)
+    ]
+
+
 def omp_select(
     candidate_grads: np.ndarray | list[np.ndarray],
     target: np.ndarray,
@@ -106,6 +230,7 @@ def omp_select(
     the residual norm is exactly 0.  A zero target therefore yields an
     empty coreset.  Ties in the greedy argmin go to the lowest index.
     ``lam >= 0`` is the ridge ``lambda`` that ``ExperimentConfig`` checks.
+    This is the kernel of :func:`labelwise_omp_select` run on one class.
     """
     cands = np.atleast_2d(np.asarray(candidate_grads, dtype=np.float64))
     target = np.asarray(target, dtype=np.float64).ravel()
@@ -117,26 +242,10 @@ def omp_select(
         )
     if budget < 1:
         raise ValueError("budget must be >= 1")
-
-    selected: list[int] = []
-    weights = np.empty(0)
-    residual = target
-    norm = float(np.linalg.norm(residual))
-    norms: list[float] = []
-    while len(selected) < min(budget, len(cands)) and norm > 0:
-        dist = np.linalg.norm(cands - residual, axis=1)
-        dist[selected] = np.inf
-        selected.append(int(np.argmin(dist)))  # first minimum: lowest index
-        columns = cands[selected].T
-        weights = _solve_ridge(columns, target, lam)
-        residual = target - columns @ weights
-        norm = float(np.linalg.norm(residual))
-        norms.append(norm)
-    return Coreset(
-        np.asarray(selected, dtype=np.int64),
-        np.maximum(weights, 0.0),
-        residual_norms=tuple(norms),
-    )
+    n = len(cands)
+    return _matching_pursuits(
+        cands[None], np.array([n]), target[None], np.array([min(budget, n)]), lam
+    )[0]
 
 
 def _split_budget(budget: int, class_counts: dict[int, int]) -> dict[int, int]:
@@ -163,13 +272,18 @@ def labelwise_omp_select(
     the server, each against that class's broadcast gradient row, with the
     ridge ``lam`` of :func:`omp_select`.
 
-    The budget splits as floor(budget/|shared|) per class with the
-    remainder allotted to the largest classes; classes the server did not
-    broadcast are skipped and their share flows back into the split.  The
-    indices, weights and ``residual_norms`` of the per-class selections are
-    concatenated in class order (classes with a zero share contribute
-    nothing), so ``residual_norms`` holds each class's residual trace in
-    turn.
+    A sample's candidate row is its own-class output-layer gradient
+    (:func:`~fedcoreset.model.own_class_grads`).  The budget splits as
+    floor(budget/|shared|) per class with the remainder allotted to the
+    largest classes; classes the server did not broadcast are skipped and
+    their share flows back into the split.  All classes advance together,
+    one pick each per step, over a zero-padded [classes, largest class,
+    h+1] candidate stack (at most C n rows); each class's picks, weights
+    and residual trace equal those of :func:`omp_select` on that class
+    alone.  The indices, weights and ``residual_norms`` of the per-class
+    selections are concatenated in class order (classes with a zero share
+    contribute nothing), so ``residual_norms`` holds each class's residual
+    trace in turn.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -179,26 +293,22 @@ def labelwise_omp_select(
     if not shared:
         raise ValueError("client and server share no classes")
 
-    stack = last_layer_grad_stack(params, chunk.dataset)
-    counts = {c: int((labels == c).sum()) for c in shared}
-    shares = _split_budget(budget, counts)
+    rows = own_class_grads(params, chunk.dataset)
+    members = [np.flatnonzero(labels == c) for c in shared]
+    counts = np.array([len(m) for m in members])
+    shares = _split_budget(budget, dict(zip(shared, counts.tolist())))
+    cands = np.zeros((len(shared), counts.max(), rows.shape[1]))
+    for a, idx in enumerate(members):
+        cands[a, : len(idx)] = rows[idx]
+    targets = np.stack([np.asarray(server_rows[c], dtype=np.float64) for c in shared])
+    limits = np.minimum([shares[c] for c in shared], counts)
 
-    all_idx: list[np.ndarray] = []
-    all_w: list[np.ndarray] = []
-    norms: list[float] = []
-    for c in shared:
-        if shares[c] == 0:
-            continue
-        local = np.flatnonzero(labels == c)
-        sub = omp_select(stack[local, c, :], server_rows[c], shares[c], lam=lam)
-        idx = local[sub.indices]
-        all_idx.append(idx)
-        all_w.append(sub.weights)
-        norms.extend(sub.residual_norms)
-
-    indices = np.concatenate(all_idx) if all_idx else np.empty(0, dtype=np.int64)
-    weights = np.concatenate(all_w) if all_w else np.empty(0)
-    return Coreset(indices, weights, residual_norms=tuple(norms))
+    subs = _matching_pursuits(cands, counts, targets, limits, lam)
+    return Coreset(
+        np.concatenate([idx[sub.indices] for idx, sub in zip(members, subs)]),
+        np.concatenate([sub.weights for sub in subs]),
+        residual_norms=tuple(x for sub in subs for x in sub.residual_norms),
+    )
 
 
 def random_select(chunk: ClientChunk, budget: int, seed: int) -> Coreset:

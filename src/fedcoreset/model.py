@@ -28,6 +28,7 @@ __all__ = [
     "predict_proba",
     "loss",
     "last_layer_grad_stack",
+    "own_class_grads",
     "labelwise_validation_grads",
     "sgd_epochs",
 ]
@@ -163,6 +164,18 @@ def last_layer_grad_stack(params: ParamVector, ds: Dataset) -> np.ndarray:
     probs[np.arange(ds.n), ds.labels] -= 1.0
     act1 = np.concatenate([act, np.ones((ds.n, 1))], axis=1)
     return probs[:, :, None] * act1[:, None, :]
+
+
+def own_class_grads(params: ParamVector, ds: Dataset) -> np.ndarray:
+    """Each sample's output-layer gradient row of its own class, [n, h+1].
+
+    Row i is (softmax(z)_y - 1) * [h(x); 1] for sample (x, y), equal bit for
+    bit to ``last_layer_grad_stack(params, ds)[i, y]`` (the same operations
+    on the same values) in O(n (h+1)) memory instead of O(n C (h+1)).
+    """
+    z, act = _logits(params, ds.features)
+    own = _softmax(z)[np.arange(ds.n), ds.labels] - 1.0
+    return own[:, None] * np.concatenate([act, np.ones((ds.n, 1))], axis=1)
 
 
 def labelwise_validation_grads(

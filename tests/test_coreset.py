@@ -58,6 +58,45 @@ def reference_greedy(cands: np.ndarray, target: np.ndarray, budget: int, lam: fl
     return selected
 
 
+def reference_omp(cands: np.ndarray, target: np.ndarray, budget: int, lam: float) -> Coreset:
+    """Matching pursuit on one class as a plain loop: each step computes the
+    distance ||c - r|| itself, picks its first minimum and re-solves the
+    ridge weights with ``_solve_ridge``."""
+    selected: list[int] = []
+    weights = np.empty(0)
+    residual = target
+    norm = float(np.linalg.norm(residual))
+    norms: list[float] = []
+    while len(selected) < min(budget, len(cands)) and norm > 0:
+        dist = np.linalg.norm(cands - residual, axis=1)
+        dist[selected] = np.inf
+        selected.append(int(np.argmin(dist)))
+        columns = cands[selected].T
+        weights = coreset._solve_ridge(columns, target, lam)
+        residual = target - columns @ weights
+        norm = float(np.linalg.norm(residual))
+        norms.append(norm)
+    return Coreset(selected, np.maximum(weights, 0.0), residual_norms=tuple(norms))
+
+
+def reference_labelwise(rows, labels, server_rows, budget, lam) -> Coreset:
+    """Label-wise selection as one ``reference_omp`` per shared class over
+    the own-class candidate ``rows``, concatenated in class order."""
+    shared = sorted(set(labels.tolist()) & set(server_rows))
+    shares = coreset._split_budget(budget, {c: int((labels == c).sum()) for c in shared})
+    parts = []
+    for c in shared:
+        if shares[c]:
+            local = np.flatnonzero(labels == c)
+            sub = reference_omp(rows[local], server_rows[c], shares[c], lam)
+            parts.append(Coreset(local[sub.indices], sub.weights, sub.residual_norms))
+    return Coreset(
+        np.concatenate([p.indices for p in parts] or [np.empty(0)]),
+        np.concatenate([p.weights for p in parts] or [np.empty(0)]),
+        residual_norms=sum((p.residual_norms for p in parts), ()),
+    )
+
+
 def reference_facility_greedy(feats: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """The dense facility-location greedy: every candidate's gain over the
     whole similarity matrix at every pick, argmax ties to the lowest index;
@@ -294,6 +333,125 @@ class TestLabelwise:
             expected.extend(sub.residual_norms)
         assert cs.residual_norms == tuple(expected)
         assert len(cs.residual_norms) == cs.size  # one pick per re-solve
+
+
+class TestLabelwiseLockstep:
+    """The batched label-wise kernel against one ``reference_omp`` loop per
+    class, on random candidate rows put in place of the model's own-class
+    rows: equal supports, weights and residual traces within 1e-12, and a
+    per-class fit that never gets worse.  At lam = 0 that is the residual
+    norm; at lam > 0 it is the ridge objective lam ||w||^2 + ||r||^2, as
+    the residual norm alone can rise (0.509 -> 0.569 in one duplicated
+    case here)."""
+
+    KINDS = ("gaussian", "rounded", "duplicated", "zero_share", "few_candidates",
+             "zero_residual", "lam_zero", "singular", "dominant")
+
+    @staticmethod
+    def make_case(rng: np.random.Generator, kind: str):
+        """(rows, labels, server_rows, budget, lam) of one random chunk."""
+        classes = int(rng.integers(2, 6))
+        d = int(rng.integers(3, 13))
+        sizes = rng.integers(1, 40, size=classes)
+        if kind == "dominant":
+            sizes[rng.integers(classes)] = rng.integers(200, 400)
+        if kind == "few_candidates":
+            sizes[rng.integers(classes)] = rng.integers(1, 3)
+        if kind == "singular":
+            sizes[0] = 4
+        labels = np.repeat(np.arange(classes), sizes)
+        rng.shuffle(labels)
+        rows = rng.normal(size=(len(labels), d))
+        targets = {c: 2.0 * rng.normal(size=d) for c in range(classes)}
+        budget = int(rng.integers(classes, 3 * classes * d + 1))
+        lam = float(rng.choice([0.1, 0.5]))
+        first = np.flatnonzero(labels == 0)
+        if kind == "rounded":  # exact ties of distinct rows at the first pick
+            rows = np.round(rows)
+            targets = {c: np.round(t) for c, t in targets.items()}
+        elif kind == "duplicated":
+            protos = rng.normal(size=(max(1, len(labels) // 6), d))
+            rows = protos[rng.integers(0, len(protos), len(labels))]
+        elif kind == "zero_share":
+            budget = int(rng.integers(1, classes))
+        elif kind == "few_candidates":
+            budget = classes * int(rng.integers(4, 12))
+        elif kind == "zero_residual":
+            # class 0 fits its target exactly with its first pick at lam = 0
+            lam = 0.0
+            rows[first] += 10.0
+            rows[first[0]] = np.eye(d)[0]
+            targets[0] = 2.0 * np.eye(d)[0]
+            budget = classes * int(rng.integers(2, 8))
+        elif kind == "lam_zero":
+            lam = 0.0
+        elif kind == "singular":
+            # two copies of a row: their 2 x 2 system at lam = 1e-20 is
+            # exactly singular, in a step shared with the other classes
+            lam = 1e-20
+            rows[first] = np.vstack([np.eye(d)[0], np.eye(d)[0],
+                                     -5.0 * np.eye(d)[1], -5.0 * np.eye(d)[2]])
+            targets[0] = np.eye(d)[0] * 3.0 + np.eye(d)[1]
+            budget = classes * 3
+        return rows, labels, targets, budget, lam
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_per_class_reference(self, kind, monkeypatch):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        solve_ridge = coreset._solve_ridge
+        fallbacks = []
+
+        def spy(columns, target, lam):
+            fallbacks.append(lam)
+            return solve_ridge(columns, target, lam)
+
+        seen_zero = False
+        for _ in range(40):
+            rows, labels, targets, budget, lam = self.make_case(rng, kind)
+            n, classes = len(labels), len(targets)
+            chunk = chunk_of(Dataset(rng.normal(size=(n, 2)), labels, classes))
+            params = init_params(ModelConfig("softmax_regression"), 2, classes, seed=0)
+            monkeypatch.setattr(coreset, "own_class_grads", lambda p, ds: rows)
+            monkeypatch.setattr(coreset, "_solve_ridge", spy)
+            cs = labelwise_omp_select(chunk, params, targets, budget, lam=lam)
+            monkeypatch.setattr(coreset, "_solve_ridge", solve_ridge)
+            ref = reference_labelwise(rows, labels, targets, budget, lam)
+
+            assert np.array_equal(cs.indices, ref.indices), (kind, budget)
+            assert np.abs(cs.weights - ref.weights).max(initial=0.0) <= 1e-12
+            gap = np.subtract(cs.residual_norms, ref.residual_norms)
+            assert np.abs(gap).max(initial=0.0) <= 1e-12
+            picked, counts = np.unique(labels[cs.indices], return_counts=True)
+            cuts = np.cumsum(counts)[:-1]
+            traces = np.split(np.asarray(cs.residual_norms), cuts)
+            for c, support, trace in zip(picked, np.split(cs.indices, cuts), traces):
+                fits = trace if lam == 0 else [
+                    weighted_error(rows[support[:k]].T, targets[c], lam)
+                    for k in range(1, len(support) + 1)
+                ]
+                assert np.all(np.diff(fits) <= 1e-10), (kind, fits)
+            if kind == "zero_residual":
+                zero = [t for c, t in zip(picked, traces) if c == 0]
+                seen_zero |= bool(zero) and zero[0].tolist() == [0.0] and counts.max() > 1
+        if kind == "zero_residual":
+            assert seen_zero
+        if kind == "singular":
+            assert 1e-20 in fallbacks
+        if kind == "lam_zero":
+            assert fallbacks and set(fallbacks) == {0.0}
+
+    def test_stacked_solve_is_solve_ridge_bit_for_bit(self):
+        """What the weights' equality rests on: numpy runs a stacked matmul
+        or solve one system at a time, as the unstacked call does, on both
+        sides of the k = d switch."""
+        rng = np.random.default_rng(26)
+        for d in (2, 5, 11):
+            for k in (1, d, d + 1, 3 * d):
+                supports = rng.normal(size=(4, k, d))
+                targets = rng.normal(size=(4, d))
+                stacked = coreset._solve_stacked(supports, targets, 0.5)
+                for support, target, w in zip(supports, targets, stacked):
+                    assert np.array_equal(w, coreset._solve_ridge(support.T, target, 0.5)), (d, k)
 
 
 class TestRandomSelect:

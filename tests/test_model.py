@@ -10,6 +10,7 @@ from fedcoreset.model import (
     labelwise_validation_grads,
     last_layer_grad_stack,
     loss,
+    own_class_grads,
     predict_proba,
     sgd_epochs,
 )
@@ -161,6 +162,19 @@ class TestLastLayerGrads:
         a = last_layer_grad_stack(p, ds).mean(axis=0)
         b = last_layer_grad_stack(p, doubled).mean(axis=0)
         assert np.allclose(a, b, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", [SOFTMAX, HIDDEN], ids=["softmax_regression", "one_hidden"])
+    def test_own_class_rows_are_the_stack_entries(self, spec):
+        # labels drawn from 0..7 of 10 classes, so classes 8 and 9 hold no sample
+        rng = np.random.default_rng(21)
+        for case in range(5):
+            ds = Dataset(rng.normal(size=(40, 10)), rng.integers(0, 8, size=40), 10)
+            p = init_params(*spec, seed=300 + case)
+            p.values[:] = rng.normal(scale=0.5, size=p.values.size)
+            rows = own_class_grads(p, ds)
+            stack = last_layer_grad_stack(p, ds)
+            assert rows.shape == (ds.n, stack.shape[2])
+            assert np.array_equal(rows, stack[np.arange(ds.n), ds.labels])
 
 
 class TestLabelwiseGrads:
