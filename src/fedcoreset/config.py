@@ -112,7 +112,7 @@ class ExperimentConfig:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if not self.arms:
-            raise ConfigurationError("at least one algorithm arm is required")
+            raise ConfigurationError("arms: at least one algorithm arm is required")
         # each arm writes its round log and summary entry under its label
         labels = [algo.label for algo in self.arms]
         for label in labels:

@@ -375,12 +375,15 @@ def save_dataset_csv(ds: Dataset, path: str) -> None:
 
 def load_dataset_csv(path: str) -> Dataset:
     """Read a dataset written by :func:`save_dataset_csv`, one class per label
-    up to the largest; header, label and ``Dataset`` errors name the file."""
+    up to the largest; header, row, label and ``Dataset`` errors name the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[-1] != "label":
             raise ValueError(f"{path}: expected trailing 'label' column")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
     features = rows[:, :-1]

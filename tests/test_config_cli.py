@@ -350,6 +350,11 @@ def test_repeated_arm_label_rejected(capsys):
     assert capsys.readouterr() == ("", "error: arms: fedprox_mu0.1 is listed more than once\n")
 
 
+def test_empty_arm_list_names_the_key(capsys):
+    assert main(["run", "--dry-run", "--arms", ""]) == 1
+    assert capsys.readouterr() == ("", "error: arms: at least one algorithm arm is required\n")
+
+
 def test_run_rejects_values(capsys):
     assert main(["run", "--dry-run", "--values", "0,1"]) == 1
     assert capsys.readouterr() == ("", "error: unknown config key 'values'\n")
@@ -609,6 +614,24 @@ csv_path = {csv_path}
         assert main(["run", "--config", write_ini(tmp_path, cfg_text),
                      "--output_dir", str(out)]) == 0
         assert (out / "fedavg.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("f0,f1,label\n0.5,0.25,0\n0.5,0.25,1,7\n", "the number of columns changed"),
+            ("f0,f1,label\n0.5,abc,0\n", "could not convert string 'abc'"),
+        ],
+        ids=["ragged_row", "non_numeric_feature"],
+    )
+    def test_unreadable_row_names_the_file(self, tmp_path, capsys, text, reason):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        out = tmp_path / "results"
+        code = main(["run", "--rounds", "0", "--arms", "fedavg", "--output_dir", str(out),
+                     "--dataset.kind", "csv", "--dataset.csv_path", str(csv_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}: ") and reason in err, err
 
     def test_csv_kind_requires_path(self):
         with pytest.raises(ConfigurationError, match="csv_path"):
