@@ -10,10 +10,10 @@ costs O(d^3) rather than O(k^3) however large the support grows (cf.
 Batch-OMP, Rubinstein, Zibulevsky & Elad 2008).  The residual that drives
 selection and stopping comes from the unclipped solve; the nonnegativity
 clip is applied to the weights that are returned.  Over the growing
-support the ridge objective lam ||w||^2 + ||r||^2 never increases, and so
-at lambda = 0 the residual norm; at lambda > 0 the residual norm alone can
-rise.  Weights only steer selection: local training on a coreset is
-unweighted.
+support the ridge objective lam ||w||^2 + ||r||^2 never increases, so at
+lambda = 0 neither does the residual norm; at lambda > 0 the residual norm
+alone can rise.  Weights only steer selection: local training on a coreset
+is unweighted.
 
 Label-wise selection (one pursuit per class, as in GRAD-MATCH, Killamsetty
 et al. 2021) advances all of a client's classes in one lockstep loop over a
@@ -172,8 +172,8 @@ def _matching_pursuits(
     """
     A, n_max, d = cands.shape
     half = np.einsum("and,and->an", cands, cands) / 2
+    reach = np.sqrt(2 * half.max(axis=1))  # padding rows are zero
     half[np.arange(n_max) >= counts[:, None]] = np.inf
-    reach = np.sqrt(2 * np.max(half, axis=1, where=np.isfinite(half), initial=0.0))
     slack = 2.0 * (d + 4) * np.finfo(np.float64).eps
     width = int(limits.max(initial=0))
     picks = np.zeros((A, width), dtype=np.int64)
