@@ -341,8 +341,7 @@ class TestLabelwiseLockstep:
     rows: equal supports, weights and residual traces within 1e-12, and a
     per-class fit that never gets worse.  At lam = 0 that is the residual
     norm; at lam > 0 it is the ridge objective lam ||w||^2 + ||r||^2, as
-    the residual norm alone can rise (0.509 -> 0.569 in one duplicated
-    case here)."""
+    the residual norm alone can rise."""
 
     KINDS = ("gaussian", "rounded", "duplicated", "zero_share", "few_candidates",
              "zero_residual", "lam_zero", "singular", "dominant")
