@@ -89,8 +89,16 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
+        """The rows at ``indices``, a vector.  The rows of a valid dataset
+        make a valid one, so the checks of ``__post_init__`` are skipped."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
+        if idx.ndim != 1:
+            raise ValueError("subset indices must be a vector")
+        sub = object.__new__(Dataset)
+        object.__setattr__(sub, "features", self.features[idx])
+        object.__setattr__(sub, "labels", self.labels[idx])
+        object.__setattr__(sub, "num_classes", self.num_classes)
+        return sub
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ mean.  All compute and traffic is metered in a :class:`CostLedger`.
 Scheduling independence: every client draws from a private RNG stream
 keyed by (run seed, client id, round), and deltas are aggregated in a
 canonical order, so results do not depend on the order clients run in.
+A round's clients train in lock-step, one stacked SGD step for all the
+clients whose next batch is full (:func:`~fedcoreset.model.sgd_epochs`),
+and each client's arithmetic is unchanged bit for bit from training it
+alone.
 The canonical order is that of ``np.lexsort`` over all P values of each
 delta (the first value the primary key), but it is read off the first
 value with one stable argsort, O(m log m) for m deltas.  Only where
@@ -22,6 +26,7 @@ for the full lexsort.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -157,30 +162,35 @@ class TrainingResult:
 
 
 def client_update(
-    chunk: ClientChunk,
+    chunks: Sequence[ClientChunk],
     theta_t: ParamVector,
-    train_indices: np.ndarray,
+    train_indices: Sequence[np.ndarray],
     cfg: "ExperimentConfig",
     *,
-    seed: int,
+    seeds: Sequence[int],
     mu: float = 0.0,
-) -> ParamVector:
-    """E = cfg.local_epochs epochs of local SGD from theta_t on the indexed
-    subset at rate cfg.local_lr, with a FedProx pull of strength mu toward
-    theta_t; returns the delta theta' - theta_t."""
-    idx = np.asarray(train_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("client has no training samples for this round")
-    theta_prime = sgd_epochs(
+) -> list[ParamVector]:
+    """For each client, E = cfg.local_epochs epochs of local SGD from
+    theta_t on the indexed subset of its chunk at rate cfg.local_lr, with a
+    FedProx pull of strength mu toward theta_t; returns the deltas
+    theta' - theta_t in the order of ``chunks``.  The clients train in
+    lock-step (:func:`sgd_epochs`), each bit for bit as if alone."""
+    subsets = []
+    for chunk, indices in zip(chunks, train_indices, strict=True):
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size == 0:
+            raise ValueError("client has no training samples for this round")
+        subsets.append(chunk.dataset.subset(idx))
+    trained = sgd_epochs(
         theta_t,
-        chunk.dataset.subset(idx),
+        subsets,
         epochs=cfg.local_epochs,
         lr=cfg.local_lr,
         batch_size=cfg.batch_size,
-        seed=seed,
+        seeds=seeds,
         mu=mu,
     )
-    return theta_t.with_values(theta_prime.values - theta_t.values)
+    return [theta_t.with_values(theta.values - theta_t.values) for theta in trained]
 
 
 def _canonical_order(rows: list[np.ndarray]) -> np.ndarray:
@@ -286,23 +296,24 @@ def run_round(
             ledger.per_sample_grad_evals += chunk.n
             coresets[cid] = labelwise_omp_select(chunk, params, rows, budget, lam=cfg.lam)
 
-    deltas: list[ParamVector] = []
+    trainees, indices = [], []
     for cid in sampled:
         ledger.params_broadcast += theta_size
         idx = _training_indices(chunks[cid], coresets[cid], algo)
         if idx.size == 0:
             continue  # nothing to train on; client sits this round out
-        delta = client_update(
-            chunks[cid],
-            params,
-            idx,
-            cfg,
-            seed=derive_seed(cfg.seed, "client", int(cid), "round", round_index),
-            mu=algo.mu if algo.kind == "fedprox" else 0.0,
-        )
+        trainees.append(cid)
+        indices.append(idx)
         ledger.sgd_sample_visits += cfg.local_epochs * idx.size
         ledger.update_uploads += theta_size
-        deltas.append(delta)
+    deltas = client_update(
+        [chunks[cid] for cid in trainees],
+        params,
+        indices,
+        cfg,
+        seeds=[derive_seed(cfg.seed, "client", int(cid), "round", round_index) for cid in trainees],
+        mu=algo.mu if algo.kind == "fedprox" else 0.0,
+    )
 
     new_params = aggregate(params, deltas, cfg.global_lr) if deltas else params.copy()
 
@@ -430,13 +441,13 @@ def run_training(
     )
     if cfg.fine_tune_epochs > 0:
         # post-hoc SGD on the server's validation data
-        tuned = sgd_epochs(
+        (tuned,) = sgd_epochs(
             params,
-            prepared.val,
+            [prepared.val],
             epochs=cfg.fine_tune_epochs,
             lr=cfg.local_lr,
             batch_size=cfg.batch_size,
-            seed=derive_seed(cfg.seed, "finetune"),
+            seeds=[derive_seed(cfg.seed, "finetune")],
         )
         result.fine_tuned_accuracy = evaluate_accuracy(tuned, prepared.test)
     return result

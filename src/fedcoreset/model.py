@@ -13,6 +13,7 @@ For ``softmax_regression`` the penultimate activation is the raw input
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,57 +199,125 @@ def labelwise_validation_grads(
     }
 
 
-def _full_grad(params: ParamVector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy gradient for a batch, flattened to layout order."""
-    n = x.shape[0]
-    z, act = _logits(params, x)
-    delta = _softmax(z)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
+def _sgd_step(
+    theta: np.ndarray,
+    layout: tuple[tuple[str, tuple[int, int]], ...],
+    anchor: np.ndarray,
+    x1: np.ndarray,
+    y: np.ndarray,
+    lr: float,
+    mu: float,
+) -> None:
+    """One SGD step on mean cross-entropy for each of c stacked models, in
+    place.
 
-    act1 = np.concatenate([act, np.ones((n, 1))], axis=1)
-    g_out = delta.T @ act1
-    if params.layout[0][0] == "hidden":
-        w_out = params.last_layer()
-        d_act = delta @ w_out[:, :-1]
-        d_z1 = d_act * (1.0 - act * act)
-        x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
-        g_hid = d_z1.T @ x1
-        return np.concatenate([g_hid.ravel(), g_out.ravel()])
-    return g_out.ravel()
+    ``theta`` is ``[c, P]``, one model per row; row i steps on the batch
+    ``x1[i]`` (``[b, d + 1]``, last column 1) with labels ``y[i]``.  Every
+    product is a stacked matmul, which runs one BLAS call per model on
+    operands of the shapes and strides a lone model's step would use, so
+    each row comes out bit for bit as if it had been stepped alone.
+    ``mu > 0`` adds the FedProx pull ``mu * (theta - anchor)`` to the
+    gradient.
+    """
+    c, b = y.shape
+    rows, cols = layout[-1][1]
+    off = theta.shape[1] - rows * cols
+    w_out = theta[:, off:].reshape(c, rows, cols)
+    x = x1[:, :, :-1]
+    if off:
+        w1 = theta[:, :off].reshape(c, *layout[0][1])
+        act = np.tanh(x @ w1[:, :, :-1].transpose(0, 2, 1) + w1[:, None, :, -1])
+        act1 = np.concatenate([act, np.ones((c, b, 1))], axis=2)
+    else:
+        act, act1 = x, x1
+    z = act @ w_out[:, :, :-1].transpose(0, 2, 1) + w_out[:, None, :, -1]
+    z = z - z.max(axis=2, keepdims=True)
+    e = np.exp(z)
+    delta = e / e.sum(axis=2, keepdims=True)
+    delta[np.arange(c)[:, None], np.arange(b), y] -= 1.0
+    delta /= b
+
+    grads = [delta.transpose(0, 2, 1) @ act1]
+    if off:
+        d_z1 = (delta @ w_out[:, :, :-1]) * (1.0 - act * act)
+        grads.insert(0, d_z1.transpose(0, 2, 1) @ x1)
+    # theta - lr * (grad + mu * (theta - anchor)), a layer block at a time and
+    # in place, so no [c, P] array is allocated; IEEE products commute, so
+    # the in-place order is still a lone step's arithmetic
+    start = 0
+    for grad in grads:
+        grad = grad.reshape(c, -1)
+        stop = start + grad.shape[1]
+        if mu:
+            pull = theta[:, start:stop] - anchor[start:stop]
+            pull *= mu
+            grad += pull
+        grad *= lr
+        theta[:, start:stop] -= grad
+        start = stop
 
 
 def sgd_epochs(
     params: ParamVector,
-    ds: Dataset,
+    datasets: Sequence[Dataset],
     epochs: int,
     lr: float,
     batch_size: int,
-    seed: int,
+    seeds: Sequence[int],
     mu: float = 0.0,
-) -> ParamVector:
-    """Shuffled mini-batch SGD on mean cross-entropy, each step
-    ``theta - lr * grad``.
+) -> list[ParamVector]:
+    """Shuffled mini-batch SGD on mean cross-entropy from ``params``, one
+    run per dataset, each step ``theta - lr * grad``.
+
+    Run i shuffles ``datasets[i]`` with the generator of ``seeds[i]`` each
+    epoch and steps on its batches in that order.  The runs advance in
+    lock-step: step k of every run whose k-th batch of the epoch is full
+    is one stacked step (see :func:`_sgd_step`), and each run's partial
+    last batch, if any, is a stacked step of that run alone.  A run's
+    arithmetic does not depend on the others, so it is bit for bit the run
+    on its dataset alone.  Runs are stacked in order of their full-batch
+    counts, largest first, so the runs taking step k are a prefix of the
+    stack.  Each step's rows are gathered into one ``[m, b, d + 1]``
+    buffer whose bias column is set once.
 
     With ``mu > 0`` the objective gains the FedProx term
     mu/2 * ||theta - params||^2, a pull toward the parameters SGD started
-    from.  Deterministic given (params, ds, seed, hyperparameters), which
-    are values ``ExperimentConfig`` has checked: epochs >= 0, lr > 0,
-    batch_size >= 1.
+    from.  Deterministic given (params, datasets, seeds, hyperparameters),
+    which are values ``ExperimentConfig`` has checked: epochs >= 0,
+    lr > 0, batch_size >= 1.  The datasets share one feature dimension.
     """
-    if epochs == 0:
-        return params
-    if ds.n == 0:
+    if len(seeds) != len(datasets):
+        raise ValueError("sgd_epochs needs one seed per dataset")
+    if epochs == 0 or not datasets:
+        return [params] * len(datasets)
+    if any(ds.n == 0 for ds in datasets):
         raise ValueError("cannot train on an empty dataset")
 
-    rng = np.random.default_rng(seed)
-    theta = params.copy()
+    full = np.array([ds.n // batch_size for ds in datasets], dtype=np.int64)
+    stack = np.argsort(-full, kind="stable")
+    runs = [datasets[i] for i in stack]
+    rngs = [np.random.default_rng(seeds[i]) for i in stack]
+    full = full[stack]
+    live = np.searchsorted(-full, -np.arange(full[0]))
+
+    layout, anchor = params.layout, params.values
+    m, width = len(runs), min(batch_size, max(ds.n for ds in runs))
+    theta = np.tile(params.values, (m, 1))
+    x1 = np.empty((m, width, runs[0].dim + 1))
+    x1[:, :, -1] = 1.0
+    y = np.empty((m, width), dtype=np.int64)
     for _ in range(epochs):
-        order = rng.permutation(ds.n)
-        for start in range(0, ds.n, batch_size):
-            batch = order[start : start + batch_size]
-            grad = _full_grad(theta, ds.features[batch], ds.labels[batch])
-            if mu:
-                grad = grad + mu * (theta.values - params.values)
-            theta.values = theta.values - lr * grad
-    return theta
+        orders = [rng.permutation(ds.n) for rng, ds in zip(rngs, runs)]
+        for k, c in enumerate(live):
+            for i in range(c):
+                rows = orders[i][k * batch_size : (k + 1) * batch_size]
+                x1[i, :, :-1] = runs[i].features[rows]
+                y[i] = runs[i].labels[rows]
+            _sgd_step(theta[:c], layout, anchor, x1[:c], y[:c], lr, mu)
+        for i, ds in enumerate(runs):
+            rows = orders[i][full[i] * batch_size :]
+            if b := rows.size:
+                x1[i, :b, :-1] = ds.features[rows]
+                y[i, :b] = ds.labels[rows]
+                _sgd_step(theta[i : i + 1], layout, anchor, x1[i : i + 1, :b], y[i : i + 1, :b], lr, mu)
+    return [params.with_values(theta[row]) for row in np.argsort(stack)]

@@ -10,6 +10,7 @@ guarantees stable across platforms and versions.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -27,7 +28,13 @@ def spawn_rng(master_seed: int, *tags: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def derive_seed(master_seed: int, *tags: int | str) -> int:
-    """Integer seed for the substream, for operations that take a bare seed."""
+    """Integer seed for the substream, for operations that take a bare seed.
+
+    Memoised, as the arms of a run derive the same keys.  The cache is
+    typed because ``repr`` tells ``3`` from ``np.int64(3)`` (so their seeds
+    differ) while ``==`` and ``hash`` do not.
+    """
     ss = np.random.SeedSequence(master_seed, spawn_key=_spawn_key(tags))
     return int(ss.generate_state(1, np.uint64)[0])

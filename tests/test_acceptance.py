@@ -325,9 +325,9 @@ class TestCriterion7ProtocolSuite:
         )
         ds = prepared.chunks[0].dataset
         for t in range(cfg.rounds):
-            theta = sgd_epochs(
-                theta, ds, epochs=1, lr=0.1, batch_size=10_000,
-                seed=derive_seed(cfg.seed, "client", 0, "round", t),
+            (theta,) = sgd_epochs(
+                theta, [ds], epochs=1, lr=0.1, batch_size=10_000,
+                seeds=[derive_seed(cfg.seed, "client", 0, "round", t)],
             )
         gap = float(np.abs(fed.final_params.values - theta.values).max())
         report(

@@ -31,6 +31,26 @@ def row_multiset(ds: Dataset) -> list[tuple]:
     return sorted(map(tuple, np.column_stack([ds.features, ds.labels]).tolist()))
 
 
+class TestDatasetSubset:
+    def test_subset_is_the_gathered_rows(self):
+        ds = blobs(3, 4, [1, 2, 3], 10, seed=0)
+        idx = np.array([5, 0, 29, 5, 12])
+        sub = ds.subset(idx)
+        assert np.array_equal(sub.features, ds.features[idx])
+        assert np.array_equal(sub.labels, ds.labels[idx])
+        assert sub.num_classes == ds.num_classes
+        assert sub.features.flags.c_contiguous and sub.labels.flags.c_contiguous
+        assert sub.features.dtype == np.float64 and sub.labels.dtype == np.int64
+        empty = ds.subset([])
+        assert empty.n == 0 and empty.dim == ds.dim
+
+    def test_construction_still_checks(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(np.array([[0.0, np.nan]]), np.array([0]), 1)
+        with pytest.raises(ValueError, match="vector"):
+            blobs(2, 2, [1, 1], 3, seed=0).subset(np.zeros((2, 1), dtype=int))
+
+
 class TestRounding:
     def test_half_away_from_zero(self):
         assert round_half_away(0.5) == 1

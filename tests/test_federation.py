@@ -79,7 +79,7 @@ class TestClientUpdate:
         chunk = self.make_chunk()
         cfg = tiny_cfg(local_epochs=0, batch_size=8)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=1)
-        delta = client_update(chunk, theta, np.arange(chunk.n), cfg, seed=0)
+        (delta,) = client_update([chunk], theta, [np.arange(chunk.n)], cfg, seeds=[0])
         assert np.all(delta.values == 0.0)
 
     def test_single_full_batch_step_identity(self):
@@ -87,7 +87,7 @@ class TestClientUpdate:
         cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=2)
         idx = np.arange(chunk.n)
-        delta = client_update(chunk, theta, idx, cfg, seed=0)
+        (delta,) = client_update([chunk], theta, [idx], cfg, seeds=[0])
         grad = last_layer_grad_stack(theta, chunk.dataset).mean(axis=0).ravel()
         assert np.allclose(delta.values, -0.05 * grad, atol=1e-12)
 
@@ -96,8 +96,8 @@ class TestClientUpdate:
         cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=3)
         idx = np.arange(chunk.n)
-        plain = client_update(chunk, theta, idx, cfg, seed=0)
-        proxed = client_update(chunk, theta, idx, cfg, seed=0, mu=5.0)
+        (plain,) = client_update([chunk], theta, [idx], cfg, seeds=[0])
+        (proxed,) = client_update([chunk], theta, [idx], cfg, seeds=[0], mu=5.0)
         # one step from the anchor itself: prox gradient mu*(theta-anchor)=0
         assert np.allclose(plain.values, proxed.values, atol=1e-12)
 
@@ -106,7 +106,7 @@ class TestClientUpdate:
         lr, mu = 0.05, 2.0
         cfg = tiny_cfg(local_epochs=2, local_lr=lr, batch_size=chunk.n)
         theta0 = init_params(ModelConfig("softmax_regression"), 5, 4, seed=6)
-        delta = client_update(chunk, theta0, np.arange(chunk.n), cfg, seed=0, mu=mu)
+        (delta,) = client_update([chunk], theta0, [np.arange(chunk.n)], cfg, seeds=[0], mu=mu)
 
         def grad(values):
             params = theta0.with_values(values)
@@ -120,7 +120,13 @@ class TestClientUpdate:
         chunk = self.make_chunk()
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=4)
         with pytest.raises(ValueError):
-            client_update(chunk, theta, np.array([], dtype=int), tiny_cfg(batch_size=8), seed=0)
+            client_update(
+                [chunk, chunk],
+                theta,
+                [np.arange(chunk.n), np.array([], dtype=int)],
+                tiny_cfg(batch_size=8),
+                seeds=[0, 1],
+            )
 
 
 class TestAggregate:
@@ -256,9 +262,9 @@ class TestRunRound:
         seen: list[np.ndarray] = []
         real = federation.client_update
 
-        def spy(chunk, theta, idx, *args, **kw):
-            seen.append((chunk.clean_flags, np.asarray(idx)))
-            return real(chunk, theta, idx, *args, **kw)
+        def spy(chunks, theta, indices, *args, **kw):
+            seen.extend((chunk.clean_flags, np.asarray(idx)) for chunk, idx in zip(chunks, indices))
+            return real(chunks, theta, indices, *args, **kw)
 
         monkeypatch.setattr(federation, "client_update", spy)
         run_training(cfg, Algo("skyline"), prepared)
@@ -306,9 +312,9 @@ class TestSingleClientEquivalence:
         )
         ds = prepared.chunks[0].dataset
         for t in range(cfg.rounds):
-            theta = sgd_epochs(
-                theta, ds, epochs=1, lr=0.1, batch_size=10_000,
-                seed=derive_seed(cfg.seed, "client", 0, "round", t),
+            (theta,) = sgd_epochs(
+                theta, [ds], epochs=1, lr=0.1, batch_size=10_000,
+                seeds=[derive_seed(cfg.seed, "client", 0, "round", t)],
             )
         assert np.abs(fed.final_params.values - theta.values).max() <= 1e-12
 
@@ -425,21 +431,21 @@ class TestFineTune:
     def test_zero_epochs_identity(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
-        out = sgd_epochs(p, prepared.val, epochs=0, lr=0.1, batch_size=32, seed=0)
+        (out,) = sgd_epochs(p, [prepared.val], epochs=0, lr=0.1, batch_size=32, seeds=[0])
         assert out is p
 
     def test_loss_non_increasing_on_val(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=1)
         before = loss(p, prepared.val)
-        tuned = sgd_epochs(p, prepared.val, epochs=50, lr=0.05, batch_size=32, seed=2)
+        (tuned,) = sgd_epochs(p, [prepared.val], epochs=50, lr=0.05, batch_size=32, seeds=[2])
         assert loss(tuned, prepared.val) <= before
 
     def test_empty_val_rejected(self):
         ds = blobs(2, 2, [1, 1], 5, seed=0)
         p = init_params(ModelConfig("softmax_regression"), 2, 2, seed=0)
         with pytest.raises(ValueError):
-            sgd_epochs(p, ds.subset([]), epochs=1, lr=0.1, batch_size=32, seed=0)
+            sgd_epochs(p, [ds.subset([])], epochs=1, lr=0.1, batch_size=32, seeds=[0])
 
 
 class TestCostRatio:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcoreset.data import Dataset
 from fedcoreset.errors import ConfigurationError
 from fedcoreset.model import (
+    ARCHS,
     ModelConfig,
     ParamVector,
     init_params,
@@ -40,6 +43,45 @@ def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarra
         grad[i] = (loss(plus, ds) - loss(minus, ds)) / (2 * step)
     rows, cols = params.layout[-1][1]
     return grad.reshape(rows, cols)
+
+
+
+def reference_grad(params: ParamVector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy gradient of one batch, flattened to layout order."""
+    n = x.shape[0]
+    act = x
+    if params.layout[0][0] == "hidden":
+        w1 = params.block("hidden")
+        act = np.tanh(x @ w1[:, :-1].T + w1[:, -1])
+    out = params.last_layer()
+    z = act @ out[:, :-1].T + out[:, -1]
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    g_out = delta.T @ np.concatenate([act, np.ones((n, 1))], axis=1)
+    if params.layout[0][0] == "hidden":
+        d_z1 = (delta @ out[:, :-1]) * (1.0 - act * act)
+        g_hid = d_z1.T @ np.concatenate([x, np.ones((n, 1))], axis=1)
+        return np.concatenate([g_hid.ravel(), g_out.ravel()])
+    return g_out.ravel()
+
+
+def reference_sgd(params, ds, epochs, lr, batch_size, seed, mu=0.0) -> np.ndarray:
+    """One client's local SGD, batch by batch: the oracle for the
+    lock-step ``sgd_epochs``."""
+    rng = np.random.default_rng(seed)
+    theta = params.values.copy()
+    for _ in range(epochs):
+        order = rng.permutation(ds.n)
+        for start in range(0, ds.n, batch_size):
+            batch = order[start : start + batch_size]
+            grad = reference_grad(params.with_values(theta), ds.features[batch], ds.labels[batch])
+            if mu:
+                grad = grad + mu * (theta - params.values)
+            theta = theta - lr * grad
+    return theta
 
 
 class TestInit:
@@ -208,7 +250,7 @@ class TestSgd:
     def test_zero_epochs_identity(self):
         ds = random_dataset(10, 10, 10, seed=20)
         p = init_params(*SOFTMAX, seed=21)
-        out = sgd_epochs(p, ds, epochs=0, lr=0.1, batch_size=4, seed=0)
+        (out,) = sgd_epochs(p, [ds], epochs=0, lr=0.1, batch_size=4, seeds=[0])
         assert np.array_equal(out.values, p.values)
 
     def test_single_full_batch_step_matches_gradient(self):
@@ -216,7 +258,7 @@ class TestSgd:
         # full-batch step must equal theta - lr * mean last-layer gradient
         ds = random_dataset(20, 10, 10, seed=22)
         p = init_params(*SOFTMAX, seed=23)
-        out = sgd_epochs(p, ds, epochs=1, lr=0.05, batch_size=ds.n, seed=0)
+        (out,) = sgd_epochs(p, [ds], epochs=1, lr=0.05, batch_size=ds.n, seeds=[0])
         expect = p.values - 0.05 * last_layer_grad_stack(p, ds).mean(axis=0).ravel()
         assert np.allclose(out.values, expect, atol=1e-12)
 
@@ -224,15 +266,15 @@ class TestSgd:
         ds = blobs(3, 4, [0.5, 0.5, 0.5], 30, seed=24)
         p = init_params(ModelConfig("softmax_regression"), 4, 3, seed=25)
         before = loss(p, ds)
-        out = sgd_epochs(p, ds, epochs=200, lr=0.1, batch_size=32, seed=1)
+        (out,) = sgd_epochs(p, [ds], epochs=200, lr=0.1, batch_size=32, seeds=[1])
         after = loss(out, ds)
         assert after < 0.5 * before
 
     def test_deterministic(self):
         ds = random_dataset(25, 10, 10, seed=26)
         p = init_params(*HIDDEN, seed=27)
-        a = sgd_epochs(p, ds, epochs=3, lr=0.1, batch_size=8, seed=5)
-        b = sgd_epochs(p, ds, epochs=3, lr=0.1, batch_size=8, seed=5)
+        (a,) = sgd_epochs(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=[5])
+        (b,) = sgd_epochs(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=[5])
         assert np.array_equal(a.values, b.values)
 
     def test_prox_pulls_toward_anchor(self):
@@ -240,8 +282,8 @@ class TestSgd:
         ds = random_dataset(30, 10, 10, seed=28)
         p = init_params(*SOFTMAX, seed=29)
         start = p.values.copy()
-        plain = sgd_epochs(p, ds, epochs=5, lr=0.2, batch_size=8, seed=6)
-        proxed = sgd_epochs(p, ds, epochs=5, lr=0.2, batch_size=8, seed=6, mu=2.0)
+        (plain,) = sgd_epochs(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=[6])
+        (proxed,) = sgd_epochs(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=[6], mu=2.0)
         assert np.array_equal(p.values, start)
         assert np.linalg.norm(proxed.values - start) < np.linalg.norm(plain.values - start)
 
@@ -249,11 +291,59 @@ class TestSgd:
         ds = random_dataset(4, 10, 10, seed=30)
         p = init_params(*SOFTMAX, seed=31)
         with pytest.raises(ValueError):
-            sgd_epochs(p, ds.subset([]), epochs=1, lr=0.1, batch_size=4, seed=0)
+            sgd_epochs(p, [ds, ds.subset([])], epochs=1, lr=0.1, batch_size=4, seeds=[0, 1])
 
     def test_one_hidden_trains(self):
         ds = blobs(3, 4, [0.5] * 3, 30, seed=32)
         p = init_params(ModelConfig("one_hidden", hidden_dim=8), 4, 3, seed=33)
-        out = sgd_epochs(p, ds, epochs=100, lr=0.2, batch_size=16, seed=7)
+        (out,) = sgd_epochs(p, [ds], epochs=100, lr=0.2, batch_size=16, seeds=[7])
         assert loss(out, ds) < 0.5 * loss(p, ds)
 
+
+@st.composite
+def lockstep_cases(draw):
+    """Clients of unequal sizes around the batch size: n = 1, n < B, and
+    n mod B equal to 0, to 1 and to other values."""
+    batch = draw(st.integers(1, 8))
+    sizes = st.one_of(
+        st.just(1),
+        st.integers(1, batch),
+        st.integers(1, 4).map(lambda k: k * batch),
+        st.integers(1, 4).map(lambda k: k * batch + 1),
+        st.integers(1, 40),
+    )
+    return dict(
+        arch=draw(st.sampled_from(ARCHS)),
+        dim=draw(st.integers(1, 5)),
+        classes=draw(st.integers(1, 4)),
+        sizes=draw(st.lists(sizes, min_size=1, max_size=6)),
+        batch=batch,
+        epochs=draw(st.integers(1, 3)),
+        mu=draw(st.sampled_from((0.0, 0.05, 1.5))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestLockstepSgd:
+    @settings(max_examples=150, deadline=None)
+    @given(case=lockstep_cases())
+    def test_each_client_equals_its_lone_run(self, case):
+        rng = np.random.default_rng(case["seed"])
+        model = ModelConfig(case["arch"], hidden_dim=3)
+        p = init_params(model, case["dim"], case["classes"], seed=case["seed"])
+        datasets = [random_dataset(n, case["dim"], case["classes"], seed=int(s))
+                    for n, s in zip(case["sizes"], rng.integers(0, 2**32, len(case["sizes"])))]
+        seeds = [int(s) for s in rng.integers(0, 2**63, len(datasets))]
+        knobs = dict(epochs=case["epochs"], lr=0.1, batch_size=case["batch"], mu=case["mu"])
+        trained = sgd_epochs(p, datasets, seeds=seeds, **knobs)
+        assert len(trained) == len(datasets)
+        for ds, seed, theta in zip(datasets, seeds, trained):
+            assert theta.layout == p.layout
+            assert np.array_equal(theta.values, reference_sgd(p, ds, seed=seed, **knobs))
+
+    def test_one_seed_per_dataset(self):
+        ds = random_dataset(5, 3, 2, seed=0)
+        p = init_params(ModelConfig("softmax_regression"), 3, 2, seed=0)
+        with pytest.raises(ValueError, match="one seed per dataset"):
+            sgd_epochs(p, [ds, ds], epochs=1, lr=0.1, batch_size=2, seeds=[0])
+        assert sgd_epochs(p, [], epochs=1, lr=0.1, batch_size=2, seeds=[]) == []

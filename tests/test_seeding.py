@@ -1,3 +1,5 @@
+import numpy as np
+
 from fedcoreset.seeding import derive_seed, spawn_rng
 
 
@@ -23,3 +25,15 @@ def test_derive_seed_stable():
     # frozen values: the fan-out is part of the reproducibility contract
     assert derive_seed(0, "dataset") == derive_seed(0, "dataset")
     assert derive_seed(42, "client", 1, "round", 2) == derive_seed(42, "client", 1, "round", 2)
+
+
+def test_numpy_and_python_int_tags_keep_their_own_seeds():
+    # repr tells the two apart, so they name different substreams, though
+    # they compare and hash equal: the memo must not hand one the other's
+    python_int, numpy_int = 17226571596288210046, 12761920981498353551
+    derive_seed.cache_clear()
+    assert derive_seed(0, "client", 3) == python_int
+    assert derive_seed(0, "client", np.int64(3)) == numpy_int
+    derive_seed.cache_clear()
+    assert derive_seed(0, "client", np.int64(3)) == numpy_int
+    assert derive_seed(0, "client", 3) == python_int
