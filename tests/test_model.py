@@ -45,7 +45,6 @@ def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarra
     return grad.reshape(rows, cols)
 
 
-
 def reference_grad(params: ParamVector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient of one batch, flattened to layout order."""
     n = x.shape[0]
