@@ -1,19 +1,46 @@
-"""Frozen per-round logs of the blob benchmark.
+"""Frozen per-round logs.
 
 ``tests/golden/blob_seed0_<arm>.csv`` is the ``write_round_log`` output of
-the seed-0 blob benchmark run of each arm.  A refactor must reproduce every
+the seed-0 blob benchmark run of each arm, and
+``tests/golden/hidden_seed0_<arm>.csv`` that of a five-round run of the
+``hidden`` benchmark shape (``one_hidden`` h=64, dim 50, 10 of 50 clients a
+round), so both architectures are covered.  A refactor must reproduce every
 byte; only a deliberate behaviour change may rewrite these files, and its
 change note must say so.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from fedcoreset.federation import Algo, prepare_experiment, run_training
 from fedcoreset.metrics import write_round_log
-from fedcoreset.presets import BLOB_BENCHMARK_ARMS
+from fedcoreset.model import ModelConfig
+from fedcoreset.presets import BLOB_BENCHMARK_ARMS, blob_benchmark_config
 
 GOLDEN = Path(__file__).parent / "golden"
+HIDDEN_ARMS = (Algo("fedavg"), Algo("gcfl"))
+
+
+def hidden_config():
+    base = blob_benchmark_config(seed=0)
+    return replace(
+        base,
+        dataset=replace(base.dataset, dim=50, samples_per_blob=500),
+        model=ModelConfig(arch="one_hidden", hidden_dim=64),
+        num_clients=50,
+        clients_per_round=10,
+        rounds=5,
+        arms=HIDDEN_ARMS,
+    )
+
+
+@pytest.fixture(scope="module")
+def hidden_runs():
+    cfg = hidden_config()
+    prepared = prepare_experiment(cfg)
+    return {algo.label: run_training(cfg, algo, prepared) for algo in cfg.arms}
 
 
 @pytest.mark.parametrize("arm", [a.label for a in BLOB_BENCHMARK_ARMS])
@@ -21,3 +48,10 @@ def test_blob_round_log_matches_golden(benchmark_runs, arm, tmp_path):
     path = tmp_path / f"{arm}.csv"
     write_round_log(str(path), benchmark_runs[0][arm].rounds)
     assert path.read_bytes() == (GOLDEN / f"blob_seed0_{arm}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("arm", [a.label for a in HIDDEN_ARMS])
+def test_hidden_round_log_matches_golden(hidden_runs, arm, tmp_path):
+    path = tmp_path / f"{arm}.csv"
+    write_round_log(str(path), hidden_runs[arm].rounds)
+    assert path.read_bytes() == (GOLDEN / f"hidden_seed0_{arm}.csv").read_bytes()
