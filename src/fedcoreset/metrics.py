@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .data import ClientChunk, Dataset
-from .model import ParamVector, predict_proba
+from .model import ParamVector, _class_logits
 
 if TYPE_CHECKING:
     from .coreset import Coreset
@@ -58,10 +58,17 @@ class RoundMetrics:
 
 
 def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
-    """Fraction of argmax-correct predictions (ties to the lowest class)."""
+    """Fraction of samples whose largest logit is their label's.
+
+    The prediction is the argmax of the logits, ties to the lowest class; a
+    sample whose logits hold a NaN or whose largest is infinite has no
+    defined softmax and is predicted class 0.
+    """
     if test.n == 0:
         raise ValueError("test set is empty")
-    pred = np.argmax(predict_proba(params, test.features), axis=1)
+    z = _class_logits(params, test.features)
+    pred = np.argmax(z, axis=0)
+    pred[~np.isfinite(z[pred, np.arange(test.n)])] = 0
     return float(np.mean(pred == test.labels))
 
 

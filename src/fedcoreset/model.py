@@ -9,6 +9,12 @@ column is the bias.  The output block is always last, so the "last layer"
 For ``softmax_regression`` the penultimate activation is the raw input
 (h = input_dim); for ``one_hidden`` it is ``tanh(W1 x + b1)``
 (h = hidden_dim).  All math is float64.
+
+There are two forward paths.  Evaluation (:func:`loss`, and the test
+accuracy in ``metrics``) runs class-major: logits are ``[classes, n]``, so
+each per-sample reduction over the classes is a vector operation across the
+samples.  Gradients and SGD run sample-major, ``[n, classes]``, the layout
+whose bits the coreset selection and the training were recorded with.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ __all__ = [
     "ModelConfig",
     "ParamVector",
     "init_params",
-    "predict_proba",
     "loss",
     "last_layer_grad_stack",
     "own_class_grads",
@@ -137,20 +142,31 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict_proba(params: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Class probabilities, rows summing to one."""
-    z, _ = _logits(params, np.asarray(x, dtype=np.float64))
-    return _softmax(z)
+def _class_logits(params: ParamVector, x: np.ndarray) -> np.ndarray:
+    """Logits of the samples ``x`` (``[n, d]``) class-major, ``[classes, n]``."""
+    if params.layout[0][0] == "hidden":
+        w1 = params.block("hidden")
+        act = w1[:, :-1] @ x.T
+        act += w1[:, -1:]
+        np.tanh(act, out=act)
+    else:
+        act = x.T
+    out = params.last_layer()
+    z = out[:, :-1] @ act
+    z += out[:, -1:]
+    return z
 
 
 def loss(params: ParamVector, ds: Dataset) -> float:
     """Mean cross-entropy over the dataset."""
     if ds.n == 0:
         raise ValueError("loss is undefined on an empty dataset")
-    z, _ = _logits(params, ds.features)
-    zmax = z.max(axis=1)
-    logsumexp = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    return float(np.mean(logsumexp - z[np.arange(ds.n), ds.labels]))
+    z = _class_logits(params, ds.features)
+    own = z[ds.labels, np.arange(ds.n)]
+    zmax = z.max(axis=0)
+    z -= zmax
+    np.exp(z, out=z)
+    return float((np.log(z.sum(axis=0)) + zmax - own).mean())
 
 
 def last_layer_grad_stack(params: ParamVector, ds: Dataset) -> np.ndarray:
@@ -226,7 +242,9 @@ def _sgd_step(
     x = x1[:, :, :-1]
     if off:
         w1 = theta[:, :off].reshape(c, *layout[0][1])
-        act = np.tanh(x @ w1[:, :, :-1].transpose(0, 2, 1) + w1[:, None, :, -1])
+        act = x @ w1[:, :, :-1].transpose(0, 2, 1)
+        act += w1[:, None, :, -1]
+        np.tanh(act, out=act)
         act1 = np.concatenate([act, np.ones((c, b, 1))], axis=2)
     else:
         act, act1 = x, x1
@@ -237,10 +255,18 @@ def _sgd_step(
     delta[np.arange(c)[:, None], np.arange(b), y] -= 1.0
     delta /= b
 
+    # drop each activation once used: a step of c stacked models holds c
+    # lone steps' worth of them
     grads = [delta.transpose(0, 2, 1) @ act1]
+    del act1
     if off:
-        d_z1 = (delta @ w_out[:, :, :-1]) * (1.0 - act * act)
+        act *= act
+        np.subtract(1.0, act, out=act)
+        d_z1 = delta @ w_out[:, :, :-1]
+        d_z1 *= act
+        del act
         grads.insert(0, d_z1.transpose(0, 2, 1) @ x1)
+        del d_z1
     # theta - lr * (grad + mu * (theta - anchor)), a layer block at a time and
     # in place, so no [c, P] array is allocated; IEEE products commute, so
     # the in-place order is still a lone step's arithmetic

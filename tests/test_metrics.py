@@ -17,13 +17,55 @@ from fedcoreset.metrics import (
     write_round_log,
     write_summary,
 )
-from fedcoreset.model import ModelConfig, init_params
+from fedcoreset.model import ARCHS, ModelConfig, _logits, _softmax, init_params
 from worldgen import blobs
 
 
 def zero_params(input_dim, num_classes):
     p = init_params(ModelConfig("softmax_regression"), input_dim, num_classes, seed=0)
     return p.with_values(np.zeros_like(p.values))
+
+
+def reference_predictions(params, x):
+    """Argmax of the sample-major softmax: the oracle for evaluate_accuracy."""
+    return np.argmax(_softmax(_logits(params, x)[0]), axis=1)
+
+
+def oracle_cases(arch, rng):
+    """Parameters by name: random, logits near 1e3, exact ties, NaN and
+    overflowing.  The overflow cases set every hidden unit to tanh(1e3) = 1
+    and are read on positive features, so each overflowing logit is
+    infinite whatever order its terms are added in."""
+    base = init_params(ModelConfig(arch, hidden_dim=7), 10, 10, seed=0)
+
+    def drawn(scale=1.0):
+        return base.with_values(rng.normal(scale=scale, size=base.values.size))
+
+    def filled(value):
+        return base.with_values(np.full(base.values.size, value))
+
+    def saturated(p):
+        if arch == "one_hidden":
+            p.block("hidden")[:, :-1] = 0.0
+            p.block("hidden")[:, -1] = 1e3
+        return p
+
+    cases = {
+        "random": drawn(3.0),
+        "logits_1e3": drawn(300.0),
+        "zero_ties": filled(0.0),
+        "all_nan": filled(np.nan),
+        "all_inf": saturated(filled(1e308)),
+        "nan_class_3": drawn(),
+        "nan_first_param": drawn(),
+        "plus_inf_class_1": saturated(drawn()),
+        "minus_inf_class_0": saturated(drawn()),
+    }
+    cases["nan_class_3"].last_layer()[3, 0] = np.nan
+    cases["nan_first_param"].values[0] = np.nan
+    cases["plus_inf_class_1"].last_layer()[:2, :-1] = [[-1e308], [1e308]]
+    cases["minus_inf_class_0"].last_layer()[0, :-1] = -1e308
+    return cases
 
 
 class TestAccuracy:
@@ -51,6 +93,20 @@ class TestAccuracy:
         ds = blobs(2, 2, [1, 1], 4, seed=0)
         with pytest.raises(ValueError):
             evaluate_accuracy(zero_params(2, 2), ds.subset([]))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_predictions_match_softmax_oracle(self, arch):
+        # labelled with the oracle's predictions, a set scores 1.0 exactly
+        # when every prediction agrees
+        rng = np.random.default_rng(5)
+        x = np.abs(rng.normal(size=(200, 10))) + 0.1
+        for name, params in oracle_cases(arch, rng).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                expect = reference_predictions(params, x)
+                got = evaluate_accuracy(params, Dataset(x, expect, 10))
+            if name in ("zero_ties", "all_nan", "all_inf"):
+                assert np.all(expect == 0), name
+            assert got == 1.0, name
 
 
 class TestComposition:

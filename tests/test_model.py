@@ -9,12 +9,13 @@ from fedcoreset.model import (
     ARCHS,
     ModelConfig,
     ParamVector,
+    _logits,
+    _softmax,
     init_params,
     labelwise_validation_grads,
     last_layer_grad_stack,
     loss,
     own_class_grads,
-    predict_proba,
     sgd_epochs,
 )
 from worldgen import blobs
@@ -43,6 +44,15 @@ def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarra
         grad[i] = (loss(plus, ds) - loss(minus, ds)) / (2 * step)
     rows, cols = params.layout[-1][1]
     return grad.reshape(rows, cols)
+
+
+def reference_loss(params: ParamVector, ds: Dataset) -> float:
+    """Mean cross-entropy from sample-major ``[n, classes]`` logits: the
+    oracle for the class-major ``loss``."""
+    z, _ = _logits(params, ds.features)
+    zmax = z.max(axis=1)
+    logsumexp = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+    return float(np.mean(logsumexp - z[np.arange(ds.n), ds.labels]))
 
 
 def reference_grad(params: ParamVector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -141,6 +151,25 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(p, ds.subset([]))
 
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize(
+        "n, classes, scale",
+        [(64, 10, 0.5), (64, 10, 3.0), (64, 10, 300.0), (1, 10, 3.0), (17, 1, 3.0)],
+        ids=["random", "wide", "logits_1e3", "one_sample", "one_class"],
+    )
+    def test_matches_sample_major_oracle(self, arch, n, classes, scale):
+        # each sample's class sum is added in another order, which moves its
+        # log by up to about `classes` ulps of 1; the other terms keep a
+        # relative 1e-15
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(40)
+        for case in range(20):
+            ds = random_dataset(n, 10, classes, seed=400 + case)
+            p = init_params(ModelConfig(arch, hidden_dim=7), 10, classes, seed=case)
+            p.values[:] = rng.normal(scale=scale, size=p.values.size)
+            expect = reference_loss(p, ds)
+            assert abs(loss(p, ds) - expect) <= 1e-15 * abs(expect) + classes * eps
+
 
 class TestSoftmax:
     @pytest.mark.parametrize("spec", [SOFTMAX, HIDDEN])
@@ -149,7 +178,7 @@ class TestSoftmax:
         ds = random_dataset(64, 10, 10, seed=5)
         p = init_params(*spec, seed=6)
         p.values[:] = rng.normal(scale=3.0, size=p.values.size)
-        probs = predict_proba(p, ds.features)
+        probs = _softmax(_logits(p, ds.features)[0])
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0)
 
