@@ -155,7 +155,7 @@ class TestLoss:
     @pytest.mark.parametrize(
         "n, classes, scale",
         [(64, 10, 0.5), (64, 10, 3.0), (64, 10, 300.0), (1, 10, 3.0), (17, 1, 3.0)],
-        ids=["random", "wide", "logits_1e3", "one_sample", "one_class"],
+        ids=["params_0.5", "params_3", "logits_1e3", "one_sample", "one_class"],
     )
     def test_matches_sample_major_oracle(self, arch, n, classes, scale):
         # each sample's class sum is added in another order, which moves its
