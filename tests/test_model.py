@@ -369,6 +369,31 @@ class TestLockstepSgd:
             assert theta.layout == p.layout
             assert np.array_equal(theta.values, reference_sgd(p, ds, seed=seed, **knobs))
 
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("dim", [10, 50])
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_benchmark_shapes_equal_lone_runs(self, arch, dim, mu):
+        # BLAS picks its kernels by shape, so replay the benchmarks' shapes:
+        # C = 10, B = 32, h = 64, and partial last batches of 1, 2, 3, 5, 31
+        # and 0 rows
+        sizes = (1, 34, 67, 165, 63, 128, 33, 31)
+        p = init_params(ModelConfig(arch, hidden_dim=64), dim, 10, seed=dim)
+        datasets = [random_dataset(n, dim, 10, seed=i) for i, n in enumerate(sizes)]
+        seeds = [1000 + i for i in range(len(sizes))]
+        knobs = dict(epochs=2, lr=0.3, batch_size=32, mu=mu)
+        trained = sgd_epochs(p, datasets, seeds=seeds, **knobs)
+        for ds, seed, theta in zip(datasets, seeds, trained):
+            assert np.array_equal(theta.values, reference_sgd(p, ds, seed=seed, **knobs))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_inputs_untouched(self, arch):
+        p = init_params(ModelConfig(arch, hidden_dim=5), 4, 3, seed=1)
+        datasets = [random_dataset(n, 4, 3, seed=n) for n in (9, 1, 16, 5)]
+        before = p.values.tobytes(), [(ds.features.tobytes(), ds.labels.tobytes()) for ds in datasets]
+        sgd_epochs(p, datasets, epochs=2, lr=0.3, batch_size=4, seeds=[1, 2, 3, 4], mu=0.5)
+        after = p.values.tobytes(), [(ds.features.tobytes(), ds.labels.tobytes()) for ds in datasets]
+        assert after == before
+
     def test_one_seed_per_dataset(self):
         ds = random_dataset(5, 3, 2, seed=0)
         p = init_params(ModelConfig("softmax_regression"), 3, 2, seed=0)
