@@ -14,7 +14,9 @@ canonical order, so results do not depend on the order clients run in.
 A round's clients train in lock-step, one stacked SGD step for all the
 clients whose next batch is full (:func:`~fedcoreset.model.sgd_epochs`),
 and each client's arithmetic is unchanged bit for bit from training it
-alone.
+alone.  Each client's training rows are gathered from its chunk straight
+into the one row table the lock-step steps index, so a round copies them
+once.
 The canonical order is that of ``np.lexsort`` over all P values of each
 delta (the first value the primary key), but it is read off the first
 value with one stable argsort, O(m log m) for m deltas.  Only where
@@ -174,21 +176,25 @@ def client_update(
     theta_t on the indexed subset of its chunk at rate cfg.local_lr, with a
     FedProx pull of strength mu toward theta_t; returns the deltas
     theta' - theta_t in the order of ``chunks``.  The clients train in
-    lock-step (:func:`sgd_epochs`), each bit for bit as if alone."""
-    subsets = []
+    lock-step (:func:`sgd_epochs`), each bit for bit as if alone; the
+    indexed rows are gathered straight into its row table, so a round holds
+    one copy of its training rows."""
+    datasets, rows = [], []
     for chunk, indices in zip(chunks, train_indices, strict=True):
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("client has no training samples for this round")
-        subsets.append(chunk.dataset.subset(idx))
+        datasets.append(chunk.dataset)
+        rows.append(idx)
     trained = sgd_epochs(
         theta_t,
-        subsets,
+        datasets,
         epochs=cfg.local_epochs,
         lr=cfg.local_lr,
         batch_size=cfg.batch_size,
         seeds=seeds,
         mu=mu,
+        indices=rows,
     )
     return [theta_t.with_values(theta.values - theta_t.values) for theta in trained]
 

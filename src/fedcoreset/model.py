@@ -15,6 +15,13 @@ accuracy in ``metrics``) runs class-major: logits are ``[classes, n]``, so
 each per-sample reduction over the classes is a vector operation across the
 samples.  Gradients and SGD run sample-major, ``[n, classes]``, the layout
 whose bits the coreset selection and the training were recorded with.
+
+:func:`sgd_epochs` trains many models at once, in lock-step.  It copies
+their training rows once into one row table with a bias column of ones, so
+each stacked step gathers its batches with one ``take`` of table rows and
+one of labels, and the step's softmax and update run in place.  Partial
+last batches are stepped alone, never zero-padded into a stacked step,
+whose BLAS remainder path would change their bits.
 """
 
 from __future__ import annotations
@@ -215,12 +222,30 @@ def labelwise_validation_grads(
     }
 
 
+def _descend(
+    theta: np.ndarray, anchor: np.ndarray, grad: np.ndarray, lr: float, mu: float
+) -> None:
+    """``theta -= lr * (grad + mu * (theta - anchor))`` on one layer block of
+    c stacked models, in place, so no [c, P] array is allocated; IEEE
+    products commute, so the in-place order is still a lone step's
+    arithmetic."""
+    grad = grad.reshape(theta.shape)
+    if mu:
+        pull = theta - anchor
+        pull *= mu
+        grad += pull
+    grad *= lr
+    theta -= grad
+
+
 def _sgd_step(
     theta: np.ndarray,
     layout: tuple[tuple[str, tuple[int, int]], ...],
     anchor: np.ndarray,
     x1: np.ndarray,
     y: np.ndarray,
+    hot: np.ndarray,
+    act1: np.ndarray | None,
     lr: float,
     mu: float,
 ) -> None:
@@ -228,12 +253,18 @@ def _sgd_step(
     place.
 
     ``theta`` is ``[c, P]``, one model per row; row i steps on the batch
-    ``x1[i]`` (``[b, d + 1]``, last column 1) with labels ``y[i]``.  Every
-    product is a stacked matmul, which runs one BLAS call per model on
-    operands of the shapes and strides a lone model's step would use, so
-    each row comes out bit for bit as if it had been stepped alone.
-    ``mu > 0`` adds the FedProx pull ``mu * (theta - anchor)`` to the
-    gradient.
+    ``x1[i]`` (``[b, d + 1]``, last column 1) with labels ``y[i]``.
+    ``hot[i, j]`` is the flat index of sample j of row i's class-0 entry in
+    the ``[c, b, classes]`` softmax, ``i * b * classes + j * classes``;
+    adding ``y`` gives the entries the one-hot is subtracted at.  ``act1``
+    (one_hidden only) is a buffer whose ``[:c, :b]`` block, last column 1,
+    takes a copy of the hidden activations for the output gradient.
+
+    Every product is a stacked matmul, which runs one BLAS call per model
+    on operands of the shapes a lone model's step would use, so each row
+    comes out bit for bit as if it had been stepped alone; the elementwise
+    work runs in place.  ``mu > 0`` adds the FedProx pull
+    ``mu * (theta - anchor)`` to the gradient.
     """
     c, b = y.shape
     rows, cols = layout[-1][1]
@@ -245,42 +276,30 @@ def _sgd_step(
         act = x @ w1[:, :, :-1].transpose(0, 2, 1)
         act += w1[:, None, :, -1]
         np.tanh(act, out=act)
-        act1 = np.concatenate([act, np.ones((c, b, 1))], axis=2)
+        act1 = act1[:c, :b]
+        act1[:, :, :-1] = act
     else:
         act, act1 = x, x1
-    z = act @ w_out[:, :, :-1].transpose(0, 2, 1) + w_out[:, None, :, -1]
-    z = z - z.max(axis=2, keepdims=True)
-    e = np.exp(z)
-    delta = e / e.sum(axis=2, keepdims=True)
-    delta[np.arange(c)[:, None], np.arange(b), y] -= 1.0
+    z = act @ w_out[:, :, :-1].transpose(0, 2, 1)
+    z += w_out[:, None, :, -1]
+    # each sample's largest logit, reduced over a class-major copy: a max is
+    # exact in any order, and a short last axis reduces slowly
+    z -= np.ascontiguousarray(z.transpose(2, 0, 1)).max(axis=0)[:, :, None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=2, keepdims=True)
+    delta = z
+    delta.reshape(-1)[hot[:c, :b] + y] -= 1.0
     delta /= b
 
-    # drop each activation once used: a step of c stacked models holds c
-    # lone steps' worth of them
-    grads = [delta.transpose(0, 2, 1) @ act1]
-    del act1
+    # the hidden gradient needs the output weights before their update
+    if off:
+        d_z1 = delta @ w_out[:, :, :-1]
+    _descend(theta[:, off:], anchor[off:], delta.transpose(0, 2, 1) @ act1, lr, mu)
     if off:
         act *= act
         np.subtract(1.0, act, out=act)
-        d_z1 = delta @ w_out[:, :, :-1]
         d_z1 *= act
-        del act
-        grads.insert(0, d_z1.transpose(0, 2, 1) @ x1)
-        del d_z1
-    # theta - lr * (grad + mu * (theta - anchor)), a layer block at a time and
-    # in place, so no [c, P] array is allocated; IEEE products commute, so
-    # the in-place order is still a lone step's arithmetic
-    start = 0
-    for grad in grads:
-        grad = grad.reshape(c, -1)
-        stop = start + grad.shape[1]
-        if mu:
-            pull = theta[:, start:stop] - anchor[start:stop]
-            pull *= mu
-            grad += pull
-        grad *= lr
-        theta[:, start:stop] -= grad
-        start = stop
+        _descend(theta[:, :off], anchor[:off], d_z1.transpose(0, 2, 1) @ x1, lr, mu)
 
 
 def sgd_epochs(
@@ -291,59 +310,85 @@ def sgd_epochs(
     batch_size: int,
     seeds: Sequence[int],
     mu: float = 0.0,
+    indices: Sequence[np.ndarray] | None = None,
 ) -> list[ParamVector]:
     """Shuffled mini-batch SGD on mean cross-entropy from ``params``, one
     run per dataset, each step ``theta - lr * grad``.
 
-    Run i shuffles ``datasets[i]`` with the generator of ``seeds[i]`` each
-    epoch and steps on its batches in that order.  The runs advance in
-    lock-step: step k of every run whose k-th batch of the epoch is full
-    is one stacked step (see :func:`_sgd_step`), and each run's partial
-    last batch, if any, is a stacked step of that run alone.  A run's
-    arithmetic does not depend on the others, so it is bit for bit the run
-    on its dataset alone.  Runs are stacked in order of their full-batch
-    counts, largest first, so the runs taking step k are a prefix of the
-    stack.  Each step's rows are gathered into one ``[m, b, d + 1]``
-    buffer whose bias column is set once.
+    Run i trains on the rows ``indices[i]`` of ``datasets[i]`` (all its
+    rows when ``indices`` is None), shuffling them with the generator of
+    ``seeds[i]`` each epoch and stepping on its batches in that order.
+    The runs advance in lock-step: step k of every run whose k-th batch of
+    the epoch is full is one stacked step (see :func:`_sgd_step`), and each
+    run's partial last batch, if any, is a step of that run alone, never
+    padded into a stacked one (BLAS takes a different path for the
+    remainder rows of a padded batch, which changes the forward bits).  A
+    run's arithmetic does not depend on the others, so it is bit for bit
+    the run on its rows alone.  Runs are stacked in order of their
+    full-batch counts, largest first, so the runs taking step k are a
+    prefix of the stack.
+
+    All runs' rows are copied once into one ``[sum n, d + 1]`` row table
+    whose bias column is set once, beside one label vector.  Each epoch
+    writes every run's permutation, shifted by the run's offset in the
+    table, into one ``[runs, largest n]`` order matrix, so a step's batch is
+    one gather of table rows and one of labels.
 
     With ``mu > 0`` the objective gains the FedProx term
     mu/2 * ||theta - params||^2, a pull toward the parameters SGD started
-    from.  Deterministic given (params, datasets, seeds, hyperparameters),
-    which are values ``ExperimentConfig`` has checked: epochs >= 0,
-    lr > 0, batch_size >= 1.  The datasets share one feature dimension.
+    from.  Deterministic given (params, datasets, indices, seeds,
+    hyperparameters), which are values ``ExperimentConfig`` has checked:
+    epochs >= 0, lr > 0, batch_size >= 1.  The datasets share one feature
+    dimension.  Neither ``params`` nor the datasets are modified.
     """
     if len(seeds) != len(datasets):
         raise ValueError("sgd_epochs needs one seed per dataset")
+    if indices is None:
+        indices = [None] * len(datasets)
+    elif len(indices) != len(datasets):
+        raise ValueError("sgd_epochs needs one index vector per dataset")
     if epochs == 0 or not datasets:
         return [params] * len(datasets)
-    if any(ds.n == 0 for ds in datasets):
+    sizes = np.array(
+        [ds.n if idx is None else len(idx) for ds, idx in zip(datasets, indices)], dtype=np.int64
+    )
+    if not sizes.all():
         raise ValueError("cannot train on an empty dataset")
 
-    full = np.array([ds.n // batch_size for ds in datasets], dtype=np.int64)
-    stack = np.argsort(-full, kind="stable")
-    runs = [datasets[i] for i in stack]
-    rngs = [np.random.default_rng(seeds[i]) for i in stack]
-    full = full[stack]
+    stack = np.argsort(-(sizes // batch_size), kind="stable")
+    sizes = sizes[stack]
+    full = sizes // batch_size
     live = np.searchsorted(-full, -np.arange(full[0]))
+    starts = np.cumsum(sizes) - sizes
+
+    table = np.empty((sizes.sum(), datasets[0].dim + 1))
+    table[:, -1] = 1.0
+    labels = np.empty(sizes.sum(), dtype=np.int64)
+    for i, start, n in zip(stack, starts, sizes):
+        ds, idx = datasets[i], indices[i]
+        table[start : start + n, :-1] = ds.features if idx is None else ds.features.take(idx, axis=0)
+        labels[start : start + n] = ds.labels if idx is None else ds.labels.take(idx)
+    rngs = [np.random.default_rng(seeds[i]) for i in stack]
 
     layout, anchor = params.layout, params.values
-    m, width = len(runs), min(batch_size, max(ds.n for ds in runs))
+    m, width = len(stack), min(batch_size, sizes.max())
     theta = np.tile(params.values, (m, 1))
-    x1 = np.empty((m, width, runs[0].dim + 1))
-    x1[:, :, -1] = 1.0
-    y = np.empty((m, width), dtype=np.int64)
+    order = np.empty((m, sizes.max()), dtype=np.int64)
+    hot = np.arange(m * width).reshape(m, width) * layout[-1][1][0]
+    act1 = None
+    if len(layout) > 1:
+        act1 = np.empty((m, width, layout[0][1][0] + 1))
+        act1[:, :, -1] = 1.0
     for _ in range(epochs):
-        orders = [rng.permutation(ds.n) for rng, ds in zip(rngs, runs)]
+        for i, (rng, start, n) in enumerate(zip(rngs, starts, sizes)):
+            np.add(rng.permutation(n), start, out=order[i, :n])
         for k, c in enumerate(live):
-            for i in range(c):
-                rows = orders[i][k * batch_size : (k + 1) * batch_size]
-                x1[i, :, :-1] = runs[i].features[rows]
-                y[i] = runs[i].labels[rows]
-            _sgd_step(theta[:c], layout, anchor, x1[:c], y[:c], lr, mu)
-        for i, ds in enumerate(runs):
-            rows = orders[i][full[i] * batch_size :]
-            if b := rows.size:
-                x1[i, :b, :-1] = ds.features[rows]
-                y[i, :b] = ds.labels[rows]
-                _sgd_step(theta[i : i + 1], layout, anchor, x1[i : i + 1, :b], y[i : i + 1, :b], lr, mu)
+            rows = order[:c, k * batch_size : (k + 1) * batch_size]
+            x1, y = table.take(rows, axis=0), labels.take(rows)
+            _sgd_step(theta[:c], layout, anchor, x1, y, hot, act1, lr, mu)
+        for i, (n, k) in enumerate(zip(sizes, full)):
+            if k * batch_size < n:
+                rows = order[i : i + 1, k * batch_size : n]
+                x1, y = table.take(rows, axis=0), labels.take(rows)
+                _sgd_step(theta[i : i + 1], layout, anchor, x1, y, hot, act1, lr, mu)
     return [params.with_values(theta[row]) for row in np.argsort(stack)]
