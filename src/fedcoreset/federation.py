@@ -438,11 +438,16 @@ def run_training(
         params, rm = run_round(params, prepared, coresets, algo, cfg, t, ledger)
         series.append(rm)
 
+    # the last round's metrics already hold the accuracy of these parameters
+    if series:
+        final_accuracy = series[-1].test_accuracy
+    else:
+        final_accuracy = evaluate_accuracy(params, prepared.test)
     result = TrainingResult(
         algo=algo,
         rounds=series,
         final_params=params,
-        final_accuracy=evaluate_accuracy(params, prepared.test),
+        final_accuracy=final_accuracy,
         ledger=ledger,
     )
     if cfg.fine_tune_epochs > 0:

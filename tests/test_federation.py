@@ -425,6 +425,21 @@ class TestNoisePathsEndToEnd:
         assert untuned.fine_tuned_accuracy is None
 
 
+class TestFinalAccuracy:
+    @pytest.mark.parametrize("rounds, fine_tune, calls", [(3, 0, 3), (3, 5, 4), (0, 0, 1)])
+    def test_test_set_evaluated_once_a_round(self, rounds, fine_tune, calls, monkeypatch):
+        evaluated, evaluate = [], federation.evaluate_accuracy
+
+        def spy(params, test):
+            evaluated.append(evaluate(params, test))
+            return evaluated[-1]
+
+        monkeypatch.setattr(federation, "evaluate_accuracy", spy)
+        result = run_training(tiny_cfg(rounds=rounds, fine_tune_epochs=fine_tune), Algo("fedavg"))
+        assert len(evaluated) == calls
+        assert result.final_accuracy == evaluated[rounds - 1 if rounds else 0]
+
+
 class TestFineTune:
     """Server fine-tuning is ``sgd_epochs`` on the validation split."""
 
