@@ -254,11 +254,12 @@ def _sgd_step(
 
     ``theta`` is ``[c, P]``, one model per row; row i steps on the batch
     ``x1[i]`` (``[b, d + 1]``, last column 1) with labels ``y[i]``.
-    ``hot[i, j]`` is the flat index of sample j of row i's class-0 entry in
-    the ``[c, b, classes]`` softmax, ``i * b * classes + j * classes``;
-    adding ``y`` gives the entries the one-hot is subtracted at.  ``act1``
-    (one_hidden only) is a buffer whose ``[:c, :b]`` block, last column 1,
-    takes a copy of the hidden activations for the output gradient.
+    ``hot[:c, :b]`` holds ``(i * b + j) * classes``, the flat index of
+    sample j of model i's class-0 entry in the ``[c, b, classes]`` softmax,
+    so adding ``y`` gives the entries the one-hot is subtracted at.
+    ``act1`` (one_hidden only) is a buffer whose ``[:c, :b]`` block, last
+    column 1, takes a copy of the hidden activations for the output
+    gradient.  Both are made once per :func:`sgd_epochs` call.
 
     Every product is a stacked matmul, which runs one BLAS call per model
     on operands of the shapes a lone model's step would use, so each row
@@ -316,7 +317,7 @@ def sgd_epochs(
     run per dataset, each step ``theta - lr * grad``.
 
     Run i trains on the rows ``indices[i]`` of ``datasets[i]`` (all its
-    rows when ``indices`` is None), shuffling them with the generator of
+    rows, in order, when ``indices`` is None), shuffling them with the generator of
     ``seeds[i]`` each epoch and stepping on its batches in that order.
     The runs advance in lock-step: step k of every run whose k-th batch of
     the epoch is full is one stacked step (see :func:`_sgd_step`), and each
@@ -344,14 +345,12 @@ def sgd_epochs(
     if len(seeds) != len(datasets):
         raise ValueError("sgd_epochs needs one seed per dataset")
     if indices is None:
-        indices = [None] * len(datasets)
+        indices = [np.arange(ds.n) for ds in datasets]
     elif len(indices) != len(datasets):
         raise ValueError("sgd_epochs needs one index vector per dataset")
     if epochs == 0 or not datasets:
         return [params] * len(datasets)
-    sizes = np.array(
-        [ds.n if idx is None else len(idx) for ds, idx in zip(datasets, indices)], dtype=np.int64
-    )
+    sizes = np.array([len(idx) for idx in indices], dtype=np.int64)
     if not sizes.all():
         raise ValueError("cannot train on an empty dataset")
 
@@ -365,15 +364,16 @@ def sgd_epochs(
     table[:, -1] = 1.0
     labels = np.empty(sizes.sum(), dtype=np.int64)
     for i, start, n in zip(stack, starts, sizes):
-        ds, idx = datasets[i], indices[i]
-        table[start : start + n, :-1] = ds.features if idx is None else ds.features.take(idx, axis=0)
-        labels[start : start + n] = ds.labels if idx is None else ds.labels.take(idx)
+        table[start : start + n, :-1] = datasets[i].features.take(indices[i], axis=0)
+        labels[start : start + n] = datasets[i].labels.take(indices[i])
     rngs = [np.random.default_rng(seeds[i]) for i in stack]
 
     layout, anchor = params.layout, params.values
     m, width = len(stack), min(batch_size, sizes.max())
     theta = np.tile(params.values, (m, 1))
     order = np.empty((m, sizes.max()), dtype=np.int64)
+    # stacked batches are full and a partial one is a lone run's, so every
+    # step's hot[:c, :b] is (i * b + j) * classes
     hot = np.arange(m * width).reshape(m, width) * layout[-1][1][0]
     act1 = None
     if len(layout) > 1:

@@ -394,6 +394,20 @@ class TestLockstepSgd:
         after = p.values.tobytes(), [(ds.features.tobytes(), ds.labels.tobytes()) for ds in datasets]
         assert after == before
 
+    def test_indices_train_on_those_rows(self):
+        datasets = [random_dataset(n, 4, 3, seed=n) for n in (40, 7, 23)]
+        rng = np.random.default_rng(0)
+        indices = [rng.permutation(ds.n)[: ds.n // 2 + 1] for ds in datasets]
+        p = init_params(ModelConfig("one_hidden", hidden_dim=5), 4, 3, seed=2)
+        knobs = dict(epochs=2, lr=0.3, batch_size=4, seeds=[1, 2, 3], mu=0.1)
+        got = sgd_epochs(p, datasets, indices=indices, **knobs)
+        want = sgd_epochs(p, [ds.subset(idx) for ds, idx in zip(datasets, indices)], **knobs)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+        with pytest.raises(ValueError, match="one index vector per dataset"):
+            sgd_epochs(p, datasets, indices=indices[:2], **knobs)
+        with pytest.raises(ValueError, match="empty"):
+            sgd_epochs(p, datasets, indices=[indices[0], indices[1][:0], indices[2]], **knobs)
+
     def test_one_seed_per_dataset(self):
         ds = random_dataset(5, 3, 2, seed=0)
         p = init_params(ModelConfig("softmax_regression"), 3, 2, seed=0)
