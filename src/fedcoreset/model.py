@@ -245,7 +245,6 @@ def _sgd_step(
     x1: np.ndarray,
     y: np.ndarray,
     hot: np.ndarray,
-    act1: np.ndarray | None,
     lr: float,
     mu: float,
 ) -> None:
@@ -256,10 +255,8 @@ def _sgd_step(
     ``x1[i]`` (``[b, d + 1]``, last column 1) with labels ``y[i]``.
     ``hot[:c, :b]`` holds ``(i * b + j) * classes``, the flat index of
     sample j of model i's class-0 entry in the ``[c, b, classes]`` softmax,
-    so adding ``y`` gives the entries the one-hot is subtracted at.
-    ``act1`` (one_hidden only) is a buffer whose ``[:c, :b]`` block, last
-    column 1, takes a copy of the hidden activations for the output
-    gradient.  Both are made once per :func:`sgd_epochs` call.
+    so adding ``y`` gives the entries the one-hot is subtracted at; it is
+    made once per :func:`sgd_epochs` call.
 
     Every product is a stacked matmul, which runs one BLAS call per model
     on operands of the shapes a lone model's step would use, so each row
@@ -277,8 +274,7 @@ def _sgd_step(
         act = x @ w1[:, :, :-1].transpose(0, 2, 1)
         act += w1[:, None, :, -1]
         np.tanh(act, out=act)
-        act1 = act1[:c, :b]
-        act1[:, :, :-1] = act
+        act1 = np.concatenate([act, np.ones((c, b, 1))], axis=2)
     else:
         act, act1 = x, x1
     z = act @ w_out[:, :, :-1].transpose(0, 2, 1)
@@ -292,15 +288,23 @@ def _sgd_step(
     delta.reshape(-1)[hot[:c, :b] + y] -= 1.0
     delta /= b
 
-    # the hidden gradient needs the output weights before their update
+    # drop each activation once used, as a step of c stacked models holds c
+    # lone steps' worth of them; the hidden gradient needs the output
+    # weights before their update
+    g_out = delta.transpose(0, 2, 1) @ act1
+    del act1
     if off:
         d_z1 = delta @ w_out[:, :, :-1]
-    _descend(theta[:, off:], anchor[off:], delta.transpose(0, 2, 1) @ act1, lr, mu)
+    _descend(theta[:, off:], anchor[off:], g_out, lr, mu)
+    del g_out
     if off:
         act *= act
         np.subtract(1.0, act, out=act)
         d_z1 *= act
-        _descend(theta[:, :off], anchor[:off], d_z1.transpose(0, 2, 1) @ x1, lr, mu)
+        del act
+        g_hid = d_z1.transpose(0, 2, 1) @ x1
+        del d_z1
+        _descend(theta[:, :off], anchor[:off], g_hid, lr, mu)
 
 
 def sgd_epochs(
@@ -375,20 +379,16 @@ def sgd_epochs(
     # stacked batches are full and a partial one is a lone run's, so every
     # step's hot[:c, :b] is (i * b + j) * classes
     hot = np.arange(m * width).reshape(m, width) * layout[-1][1][0]
-    act1 = None
-    if len(layout) > 1:
-        act1 = np.empty((m, width, layout[0][1][0] + 1))
-        act1[:, :, -1] = 1.0
     for _ in range(epochs):
         for i, (rng, start, n) in enumerate(zip(rngs, starts, sizes)):
             np.add(rng.permutation(n), start, out=order[i, :n])
         for k, c in enumerate(live):
             rows = order[:c, k * batch_size : (k + 1) * batch_size]
             x1, y = table.take(rows, axis=0), labels.take(rows)
-            _sgd_step(theta[:c], layout, anchor, x1, y, hot, act1, lr, mu)
+            _sgd_step(theta[:c], layout, anchor, x1, y, hot, lr, mu)
         for i, (n, k) in enumerate(zip(sizes, full)):
             if k * batch_size < n:
                 rows = order[i : i + 1, k * batch_size : n]
                 x1, y = table.take(rows, axis=0), labels.take(rows)
-                _sgd_step(theta[i : i + 1], layout, anchor, x1, y, hot, act1, lr, mu)
+                _sgd_step(theta[i : i + 1], layout, anchor, x1, y, hot, lr, mu)
     return [params.with_values(theta[row]) for row in np.argsort(stack)]
