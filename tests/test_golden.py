@@ -5,9 +5,9 @@ the seed-0 blob benchmark run of each arm, and
 ``tests/golden/hidden_seed0_<arm>.csv`` that of a five-round run of the
 ``hidden`` benchmark shape (``one_hidden`` h=64, dim 50, 10 of 50 clients a
 round), so both architectures are covered; its ``fedprox`` arm (mu = 0.1) is
-the one golden that takes the proximal branch of the SGD step.  A refactor must reproduce every
-byte; only a deliberate behaviour change may rewrite these files, and its
-change note must say so.
+the one golden that takes the proximal branch of the SGD step.  A refactor
+must reproduce every byte; only a deliberate behaviour change may rewrite
+these files, and its change note must say so.
 """
 
 from dataclasses import replace
