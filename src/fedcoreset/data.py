@@ -321,7 +321,8 @@ def inject_open_set(
         if part.num_classes != num_classes:
             raise ValueError("inputs disagree on num_classes")
 
-    n_remove = math.ceil(noise.ratio * num_classes)
+    # rounded first, so a product like 0.07 * 100 = 7.000000000000001 is 7
+    n_remove = math.ceil(round(noise.ratio * num_classes, 9))
     if n_remove == 0:
         return train_chunks, test, val, np.arange(num_classes, dtype=np.int64)
     if n_remove >= num_classes:

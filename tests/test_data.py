@@ -239,6 +239,15 @@ class TestOpenSet:
         # remapped test labels correspond only to kept original classes
         assert out_test.n == int(np.isin(test.labels, kept).sum())
 
+    @pytest.mark.parametrize("ratio, classes, removed", [(0.07, 100, 7), (0.14, 100, 14), (0.4, 10, 4)])
+    def test_removed_count_is_ceiling_of_rounded_product(self, ratio, classes, removed):
+        # 0.07 * 100 is 7.000000000000001 in floating point
+        ds = blobs(classes, 2, np.ones(classes), 4, seed=7)
+        train, val, test = split_train_val_test(ds, 0.25, 0.25, seed=8)
+        chunks = dirichlet_partition(train, 2, 1.0, seed=9)
+        _, _, _, kept = inject_open_set(chunks, test, val, NoiseSpec("open_set", ratio), seed=10)
+        assert kept.size == classes - removed
+
     def test_removing_all_classes_rejected(self):
         chunks, test, val = self.make_world()
         with pytest.raises(ConfigurationError):
