@@ -7,6 +7,10 @@ re-select their coresets by gradient matching.  Clients train locally for E
 epochs on their algorithm's training set (full chunk, clean-only, or
 coreset), upload parameter deltas, and the server applies the global-rate
 mean.  All compute and traffic is metered in a :class:`CostLedger`.
+A round's client models and deltas travel as one ``[m, P]`` float64 array
+from :func:`~fedcoreset.model.sgd_epochs` through :func:`client_update`
+to :func:`aggregate`, one client per row; only the global model is a
+:class:`~fedcoreset.model.ParamVector`.
 
 Scheduling independence: every client draws from a private RNG stream
 keyed by (run seed, client id, round), and deltas are aggregated in a
@@ -171,71 +175,64 @@ def client_update(
     *,
     seeds: Sequence[int],
     mu: float = 0.0,
-) -> list[ParamVector]:
+) -> np.ndarray:
     """For each client, E = cfg.local_epochs epochs of local SGD from
     theta_t on the indexed subset of its chunk at rate cfg.local_lr, with a
     FedProx pull of strength mu toward theta_t; returns the deltas
-    theta' - theta_t in the order of ``chunks``.  The clients train in
-    lock-step (:func:`sgd_epochs`), each bit for bit as if alone; the
+    theta' - theta_t as the rows of one ``[clients, P]`` array, in the order
+    of ``chunks``.  The clients train in lock-step (:func:`sgd_epochs`,
+    which checks the indices and seeds), each bit for bit as if alone; the
     indexed rows are gathered straight into its row table, so a round holds
     one copy of its training rows."""
-    datasets, rows = [], []
-    for chunk, indices in zip(chunks, train_indices, strict=True):
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("client has no training samples for this round")
-        datasets.append(chunk.dataset)
-        rows.append(idx)
     trained = sgd_epochs(
         theta_t,
-        datasets,
+        [chunk.dataset for chunk in chunks],
         epochs=cfg.local_epochs,
         lr=cfg.local_lr,
         batch_size=cfg.batch_size,
         seeds=seeds,
         mu=mu,
-        indices=rows,
+        indices=train_indices,
     )
-    return [theta_t.with_values(theta.values - theta_t.values) for theta in trained]
+    trained -= theta_t.values
+    return trained
 
 
-def _canonical_order(rows: list[np.ndarray]) -> np.ndarray:
-    """The order ``np.lexsort`` gives the stacked rows (column 0 the primary
-    key).
+def _canonical_order(stack: np.ndarray) -> np.ndarray:
+    """The order ``np.lexsort`` gives the rows of ``stack`` (column 0 the
+    primary key).
 
     Rows are sorted stably on column 0.  If the sorted values there all
     differ, no later column can change the order, so that is lexsort's.  On
     any tie (values that compare equal, 0.0 and -0.0 included) or any NaN
     in column 0 the full lexsort over all P columns is taken instead.
     """
-    lead = np.array([row[0] for row in rows])
+    lead = stack[:, 0]
     order = np.argsort(lead, kind="stable")
     ranked = lead[order]
     if np.isnan(ranked).any() or not (ranked[1:] != ranked[:-1]).all():
-        order = np.lexsort(np.array(rows).T[::-1])
+        order = np.lexsort(stack.T[::-1])
     return order
 
 
-def aggregate(params: ParamVector, deltas: list[ParamVector], global_lr: float) -> ParamVector:
-    """params + global_lr * mean(deltas).
+def aggregate(params: ParamVector, deltas: np.ndarray, global_lr: float) -> ParamVector:
+    """params + global_lr * mean(deltas), for the ``[m, P]`` deltas of one
+    round, one client's per row.
 
-    The deltas are summed in a canonical order, the lexicographic order of
+    The rows are summed in a canonical order, the lexicographic order of
     their values (``np.lexsort`` with column 0 the primary key), so the
     result is bitwise independent of how the caller ordered them.  The
     order is read off column 0 with one stable argsort, O(m log m) for m
     deltas; only when two deltas tie in column 0 or one holds a NaN there
     is the O(m P log m) lexsort over all P columns taken (see
     :func:`_canonical_order`), which is what every call cost before.  The
-    deltas are stacked once, already in that order.
+    rows are gathered once, already in that order.
     """
-    if not deltas:
+    if not len(deltas):
         raise ValueError("aggregate needs at least one delta")
-    size = params.values.size
-    for d in deltas:
-        if d.values.size != size:
-            raise ValueError("delta length does not match server parameters")
-    rows = [d.values for d in deltas]
-    mean = np.array([rows[i] for i in _canonical_order(rows)]).mean(axis=0)
+    if deltas.shape[1] != params.values.size:
+        raise ValueError("delta length does not match server parameters")
+    mean = deltas[_canonical_order(deltas)].mean(axis=0)
     return params.with_values(params.values + global_lr * mean)
 
 
@@ -321,7 +318,7 @@ def run_round(
         mu=algo.mu if algo.kind == "fedprox" else 0.0,
     )
 
-    new_params = aggregate(params, deltas, cfg.global_lr) if deltas else params.copy()
+    new_params = aggregate(params, deltas, cfg.global_lr) if trainees else params.copy()
 
     losses, weights = [], []
     for cid in sampled:
@@ -460,7 +457,7 @@ def run_training(
             batch_size=cfg.batch_size,
             seeds=[derive_seed(cfg.seed, "finetune")],
         )
-        result.fine_tuned_accuracy = evaluate_accuracy(tuned, prepared.test)
+        result.fine_tuned_accuracy = evaluate_accuracy(params.with_values(tuned), prepared.test)
     return result
 
 

@@ -21,7 +21,9 @@ their training rows once into one row table with a bias column of ones, so
 each stacked step gathers its batches with one ``take`` of table rows and
 one of labels, and the step's softmax and update run in place.  Partial
 last batches are stepped alone, never zero-padded into a stacked step,
-whose BLAS remainder path would change their bits.
+whose BLAS remainder path would change their bits.  The trained models come
+back as the rows of one ``[runs, P]`` array, not as one
+:class:`ParamVector` each: a round's callers only add and average them.
 """
 
 from __future__ import annotations
@@ -208,18 +210,19 @@ def labelwise_validation_grads(
     """Per-class target rows for label-wise selection.
 
     For each class present in ``val``, the mean last-layer gradient over
-    that class's samples restricted to its own output row (length h + 1).
-    Absent classes are simply missing from the map.  The concatenation of
-    all rows has the same size as one full last-layer gradient, which is
-    what keeps the label-wise broadcast no larger than the plain one.
+    that class's samples restricted to its own output row (length h + 1):
+    the mean of the class's :func:`own_class_grads` rows, so the validation
+    set's gradients take O(n (h+1)) memory, never the O(n C (h+1)) of
+    :func:`last_layer_grad_stack`, whose class-filtered mean it equals bit
+    for bit.  Absent classes are simply missing from the map.  The
+    concatenation of all rows has the same size as one full last-layer
+    gradient, which is what keeps the label-wise broadcast no larger than
+    the plain one.
     """
     if val.n == 0:
         raise ValueError("validation set is empty")
-    stack = last_layer_grad_stack(params, val)
-    return {
-        int(c): stack[val.labels == c].mean(axis=0)[int(c)]
-        for c in np.unique(val.labels)
-    }
+    rows = own_class_grads(params, val)
+    return {int(c): rows[val.labels == c].mean(axis=0) for c in np.unique(val.labels)}
 
 
 def _descend(
@@ -316,9 +319,12 @@ def sgd_epochs(
     seeds: Sequence[int],
     mu: float = 0.0,
     indices: Sequence[np.ndarray] | None = None,
-) -> list[ParamVector]:
+) -> np.ndarray:
     """Shuffled mini-batch SGD on mean cross-entropy from ``params``, one
-    run per dataset, each step ``theta - lr * grad``.
+    run per dataset, each step ``theta - lr * grad``.  Returns the trained
+    parameter values as one C-contiguous ``[runs, P]`` float64 array, row i
+    the run of ``datasets[i]``; with ``epochs == 0`` every row is
+    ``params.values``, and no datasets give a ``(0, P)`` array.
 
     Run i trains on the rows ``indices[i]`` of ``datasets[i]`` (all its
     rows, in order, when ``indices`` is None), shuffling them with the generator of
@@ -353,7 +359,7 @@ def sgd_epochs(
     elif len(indices) != len(datasets):
         raise ValueError("sgd_epochs needs one index vector per dataset")
     if epochs == 0 or not datasets:
-        return [params] * len(datasets)
+        return np.tile(params.values, (len(datasets), 1))
     sizes = np.array([len(idx) for idx in indices], dtype=np.int64)
     if not sizes.all():
         raise ValueError("cannot train on an empty dataset")
@@ -391,4 +397,4 @@ def sgd_epochs(
                 rows = order[i : i + 1, k * batch_size : n]
                 x1, y = table.take(rows, axis=0), labels.take(rows)
                 _sgd_step(theta[i : i + 1], layout, anchor, x1, y, hot, lr, mu)
-    return [params.with_values(theta[row]) for row in np.argsort(stack)]
+    return theta[np.argsort(stack)]

@@ -292,12 +292,10 @@ class TestCriterion7ProtocolSuite:
     def test_aggregation_permutation_invariance(self):
         rng = np.random.default_rng(5)
         p0 = init_params(ModelConfig("softmax_regression"), 4, 3, seed=0).with_values(rng.normal(size=15))
-        deltas = [p0.with_values(rng.normal(size=15)) for _ in range(9)]
+        deltas = rng.normal(size=(9, 15))
         base = aggregate(p0, deltas, 0.7).values
         exact = all(
-            np.array_equal(
-                base, aggregate(p0, [deltas[i] for i in rng.permutation(9)], 0.7).values
-            )
+            np.array_equal(base, aggregate(p0, deltas[rng.permutation(9)], 0.7).values)
             for _ in range(20)
         )
         report("criterion 7: aggregation permutation invariance (exact)", exact)
@@ -325,10 +323,11 @@ class TestCriterion7ProtocolSuite:
         )
         ds = prepared.chunks[0].dataset
         for t in range(cfg.rounds):
-            (theta,) = sgd_epochs(
+            (values,) = sgd_epochs(
                 theta, [ds], epochs=1, lr=0.1, batch_size=10_000,
                 seeds=[derive_seed(cfg.seed, "client", 0, "round", t)],
             )
+            theta = theta.with_values(values)
         gap = float(np.abs(fed.final_params.values - theta.values).max())
         report(
             "criterion 7: single-client fedavg == centralized SGD (<=1e-12)",

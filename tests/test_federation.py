@@ -80,7 +80,7 @@ class TestClientUpdate:
         cfg = tiny_cfg(local_epochs=0, batch_size=8)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=1)
         (delta,) = client_update([chunk], theta, [np.arange(chunk.n)], cfg, seeds=[0])
-        assert np.all(delta.values == 0.0)
+        assert np.all(delta == 0.0)
 
     def test_single_full_batch_step_identity(self):
         chunk = self.make_chunk()
@@ -89,7 +89,7 @@ class TestClientUpdate:
         idx = np.arange(chunk.n)
         (delta,) = client_update([chunk], theta, [idx], cfg, seeds=[0])
         grad = last_layer_grad_stack(theta, chunk.dataset).mean(axis=0).ravel()
-        assert np.allclose(delta.values, -0.05 * grad, atol=1e-12)
+        assert np.allclose(delta, -0.05 * grad, atol=1e-12)
 
     def test_prox_vanishes_at_anchor(self):
         chunk = self.make_chunk()
@@ -99,7 +99,7 @@ class TestClientUpdate:
         (plain,) = client_update([chunk], theta, [idx], cfg, seeds=[0])
         (proxed,) = client_update([chunk], theta, [idx], cfg, seeds=[0], mu=5.0)
         # one step from the anchor itself: prox gradient mu*(theta-anchor)=0
-        assert np.allclose(plain.values, proxed.values, atol=1e-12)
+        assert np.allclose(plain, proxed, atol=1e-12)
 
     def test_prox_two_full_batch_epochs_exact(self):
         chunk = self.make_chunk()
@@ -114,7 +114,7 @@ class TestClientUpdate:
 
         theta1 = theta0.values - lr * grad(theta0.values)
         theta2 = theta1 - lr * (grad(theta1) + mu * (theta1 - theta0.values))
-        assert np.allclose(delta.values, theta2 - theta0.values, rtol=0, atol=1e-12)
+        assert np.allclose(delta, theta2 - theta0.values, rtol=0, atol=1e-12)
 
     def test_empty_subset_rejected(self):
         chunk = self.make_chunk()
@@ -135,15 +135,12 @@ class TestAggregate:
 
     def test_zero_deltas_keep_params(self):
         params = self.make_params([1.0, 2.0])
-        out = aggregate(params, [params.with_values(np.zeros(2))], 1.0)
+        out = aggregate(params, np.zeros((1, 2)), 1.0)
         assert np.array_equal(out.values, [1.0, 2.0])
 
     def test_arithmetic_example(self):
         params = self.make_params([1.0, 1.0])
-        deltas = [
-            params.with_values(np.array([1.0, 0.0])),
-            params.with_values(np.array([0.0, 1.0])),
-        ]
+        deltas = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = aggregate(params, deltas, 1.0)
         assert np.array_equal(out.values, [1.5, 1.5])
 
@@ -152,20 +149,19 @@ class TestAggregate:
     def test_permutation_invariance_exact(self, seed, n):
         rng = np.random.default_rng(seed)
         p0 = init_params(ModelConfig("softmax_regression"), 3, 1, seed=0).with_values(rng.normal(size=4))
-        deltas = [p0.with_values(rng.normal(size=4)) for _ in range(n)]
+        deltas = rng.normal(size=(n, 4))
         out1 = aggregate(p0, deltas, 1.0)
-        perm = [deltas[i] for i in rng.permutation(n)]
-        out2 = aggregate(p0, perm, 1.0)
+        out2 = aggregate(p0, deltas[rng.permutation(n)], 1.0)
         assert np.array_equal(out1.values, out2.values)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one delta"):
-            aggregate(self.make_params([0.0, 0.0]), [], 1.0)
+            aggregate(self.make_params([0.0, 0.0]), np.empty((0, 2)), 1.0)
 
     def test_length_mismatch_rejected(self):
         params = self.make_params([1.0, 2.0])
         with pytest.raises(ValueError):
-            aggregate(params, [params.with_values(np.zeros(3))], 1.0)
+            aggregate(params, np.zeros((1, 3)), 1.0)
 
 
 # few distinct values, so leading columns tie often; includes the floats
@@ -192,12 +188,11 @@ class TestCanonicalOrder:
     @staticmethod
     def check(stack):
         params = ParamVector(np.zeros(stack.shape[1]), (("out", (1, stack.shape[1])),))
-        deltas = [params.with_values(row) for row in stack]
         full = np.lexsort(stack.T[::-1])
-        assert np.array_equal(federation._canonical_order(list(stack)), full)
+        assert np.array_equal(federation._canonical_order(stack), full)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge sums
             reference = params.values + 0.5 * stack[full].mean(axis=0)
-            out = aggregate(params, deltas, 0.5).values
+            out = aggregate(params, stack, 0.5).values
         assert out.tobytes() == reference.tobytes()
 
     @given(stack=delta_stacks())
@@ -236,7 +231,7 @@ class TestCanonicalOrder:
 
         monkeypatch.setattr(np, "lexsort", full_sort)
         assert np.array_equal(
-            federation._canonical_order(list(stack)), np.argsort(stack[:, 0], kind="stable")
+            federation._canonical_order(stack), np.argsort(stack[:, 0], kind="stable")
         )
 
     def test_tie_takes_one_full_lexsort(self, monkeypatch):
@@ -251,7 +246,7 @@ class TestCanonicalOrder:
             return full_sort(keys)
 
         monkeypatch.setattr(np, "lexsort", counting_sort)
-        assert np.array_equal(federation._canonical_order(list(stack)), np.arange(10))
+        assert np.array_equal(federation._canonical_order(stack), np.arange(10))
         assert widths == [3914]
 
 
@@ -271,6 +266,46 @@ class TestRunRound:
         assert seen
         for flags, idx in seen:
             assert flags[idx].all()
+
+    @pytest.mark.parametrize("kind", ["fedavg", "gcfl"])
+    def test_param_vectors_built_do_not_grow_with_clients(self, kind, monkeypatch):
+        # the round's client models and deltas are rows of one array; only
+        # the global model is a ParamVector
+        prepared = balanced_world(num_clients=8, per_class_per_client=5, num_classes=4)
+        params = init_params(ModelConfig("one_hidden", hidden_dim=5), 6, 4, seed=0)
+        built = []
+        post_init = ParamVector.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        counts = {}
+        for m in (2, 8):
+            cfg = tiny_cfg(num_clients=8, clients_per_round=m, batch_size=4)
+            coresets = [
+                federation._init_coreset(Algo(kind), c, federation._client_budget(c, cfg.budget_fraction), 0)
+                for c in prepared.chunks
+            ]
+            with monkeypatch.context() as patch:
+                patch.setattr(ParamVector, "__post_init__", counting)
+                federation.run_round(params, prepared, coresets, Algo(kind), cfg, 0, CostLedger())
+            counts[m], built[:] = len(built), []
+        assert counts[2] == counts[8]
+
+    def test_gcfl_refresh_never_builds_the_full_grad_stack(self, monkeypatch):
+        import fedcoreset.coreset
+        import fedcoreset.model
+
+        def full_stack(*args):
+            raise AssertionError("the server rows built the [n, C, h+1] gradient stack")
+
+        for module in (fedcoreset.model, fedcoreset.coreset):
+            monkeypatch.setattr(module, "last_layer_grad_stack", full_stack)
+        for arch in ARCHS:
+            cfg = tiny_cfg(model=ModelConfig(arch, hidden_dim=5), rounds=3, refresh_period=1)
+            result = run_training(cfg, Algo("gcfl"))
+            assert result.ledger.grads_broadcast > 0
 
     def test_gcfl_refresh_counter_k1_vs_k10(self):
         prepared = balanced_world(num_clients=4, per_class_per_client=5, num_classes=4)
@@ -312,10 +347,11 @@ class TestSingleClientEquivalence:
         )
         ds = prepared.chunks[0].dataset
         for t in range(cfg.rounds):
-            (theta,) = sgd_epochs(
+            (values,) = sgd_epochs(
                 theta, [ds], epochs=1, lr=0.1, batch_size=10_000,
                 seeds=[derive_seed(cfg.seed, "client", 0, "round", t)],
             )
+            theta = theta.with_values(values)
         assert np.abs(fed.final_params.values - theta.values).max() <= 1e-12
 
 
@@ -447,14 +483,14 @@ class TestFineTune:
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
         (out,) = sgd_epochs(p, [prepared.val], epochs=0, lr=0.1, batch_size=32, seeds=[0])
-        assert out is p
+        assert np.array_equal(out, p.values)
 
     def test_loss_non_increasing_on_val(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=1)
         before = loss(p, prepared.val)
         (tuned,) = sgd_epochs(p, [prepared.val], epochs=50, lr=0.05, batch_size=32, seeds=[2])
-        assert loss(tuned, prepared.val) <= before
+        assert loss(p.with_values(tuned), prepared.val) <= before
 
     def test_empty_val_rejected(self):
         ds = blobs(2, 2, [1, 1], 5, seed=0)
