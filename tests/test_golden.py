@@ -5,7 +5,12 @@ the seed-0 blob benchmark run of each arm, and
 ``tests/golden/hidden_seed0_<arm>.csv`` that of a five-round run of the
 ``hidden`` benchmark shape (``one_hidden`` h=64, dim 50, 10 of 50 clients a
 round), so both architectures are covered; its ``fedprox`` arm (mu = 0.1) is
-the one golden that takes the proximal branch of the SGD step.  A refactor
+the one golden that takes the proximal branch of the SGD step.
+``tests/golden/sparse_seed3_gcfl.csv`` is an eight-round gcfl run at
+lambda = 0 (the per-class least-squares weight solve) on 30 small
+Dirichlet(0.1) chunks, 12 of them a round and a refresh every second
+round, so refresh rounds sample empty clients and clients whose budget
+rounds to zero next to clients that select.  A refactor
 must reproduce every byte; only a deliberate behaviour change may rewrite
 these files, and its change note must say so.
 """
@@ -37,6 +42,22 @@ def hidden_config():
     )
 
 
+def sparse_config():
+    base = blob_benchmark_config(seed=3)
+    return replace(
+        base,
+        dataset=replace(base.dataset, samples_per_blob=60),
+        num_clients=30,
+        clients_per_round=12,
+        dirichlet_alpha=0.1,
+        budget_fraction=0.3,
+        rounds=8,
+        refresh_period=2,
+        lam=0.0,
+        arms=(Algo("gcfl"),),
+    )
+
+
 @pytest.fixture(scope="module")
 def hidden_runs():
     cfg = hidden_config()
@@ -56,3 +77,11 @@ def test_hidden_round_log_matches_golden(hidden_runs, arm, tmp_path):
     path = tmp_path / f"{arm}.csv"
     write_round_log(str(path), hidden_runs[arm].rounds)
     assert path.read_bytes() == (GOLDEN / f"hidden_seed0_{arm}.csv").read_bytes()
+
+
+def test_sparse_lam_zero_round_log_matches_golden(tmp_path):
+    cfg = sparse_config()
+    result = run_training(cfg, cfg.arms[0], prepare_experiment(cfg))
+    path = tmp_path / "gcfl.csv"
+    write_round_log(str(path), result.rounds)
+    assert path.read_bytes() == (GOLDEN / "sparse_seed3_gcfl.csv").read_bytes()
