@@ -16,16 +16,19 @@ alone can rise.  Weights only steer selection: local training on a coreset
 is unweighted.
 
 Label-wise selection (one pursuit per class, as in GRAD-MATCH, Killamsetty
-et al. 2021) advances all of a client's classes in one lockstep loop over a
-padded [classes, largest class, d] candidate stack.  Each step scores every
-class's candidates with one stacked matmul, ||c||^2 / 2 - c.r, the
-expansion of ||c - r||^2 with ||c||^2 cached (Batch-OMP's trick), and
-re-solves every class's weights with one stacked solve.  The expansion
+et al. 2021) runs once per refresh round for all of the round's clients:
+every client's classes advance together in one lockstep loop.  The classes
+are sorted by size and packed into a few zero-padded [classes, rows, d]
+candidate stacks, each at most 1.25 times as wide as its narrowest class,
+so the padding stays small however skewed the classes are.  Each step
+scores every class's candidates with one matmul per stack, ||c||^2 / 2 -
+c.r, the expansion of ||c - r||^2 with ||c||^2 cached (Batch-OMP's trick),
+and re-solves every class's weights with one stacked solve.  The expansion
 rounds differently from the distance itself, so candidates within its
 rounding bound of the best score are re-ranked by ||c - r||: the picks are
 those of the per-class loop with the direct distance, ties to the lowest
-index, and the weights are bit for bit that loop's.  ``omp_select`` is the
-same kernel on one class.
+index, and the weights are bit for bit that loop's, whichever classes and
+clients share the loop.  ``omp_select`` is the same kernel on one class.
 
 The facility-location baseline is a lazy greedy (Minoux 1978; used for
 coresets in CRAIG, Mirzasoleiman et al. 2020) whose picks equal the dense
@@ -39,6 +42,7 @@ symmetric, and the column sums are added in the dense reduction's order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,29 +143,74 @@ def _solve_stacked(supports: np.ndarray, targets: np.ndarray, lam: float) -> np.
     return np.stack([_solve_ridge(s.T, t, lam) for s, t in zip(supports, targets)])
 
 
+# A packed stack's widest class has at most this many times the rows of its
+# narrowest, so its padding stays under a fifth of its rows.
+_PACK_RATIO = 1.25
+
+
+def _pack(counts: np.ndarray) -> list[np.ndarray]:
+    """The classes of each packed stack, as indices into ``counts``.
+
+    The classes are sorted by count, largest first (stable), and cut into
+    runs: a run takes the next class while its count times ``_PACK_RATIO``
+    reaches the run's first (largest) count.
+    """
+    order = np.argsort(-counts, kind="stable")
+    groups, first = [], 0
+    for j in range(1, len(order) + 1):
+        if j == len(order) or counts[order[j]] * _PACK_RATIO < counts[order[first]]:
+            groups.append(order[first:j])
+            first = j
+    return groups
+
+
+def _compact(stack: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``stack[kept]`` for ascending ``kept``, moved to the front of ``stack``
+    in place; returns that prefix as a view, so no copy of the stack is made."""
+    for j, a in enumerate(kept.tolist()):
+        if j != a:
+            stack[j] = stack[a]
+    return stack[: len(kept)]
+
+
+def _kept(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``x[keep]``, as a view of ``x`` when the kept rows come first."""
+    n = np.count_nonzero(keep)
+    return x[:n] if keep[:n].all() else x[keep]
+
+
 def _matching_pursuits(
-    cands: np.ndarray,
+    stacks: list[np.ndarray],
     counts: np.ndarray,
     targets: np.ndarray,
     limits: np.ndarray,
     lam: float,
-) -> list[Coreset]:
-    """One matching pursuit per stacked class, all advanced in one loop.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One matching pursuit per class, all advanced in one loop.
 
-    ``cands`` is [A, n_max, d]: class a's candidates fill rows
-    [0, counts[a]), the rest is padding.  Class a matches ``targets[a]``
+    The A classes are numbered through ``stacks`` in order; stack s is
+    [A_s, n_s, d], and class a of it fills rows [0, counts[a]) of its
+    block, the rest being zero padding.  Class a matches ``targets[a]``
     with at most ``limits[a]`` <= counts[a] picks.  Each step scores every
-    live class's candidates c against its residual r with one stacked
-    matmul, s = ||c||^2 / 2 - c.r (half of ||c - r||^2 less the class's
+    live class's candidates c against its residual r with one matmul per
+    stack, s = ||c||^2 / 2 - c.r (half of ||c - r||^2 less the class's
     constant ||r||^2), with ||c||^2 / 2 cached and +inf on padding and
     picked rows.  The pick is the candidate nearest by ||c - r|| itself,
     first minimum (so lowest index) on ties: only candidates whose s lies
     within the rounding bound ``tol`` of the least s can be nearest, and
     where more than one does (duplicate rows, near-ties) they are ranked
-    by ||c - r||.  Then :func:`_solve_stacked` re-solves the ridge weights of
-    every live class at once.  A class drops out at its limit or at an
-    exactly zero residual.  Returns one coreset per class, indices local
-    to the class.
+    by ||c - r||.  So the bits of s, which depend on the stack a class
+    sits in, never choose a pick.  The picked rows go to one support
+    buffer, and :func:`_solve_stacked` re-solves the ridge weights of every
+    live class at once.  A class drops out at its limit or at an exactly
+    zero residual; only its stack is compacted, in place, and a stack
+    whose classes are all done leaves the loop.  The stacks are the
+    kernel's to overwrite.
+
+    Returns ``(picks, weights, traces, made)``: class a's picks (row
+    indices in its block), clipped weights and residual norms after each
+    re-solve are ``picks[a, :made[a]]``, ``weights[a, :made[a]]`` and
+    ``traces[a, :made[a]]``.
 
     ``tol`` bounds how far the two orders can disagree.  The computed
     ||c - r||^2 and 2 s are each within gamma (||c|| + ||r||)^2 of their
@@ -170,51 +219,88 @@ def _matching_pursuits(
     nearest candidate's s is within 2 gamma (||c|| + ||r||)^2 of the least
     s.  ``tol`` is twice that, with ||c|| the class's largest row norm.
     """
-    A, n_max, d = cands.shape
-    half = np.einsum("and,and->an", cands, cands) / 2
-    reach = np.sqrt(2 * half.max(axis=1))  # padding rows are zero
-    half[np.arange(n_max) >= counts[:, None]] = np.inf
-    slack = 2.0 * (d + 4) * np.finfo(np.float64).eps
+    A, d = targets.shape
     width = int(limits.max(initial=0))
     picks = np.zeros((A, width), dtype=np.int64)
     weights = np.zeros((A, width))
     traces = np.zeros((A, width))
     made = np.zeros(A, dtype=np.int64)
+    slack = 2.0 * (d + 4) * np.finfo(np.float64).eps
 
-    norms = _row_norms(targets)
-    live = np.flatnonzero((limits > 0) & (norms > 0))
-    cand, half, goal, residual = cands[live], half[live], targets[live], targets[live]
-    reach, norms = reach[live], norms[live]
+    # The solve takes the live classes largest limit first: classes leave at
+    # their limits, so the ones that stay come first and the support buffer
+    # and the other per-class arrays are cut to them, not copied.
+    order = np.argsort(-limits, kind="stable")
+    rank = np.empty(A, dtype=np.int64)
+    rank[order] = np.arange(A)
+    # per stack: its live classes' candidates, cached ||c||^2 / 2, row
+    # numbers and places in the solve's order
+    pools, first = [], 0
+    reach = np.empty(A)  # each class's largest row norm
+    for cand in stacks:
+        at = rank[first : first + len(cand)]
+        half = np.einsum("and,and->an", cand, cand)
+        half /= 2
+        reach[at] = np.sqrt(2 * half.max(axis=1))  # padding rows are zero
+        half[np.arange(cand.shape[1]) >= counts[first : first + len(cand), None]] = np.inf
+        pools.append((cand, half, np.arange(len(cand)), at))
+        first += len(cand)
+    live = order
+    goal = residual = targets[order]
+    norms = _row_norms(goal)
+    support = np.empty((A, width, d))
+    step = np.empty(A, dtype=np.int64)
+    keep = (limits[order] > 0) & (norms > 0)
     k = 0
-    while live.size:
-        scores = half - (cand @ residual[:, :, None])[..., 0]
-        rows = np.arange(live.size)
-        pick = scores.argmin(axis=1)
+    while True:
+        if not keep.all():
+            moved = np.cumsum(keep) - 1  # a kept class's new place
+            kept_pools = []
+            for cand, half, rows, at in pools:
+                kept = np.flatnonzero(keep[at])
+                if kept.size == len(cand):
+                    kept_pools.append((cand, half, rows, moved[at]))
+                elif kept.size:
+                    kept_pools.append(
+                        (_compact(cand, kept), _compact(half, kept), rows[: kept.size],
+                         moved[at[kept]])
+                    )
+            pools = kept_pools
+            live, goal, residual, norms, reach, support, step = (
+                _kept(x, keep) for x in (live, goal, residual, norms, reach, support, step)
+            )
+        if not live.size:
+            break
+        k += 1
         tol = slack * (reach + norms) ** 2
-        near = scores <= (scores[rows, pick] + tol)[:, None]
-        for a in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
-            ties = np.flatnonzero(near[a])
-            dist = np.linalg.norm(cand[a, ties] - residual[a], axis=1)
-            pick[a] = ties[np.argmin(dist)]  # first minimum: lowest index
-        half[rows, pick] = np.inf
-        picks[live, k] = pick
-        made[live] = k = k + 1
-        support = cand[rows[:, None], picks[live, :k]]
-        w = _solve_stacked(support, goal, lam)
-        residual = goal - (support.transpose(0, 2, 1) @ w[:, :, None])[..., 0]
+        for cand, half, rows, at in pools:
+            r = residual[at]
+            scores = (cand @ r[:, :, None])[..., 0]
+            np.subtract(half, scores, out=scores)
+            pick = scores.argmin(axis=1)
+            best = scores[rows, pick]
+            bound = best + tol[at]
+            # a class with a second candidate within the bound re-ranks them
+            scores[rows, pick] = np.inf
+            for a in (np.fmin.reduce(scores, axis=1) <= bound).nonzero()[0]:
+                scores[a, pick[a]] = best[a]
+                ties = np.flatnonzero(scores[a] <= bound[a])
+                dist = np.linalg.norm(cand[a, ties] - r[a], axis=1)
+                pick[a] = ties[np.argmin(dist)]  # first minimum: lowest index
+            half[rows, pick] = np.inf
+            support[at, k - 1] = cand[rows, pick]
+            step[at] = pick
+        picks[live, k - 1] = step
+        chosen = support[:, :k]
+        w = _solve_stacked(chosen, goal, lam)
+        residual = goal - (chosen.transpose(0, 2, 1) @ w[:, :, None])[..., 0]
         norms = _row_norms(residual)
         weights[live, :k] = w
         traces[live, k - 1] = norms
+        made[live] = k
         keep = (k < limits[live]) & (norms > 0)
-        if not keep.all():
-            live, cand, half, goal, residual, reach, norms = (
-                x[keep] for x in (live, cand, half, goal, residual, reach, norms)
-            )
-    return [
-        Coreset(picks[a, :m], np.maximum(weights[a, :m], 0.0),
-                residual_norms=tuple(traces[a, :m].tolist()))
-        for a, m in enumerate(made)
-    ]
+    np.maximum(weights, 0.0, out=weights)
+    return picks, weights, traces, made
 
 
 def omp_select(
@@ -243,9 +329,12 @@ def omp_select(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     n = len(cands)
-    return _matching_pursuits(
-        cands[None], np.array([n]), target[None], np.array([min(budget, n)]), lam
-    )[0]
+    # one class: the kernel never moves a block, so cands is only read
+    picks, weights, traces, made = _matching_pursuits(
+        [cands[None]], np.array([n]), target[None], np.array([min(budget, n)]), lam
+    )
+    m = made[0]
+    return Coreset(picks[0, :m], weights[0, :m], residual_norms=tuple(traces[0, :m].tolist()))
 
 
 def _split_budget(budget: int, class_counts: dict[int, int]) -> dict[int, int]:
@@ -261,54 +350,103 @@ def _split_budget(budget: int, class_counts: dict[int, int]) -> dict[int, int]:
 
 
 def labelwise_omp_select(
-    chunk: ClientChunk,
+    chunks: Sequence[ClientChunk],
     params: ParamVector,
     server_rows: dict[int, np.ndarray],
-    budget: int,
+    budgets: Sequence[int],
     *,
     lam: float,
-) -> Coreset:
-    """Run one matching-pursuit instance per class the client shares with
-    the server, each against that class's broadcast gradient row, with the
-    ridge ``lam`` of :func:`omp_select`.
+) -> list[Coreset]:
+    """Select the coreset of every client of a refresh round: one
+    matching-pursuit instance per class a client shares with the server,
+    each against that class's broadcast gradient row, with the ridge
+    ``lam`` of :func:`omp_select`.  Returns one coreset per chunk, in the
+    order of ``chunks``, each with at most its ``budgets`` entry (>= 1)
+    of samples.
 
     A sample's candidate row is its own-class output-layer gradient
-    (:func:`~fedcoreset.model.own_class_grads`).  The budget splits as
-    floor(budget/|shared|) per class with the remainder allotted to the
+    (:func:`~fedcoreset.model.own_class_grads`).  A client's budget splits
+    as floor(budget/|shared|) per class with the remainder allotted to its
     largest classes; classes the server did not broadcast are skipped and
-    their share flows back into the split.  All classes advance together,
-    one pick each per step, over a zero-padded [classes, largest class,
-    h+1] candidate stack (at most C n rows); each class's picks, weights
-    and residual trace equal those of :func:`omp_select` on that class
-    alone.  The indices, weights and ``residual_norms`` of the per-class
-    selections are concatenated in class order (classes with a zero share
-    contribute nothing), so ``residual_norms`` holds each class's residual
-    trace in turn.
+    their share flows back into the split.  All the round's classes, every
+    client's, advance together, one pick each per step
+    (:func:`_matching_pursuits`).  They are sorted by size, largest first,
+    and packed into a few zero-padded [classes, rows, h+1] stacks, each as
+    wide as its largest class and at most ``_PACK_RATIO`` times as wide as
+    its smallest, so the padding stays small however skewed the classes
+    are.  The stacks are filled one client's gradient rows at a time.
+    Each class's picks, weights and residual trace equal those of
+    :func:`omp_select` on that class alone, so a client's coreset is the
+    same whichever clients are selected with it.  A client's indices,
+    weights and ``residual_norms`` are its per-class selections
+    concatenated in class order (classes with a zero share contribute
+    nothing), so ``residual_norms`` holds each class's residual trace in
+    turn.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    labels = chunk.dataset.labels
-    present = set(int(c) for c in np.unique(labels))
-    shared = sorted(present & set(server_rows))
-    if not shared:
-        raise ValueError("client and server share no classes")
+    if len(budgets) != len(chunks):
+        raise ValueError("need one budget per chunk")
+    if not chunks:
+        return []
+    # one entry per (client, shared class), client-major and in class order
+    spans, label, counts, shares, targets = [], [], [], [], []
+    for chunk, budget in zip(chunks, budgets):
+        if budget < 1:
+            raise ValueError("budget must be >= 1")
+        classes, sizes = np.unique(chunk.dataset.labels, return_counts=True)
+        shared = {c: n for c, n in zip(classes.tolist(), sizes.tolist()) if c in server_rows}
+        if not shared:
+            raise ValueError(f"client {chunk.client_id} and the server share no classes")
+        split = _split_budget(budget, shared)
+        spans.append((len(label), len(label) + len(shared)))
+        label += shared
+        counts += shared.values()
+        shares += [split[c] for c in shared]
+        targets += [np.asarray(server_rows[c], dtype=np.float64) for c in shared]
+    counts = np.array(counts)
+    limits = np.minimum(shares, counts)
+    targets = np.stack(targets)
+    active = np.flatnonzero((limits > 0) & (_row_norms(targets) > 0))
+    groups = [active[g] for g in _pack(counts[active])]
+    packed = np.concatenate([np.empty(0, dtype=np.int64), *groups])  # entries in stack order
+    # the stacks are views of one block, so freeing them leaves one hole in
+    # the heap for later allocations, not one per stack
+    shapes = [(len(g), counts[g[0]], targets.shape[1]) for g in groups]
+    sizes = [a * n * d for a, n, d in shapes]
+    block = np.zeros(sum(sizes))
+    stacks = [x.reshape(shape) for x, shape in zip(np.split(block, np.cumsum(sizes[:-1])), shapes)]
+    del block
+    slot = {e: (s, j) for s, g in enumerate(groups) for j, e in enumerate(g.tolist())}
+    for chunk, (lo, hi) in zip(chunks, spans):
+        todo = [e for e in range(lo, hi) if e in slot]
+        if not todo:
+            continue
+        rows = own_class_grads(params, chunk.dataset)
+        for e in todo:
+            s, j = slot[e]
+            members = np.flatnonzero(chunk.dataset.labels == label[e])
+            np.take(rows, members, axis=0, out=stacks[s][j, : counts[e]], mode="clip")
+        del rows
 
-    rows = own_class_grads(params, chunk.dataset)
-    members = [np.flatnonzero(labels == c) for c in shared]
-    counts = np.array([len(m) for m in members])
-    shares = _split_budget(budget, dict(zip(shared, counts.tolist())))
-    cands = np.zeros((len(shared), counts.max(), rows.shape[1]))
-    for a, idx in enumerate(members):
-        cands[a, : len(idx)] = rows[idx]
-    targets = np.stack([np.asarray(server_rows[c], dtype=np.float64) for c in shared])
-    limits = np.minimum([shares[c] for c in shared], counts)
-
-    subs = _matching_pursuits(cands, counts, targets, limits, lam)
-    return Coreset(
-        np.concatenate([idx[sub.indices] for idx, sub in zip(members, subs)]),
-        np.concatenate([sub.weights for sub in subs]),
-        residual_norms=tuple(x for sub in subs for x in sub.residual_norms),
-    )
+    found = _matching_pursuits(stacks, counts[packed], targets[packed], limits[packed], lam)
+    del stacks
+    # back to entry order; entries that never ran keep made = 0
+    picks, weights, traces, made = (np.zeros((len(counts), *x.shape[1:]), x.dtype) for x in found)
+    for full, part in zip((picks, weights, traces, made), found):
+        full[packed] = part
+    steps = np.arange(picks.shape[1])
+    out = []
+    for chunk, (lo, hi) in zip(chunks, spans):
+        labels = chunk.dataset.labels
+        mask = steps < made[lo:hi, None]
+        picked = [np.flatnonzero(labels == label[e])[picks[e, : made[e]]] for e in range(lo, hi)]
+        out.append(
+            Coreset(
+                np.concatenate(picked),
+                weights[lo:hi][mask],
+                residual_norms=tuple(traces[lo:hi][mask].tolist()),
+            )
+        )
+    return out
 
 
 def random_select(chunk: ClientChunk, budget: int, seed: int) -> Coreset:

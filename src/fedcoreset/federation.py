@@ -3,7 +3,9 @@
 One round: the server samples m of N clients and broadcasts the current
 parameters; on refresh rounds (t % K == 0) the gcfl arm additionally
 broadcasts per-class validation gradient rows and the sampled clients
-re-select their coresets by gradient matching.  Clients train locally for E
+re-select their coresets by gradient matching, all of them in one call of
+:func:`~fedcoreset.coreset.labelwise_omp_select`, each client's coreset bit
+for bit the one it would select alone.  Clients train locally for E
 epochs on their algorithm's training set (full chunk, clean-only, or
 coreset), upload parameter deltas, and the server applies the global-rate
 mean.  All compute and traffic is metered in a :class:`CostLedger`.
@@ -289,15 +291,19 @@ def run_round(
 
     if algo.kind == "gcfl" and round_index % cfg.refresh_period == 0:
         rows = labelwise_validation_grads(params, prepared.val)
-        row_values = sum(r.size for r in rows.values())
-        for cid in sampled:
-            ledger.grads_broadcast += row_values
-            chunk = chunks[cid]
-            budget = _client_budget(chunk, cfg.budget_fraction)
-            if chunk.n == 0 or budget < 1:
-                continue
-            ledger.per_sample_grad_evals += chunk.n
-            coresets[cid] = labelwise_omp_select(chunk, params, rows, budget, lam=cfg.lam)
+        ledger.grads_broadcast += len(sampled) * sum(r.size for r in rows.values())
+        budgets = {cid: _client_budget(chunks[cid], cfg.budget_fraction) for cid in sampled}
+        selecting = [cid for cid in sampled if chunks[cid].n and budgets[cid] >= 1]
+        ledger.per_sample_grad_evals += sum(chunks[cid].n for cid in selecting)
+        selected = labelwise_omp_select(
+            [chunks[cid] for cid in selecting],
+            params,
+            rows,
+            [budgets[cid] for cid in selecting],
+            lam=cfg.lam,
+        )
+        for cid, cs in zip(selecting, selected):
+            coresets[cid] = cs
 
     trainees, indices = [], []
     for cid in sampled:

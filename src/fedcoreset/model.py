@@ -142,7 +142,9 @@ def _penultimate(params: ParamVector, x: np.ndarray) -> np.ndarray:
 def _logits(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     act = _penultimate(params, x)
     out = params.last_layer()
-    return act @ out[:, :-1].T + out[:, -1], act
+    z = act @ out[:, :-1].T
+    z += out[:, -1]
+    return z, act
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -197,11 +199,20 @@ def own_class_grads(params: ParamVector, ds: Dataset) -> np.ndarray:
 
     Row i is (softmax(z)_y - 1) * [h(x); 1] for sample (x, y), equal bit for
     bit to ``last_layer_grad_stack(params, ds)[i, y]`` (the same operations
-    on the same values) in O(n (h+1)) memory instead of O(n C (h+1)).
+    on the same values) in O(n (h+1)) memory instead of O(n C (h+1)).  The
+    softmax runs in place in the logits, and the rows are written straight
+    into the result, so the [n, C] logits are the only temporary.
     """
     z, act = _logits(params, ds.features)
-    own = _softmax(z)[np.arange(ds.n), ds.labels] - 1.0
-    return own[:, None] * np.concatenate([act, np.ones((ds.n, 1))], axis=1)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    own = z[np.arange(ds.n), ds.labels] - 1.0
+    del z
+    grads = np.empty((ds.n, act.shape[1] + 1))
+    np.multiply(own[:, None], act, out=grads[:, :-1])
+    grads[:, -1] = own
+    return grads
 
 
 def labelwise_validation_grads(

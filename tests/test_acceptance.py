@@ -410,9 +410,9 @@ class TestCriterion8PrivacySurface:
         captured = []
         real = federation.labelwise_omp_select
 
-        def spy(chunk, params, server_rows, budget, **knobs):
+        def spy(chunks, params, server_rows, budgets, **knobs):
             captured.append(server_rows)
-            return real(chunk, params, server_rows, budget, **knobs)
+            return real(chunks, params, server_rows, budgets, **knobs)
 
         monkeypatch.setattr(federation, "labelwise_omp_select", spy)
         run_training(cfg, Algo("gcfl"), prepared)

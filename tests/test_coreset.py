@@ -14,13 +14,24 @@ from fedcoreset.coreset import (
     omp_select,
     random_select,
 )
-from fedcoreset.data import ClientChunk, Dataset, NoiseSpec, inject_closed_set
-from fedcoreset.model import ModelConfig, init_params, last_layer_grad_stack
+from fedcoreset.data import ClientChunk, Dataset, NoiseSpec, dirichlet_partition, inject_closed_set
+from fedcoreset.model import (
+    ModelConfig,
+    init_params,
+    labelwise_validation_grads,
+    last_layer_grad_stack,
+)
 from worldgen import blobs
 
 
 def chunk_of(ds: Dataset, client_id: int = 0) -> ClientChunk:
     return ClientChunk(ds, np.ones(ds.n, dtype=bool), client_id)
+
+
+def select_one(chunk, params, server_rows, budget, lam) -> Coreset:
+    """``labelwise_omp_select`` of a round with this one client."""
+    (cs,) = labelwise_omp_select([chunk], params, server_rows, [budget], lam=lam)
+    return cs
 
 
 def ridge_solution(columns: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
@@ -275,8 +286,7 @@ class TestLabelwise:
     def test_single_class_client_gets_whole_budget(self):
         only = Dataset(self.ds.features[:20], np.full(20, 2), 5)
         chunk = chunk_of(only)
-        cs = labelwise_omp_select(chunk, self.params, self.rows(), budget=8,
-                                  lam=0.0)
+        cs = select_one(chunk, self.params, self.rows(), budget=8, lam=0.0)
         assert cs.size == 8
         assert set(chunk.dataset.labels[cs.indices]) == {2}
 
@@ -287,8 +297,7 @@ class TestLabelwise:
         ]).astype(int)
         rng = np.random.default_rng(5)
         chunk = chunk_of(Dataset(rng.normal(size=(150, 6)), labels, 5))
-        cs = labelwise_omp_select(chunk, self.params, self.rows(), budget=12,
-                                  lam=0.0)
+        cs = select_one(chunk, self.params, self.rows(), budget=12, lam=0.0)
         classes, counts = np.unique(chunk.dataset.labels[cs.indices], return_counts=True)
         sizes = dict(zip(classes.tolist(), counts.tolist()))
         assert sizes == {0: 3, 1: 3, 2: 2, 3: 2, 4: 2}
@@ -301,19 +310,16 @@ class TestLabelwise:
 
     def test_no_shared_classes_rejected(self):
         with pytest.raises(ValueError):
-            labelwise_omp_select(self.chunk, self.params, {99: np.zeros(7)}, budget=4,
-                                 lam=0.5)
+            select_one(self.chunk, self.params, {99: np.zeros(7)}, budget=4, lam=0.5)
 
     def test_missing_server_class_budget_redistributed(self):
         rows = self.rows(classes=[0, 1])  # server only broadcasts 2 of 5 classes
-        cs = labelwise_omp_select(self.chunk, self.params, rows, budget=10,
-                                  lam=0.0)
+        cs = select_one(self.chunk, self.params, rows, budget=10, lam=0.0)
         assert set(self.chunk.dataset.labels[cs.indices]) <= {0, 1}
         assert cs.size == 10
 
     def test_per_class_budgets_sum_to_total(self):
-        cs = labelwise_omp_select(self.chunk, self.params, self.rows(), budget=13,
-                                  lam=0.5)
+        cs = select_one(self.chunk, self.params, self.rows(), budget=13, lam=0.5)
         labels = self.chunk.dataset.labels[cs.indices]
         assert np.bincount(labels, minlength=5).sum() == cs.size
         assert cs.size <= 13
@@ -322,8 +328,7 @@ class TestLabelwise:
 
     def test_residual_norms_are_the_per_class_traces_in_class_order(self):
         # budget 13 over 5 classes: class 0..2 get 3, classes 3, 4 get 2
-        cs = labelwise_omp_select(self.chunk, self.params, self.rows(), budget=13,
-                                  lam=0.5)
+        cs = select_one(self.chunk, self.params, self.rows(), budget=13, lam=0.5)
         stack = last_layer_grad_stack(self.params, self.ds)
         labels = self.ds.labels
         expected = []
@@ -347,10 +352,11 @@ class TestLabelwiseLockstep:
              "zero_residual", "lam_zero", "singular", "dominant")
 
     @staticmethod
-    def make_case(rng: np.random.Generator, kind: str):
-        """(rows, labels, server_rows, budget, lam) of one random chunk."""
+    def make_case(rng: np.random.Generator, kind: str, d: int | None = None):
+        """(rows, labels, server_rows, budget, lam) of one random chunk, with
+        rows of length ``d`` (drawn from 3-12 if not given)."""
         classes = int(rng.integers(2, 6))
-        d = int(rng.integers(3, 13))
+        d = int(rng.integers(3, 13)) if d is None else d
         sizes = rng.integers(1, 40, size=classes)
         if kind == "dominant":
             sizes[rng.integers(classes)] = rng.integers(200, 400)
@@ -412,7 +418,7 @@ class TestLabelwiseLockstep:
             params = init_params(ModelConfig("softmax_regression"), 2, classes, seed=0)
             monkeypatch.setattr(coreset, "own_class_grads", lambda p, ds: rows)
             monkeypatch.setattr(coreset, "_solve_ridge", spy)
-            cs = labelwise_omp_select(chunk, params, targets, budget, lam=lam)
+            cs = select_one(chunk, params, targets, budget, lam)
             monkeypatch.setattr(coreset, "_solve_ridge", solve_ridge)
             ref = reference_labelwise(rows, labels, targets, budget, lam)
 
@@ -451,6 +457,137 @@ class TestLabelwiseLockstep:
                 stacked = coreset._solve_stacked(supports, targets, 0.5)
                 for support, target, w in zip(supports, targets, stacked):
                     assert np.array_equal(w, coreset._solve_ridge(support.T, target, 0.5)), (d, k)
+
+
+class TestRoundWide:
+    """One selection call for all the clients of a round: each client's
+    coreset is that client's ``reference_labelwise`` (supports equal,
+    weights and residual traces within 1e-12), the same bits whichever
+    clients are selected with it, and the packed stacks cost about the
+    real candidate rows in memory however skewed the classes are."""
+
+    KINDS = TestLabelwiseLockstep.KINDS + ("shared_rows",)
+
+    @staticmethod
+    def make_round(rng: np.random.Generator, kind: str):
+        """([(rows, labels, budget)] of 1-5 clients, server_rows, lam).
+
+        Every client's case is ``make_case`` of ``kind`` at one shared row
+        length; the server rows are the first case's, then the other cases'
+        for classes the first lacks.  ``shared_rows``: the later clients hold
+        copies of rows and labels of the first client."""
+        d = int(rng.integers(3, 13))
+        base = "gaussian" if kind == "shared_rows" else kind
+        cases = [TestLabelwiseLockstep.make_case(rng, base, d) for _ in range(rng.integers(1, 6))]
+        clients = [(rows, labels, budget) for rows, labels, _, budget, _ in cases]
+        if kind == "shared_rows":
+            rows, labels, _ = clients[0]
+            for i in range(1, len(clients)):
+                take = rng.permutation(len(labels))[: rng.integers(1, len(labels) + 1)]
+                clients[i] = (rows[take], labels[take], clients[i][2])
+        server_rows: dict[int, np.ndarray] = {}
+        for case in cases:
+            for c, row in case[2].items():
+                server_rows.setdefault(c, row)
+        return clients, server_rows, cases[0][4]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_client_equals_its_reference(self, kind, monkeypatch):
+        rng = np.random.default_rng(100 + self.KINDS.index(kind))
+        for _ in range(15):
+            clients, server_rows, lam = self.make_round(rng, kind)
+            classes = len(server_rows)
+            chunks = [
+                chunk_of(Dataset(rng.normal(size=(len(labels), 2)), labels, classes), i)
+                for i, (_, labels, _) in enumerate(clients)
+            ]
+            rows_of = {id(chunk.dataset): rows for chunk, (rows, _, _) in zip(chunks, clients)}
+            monkeypatch.setattr(coreset, "own_class_grads", lambda p, ds: rows_of[id(ds)])
+            params = init_params(ModelConfig("softmax_regression"), 2, classes, seed=0)
+            budgets = [budget for _, _, budget in clients]
+            got = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam)
+            assert len(got) == len(chunks)
+            for (rows, labels, budget), cs in zip(clients, got):
+                ref = reference_labelwise(rows, labels, server_rows, budget, lam)
+                assert np.array_equal(cs.indices, ref.indices), (kind, budget)
+                assert np.abs(cs.weights - ref.weights).max(initial=0.0) <= 1e-12
+                gap = np.subtract(cs.residual_norms, ref.residual_norms)
+                assert np.abs(gap).max(initial=0.0) <= 1e-12
+
+    @staticmethod
+    def world(seed: int):
+        """Six skewed Dirichlet(0.3) chunks, model parameters and the
+        server's rows of one refresh round."""
+        rng = np.random.default_rng(seed)
+        ds = blobs(6, 5, np.ones(6), 90, seed=seed)
+        order = rng.permutation(ds.n)
+        chunks = [c for c in dirichlet_partition(ds.subset(order[60:]), 6, 0.3, seed) if c.n >= 5]
+        params = init_params(ModelConfig("softmax_regression"), 5, 6, seed=seed)
+        params.values[:] = rng.normal(scale=0.5, size=params.values.size)
+        server_rows = labelwise_validation_grads(params, ds.subset(order[:60]))
+        budgets = [max(1, round(0.2 * c.n)) for c in chunks]
+        return chunks, params, server_rows, budgets
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_client_bits_do_not_depend_on_the_others(self, lam):
+        rng = np.random.default_rng(31)
+        for seed in range(3):
+            chunks, params, server_rows, budgets = self.world(seed)
+            whole = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam)
+            for _ in range(6):
+                some = rng.permutation(len(chunks))[: rng.integers(1, len(chunks) + 1)]
+                part = labelwise_omp_select([chunks[i] for i in some], params, server_rows,
+                                            [budgets[i] for i in some], lam=lam)
+                for i, cs in zip(some, part):
+                    assert np.array_equal(cs.indices, whole[i].indices)
+                    assert np.array_equal(cs.weights, whole[i].weights)
+                    assert cs.residual_norms == whole[i].residual_norms
+
+    def test_budget_per_chunk_and_empty_rounds(self):
+        chunks, params, server_rows, budgets = self.world(0)
+        assert labelwise_omp_select([], params, server_rows, [], lam=0.5) == []
+        zero = {c: np.zeros_like(row) for c, row in server_rows.items()}
+        (cs,) = labelwise_omp_select(chunks[:1], params, zero, budgets[:1], lam=0.5)
+        assert cs.size == 0 and cs.residual_norms == ()
+        with pytest.raises(ValueError):
+            labelwise_omp_select(chunks, params, server_rows, budgets[1:], lam=0.5)
+        with pytest.raises(ValueError):
+            labelwise_omp_select(chunks[:1], params, server_rows, [0], lam=0.5)
+
+    def test_peak_memory_near_the_real_candidate_rows(self):
+        """Each client holds 1,200 samples of one class and 2 of each of the
+        nine others.  A [classes, largest class, h+1] stack per client, padding
+        every class to the largest, would hold ten times the client's rows
+        (about 2.1 MB a client with its copy, against 0.43 MB of real rows for
+        all four).  The selector must hold the real rows in packed stacks at
+        most 1.25 times as large, a value per row for the cached norms and one
+        for a stack's scores, the support buffer and one client's gradient rows
+        and logits at a time."""
+        classes, dim, clients = 10, 10, 4
+        rng = np.random.default_rng(32)
+        chunks = []
+        for i in range(clients):
+            labels = np.concatenate([np.full(1200, i), np.repeat(np.arange(classes), 2)])
+            ds = Dataset(rng.normal(size=(len(labels), dim)), labels, classes)
+            chunks.append(chunk_of(ds, i))
+        params = init_params(ModelConfig("softmax_regression"), dim, classes, seed=33)
+        server_rows = {c: rng.normal(size=dim + 1) for c in range(classes)}
+        budgets = [round(0.1 * c.n) for c in chunks]
+        rows = sum(c.n for c in chunks)
+        packed = 1.25 * 8 * rows * (dim + 1 + 2)
+        support = 8 * clients * classes * max(budgets) * (dim + 1)
+        client = 8 * chunks[0].n * (dim + 1 + classes)
+        # a first call, so numpy's lazy imports (np.unique loads numpy.ma) are
+        # not counted
+        labelwise_omp_select(chunks[:1], params, server_rows, budgets[:1], lam=0.5)
+        tracemalloc.start()
+        try:
+            labelwise_omp_select(chunks, params, server_rows, budgets, lam=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        real = 8 * rows * (dim + 1)
+        assert peak < packed + support + 2 * client, peak / real
 
 
 class TestRandomSelect:

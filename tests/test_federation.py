@@ -561,9 +561,9 @@ class TestPrivacySurface:
         captured = []
         real = federation.labelwise_omp_select
 
-        def spy(chunk, params, server_rows, budget, **knobs):
+        def spy(chunks, params, server_rows, budgets, **knobs):
             captured.append(server_rows)
-            return real(chunk, params, server_rows, budget, **knobs)
+            return real(chunks, params, server_rows, budgets, **knobs)
 
         monkeypatch.setattr(federation, "labelwise_omp_select", spy)
         run_training(cfg, Algo("gcfl"), prepared)
@@ -584,6 +584,8 @@ class TestPrivacySurface:
             for name, param in inspect.signature(fn).parameters.items():
                 ann = str(param.annotation)
                 assert "Dataset" not in ann, f"{fn.__name__}({name}) exposes a Dataset"
+        chunks = inspect.signature(labelwise_omp_select).parameters["chunks"]
+        assert chunks.annotation == "Sequence[ClientChunk]"
 
 
 @st.composite

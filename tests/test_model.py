@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,24 @@ class TestLastLayerGrads:
             stack = last_layer_grad_stack(p, ds)
             assert rows.shape == (ds.n, stack.shape[2])
             assert np.array_equal(rows, stack[np.arange(ds.n), ds.labels])
+
+    def test_own_class_rows_hold_one_logits_temporary(self):
+        """The softmax runs in place in the logits and the rows are written
+        straight into the result, so the peak is the [n, h+1] result, one
+        [n, C] logits array and a few length-n vectors, where three [n, C]
+        arrays and a copy of the [n, h+1] activations were alive before."""
+        model, dim, classes = SOFTMAX
+        n = 4000
+        ds = random_dataset(n, dim, classes, seed=22)
+        p = init_params(model, dim, classes, seed=23)
+        own_class_grads(p, ds)  # numpy's lazy set-up is not counted
+        tracemalloc.start()
+        try:
+            own_class_grads(p, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (dim + 1 + classes + 4), peak / (8 * n)
 
 
 class TestLabelwiseGrads:
