@@ -144,7 +144,7 @@ def _solve_stacked(supports: np.ndarray, targets: np.ndarray, lam: float) -> np.
 
 
 # A packed stack's widest class has at most this many times the rows of its
-# narrowest, so its padding stays under a fifth of its rows.
+# narrowest, so padding is at most a fifth of its rows.
 _PACK_RATIO = 1.25
 
 
