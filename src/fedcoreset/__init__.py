@@ -31,7 +31,6 @@ from .data import (
     inject_open_set,
     load_dataset_csv,
     make_blobs,
-    save_dataset_csv,
     split_train_val_test,
 )
 from .errors import ConfigurationError
@@ -50,7 +49,6 @@ from .metrics import (
     RoundMetrics,
     coreset_composition,
     evaluate_accuracy,
-    read_round_log,
     write_round_log,
     write_summary,
 )

@@ -33,7 +33,6 @@ __all__ = [
     "inject_closed_set",
     "inject_open_set",
     "inject_attribute",
-    "save_dataset_csv",
     "load_dataset_csv",
 ]
 
@@ -373,18 +372,10 @@ def inject_attribute(chunk: ClientChunk, noise: NoiseSpec, seed: int) -> ClientC
     return ClientChunk(ds, flags, chunk.client_id)
 
 
-def save_dataset_csv(ds: Dataset, path: str) -> None:
-    """Write the dataset as CSV with header ``f0..f{d-1},label``."""
-    header = ",".join([f"f{j}" for j in range(ds.dim)] + ["label"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row, lab in zip(ds.features, ds.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
-
-
 def load_dataset_csv(path: str) -> Dataset:
-    """Read a dataset written by :func:`save_dataset_csv`, one class per label
-    up to the largest; header, row, label and ``Dataset`` errors name the file."""
+    """Read a dataset from CSV with header ``f0..f{d-1},label``, one class
+    per label up to the largest; header, row, label and ``Dataset`` errors
+    name the file, and every row must be as wide as the header."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[-1] != "label":
@@ -395,6 +386,8 @@ def load_dataset_csv(path: str) -> Dataset:
             raise ValueError(f"{path}: {exc}") from None
     if rows.size == 0:
         raise ValueError(f"{path}: no data rows")
+    if rows.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {rows.shape[1]} columns, the header {len(header)}")
     features = rows[:, :-1]
     labels = rows[:, -1]
     if not np.all(np.isfinite(labels) & (labels == np.round(labels))):

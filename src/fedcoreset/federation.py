@@ -6,9 +6,13 @@ broadcasts per-class validation gradient rows and the sampled clients
 re-select their coresets by gradient matching, all of them in one call of
 :func:`~fedcoreset.coreset.labelwise_omp_select`, each client's coreset bit
 for bit the one it would select alone.  Clients train locally for E
-epochs on their algorithm's training set (full chunk, clean-only, or
-coreset), upload parameter deltas, and the server applies the global-rate
-mean.  All compute and traffic is metered in a :class:`CostLedger`.
+epochs on their training rows, upload parameter deltas, and the server
+applies the global-rate mean.  All compute and traffic is metered in a
+:class:`CostLedger`.
+A run keeps one int64 row vector per client, the indices of the chunk rows
+it trains on: the whole chunk for fedavg and fedprox, the clean rows for
+skyline, and the current coreset's indices for the coreset arms (a refresh
+stores the new ones); coreset weights steer selection only.
 A round's client models and deltas travel as one ``[m, P]`` float64 array
 from :func:`~fedcoreset.model.sgd_epochs` through :func:`client_update`
 to :func:`aggregate`, one client per row; only the global model is a
@@ -40,12 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coreset import (
-    Coreset,
-    facility_location_select,
-    labelwise_omp_select,
-    random_select,
-)
+from .coreset import facility_location_select, labelwise_omp_select, random_select
 from .data import (
     ClientChunk,
     Dataset,
@@ -149,13 +148,12 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class Prepared:
-    """One realized (noisy) data world, shared by every arm of a run."""
+    """One realized (noisy) data world, shared by every arm of a run.  The
+    model's input and class counts are ``test.dim`` and ``test.num_classes``."""
 
     chunks: list[ClientChunk]
     val: Dataset
     test: Dataset
-    num_classes: int
-    input_dim: int
     fingerprint: str
 
 
@@ -242,34 +240,28 @@ def _client_budget(chunk: ClientChunk, budget_fraction: float) -> int:
     return round_half_away(budget_fraction * chunk.n)
 
 
-def _init_coreset(
-    algo: Algo, chunk: ClientChunk, budget: int, master_seed: int
-) -> Coreset | None:
-    """Round-0 coresets: random for gcfl and the random baseline, feature
-    driven for facility location.  Zero-budget (tiny) clients stay empty."""
-    if not algo.uses_coreset:
-        return None
-    if budget < 1 or chunk.n == 0:
-        return Coreset(np.empty(0, dtype=np.int64), np.empty(0))
-    if algo.kind == "facility_location":
-        return facility_location_select(chunk, budget)
-    seed = derive_seed(master_seed, "coreset0", chunk.client_id)
-    return random_select(chunk, budget, seed)
-
-
-def _training_indices(chunk: ClientChunk, coreset: Coreset | None, algo: Algo) -> np.ndarray:
+def _round0_rows(algo: Algo, chunk: ClientChunk, budget: int, master_seed: int) -> np.ndarray:
+    """The rows of ``chunk`` a client trains on from round 0: all of them
+    for fedavg and fedprox, the clean ones for skyline, and otherwise its
+    round-0 coreset, random for gcfl and the random baseline and feature
+    driven for facility location.  A coreset arm's client with an empty
+    chunk or a budget below 1 gets no rows."""
     if algo.kind in ("fedavg", "fedprox"):
         return np.arange(chunk.n, dtype=np.int64)
     if algo.kind == "skyline":
         return np.flatnonzero(chunk.clean_flags)
-    assert coreset is not None
-    return coreset.indices
+    if budget < 1 or chunk.n == 0:
+        return np.empty(0, dtype=np.int64)
+    if algo.kind == "facility_location":
+        return facility_location_select(chunk, budget).indices
+    seed = derive_seed(master_seed, "coreset0", chunk.client_id)
+    return random_select(chunk, budget, seed).indices
 
 
 def run_round(
     params: ParamVector,
     prepared: Prepared,
-    coresets: list[Coreset | None],
+    train_rows: list[np.ndarray],
     algo: Algo,
     cfg: "ExperimentConfig",
     round_index: int,
@@ -278,9 +270,11 @@ def run_round(
     """Execute one communication round from the global parameters and
     return the new parameters plus that round's metrics.
 
-    ``coresets`` holds one entry per chunk of ``prepared``; a refresh round
-    replaces the sampled clients' entries in place.  ``prepared`` is the
-    world of ``cfg``, so it has ``num_clients >= clients_per_round`` chunks.
+    ``train_rows`` holds, for each chunk of ``prepared``, the int64 indices
+    of the rows that client trains on; a gcfl refresh round replaces the
+    selecting clients' entries in place with their coresets' indices.
+    ``prepared`` is the world of ``cfg``, so it has ``num_clients >=
+    clients_per_round`` chunks.
     """
     chunks = prepared.chunks
     n_clients = len(chunks)
@@ -303,22 +297,17 @@ def run_round(
             lam=cfg.lam,
         )
         for cid, cs in zip(selecting, selected):
-            coresets[cid] = cs
+            train_rows[cid] = cs.indices
 
-    trainees, indices = [], []
-    for cid in sampled:
-        ledger.params_broadcast += theta_size
-        idx = _training_indices(chunks[cid], coresets[cid], algo)
-        if idx.size == 0:
-            continue  # nothing to train on; client sits this round out
-        trainees.append(cid)
-        indices.append(idx)
-        ledger.sgd_sample_visits += cfg.local_epochs * idx.size
-        ledger.update_uploads += theta_size
+    ledger.params_broadcast += len(sampled) * theta_size
+    # a client with nothing to train on sits this round out
+    trainees = [cid for cid in sampled if train_rows[cid].size]
+    ledger.sgd_sample_visits += cfg.local_epochs * sum(train_rows[cid].size for cid in trainees)
+    ledger.update_uploads += len(trainees) * theta_size
     deltas = client_update(
         [chunks[cid] for cid in trainees],
         params,
-        indices,
+        [train_rows[cid] for cid in trainees],
         cfg,
         seeds=[derive_seed(cfg.seed, "client", int(cid), "round", round_index) for cid in trainees],
         mu=algo.mu if algo.kind == "fedprox" else 0.0,
@@ -336,7 +325,7 @@ def run_round(
 
     clean_frac = None
     if algo.uses_coreset:
-        clean_frac = coreset_composition((coresets[cid], chunks[cid]) for cid in sampled)
+        clean_frac = coreset_composition((train_rows[cid], chunks[cid]) for cid in sampled)
 
     rm = RoundMetrics(
         round=round_index,
@@ -362,31 +351,21 @@ def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
         train, cfg.num_clients, cfg.dirichlet_alpha, derive_seed(cfg.seed, "partition")
     )
 
+    # each injector returns its input unchanged at ratio 0
     noise = cfg.noise
-    num_classes = ds.num_classes
-    if noise.kind == "closed_set" and noise.ratio > 0:
-        chunks = [
-            inject_closed_set(c, noise, derive_seed(cfg.seed, "noise", c.client_id))
-            for c in chunks
-        ]
-    elif noise.kind == "attribute" and noise.ratio > 0:
-        chunks = [
-            inject_attribute(c, noise, derive_seed(cfg.seed, "noise", c.client_id))
-            for c in chunks
-        ]
-    elif noise.kind == "open_set" and noise.ratio > 0:
-        chunks, test, val, kept = inject_open_set(
+    if noise.kind == "open_set":
+        chunks, test, val, _ = inject_open_set(
             chunks, test, val, noise, derive_seed(cfg.seed, "noise")
         )
-        num_classes = kept.size
+    elif noise.kind != "none":
+        inject = inject_closed_set if noise.kind == "closed_set" else inject_attribute
+        chunks = [inject(c, noise, derive_seed(cfg.seed, "noise", c.client_id)) for c in chunks]
 
     _check_prepared(cfg, chunks, val, test)
     return Prepared(
         chunks=chunks,
         val=val,
         test=test,
-        num_classes=int(num_classes),
-        input_dim=ds.dim,
         fingerprint=dataset_fingerprint(chunks, val, test),
     )
 
@@ -428,17 +407,17 @@ def run_training(
         prepared = prepare_experiment(cfg)
 
     params = init_params(
-        cfg.model, prepared.input_dim, prepared.num_classes, derive_seed(cfg.seed, "init")
+        cfg.model, prepared.test.dim, prepared.test.num_classes, derive_seed(cfg.seed, "init")
     )
-    coresets = [
-        _init_coreset(algo, chunk, _client_budget(chunk, cfg.budget_fraction), cfg.seed)
+    train_rows = [
+        _round0_rows(algo, chunk, _client_budget(chunk, cfg.budget_fraction), cfg.seed)
         for chunk in prepared.chunks
     ]
     ledger = CostLedger()
 
     series: list[RoundMetrics] = []
     for t in range(cfg.rounds):
-        params, rm = run_round(params, prepared, coresets, algo, cfg, t, ledger)
+        params, rm = run_round(params, prepared, train_rows, algo, cfg, t, ledger)
         series.append(rm)
 
     # the last round's metrics already hold the accuracy of these parameters

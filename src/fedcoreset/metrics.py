@@ -19,7 +19,6 @@ from .data import ClientChunk, Dataset
 from .model import ParamVector, _class_logits
 
 if TYPE_CHECKING:
-    from .coreset import Coreset
     from .federation import CostLedger
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "coreset_composition",
     "dataset_fingerprint",
     "write_round_log",
-    "read_round_log",
     "write_summary",
 ]
 
@@ -72,20 +70,20 @@ def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
     return float(np.mean(pred == test.labels))
 
 
-def coreset_composition(pairs: Iterable[tuple["Coreset", ClientChunk]]) -> float:
-    """Fraction of the samples selected over all (coreset, chunk) pairs that
+def coreset_composition(pairs: Iterable[tuple[np.ndarray, ClientChunk]]) -> float:
+    """Fraction of the rows selected over all (indices, chunk) pairs that
     the injectors left untouched.
 
     Nothing selected scores 1.0 (vacuously clean).
     """
     picked = clean = 0
-    for coreset, chunk in pairs:
-        if coreset.size == 0:
+    for indices, chunk in pairs:
+        if indices.size == 0:
             continue
-        if coreset.indices.min() < 0 or coreset.indices.max() >= chunk.n:
+        if indices.min() < 0 or indices.max() >= chunk.n:
             raise ValueError("coreset indices out of range for chunk")
-        picked += coreset.size
-        clean += int(chunk.clean_flags[coreset.indices].sum())
+        picked += indices.size
+        clean += int(chunk.clean_flags[indices].sum())
     return clean / picked if picked else 1.0
 
 
@@ -131,28 +129,6 @@ def write_round_log(path: str, series: list[RoundMetrics]) -> None:
                 )
     except OSError as exc:
         raise OSError(f"failed to write round log {path}: {exc}") from exc
-
-
-def read_round_log(path: str) -> list[dict[str, Any]]:
-    """Parse a round log back into dicts (None for empty optional fields)."""
-    rows: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ROUND_LOG_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        names = header.split(",")
-        for line in fh:
-            cells = line.strip().split(",")
-            row: dict[str, Any] = {}
-            for name, cell in zip(names, cells):
-                if cell == "":
-                    row[name] = None
-                elif name in ("test_accuracy", "mean_train_loss", "coreset_clean_fraction"):
-                    row[name] = float(cell)
-                else:
-                    row[name] = int(cell)
-            rows.append(row)
-    return rows
 
 
 def write_summary(

@@ -317,8 +317,8 @@ class TestCriterion7ProtocolSuite:
         fed = run_training(cfg, Algo("fedavg"), prepared)
         theta = init_params(
             ModelConfig("softmax_regression"),
-            prepared.input_dim,
-            prepared.num_classes,
+            prepared.test.dim,
+            prepared.test.num_classes,
             derive_seed(cfg.seed, "init"),
         )
         ds = prepared.chunks[0].dataset
@@ -417,7 +417,7 @@ class TestCriterion8PrivacySurface:
         monkeypatch.setattr(federation, "labelwise_omp_select", spy)
         run_training(cfg, Algo("gcfl"), prepared)
 
-        h1 = prepared.input_dim + 1
+        h1 = prepared.test.dim + 1
         ok = bool(captured)
         for rows in captured:
             ok &= isinstance(rows, dict)

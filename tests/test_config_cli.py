@@ -17,9 +17,10 @@ from fedcoreset.config import (
     config_to_dict,
     parse_config,
 )
-from fedcoreset.data import Dataset, NoiseSpec, save_dataset_csv
+from fedcoreset.data import Dataset, NoiseSpec
 from fedcoreset.errors import ConfigurationError
 from fedcoreset.presets import blob_benchmark_config
+from worldgen import write_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -597,7 +598,7 @@ class TestCsvDataset:
 
         ds = blobs(3, 4, np.ones(3), 40, seed=0)
         csv_path = tmp_path / "data.csv"
-        save_dataset_csv(ds, str(csv_path))
+        write_csv(ds, csv_path)
         cfg_text = f"""
 [experiment]
 num_clients = 3
@@ -682,7 +683,7 @@ class TestPreflight:
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(size=(44, 2)), np.array([0] * 40 + [1] * 4), 2)
         csv_path = tmp_path / "data.csv"
-        save_dataset_csv(ds, str(csv_path))
+        write_csv(ds, csv_path)
         out = tmp_path / "results"
         code = main(
             ["run", "--config", write_ini(tmp_path, PREFLIGHT_RUN), "--output_dir", str(out),

@@ -16,11 +16,10 @@ from fedcoreset.data import (
     inject_open_set,
     load_dataset_csv,
     round_half_away,
-    save_dataset_csv,
     split_train_val_test,
 )
 from fedcoreset.errors import ConfigurationError
-from worldgen import blobs
+from worldgen import blobs, write_csv
 
 
 def chunk_of(ds: Dataset, client_id: int = 0) -> ClientChunk:
@@ -306,7 +305,7 @@ class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         ds = blobs(3, 4, [1, 2, 3], 10, seed=0)
         path = str(tmp_path / "ds.csv")
-        save_dataset_csv(ds, path)
+        write_csv(ds, path)
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
         assert header == "f0,f1,f2,f3,label"
@@ -329,8 +328,17 @@ class TestCsvRoundTrip:
             ("f0,label\n0.5,0\n0.25,-1\n", "labels must lie in [0, num_classes)"),
             ("label\n0\n1\n", "feature dimension must be positive"),
             ("f0,label\n0.5,-1\n", "num_classes must be positive"),
+            ("f0,f1,label\n1.0,0\n2.0,1\n", "rows have 2 columns, the header 3"),
+            ("f0,label\n1.0,2.0,0\n", "rows have 3 columns, the header 2"),
         ],
-        ids=["nan_feature", "negative_label", "no_feature_column", "no_class"],
+        ids=[
+            "nan_feature",
+            "negative_label",
+            "no_feature_column",
+            "no_class",
+            "rows_narrower_than_header",
+            "rows_wider_than_header",
+        ],
     )
     def test_rejected_rows_name_the_file(self, tmp_path, text, message):
         path = tmp_path / "ds.csv"

@@ -283,14 +283,14 @@ class TestRunRound:
         counts = {}
         for m in (2, 8):
             cfg = tiny_cfg(num_clients=8, clients_per_round=m, batch_size=4)
-            coresets = [
-                federation._init_coreset(Algo(kind), c, federation._client_budget(c, cfg.budget_fraction), 0)
+            train_rows = [
+                federation._round0_rows(Algo(kind), c, federation._client_budget(c, cfg.budget_fraction), 0)
                 for c in prepared.chunks
             ]
             built.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(ParamVector, "__post_init__", counting)
-                federation.run_round(params, prepared, coresets, Algo(kind), cfg, 0, CostLedger())
+                federation.run_round(params, prepared, train_rows, Algo(kind), cfg, 0, CostLedger())
             counts[m] = len(built)
         assert counts[2] == counts[8]
 
@@ -344,7 +344,7 @@ class TestSingleClientEquivalence:
         fed = run_training(cfg, Algo("fedavg"), prepared)
 
         theta = init_params(
-            ModelConfig("softmax_regression"), prepared.input_dim, prepared.num_classes, derive_seed(cfg.seed, "init")
+            ModelConfig("softmax_regression"), prepared.test.dim, prepared.test.num_classes, derive_seed(cfg.seed, "init")
         )
         ds = prepared.chunks[0].dataset
         for t in range(cfg.rounds):
@@ -438,7 +438,7 @@ class TestNoisePathsEndToEnd:
             refresh_period=2,
         )
         prepared = prepare_experiment(cfg)
-        assert prepared.num_classes == 3  # ceil(0.4 * 5) = 2 classes removed
+        assert prepared.test.num_classes == 3  # ceil(0.4 * 5) = 2 classes removed
         assert set(prepared.val.labels.tolist()) <= set(range(3))
         for kind in ("gcfl", "fedavg", "skyline"):
             result = run_training(cfg, Algo(kind), prepared)
@@ -452,6 +452,13 @@ class TestNoisePathsEndToEnd:
         assert corrupted > 0
         result = run_training(cfg, Algo("gcfl"), prepared)
         assert result.rounds[-1].coreset_clean_fraction is not None
+
+    @pytest.mark.parametrize("kind", ["closed_set", "attribute", "open_set"])
+    def test_zero_ratio_builds_the_noiseless_world(self, kind):
+        clean = prepare_experiment(tiny_cfg())
+        zero = prepare_experiment(tiny_cfg(noise=NoiseSpec(kind, 0.0, severity=5.0)))
+        assert zero.fingerprint == clean.fingerprint
+        assert zero.test.num_classes == clean.test.num_classes
 
     def test_fine_tuned_accuracy_reported(self):
         cfg = tiny_cfg(noise=NoiseSpec("closed_set", 0.4), rounds=3, fine_tune_epochs=20)
@@ -568,7 +575,7 @@ class TestPrivacySurface:
         monkeypatch.setattr(federation, "labelwise_omp_select", spy)
         run_training(cfg, Algo("gcfl"), prepared)
         assert captured
-        h1 = prepared.input_dim + 1
+        h1 = prepared.test.dim + 1
         for rows in captured:
             assert isinstance(rows, dict)
             for c, row in rows.items():

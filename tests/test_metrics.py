@@ -1,9 +1,9 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from fedcoreset.coreset import Coreset
 from fedcoreset.data import ClientChunk, Dataset, NoiseSpec, inject_closed_set
 from fedcoreset.federation import CostLedger
 from fedcoreset.metrics import (
@@ -13,7 +13,6 @@ from fedcoreset.metrics import (
     coreset_composition,
     dataset_fingerprint,
     evaluate_accuracy,
-    read_round_log,
     write_round_log,
     write_summary,
 )
@@ -113,21 +112,19 @@ class TestComposition:
     def test_all_clean_chunk(self):
         ds = blobs(2, 2, [1, 1], 10, seed=0)
         chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
-        cs = Coreset(np.array([0, 3, 7]), np.ones(3))
-        assert coreset_composition([(cs, chunk)]) == 1.0
+        assert coreset_composition([(np.array([0, 3, 7]), chunk)]) == 1.0
 
     def test_empty_coreset_is_vacuously_clean(self):
         ds = blobs(2, 2, [1, 1], 10, seed=0)
         chunk = ClientChunk(ds, np.zeros(ds.n, dtype=bool), 0)
-        assert coreset_composition([(Coreset(np.empty(0), np.empty(0)), chunk)]) == 1.0
+        assert coreset_composition([(np.empty(0, dtype=np.int64), chunk)]) == 1.0
 
     def test_counts_clean_flags(self):
         ds = blobs(4, 2, np.ones(4), 25, seed=1)
         chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
         noisy = inject_closed_set(chunk, NoiseSpec("closed_set", 0.4), seed=2)
         idx = np.arange(noisy.n)
-        cs = Coreset(idx, np.ones(idx.size))
-        assert coreset_composition([(cs, noisy)]) == pytest.approx(
+        assert coreset_composition([(idx, noisy)]) == pytest.approx(
             noisy.clean_flags.mean()
         )
 
@@ -138,9 +135,9 @@ class TestComposition:
         one = ClientChunk(ds, flags, 0)
         two = ClientChunk(ds, np.ones(ds.n, dtype=bool), 1)
         pairs = [
-            (Coreset(np.array([0, 1, 2, 5]), np.ones(4)), one),  # 1 of 4 clean
-            (Coreset(np.empty(0), np.empty(0)), one),
-            (Coreset(np.array([4, 9]), np.ones(2)), two),  # 2 of 2 clean
+            (np.array([0, 1, 2, 5]), one),  # 1 of 4 clean
+            (np.empty(0, dtype=np.int64), one),
+            (np.array([4, 9]), two),  # 2 of 2 clean
         ]
         # pooled 3/6, not the mean 0.625 of the per-pair fractions
         assert coreset_composition(pairs) == 0.5
@@ -150,7 +147,7 @@ class TestComposition:
         ds = blobs(2, 2, [1, 1], 5, seed=0)
         chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
         with pytest.raises(ValueError):
-            coreset_composition([(Coreset(np.array([99]), np.ones(1)), chunk)])
+            coreset_composition([(np.array([99]), chunk)])
 
 
 def series_of(n, with_fraction=True):
@@ -174,6 +171,15 @@ def series_of(n, with_fraction=True):
     return out
 
 
+def read_log(path):
+    """The round log's rows as dicts of numbers, None for an empty cell."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = [{k: float(v) if v else None for k, v in row.items()} for row in reader]
+    assert reader.fieldnames == ROUND_LOG_HEADER.split(",")
+    return rows
+
+
 class TestRoundLog:
     def test_empty_series_header_only(self, tmp_path):
         path = str(tmp_path / "log.csv")
@@ -185,7 +191,7 @@ class TestRoundLog:
     def test_row_count_and_rounds_increasing(self, tmp_path):
         path = str(tmp_path / "log.csv")
         write_round_log(path, series_of(7))
-        rows = read_round_log(path)
+        rows = read_log(path)
         assert len(rows) == 7
         assert [r["round"] for r in rows] == list(range(7))
 
@@ -193,7 +199,7 @@ class TestRoundLog:
         path = str(tmp_path / "log.csv")
         series = series_of(5)
         write_round_log(path, series)
-        rows = read_round_log(path)
+        rows = read_log(path)
         for rm, row in zip(series, rows):
             assert abs(row["test_accuracy"] - rm.test_accuracy) <= 1e-9
             assert abs(row["coreset_clean_fraction"] - rm.coreset_clean_fraction) <= 1e-9
@@ -207,7 +213,7 @@ class TestRoundLog:
     def test_optional_fraction_blank(self, tmp_path):
         path = str(tmp_path / "log.csv")
         write_round_log(path, series_of(3, with_fraction=False))
-        rows = read_round_log(path)
+        rows = read_log(path)
         assert all(r["coreset_clean_fraction"] is None for r in rows)
 
     def test_io_error_names_path(self, tmp_path):

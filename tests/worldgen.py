@@ -1,9 +1,10 @@
 """Hand-built data worlds with exactly controlled chunk sizes, for tests
-that check counter arithmetic, and blobs built from loose values."""
+that check counter arithmetic, blobs built from loose values, and CSV
+files of a dataset."""
 
 import numpy as np
 
-from fedcoreset.data import ClientChunk, DatasetConfig, make_blobs
+from fedcoreset.data import ClientChunk, Dataset, DatasetConfig, make_blobs
 from fedcoreset.federation import Prepared
 from fedcoreset.metrics import dataset_fingerprint
 
@@ -12,6 +13,15 @@ def blobs(num_blobs, dim, stds, samples_per_blob, seed):
     """``make_blobs`` of the blob config with these fields."""
     dc = DatasetConfig(num_blobs=num_blobs, dim=dim, stds=tuple(map(float, stds)), samples_per_blob=samples_per_blob)
     return make_blobs(dc, seed)
+
+
+def write_csv(ds: Dataset, path) -> None:
+    """``ds`` as CSV with header ``f0..f{d-1},label``; the features are
+    written with 17 significant digits, so they read back exactly."""
+    header = ",".join([f"f{j}" for j in range(ds.dim)] + ["label"])
+    table = np.column_stack([ds.features, ds.labels])
+    fmt = ["%.17g"] * ds.dim + ["%d"]
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def balanced_world(num_clients=10, per_class_per_client=10, dim=6, num_classes=10, seed=0):
@@ -39,7 +49,5 @@ def balanced_world(num_clients=10, per_class_per_client=10, dim=6, num_classes=1
         chunks=chunks,
         val=val,
         test=test,
-        num_classes=num_classes,
-        input_dim=dim,
         fingerprint=dataset_fingerprint(chunks, val, test),
     )
