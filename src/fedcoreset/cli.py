@@ -42,7 +42,11 @@ POINT_METRICS = ("final_accuracy", "final_clean_fraction")
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute every arm on one shared data realization; write per-arm
-    round logs and a single summary.json under cfg.output_dir."""
+    round logs and a single summary.json under cfg.output_dir.
+
+    An arm whose parameters turn non-finite stops at that round, which its
+    summary entry records as ``diverged_round``; the other arms still run,
+    and the run returns 1."""
     prepared = prepare_experiment(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -55,6 +59,7 @@ def run(cfg: ExperimentConfig) -> int:
 
     arms_summary: dict[str, dict] = {}
     ledgers = {}
+    status = 0
     for algo in cfg.arms:
         result = run_training(cfg, algo, prepared)
         write_round_log(str(out / f"{algo.label}.csv"), result.rounds)
@@ -65,7 +70,14 @@ def run(cfg: ExperimentConfig) -> int:
         if clean is not None:
             entry["final_clean_fraction"] = clean
         arms_summary[algo.label] = entry
-        ledgers[algo.label] = result.ledger
+        t = result.diverged_round
+        if t is None:
+            ledgers[algo.label] = result.ledger
+        else:
+            # a stopped arm's ledger covers fewer rounds, so it enters no ratio
+            entry["diverged_round"] = t
+            print(f"error: arm {algo.label} diverged at round {t}", file=sys.stderr)
+            status = 1
 
     comparisons: dict[str, float] = {}
     # the ratio is undefined when fedavg made no SGD visits (no rounds, or E = 0)
@@ -75,7 +87,7 @@ def run(cfg: ExperimentConfig) -> int:
             ledgers["gcfl"], fedavg
         )
     write_summary(str(out / "summary.json"), manifest, arms_summary, comparisons)
-    return 0
+    return status
 
 
 def _spread(values: list[float]) -> dict[str, float]:
@@ -139,7 +151,8 @@ def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
     first run, so an unknown parameter, no entry, two entries parsing to
     equal values, a value that is invalid against the base config, or one
     whose realized world fails the pre-flight checks, fails before anything
-    is written.  Blank entries are skipped.
+    is written.  Blank entries are skipped.  Returns 1 when any point's run
+    did (an arm diverged), after every point has run.
     """
     base_out = Path(cfg.output_dir)
     points = [
@@ -151,8 +164,9 @@ def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
     base_out.mkdir(parents=True, exist_ok=True)
 
     records = []
+    status = 0
     for value, point_cfg in points:
-        run(point_cfg)
+        status |= run(point_cfg)
         with open(Path(point_cfg.output_dir) / "summary.json", encoding="utf-8") as fh:
             summary = json.load(fh)
         record = {"value": value, "comparisons": summary["comparisons"]}
@@ -170,7 +184,7 @@ def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
     with open(base_out / "sweep.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(combined, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 0
+    return status
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -226,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run(cfg)
         return sweep(cfg, args.param, entries.split(","))
-    except (ConfigurationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,8 @@ clip is applied to the weights that are returned.  Over the growing
 support the ridge objective lam ||w||^2 + ||r||^2 never increases, so at
 lambda = 0 neither does the residual norm; at lambda > 0 the residual norm
 alone can rise.  Weights only steer selection: local training on a coreset
-is unweighted.
+is unweighted.  The cost ledger meters a refresh as one per-sample gradient
+per chunk sample; the pursuit's own arithmetic is not counted.
 
 Label-wise selection (one pursuit per class, as in GRAD-MATCH, Killamsetty
 et al. 2021) runs once per refresh round for all of the round's clients:
@@ -388,7 +389,7 @@ def labelwise_omp_select(
     if not chunks:
         return []
     # one entry per (client, shared class), client-major and in class order
-    spans, label, counts, shares, targets = [], [], [], [], []
+    spans, members, counts, shares, targets = [], [], [], [], []
     for chunk, budget in zip(chunks, budgets):
         if budget < 1:
             raise ValueError("budget must be >= 1")
@@ -397,8 +398,8 @@ def labelwise_omp_select(
         if not shared:
             raise ValueError(f"client {chunk.client_id} and the server share no classes")
         split = _split_budget(budget, shared)
-        spans.append((len(label), len(label) + len(shared)))
-        label += shared
+        spans.append((len(members), len(members) + len(shared)))
+        members += [np.flatnonzero(chunk.dataset.labels == c) for c in shared]
         counts += shared.values()
         shares += [split[c] for c in shared]
         targets += [np.asarray(server_rows[c], dtype=np.float64) for c in shared]
@@ -423,8 +424,7 @@ def labelwise_omp_select(
         rows = own_class_grads(params, chunk.dataset)
         for e in todo:
             s, j = slot[e]
-            members = np.flatnonzero(chunk.dataset.labels == label[e])
-            np.take(rows, members, axis=0, out=stacks[s][j, : counts[e]], mode="clip")
+            np.take(rows, members[e], axis=0, out=stacks[s][j, : counts[e]], mode="clip")
         del rows
 
     found = _matching_pursuits(stacks, counts[packed], targets[packed], limits[packed], lam)
@@ -435,10 +435,9 @@ def labelwise_omp_select(
         full[packed] = part
     steps = np.arange(picks.shape[1])
     out = []
-    for chunk, (lo, hi) in zip(chunks, spans):
-        labels = chunk.dataset.labels
+    for lo, hi in spans:
         mask = steps < made[lo:hi, None]
-        picked = [np.flatnonzero(labels == label[e])[picks[e, : made[e]]] for e in range(lo, hi)]
+        picked = [members[e][picks[e, : made[e]]] for e in range(lo, hi)]
         out.append(
             Coreset(
                 np.concatenate(picked),

@@ -66,12 +66,12 @@ class Dataset:
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
+        if labels.shape != feats.shape[:1]:
+            raise ValueError("labels must be a vector aligned with features")
         if feats.ndim != 2:
             raise ValueError("features must be a 2-d [n, d] matrix")
         if feats.shape[1] < 1:
             raise ValueError("feature dimension must be positive")
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
-            raise ValueError("labels must be a vector aligned with features")
         if self.num_classes < 1:
             raise ValueError("num_classes must be positive")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
@@ -88,16 +88,9 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """The rows at ``indices``, a vector.  The rows of a valid dataset
-        make a valid one, so the checks of ``__post_init__`` are skipped."""
+        """The rows at ``indices``, a vector."""
         idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("subset indices must be a vector")
-        sub = object.__new__(Dataset)
-        object.__setattr__(sub, "features", self.features[idx])
-        object.__setattr__(sub, "labels", self.labels[idx])
-        object.__setattr__(sub, "num_classes", self.num_classes)
-        return sub
+        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Evaluation and reporting: accuracy, coreset composition, round logs.
+"""Reporting: round metrics, coreset composition, round logs, summaries.
 
 Per-round series go to CSV (floats rendered with 9 significant digits);
 run summaries go to JSON with a versioned schema.  Files are UTF-8 with LF
@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .data import ClientChunk, Dataset
-from .model import ParamVector, _class_logits
 
 if TYPE_CHECKING:
     from .federation import CostLedger
@@ -24,7 +23,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SCHEMA_VERSION",
     "RoundMetrics",
-    "evaluate_accuracy",
     "coreset_composition",
     "dataset_fingerprint",
     "write_round_log",
@@ -53,21 +51,6 @@ class RoundMetrics:
         frac = self.coreset_clean_fraction
         if frac is not None and not 0.0 <= frac <= 1.0:
             raise ValueError("coreset_clean_fraction out of [0, 1]")
-
-
-def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
-    """Fraction of samples whose largest logit is their label's.
-
-    The prediction is the argmax of the logits, ties to the lowest class; a
-    sample whose logits hold a NaN or whose largest is infinite has no
-    defined softmax and is predicted class 0.
-    """
-    if test.n == 0:
-        raise ValueError("test set is empty")
-    z = _class_logits(params, test.features)
-    pred = np.argmax(z, axis=0)
-    pred[~np.isfinite(z[pred, np.arange(test.n)])] = 0
-    return float(np.mean(pred == test.labels))
 
 
 def coreset_composition(pairs: Iterable[tuple[np.ndarray, ClientChunk]]) -> float:

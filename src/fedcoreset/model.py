@@ -10,8 +10,8 @@ For ``softmax_regression`` the penultimate activation is the raw input
 (h = input_dim); for ``one_hidden`` it is ``tanh(W1 x + b1)``
 (h = hidden_dim).  All math is float64.
 
-There are two forward paths.  Evaluation (:func:`loss`, and the test
-accuracy in ``metrics``) runs class-major: logits are ``[classes, n]``, so
+There are two forward paths.  Evaluation (:func:`loss` and
+:func:`evaluate_accuracy`) runs class-major: logits are ``[classes, n]``, so
 each per-sample reduction over the classes is a vector operation across the
 samples.  Gradients and SGD run sample-major, ``[n, classes]``, the layout
 whose bits the coreset selection and the training were recorded with.
@@ -42,6 +42,7 @@ __all__ = [
     "ParamVector",
     "init_params",
     "loss",
+    "evaluate_accuracy",
     "last_layer_grad_stack",
     "own_class_grads",
     "labelwise_validation_grads",
@@ -104,9 +105,6 @@ class ParamVector:
         off, length = self.last_layer_slice
         rows, cols = self.layout[-1][1]
         return self.values[off : off + length].reshape(rows, cols)
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
 
     def with_values(self, values: np.ndarray) -> "ParamVector":
         return ParamVector(values, self.layout)
@@ -178,6 +176,21 @@ def loss(params: ParamVector, ds: Dataset) -> float:
     z -= zmax
     np.exp(z, out=z)
     return float((np.log(z.sum(axis=0)) + zmax - own).mean())
+
+
+def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
+    """Fraction of samples whose largest logit is their label's.
+
+    The prediction is the argmax of the logits, ties to the lowest class; a
+    sample whose logits hold a NaN or whose largest is infinite has no
+    defined softmax and is predicted class 0.
+    """
+    if test.n == 0:
+        raise ValueError("test set is empty")
+    z = _class_logits(params, test.features)
+    pred = np.argmax(z, axis=0)
+    pred[~np.isfinite(z[pred, np.arange(test.n)])] = 0
+    return float(np.mean(pred == test.labels))
 
 
 def last_layer_grad_stack(params: ParamVector, ds: Dataset) -> np.ndarray:

@@ -274,7 +274,8 @@ class TestCriterion6GradientSuite:
                 off, length = params.last_layer_slice
                 fd = np.zeros(length)
                 for i in range(length):
-                    hi, lo = params.copy(), params.copy()
+                    hi = params.with_values(params.values.copy())
+                    lo = params.with_values(params.values.copy())
                     hi.values[off + i] += step
                     lo.values[off + i] -= step
                     fd[i] = (loss(hi, ds) - loss(lo, ds)) / (2 * step)

@@ -930,3 +930,54 @@ class TestCliSweep:
         # one manifest for the whole run: every arm saw the same realization
         assert len(payload["arms"]) == 3
         assert payload["manifest"]["dataset_fingerprint"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergence:
+    BLOW_UP = ["--local_lr", "1e300", "--global_lr", "1e10"]
+
+    def test_diverging_arms_stop_record_their_round_and_exit_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        code = main(
+            ["run", *self.BLOW_UP, "--rounds", "5", "--arms", "fedavg,gcfl",
+             "--output_dir", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        for arm in ("fedavg", "gcfl"):
+            t = summary["arms"][arm]["diverged_round"]
+            assert 0 <= t < 5
+            assert f"error: arm {arm} diverged at round {t}\n" in err
+            rounds = (out / f"{arm}.csv").read_text(encoding="utf-8").splitlines()[1:]
+            assert [int(row.split(",")[0]) for row in rounds] == list(range(t + 1))
+        # a stopped arm's truncated ledger enters no cost ratio
+        assert summary["comparisons"] == {}
+
+    def test_the_other_arms_still_run(self, tmp_path, capsys):
+        # at this budget no client of a coreset arm trains, so they cannot diverge
+        out = tmp_path / "results"
+        code = main(
+            ["run", *self.BLOW_UP, "--rounds", "3", "--arms", "fedavg,random,gcfl",
+             "--budget_fraction", "0.0001", "--fine_tune_epochs", "1",
+             "--output_dir", str(out)]
+        )
+        assert code == 1
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert "diverged_round" in summary["arms"]["fedavg"]
+        assert "fine_tuned_accuracy" not in summary["arms"]["fedavg"]
+        for arm in ("random", "gcfl"):
+            assert "diverged_round" not in summary["arms"][arm]
+            assert "fine_tuned_accuracy" in summary["arms"][arm]
+            assert len((out / f"{arm}.csv").read_text(encoding="utf-8").splitlines()) == 4
+        assert capsys.readouterr().err.count("diverged") == 1
+
+    def test_sweep_exits_nonzero_when_a_point_diverged(self, tmp_path):
+        out = tmp_path / "sweepout"
+        code = main(
+            ["sweep", *self.BLOW_UP, "--rounds", "2", "--arms", "fedavg",
+             "--param", "seed", "--values", "0,1", "--output_dir", str(out)]
+        )
+        assert code == 1
+        payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        assert [rec["value"] for rec in payload["results"]] == [0, 1]

@@ -294,6 +294,37 @@ class TestRunRound:
             counts[m] = len(built)
         assert counts[2] == counts[8]
 
+    @staticmethod
+    def first_round(kind, cfg, prepared, params):
+        algo = Algo(kind)
+        train_rows = [
+            federation._round0_rows(algo, c, federation._client_budget(c, cfg.budget_fraction), 0)
+            for c in prepared.chunks
+        ]
+        return federation.run_round(params, prepared, train_rows, algo, cfg, 0, CostLedger())
+
+    @pytest.mark.parametrize("kind", federation.ALGO_KINDS)
+    def test_round_leaves_its_input_params_bit_equal(self, kind):
+        # what lets an idle round return its input parameters themselves
+        model = ModelConfig("one_hidden", hidden_dim=5)
+        cfg = tiny_cfg(noise=NoiseSpec("closed_set", 0.3), model=model)
+        prepared = prepare_experiment(cfg)
+        params = init_params(cfg.model, prepared.test.dim, prepared.test.num_classes, seed=0)
+        before = params.values.tobytes()
+        new, _ = self.first_round(kind, cfg, prepared, params)
+        assert params.values.tobytes() == before
+        assert new.values.tobytes() != before
+
+    @pytest.mark.parametrize("kind", ["gcfl", "random", "facility_location"])
+    def test_round_where_no_client_trains_returns_its_input(self, kind):
+        # every budget rounds to 0, so no sampled client has a row to train on
+        cfg = tiny_cfg(budget_fraction=0.001)
+        prepared = prepare_experiment(cfg)
+        params = init_params(cfg.model, prepared.test.dim, prepared.test.num_classes, seed=0)
+        new, rm = self.first_round(kind, cfg, prepared, params)
+        assert np.array_equal(new.values, params.values)
+        assert rm.ledger_snapshot.update_uploads == 0
+
     def test_gcfl_refresh_never_builds_the_full_grad_stack(self, monkeypatch):
         import fedcoreset.coreset
         import fedcoreset.model
@@ -407,6 +438,16 @@ class TestRunTraining:
         for kind in ("fedavg", "gcfl", "skyline", "random", "facility_location"):
             result = run_training(cfg, Algo(kind))
             assert len(result.rounds) == 2
+
+
+    def test_non_finite_parameters_stop_the_arm(self):
+        cfg = tiny_cfg(local_lr=1e300, global_lr=1e10, rounds=5, fine_tune_epochs=1)
+        with np.errstate(all="ignore"):
+            result = run_training(cfg, Algo("fedavg"))
+        assert result.diverged_round == len(result.rounds) - 1
+        assert not np.isfinite(result.final_params.values).all()
+        assert result.fine_tuned_accuracy is None
+        assert run_training(tiny_cfg(rounds=5), Algo("fedavg")).diverged_round is None
 
 
 class TestOneHiddenArchitecture:

@@ -12,11 +12,10 @@ from fedcoreset.metrics import (
     RoundMetrics,
     coreset_composition,
     dataset_fingerprint,
-    evaluate_accuracy,
     write_round_log,
     write_summary,
 )
-from fedcoreset.model import ARCHS, ModelConfig, _logits, _softmax, init_params
+from fedcoreset.model import ARCHS, ModelConfig, _logits, _softmax, evaluate_accuracy, init_params
 from worldgen import blobs
 
 

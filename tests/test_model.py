@@ -39,9 +39,9 @@ def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarra
     off, length = params.last_layer_slice
     grad = np.zeros(length)
     for i in range(length):
-        plus = params.copy()
+        plus = params.with_values(params.values.copy())
         plus.values[off + i] += step
-        minus = params.copy()
+        minus = params.with_values(params.values.copy())
         minus.values[off + i] -= step
         grad[i] = (loss(plus, ds) - loss(minus, ds)) / (2 * step)
     rows, cols = params.layout[-1][1]
