@@ -144,8 +144,8 @@ def _sweep_points(
 def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
     """Run once per entry, set as ``--<param> <entry>`` sets it, in the
     subdirectory ``<param>=<entry>`` and write sweep.json: per point, the
-    value that ran and each arm's final accuracy and clean fraction; over
-    the points, their spread and the paired gaps between arms.
+    value, ``diverged_round`` and each other arm's final accuracy and clean
+    fraction; over the points, their spread and the arms' paired gaps.
 
     Every point's config is built and its data world prepared before the
     first run, so an unknown parameter, no entry, two entries parsing to
@@ -169,10 +169,12 @@ def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
         status |= run(point_cfg)
         with open(Path(point_cfg.output_dir) / "summary.json", encoding="utf-8") as fh:
             summary = json.load(fh)
-        record = {"value": value, "comparisons": summary["comparisons"]}
+        arms = summary["arms"]
+        diverged = {arm: e["diverged_round"] for arm, e in arms.items() if "diverged_round" in e}
+        record = {"value": value, "comparisons": summary["comparisons"], "diverged_round": diverged}
         for metric in POINT_METRICS:
             record[metric] = {
-                arm: entry[metric] for arm, entry in summary["arms"].items() if metric in entry
+                arm: e[metric] for arm, e in arms.items() if metric in e and arm not in diverged
             }
         records.append(record)
 

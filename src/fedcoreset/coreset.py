@@ -363,7 +363,7 @@ def labelwise_omp_select(
     each against that class's broadcast gradient row, with the ridge
     ``lam`` of :func:`omp_select`.  Returns one coreset per chunk, in the
     order of ``chunks``, each with at most its ``budgets`` entry (>= 1)
-    of samples.
+    of samples; every chunk shares a class with ``server_rows``.
 
     A sample's candidate row is its own-class output-layer gradient
     (:func:`~fedcoreset.model.own_class_grads`).  A client's budget splits
@@ -384,19 +384,13 @@ def labelwise_omp_select(
     nothing), so ``residual_norms`` holds each class's residual trace in
     turn.
     """
-    if len(budgets) != len(chunks):
-        raise ValueError("need one budget per chunk")
     if not chunks:
         return []
     # one entry per (client, shared class), client-major and in class order
     spans, members, counts, shares, targets = [], [], [], [], []
     for chunk, budget in zip(chunks, budgets):
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
         classes, sizes = np.unique(chunk.dataset.labels, return_counts=True)
         shared = {c: n for c, n in zip(classes.tolist(), sizes.tolist()) if c in server_rows}
-        if not shared:
-            raise ValueError(f"client {chunk.client_id} and the server share no classes")
         split = _split_budget(budget, shared)
         spans.append((len(members), len(members) + len(shared)))
         members += [np.flatnonzero(chunk.dataset.labels == c) for c in shared]
@@ -449,13 +443,11 @@ def labelwise_omp_select(
 
 
 def random_select(chunk: ClientChunk, budget: int, seed: int) -> Coreset:
-    """Uniform sample without replacement, unit weights.
+    """Uniform sample without replacement of ``budget >= 1`` rows, unit weights.
 
     A budget above the chunk size is clamped to it, so empty chunks yield
     empty coresets.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     size = min(budget, chunk.n)
     idx = rng.choice(chunk.n, size=size, replace=False) if size else np.empty(0)
@@ -504,7 +496,7 @@ def facility_location_select(chunk: ClientChunk, budget: int) -> Coreset:
     unselected candidates, where ``best`` holds each point's similarity to
     its nearest pick so far.  Each selected point's weight is the number of
     ground-set points it represents (their best-similarity selected point,
-    earliest selection winning ties).
+    earliest selection winning ties).  Takes ``budget >= 1``, ``n >= 1``.
 
     The picks are found lazily (Minoux 1978) and equal the dense greedy's
     bit for bit.  A gain is a sum of terms max(sim_ij - best_i, 0) that can
@@ -520,12 +512,7 @@ def facility_location_select(chunk: ClientChunk, budget: int) -> Coreset:
     n x n similarity matrix sets the memory: the selector peaks at about
     1.2 x 8 n^2 bytes (traced: 9.7 MB at n = 1000, 438 MB at n = 6724).
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     n = chunk.n
-    if n == 0:
-        return Coreset(np.empty(0, dtype=np.int64), np.empty(0))
-
     feats = chunk.dataset.features
     norms = np.linalg.norm(feats, axis=1)
     unit = feats / np.maximum(norms, 1e-300)[:, None]

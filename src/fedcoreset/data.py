@@ -53,8 +53,8 @@ class Dataset:
     """A feature matrix with integer class labels.
 
     ``n == 0`` is permitted (splits and skewed partitions can legitimately
-    produce empty datasets); operations that cannot handle emptiness raise
-    at their own boundary.
+    produce empty datasets); the round engine and the pre-flight keep them
+    from the operations that need rows.
     """
 
     features: np.ndarray  # [n, d] float64
@@ -306,12 +306,9 @@ def inject_open_set(
     uniformly random surviving label (and clean_flags False); test and val
     are filtered to surviving classes.  All labels are remapped into the
     compact range [0, |Y'|).  Returns the new chunks, test, val and the
-    original ids of the surviving classes.
+    original ids of the surviving classes; all share ``test.num_classes``.
     """
     num_classes = test.num_classes
-    for part in [c.dataset for c in train_chunks] + [val]:
-        if part.num_classes != num_classes:
-            raise ValueError("inputs disagree on num_classes")
 
     # rounded first, so a product like 0.07 * 100 = 7.000000000000001 is 7
     n_remove = math.ceil(round(noise.ratio * num_classes, 9))

@@ -1,8 +1,9 @@
 """Shared exception types.
 
-Configuration problems (bad hyperparameters, malformed config files) raise
-:class:`ConfigurationError`; violations of an operation's runtime contract
-(empty dataset, mismatched shapes) raise plain ``ValueError``.
+Configuration problems (bad hyperparameters, malformed config files, a
+realized world the pre-flight rejects) raise :class:`ConfigurationError`;
+malformed data (a CSV file, a type's own invariants) raises plain
+``ValueError``.  Inputs are checked where they enter; kernels trust them.
 """
 
 

@@ -61,10 +61,6 @@ def coreset_composition(pairs: Iterable[tuple[np.ndarray, ClientChunk]]) -> floa
     """
     picked = clean = 0
     for indices, chunk in pairs:
-        if indices.size == 0:
-            continue
-        if indices.min() < 0 or indices.max() >= chunk.n:
-            raise ValueError("coreset indices out of range for chunk")
         picked += indices.size
         clean += int(chunk.clean_flags[indices].sum())
     return clean / picked if picked else 1.0

@@ -167,9 +167,7 @@ def _class_logits(params: ParamVector, x: np.ndarray) -> np.ndarray:
 
 
 def loss(params: ParamVector, ds: Dataset) -> float:
-    """Mean cross-entropy over the dataset."""
-    if ds.n == 0:
-        raise ValueError("loss is undefined on an empty dataset")
+    """Mean cross-entropy over the non-empty dataset."""
     z = _class_logits(params, ds.features)
     own = z[ds.labels, np.arange(ds.n)]
     zmax = z.max(axis=0)
@@ -183,10 +181,8 @@ def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
 
     The prediction is the argmax of the logits, ties to the lowest class; a
     sample whose logits hold a NaN or whose largest is infinite has no
-    defined softmax and is predicted class 0.
+    defined softmax and is predicted class 0.  The set is non-empty.
     """
-    if test.n == 0:
-        raise ValueError("test set is empty")
     z = _class_logits(params, test.features)
     pred = np.argmax(z, axis=0)
     pred[~np.isfinite(z[pred, np.arange(test.n)])] = 0
@@ -198,8 +194,6 @@ def last_layer_grad_stack(params: ParamVector, ds: Dataset) -> np.ndarray:
 
     Row c of sample (x, y) is (softmax(z)_c - 1{c==y}) * [h(x); 1].
     """
-    if ds.n == 0:
-        raise ValueError("gradients are undefined on an empty dataset")
     z, act = _logits(params, ds.features)
     probs = _softmax(z)
     probs[np.arange(ds.n), ds.labels] -= 1.0
@@ -241,10 +235,8 @@ def labelwise_validation_grads(
     for bit.  Absent classes are simply missing from the map.  The
     concatenation of all rows has the same size as one full last-layer
     gradient, which is what keeps the label-wise broadcast no larger than
-    the plain one.
+    the plain one.  The pre-flight keeps ``val`` non-empty for gcfl.
     """
-    if val.n == 0:
-        raise ValueError("validation set is empty")
     rows = own_class_grads(params, val)
     return {int(c): rows[val.labels == c].mean(axis=0) for c in np.unique(val.labels)}
 
@@ -374,19 +366,14 @@ def sgd_epochs(
     from.  Deterministic given (params, datasets, indices, seeds,
     hyperparameters), which are values ``ExperimentConfig`` has checked:
     epochs >= 0, lr > 0, batch_size >= 1.  The datasets share one feature
-    dimension.  Neither ``params`` nor the datasets are modified.
+    dimension, and each has a seed and at least one row to train on.
+    Neither ``params`` nor the datasets are modified.
     """
-    if len(seeds) != len(datasets):
-        raise ValueError("sgd_epochs needs one seed per dataset")
     if indices is None:
         indices = [np.arange(ds.n) for ds in datasets]
-    elif len(indices) != len(datasets):
-        raise ValueError("sgd_epochs needs one index vector per dataset")
     if epochs == 0 or not datasets:
         return np.tile(params.values, (len(datasets), 1))
     sizes = np.array([len(idx) for idx in indices], dtype=np.int64)
-    if not sizes.all():
-        raise ValueError("cannot train on an empty dataset")
 
     stack = np.argsort(-(sizes // batch_size), kind="stable")
     sizes = sizes[stack]

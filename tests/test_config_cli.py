@@ -896,6 +896,7 @@ class TestCliSweep:
         assert [rec["value"] for rec in records] == [0, 1, 2]
         for rec in records:
             assert sorted(rec["final_clean_fraction"]) == ["gcfl", "random"]
+            assert rec["diverged_round"] == {}
         stats = payload["over_points"]
         assert sorted(stats["arms"]["fedavg"]) == ["final_accuracy"]
         assert sorted(stats["arms"]["gcfl"]) == ["final_accuracy", "final_clean_fraction"]
@@ -932,7 +933,6 @@ class TestCliSweep:
         assert payload["manifest"]["dataset_fingerprint"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestDivergence:
     BLOW_UP = ["--local_lr", "1e300", "--global_lr", "1e10"]
 
@@ -943,12 +943,14 @@ class TestDivergence:
              "--output_dir", str(out)]
         )
         assert code == 1
-        err = capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-        for arm in ("fedavg", "gcfl"):
-            t = summary["arms"][arm]["diverged_round"]
+        stopped = {arm: summary["arms"][arm]["diverged_round"] for arm in ("fedavg", "gcfl")}
+        # the guard's lines are all of stderr: numpy's warnings stay silent
+        assert capsys.readouterr().err == "".join(
+            f"error: arm {arm} diverged at round {t}\n" for arm, t in stopped.items()
+        )
+        for arm, t in stopped.items():
             assert 0 <= t < 5
-            assert f"error: arm {arm} diverged at round {t}\n" in err
             rounds = (out / f"{arm}.csv").read_text(encoding="utf-8").splitlines()[1:]
             assert [int(row.split(",")[0]) for row in rounds] == list(range(t + 1))
         # a stopped arm's truncated ledger enters no cost ratio
@@ -973,11 +975,25 @@ class TestDivergence:
         assert capsys.readouterr().err.count("diverged") == 1
 
     def test_sweep_exits_nonzero_when_a_point_diverged(self, tmp_path):
+        # at this budget no random client trains, so only fedavg diverges
         out = tmp_path / "sweepout"
         code = main(
-            ["sweep", *self.BLOW_UP, "--rounds", "2", "--arms", "fedavg",
-             "--param", "seed", "--values", "0,1", "--output_dir", str(out)]
+            ["sweep", *self.BLOW_UP, "--rounds", "2", "--arms", "fedavg,random",
+             "--budget_fraction", "0.0001", "--param", "seed", "--values", "0,1",
+             "--output_dir", str(out)]
         )
         assert code == 1
         payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
         assert [rec["value"] for rec in payload["results"]] == [0, 1]
+        for rec in payload["results"]:
+            summary = json.loads(
+                (out / f"seed={rec['value']}" / "summary.json").read_text(encoding="utf-8")
+            )
+            assert rec["diverged_round"] == {"fedavg": summary["arms"]["fedavg"]["diverged_round"]}
+            # a diverged arm's accuracy is no result, so the point leaves it out
+            assert set(rec["final_accuracy"]) == {"random"}
+            assert set(rec["final_clean_fraction"]) == {"random"}
+        over = payload["over_points"]
+        assert over["arms"]["fedavg"] == {}
+        assert set(over["arms"]["random"]) == {"final_accuracy", "final_clean_fraction"}
+        assert over["pairs"] == {"random - fedavg": {}}
