@@ -1,10 +1,11 @@
 import inspect
 import tempfile
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -680,10 +681,12 @@ class TestProtocolProperties:
     def test_kernels_get_only_inputs_the_engine_guarantees(self):
         """The kernels do not check their inputs: the config, the pre-flight
         and the round engine guarantee them.  Every such precondition holds
-        at every kernel call of a whole ``cli.run``, and the configs reach the
-        cases the engine keeps from the kernels: a sampled empty chunk, and a
-        sampled non-empty client of a coreset arm whose budget rounds to 0."""
+        at every kernel call of a whole ``cli.run`` of every arm kind, each
+        kernel is called, and the configs reach the cases the engine keeps
+        from the kernels: a sampled empty chunk, and a sampled non-empty
+        client of a coreset arm whose budget rounds to 0."""
         reached = {"sampled empty chunk": 0, "zero-budget client": 0}
+        calls = Counter()
 
         def nonempty(params, ds):
             assert ds.n > 0
@@ -703,9 +706,14 @@ class TestProtocolProperties:
             rows = [ds.n for ds in datasets] if indices is None else [len(i) for i in indices]
             assert len(seeds) == len(rows) == len(datasets) and all(rows)
 
+        real_composition = federation.coreset_composition
+
         def composition(pairs):
+            calls["coreset_composition"] += 1
+            pairs = list(pairs)  # a generator: read it once
             for indices, chunk in pairs:
                 assert ((indices >= 0) & (indices < chunk.n)).all()
+            return real_composition(pairs)
 
         def open_set(chunks, test, val, noise, seed):
             parts = [chunk.dataset for chunk in chunks] + [val]
@@ -727,8 +735,7 @@ class TestProtocolProperties:
             real = getattr(module, name)
 
             def call(*args, **kwargs):
-                if name == "coreset_composition":  # a generator: read it once
-                    args = (list(args[0]),)
+                calls[name] += 1
                 check(*args, **kwargs)
                 return real(*args, **kwargs)
 
@@ -743,22 +750,36 @@ class TestProtocolProperties:
             "facility_location_select": round0_coreset,
             "aggregate": aggregate_,
             "sgd_epochs": sgd,
-            "coreset_composition": composition,
             "inject_open_set": open_set,
             "run_round": counted,
         }
 
+        every_arm = tuple(Algo(kind) for kind in federation.ALGO_KINDS)
+        # whether 25 draws hold both cases turns on Hypothesis's draws, so one
+        # world pins them: chunks of 5, 0, 1 and 12 samples with 5% budgets,
+        # and round 1 samples clients 1 and 2, so no coreset-arm client trains
+        edge = ExperimentConfig(
+            dataset=DatasetConfig(num_blobs=3, dim=2, samples_per_blob=12),
+            noise=NoiseSpec("closed_set", 0.2), num_clients=4, clients_per_round=2,
+            rounds=2, refresh_period=1, budget_fraction=0.05, dirichlet_alpha=0.1,
+            batch_size=4, val_frac=0.3, test_frac=0.2, seed=6, fine_tune_epochs=1,
+        )
+
         @given(cfg=small_experiments())
+        @example(cfg=edge)
         @settings(max_examples=25, deadline=None, derandomize=True)
         def every_call_keeps_the_contracts(cfg):
             with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
                 for name, check in checks.items():
                     check_calls(patch, federation, name, check)
                 check_calls(patch, cli, "compute_cost_ratio", cost_ratio)
+                patch.setattr(federation, "coreset_composition", composition)
                 try:
-                    assert cli.run(replace(cfg, output_dir=out)) == 0
+                    assert cli.run(replace(cfg, arms=every_arm, output_dir=out)) == 0
                 except ConfigurationError:
                     pass  # rejected before round 0: allowed
 
         every_call_keeps_the_contracts()
         assert all(reached.values()), reached
+        kernels = [*checks, "compute_cost_ratio", "coreset_composition"]
+        assert all(calls[name] for name in kernels), calls
