@@ -25,8 +25,12 @@ A round's clients train in lock-step, one stacked SGD step for all the
 clients whose next batch is full (:func:`~fedcoreset.model.sgd_epochs`),
 and each client's arithmetic is unchanged bit for bit from training it
 alone.  Each client's training rows are gathered from its chunk straight
-into the one row table the lock-step steps index, so a round copies them
-once.
+into the row table of the round's lock-step plan.  :func:`run_training`
+keeps the plan from round to round in a :class:`~fedcoreset.model.PlanCache`,
+so the rows are copied again only when the round's trainees or one of
+their row vectors change: on a gcfl refresh, and each round under partial
+participation.  A refresh drops the plan before the selection runs, and
+the arm drops it when its rounds end.
 The canonical order is that of ``np.lexsort`` over all P values of each
 delta (the first value the primary key), but it is read off the first
 value with one stable argsort, O(m log m) for m deltas.  Only where
@@ -57,8 +61,8 @@ from .data import (
 )
 from .errors import ConfigurationError
 from .metrics import RoundMetrics, coreset_composition, dataset_fingerprint
-from .model import ParamVector, evaluate_accuracy, init_params, labelwise_validation_grads
-from .model import loss, sgd_epochs
+from .model import ParamVector, PlanCache, evaluate_accuracy, init_params
+from .model import labelwise_validation_grads, loss, sgd_epochs
 from .seeding import derive_seed, spawn_rng
 
 if TYPE_CHECKING:
@@ -174,6 +178,7 @@ def client_update(
     *,
     seeds: Sequence[int],
     mu: float = 0.0,
+    cache: PlanCache | None = None,
 ) -> np.ndarray:
     """For each client, E = cfg.local_epochs epochs of local SGD from
     theta_t on the indexed subset of its chunk at rate cfg.local_lr, with a
@@ -181,8 +186,8 @@ def client_update(
     theta' - theta_t as the rows of one ``[clients, P]`` array, in the order
     of ``chunks``.  The clients train in lock-step (:func:`sgd_epochs`),
     each bit for bit as if alone, on non-empty index vectors; the indexed
-    rows are gathered straight into its row table, so a round holds one
-    copy of its training rows."""
+    rows are gathered straight into the row table of its plan, which
+    ``cache``, when given, keeps for the next call on the same rows."""
     trained = sgd_epochs(
         theta_t,
         [chunk.dataset for chunk in chunks],
@@ -192,6 +197,7 @@ def client_update(
         seeds=seeds,
         mu=mu,
         indices=train_indices,
+        cache=cache,
     )
     trained -= theta_t.values
     return trained
@@ -261,6 +267,7 @@ def run_round(
     cfg: "ExperimentConfig",
     round_index: int,
     ledger: CostLedger,
+    cache: PlanCache | None = None,
 ) -> tuple[ParamVector, RoundMetrics]:
     """Execute one communication round from the global parameters and
     return the new parameters plus that round's metrics.
@@ -269,7 +276,9 @@ def run_round(
     of the rows that client trains on; a gcfl refresh round replaces the
     selecting clients' entries in place with their coresets' indices.
     ``prepared`` is the world of ``cfg``, so it has ``num_clients >=
-    clients_per_round`` chunks.
+    clients_per_round`` chunks.  ``cache``, when given, keeps the local
+    SGD's lock-step plan for the next round (see :func:`client_update`); a
+    refresh round empties it before the selection runs.
     """
     chunks = prepared.chunks
     n_clients = len(chunks)
@@ -279,6 +288,8 @@ def run_round(
     theta_size = params.values.size
 
     if algo.kind == "gcfl" and round_index % cfg.refresh_period == 0:
+        if cache is not None:
+            cache.clear()  # the rows change, and no plan may sit under the selector's memory
         rows = labelwise_validation_grads(params, prepared.val)
         ledger.grads_broadcast += len(sampled) * sum(r.size for r in rows.values())
         budgets = {cid: _client_budget(chunks[cid], cfg.budget_fraction) for cid in sampled}
@@ -306,6 +317,7 @@ def run_round(
         cfg,
         seeds=[derive_seed(cfg.seed, "client", int(cid), "round", round_index) for cid in trainees],
         mu=algo.mu if algo.kind == "fedprox" else 0.0,
+        cache=cache,
     )
 
     # nothing modifies a ParamVector in place, so an idle round can return its input
@@ -399,7 +411,10 @@ def run_training(
 
     The arm stops after the first round whose aggregated parameters hold a
     non-finite value, records it as ``diverged_round`` and skips the
-    fine-tune: a diverged model's accuracy is not a result."""
+    fine-tune: a diverged model's accuracy is not a result.  The rounds
+    share one :class:`~fedcoreset.model.PlanCache`, so local SGD copies its
+    training rows only in rounds where they change; it is emptied when the
+    rounds end."""
     if prepared is None:
         prepared = prepare_experiment(cfg)
 
@@ -411,16 +426,18 @@ def run_training(
         for chunk in prepared.chunks
     ]
     ledger = CostLedger()
+    cache = PlanCache()
 
     series: list[RoundMetrics] = []
     diverged_round = None
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a blow-up
         for t in range(cfg.rounds):
-            params, rm = run_round(params, prepared, train_rows, algo, cfg, t, ledger)
+            params, rm = run_round(params, prepared, train_rows, algo, cfg, t, ledger, cache=cache)
             series.append(rm)
             if not np.isfinite(params.values).all():
                 diverged_round = t
                 break
+    cache.clear()
 
     # the last round's metrics already hold the accuracy of these parameters
     if series:

@@ -16,10 +16,13 @@ each per-sample reduction over the classes is a vector operation across the
 samples.  Gradients and SGD run sample-major, ``[n, classes]``, the layout
 whose bits the coreset selection and the training were recorded with.
 
-:func:`sgd_epochs` trains many models at once, in lock-step.  It copies
-their training rows once into one row table with a bias column of ones, so
-each stacked step gathers its batches with one ``take`` of table rows and
-one of labels, and the step's softmax and update run in place.  Partial
+:func:`sgd_epochs` trains many models at once, in lock-step, on a plan
+(:func:`lockstep_plan`): their training rows copied into one row table with
+a bias column of ones, and the batch schedule.  Each stacked step gathers
+its batches with one ``take`` of table rows and one of labels, and the
+step's softmax and update run in place.  A caller that trains on the same
+rows again keeps the plan in a :class:`PlanCache`, so the rows are copied
+again only when they change.  Partial
 last batches are stepped alone, never zero-padded into a stacked step,
 whose BLAS remainder path would change their bits.  The trained models come
 back as the rows of one ``[runs, P]`` array, not as one
@@ -28,6 +31,7 @@ back as the rows of one ``[runs, P]`` array, not as one
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -46,6 +50,9 @@ __all__ = [
     "last_layer_grad_stack",
     "own_class_grads",
     "labelwise_validation_grads",
+    "LockStepPlan",
+    "lockstep_plan",
+    "PlanCache",
     "sgd_epochs",
 ]
 
@@ -326,6 +333,124 @@ def _sgd_step(
         _descend(theta[:, :off], anchor[:off], g_hid, lr, mu)
 
 
+
+
+@dataclass(eq=False)
+class LockStepPlan:
+    """What lock-step SGD needs of its runs that no step changes, built by
+    :func:`lockstep_plan`: the stack order and batch schedule, and every
+    run's training rows in one row table with a bias column of ones, beside
+    one label vector.  Stacked run i is run ``stack[i]`` of the plan's
+    datasets; its rows are ``table[starts[i] : starts[i] + sizes[i]]``."""
+
+    batch_size: int
+    stack: np.ndarray  # runs by full-batch count, largest first (stable)
+    sizes: np.ndarray  # each stacked run's rows
+    full: np.ndarray  # and its full batches
+    live: np.ndarray  # step k of an epoch steps the first live[k] stacked runs
+    starts: np.ndarray  # and its first row in the table
+    table: np.ndarray  # [sum n, d + 1], last column 1
+    labels: np.ndarray  # [sum n]
+
+
+def lockstep_plan(
+    datasets: Sequence[Dataset],
+    batch_size: int,
+    indices: Sequence[np.ndarray] | None = None,
+) -> LockStepPlan:
+    """The lock-step plan of one run per dataset, run i on the rows
+    ``indices[i]`` of ``datasets[i]`` (all its rows when ``indices`` is
+    None), at least one run and each with at least one row; the rows are
+    copied, so the plan shares no memory with the datasets."""
+    if indices is None:
+        indices = [np.arange(ds.n) for ds in datasets]
+    sizes = np.array([len(idx) for idx in indices], dtype=np.int64)
+
+    stack = np.argsort(-(sizes // batch_size), kind="stable")
+    sizes = sizes[stack]
+    full = sizes // batch_size
+    live = np.searchsorted(-full, -np.arange(full[0]))
+    starts = np.cumsum(sizes) - sizes
+
+    table = np.empty((sizes.sum(), datasets[0].dim + 1))
+    table[:, -1] = 1.0
+    labels = np.empty(sizes.sum(), dtype=np.int64)
+    for i, start, n in zip(stack, starts, sizes):
+        table[start : start + n, :-1] = datasets[i].features.take(indices[i], axis=0)
+        labels[start : start + n] = datasets[i].labels.take(indices[i])
+    return LockStepPlan(batch_size, stack, sizes, full, live, starts, table, labels)
+
+
+class PlanCache:
+    """Keeps one :class:`LockStepPlan` across :func:`sgd_epochs` calls.
+
+    :meth:`get` returns the kept plan when the call's batch size and its
+    datasets and index vectors, compared by identity, are the ones the
+    plan was built for; so a caller must not modify a cached index vector
+    in place.  Otherwise it drops the kept plan, then builds and keeps the
+    call's, so no two plans are alive at once.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def get(
+        self,
+        datasets: Sequence[Dataset],
+        batch_size: int,
+        indices: Sequence[np.ndarray] | None = None,
+    ) -> LockStepPlan:
+        runs = (*datasets, *(() if indices is None else indices))
+        kept = self.plan is not None and self.plan.batch_size == batch_size
+        if not (kept and len(runs) == len(self._runs) and all(map(operator.is_, runs, self._runs))):
+            self.clear()
+            self.plan = lockstep_plan(datasets, batch_size, indices)
+            self._runs = runs
+        return self.plan
+
+    def clear(self) -> None:
+        self.plan: LockStepPlan | None = None
+        self._runs: tuple = ()
+
+
+def _run_plan(
+    params: ParamVector,
+    plan: LockStepPlan,
+    epochs: int,
+    lr: float,
+    seeds: Sequence[int],
+    mu: float,
+) -> np.ndarray:
+    """``epochs`` epochs of lock-step SGD from ``params`` on the runs of
+    ``plan``, run i shuffled with the generator of ``seeds[i]``; returns the
+    trained values as the rows of one ``[runs, P]`` array, in run order.
+    The order matrix and the models are the call's own, so a kept plan
+    holds only its rows."""
+    batch_size, sizes, starts = plan.batch_size, plan.sizes, plan.starts
+    rngs = [np.random.default_rng(seeds[i]) for i in plan.stack]
+
+    layout, anchor = params.layout, params.values
+    m, width = len(sizes), min(batch_size, sizes.max())
+    theta = np.tile(params.values, (m, 1))
+    order = np.empty((m, sizes.max()), dtype=np.int64)
+    # stacked batches are full and a partial one is a lone run's, so every
+    # step's hot[:c, :b] is (i * b + j) * classes
+    hot = np.arange(m * width).reshape(m, width) * layout[-1][1][0]
+    for _ in range(epochs):
+        for i, (rng, start, n) in enumerate(zip(rngs, starts, sizes)):
+            np.add(rng.permutation(n), start, out=order[i, :n])
+        for k, c in enumerate(plan.live):
+            rows = order[:c, k * batch_size : (k + 1) * batch_size]
+            x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
+            _sgd_step(theta[:c], layout, anchor, x1, y, hot, lr, mu)
+        for i, (n, k) in enumerate(zip(sizes, plan.full)):
+            if k * batch_size < n:
+                rows = order[i : i + 1, k * batch_size : n]
+                x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
+                _sgd_step(theta[i : i + 1], layout, anchor, x1, y, hot, lr, mu)
+    return theta[np.argsort(plan.stack)]
+
+
 def sgd_epochs(
     params: ParamVector,
     datasets: Sequence[Dataset],
@@ -335,6 +460,7 @@ def sgd_epochs(
     seeds: Sequence[int],
     mu: float = 0.0,
     indices: Sequence[np.ndarray] | None = None,
+    cache: PlanCache | None = None,
 ) -> np.ndarray:
     """Shuffled mini-batch SGD on mean cross-entropy from ``params``, one
     run per dataset, each step ``theta - lr * grad``.  Returns the trained
@@ -355,11 +481,15 @@ def sgd_epochs(
     full-batch counts, largest first, so the runs taking step k are a
     prefix of the stack.
 
-    All runs' rows are copied once into one ``[sum n, d + 1]`` row table
-    whose bias column is set once, beside one label vector.  Each epoch
-    writes every run's permutation, shifted by the run's offset in the
-    table, into one ``[runs, largest n]`` order matrix, so a step's batch is
-    one gather of table rows and one of labels.
+    A call builds its :class:`LockStepPlan` (:func:`lockstep_plan`), which
+    copies all runs' rows into one ``[sum n, d + 1]`` row table whose bias
+    column is set once, then runs the epochs on it.  With a ``cache`` the
+    plan is taken from it, and built only when the cache holds none for
+    these runs (:meth:`PlanCache.get`): a plan holds no seed, parameter or
+    hyperparameter but the batch size, so one serves every call on the
+    same rows.  Each epoch writes every run's permutation, shifted by the
+    run's offset in the table, into one ``[runs, largest n]`` order matrix,
+    so a step's batch is one gather of table rows and one of labels.
 
     With ``mu > 0`` the objective gains the FedProx term
     mu/2 * ||theta - params||^2, a pull toward the parameters SGD started
@@ -369,43 +499,10 @@ def sgd_epochs(
     dimension, and each has a seed and at least one row to train on.
     Neither ``params`` nor the datasets are modified.
     """
-    if indices is None:
-        indices = [np.arange(ds.n) for ds in datasets]
     if epochs == 0 or not datasets:
         return np.tile(params.values, (len(datasets), 1))
-    sizes = np.array([len(idx) for idx in indices], dtype=np.int64)
-
-    stack = np.argsort(-(sizes // batch_size), kind="stable")
-    sizes = sizes[stack]
-    full = sizes // batch_size
-    live = np.searchsorted(-full, -np.arange(full[0]))
-    starts = np.cumsum(sizes) - sizes
-
-    table = np.empty((sizes.sum(), datasets[0].dim + 1))
-    table[:, -1] = 1.0
-    labels = np.empty(sizes.sum(), dtype=np.int64)
-    for i, start, n in zip(stack, starts, sizes):
-        table[start : start + n, :-1] = datasets[i].features.take(indices[i], axis=0)
-        labels[start : start + n] = datasets[i].labels.take(indices[i])
-    rngs = [np.random.default_rng(seeds[i]) for i in stack]
-
-    layout, anchor = params.layout, params.values
-    m, width = len(stack), min(batch_size, sizes.max())
-    theta = np.tile(params.values, (m, 1))
-    order = np.empty((m, sizes.max()), dtype=np.int64)
-    # stacked batches are full and a partial one is a lone run's, so every
-    # step's hot[:c, :b] is (i * b + j) * classes
-    hot = np.arange(m * width).reshape(m, width) * layout[-1][1][0]
-    for _ in range(epochs):
-        for i, (rng, start, n) in enumerate(zip(rngs, starts, sizes)):
-            np.add(rng.permutation(n), start, out=order[i, :n])
-        for k, c in enumerate(live):
-            rows = order[:c, k * batch_size : (k + 1) * batch_size]
-            x1, y = table.take(rows, axis=0), labels.take(rows)
-            _sgd_step(theta[:c], layout, anchor, x1, y, hot, lr, mu)
-        for i, (n, k) in enumerate(zip(sizes, full)):
-            if k * batch_size < n:
-                rows = order[i : i + 1, k * batch_size : n]
-                x1, y = table.take(rows, axis=0), labels.take(rows)
-                _sgd_step(theta[i : i + 1], layout, anchor, x1, y, hot, lr, mu)
-    return theta[np.argsort(stack)]
+    if cache is None:
+        plan = lockstep_plan(datasets, batch_size, indices)
+    else:
+        plan = cache.get(datasets, batch_size, indices)
+    return _run_plan(params, plan, epochs, lr, seeds, mu)

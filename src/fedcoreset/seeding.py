@@ -28,13 +28,16 @@ def spawn_rng(master_seed: int, *tags: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@functools.lru_cache(maxsize=4096, typed=True)
+@functools.lru_cache(maxsize=None, typed=True)
 def derive_seed(master_seed: int, *tags: int | str) -> int:
     """Integer seed for the substream, for operations that take a bare seed.
 
-    Memoised, as the arms of a run derive the same keys.  The cache is
-    typed because ``repr`` tells ``3`` from ``np.int64(3)`` (so their seeds
-    differ) while ``==`` and ``hash`` do not.
+    Memoised without a bound, as the arms of a run derive the same keys (a
+    bounded LRU gives a later arm no hits once an arm derives more keys
+    than it holds); ``cli.run`` clears the memo as it starts, so it holds
+    one run's keys.  The cache is typed because ``repr`` tells ``3`` from
+    ``np.int64(3)`` (so their seeds differ) while ``==`` and ``hash`` do
+    not.
     """
     ss = np.random.SeedSequence(master_seed, spawn_key=_spawn_key(tags))
     return int(ss.generate_state(1, np.uint64)[0])

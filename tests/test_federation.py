@@ -1,5 +1,6 @@
 import inspect
 import tempfile
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -11,9 +12,11 @@ from hypothesis.extra import numpy as hnp
 
 import fedcoreset.cli as cli
 import fedcoreset.federation as federation
+import fedcoreset.model as model_module
 from fedcoreset.config import DatasetConfig, ExperimentConfig, ModelConfig
 from fedcoreset.data import NOISE_KINDS, ClientChunk, NoiseSpec
 from fedcoreset.errors import ConfigurationError
+from fedcoreset.metrics import write_round_log
 from fedcoreset.federation import (
     Algo,
     CostLedger,
@@ -27,13 +30,14 @@ from fedcoreset.federation import (
 from fedcoreset.model import (
     ARCHS,
     ParamVector,
+    PlanCache,
     init_params,
     last_layer_grad_stack,
     loss,
     sgd_epochs,
 )
 from fedcoreset.seeding import derive_seed, spawn_rng
-from worldgen import balanced_world, blobs
+from worldgen import balanced_world, blobs, sized_world
 
 
 def tiny_cfg(**kw) -> ExperimentConfig:
@@ -436,6 +440,96 @@ class TestRunTraining:
         assert run_training(tiny_cfg(rounds=5), Algo("fedavg")).diverged_round is None
 
 
+class TestKeptPlan:
+    """``run_training`` keeps the lock-step plan of local SGD from round to
+    round; that must change no bit, and no plan may outlive the rounds or
+    sit under a selection."""
+
+    # 12 clients of uneven sizes: one empty, two whose budgets round to 0
+    # at a 10% budget (3 and 1 samples), sizes on both sides of the batch
+    SIZES = (0, 3, 41, 26, 7, 64, 33, 1, 18, 50, 12, 9)
+
+    @staticmethod
+    def world_cfg(**kw):
+        base = dict(num_clients=12, rounds=5, refresh_period=2, local_epochs=2, batch_size=8,
+                    budget_fraction=0.1, fine_tune_epochs=1)
+        return tiny_cfg(**{**base, **kw})
+
+    @staticmethod
+    def arm(cfg, algo, prepared, path, monkeypatch, rebuild):
+        """Run one arm, the plan kept or rebuilt every round; returns its
+        round-log bytes, final-parameter bytes, fine-tuned accuracy and the
+        number of plans built."""
+        built = []
+        real = model_module.lockstep_plan
+
+        def counting(*args):
+            built.append(1)
+            return real(*args)
+
+        class Rebuilding(PlanCache):
+            def get(self, *args):
+                self.clear()
+                return super().get(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "lockstep_plan", counting)
+            if rebuild:
+                patch.setattr(federation, "PlanCache", Rebuilding)
+            result = run_training(cfg, algo, prepared)
+        write_round_log(str(path), result.rounds)
+        return (path.read_bytes(), result.final_params.values.tobytes(),
+                result.fine_tuned_accuracy), len(built)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("m", [None, 5])
+    @pytest.mark.parametrize("kind", federation.ALGO_KINDS)
+    def test_kept_plan_equals_one_rebuilt_every_round(self, kind, m, arch, tmp_path, monkeypatch):
+        prepared = sized_world(self.SIZES, dim=4)
+        cfg = self.world_cfg(clients_per_round=m, model=ModelConfig(arch, hidden_dim=3))
+        algo = parse_algo("fedprox:0.5") if kind == "fedprox" else Algo(kind)
+        kept, kept_builds = self.arm(cfg, algo, prepared, tmp_path / "kept.csv", monkeypatch, False)
+        rebuilt, builds = self.arm(cfg, algo, prepared, tmp_path / "rebuilt.csv", monkeypatch, True)
+        assert kept == rebuilt
+        # the fine-tune builds one plan on each side; at m = N the rows
+        # change only on a gcfl refresh (rounds 0, 2 and 4)
+        assert builds == cfg.rounds + 1
+        if m is None:
+            assert kept_builds == (1 + 3 if kind == "gcfl" else 1 + 1)
+        else:
+            assert kept_builds <= builds
+
+    @pytest.mark.parametrize("kind, m", [("gcfl", None), ("fedavg", 5)])
+    def test_one_plan_at_a_time_none_under_selection_or_after_the_arm(self, kind, m, monkeypatch):
+        prepared = sized_world(self.SIZES, dim=4)
+        cfg = self.world_cfg(rounds=6, clients_per_round=m)
+        plans, alive_at_build, alive_at_selection = [], [], []
+        real_build, real_select = model_module.lockstep_plan, federation.labelwise_omp_select
+
+        def alive():
+            return sum(ref() is not None for ref in plans)
+
+        def build(*args):
+            alive_at_build.append(alive())
+            plan = real_build(*args)
+            plans.append(weakref.ref(plan))
+            return plan
+
+        def select(*args, **kw):
+            alive_at_selection.append(alive())
+            return real_select(*args, **kw)
+
+        monkeypatch.setattr(model_module, "lockstep_plan", build)
+        monkeypatch.setattr(federation, "labelwise_omp_select", select)
+        result = run_training(cfg, Algo(kind), prepared)
+        # the last build is the fine-tune's, after the rounds
+        assert len(plans) >= 4 and alive_at_build == [0] * len(plans)
+        # gcfl refreshes at rounds 0, 2 and 4, each but the first after
+        # rounds that built a plan
+        assert alive_at_selection == ([0, 0, 0] if kind == "gcfl" else [])
+        assert alive() == 0 and result.rounds
+
+
 class TestOneHiddenArchitecture:
     def test_gcfl_runs_with_hidden_layer(self):
         from fedcoreset.config import ModelConfig
@@ -702,7 +796,7 @@ class TestProtocolProperties:
         def aggregate_(params, deltas, global_lr):
             assert len(deltas) and deltas.shape[1] == params.values.size
 
-        def sgd(params, datasets, epochs, lr, batch_size, seeds, mu=0.0, indices=None):
+        def sgd(params, datasets, epochs, lr, batch_size, seeds, mu=0.0, indices=None, cache=None):
             rows = [ds.n for ds in datasets] if indices is None else [len(i) for i in indices]
             assert len(seeds) == len(rows) == len(datasets) and all(rows)
 
@@ -722,7 +816,7 @@ class TestProtocolProperties:
         def cost_ratio(ledger, fedavg):
             assert fedavg.sgd_sample_visits > 0
 
-        def counted(params, prepared, train_rows, algo, cfg, t, ledger):
+        def counted(params, prepared, train_rows, algo, cfg, t, ledger, cache=None):
             chunks = prepared.chunks
             m = cfg.clients_per_round or len(chunks)
             sampled = spawn_rng(cfg.seed, "sample", t).choice(len(chunks), size=m, replace=False)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from fedcoreset.model import (
     ARCHS,
     ModelConfig,
     ParamVector,
+    PlanCache,
     _logits,
     _softmax,
     init_params,
     labelwise_validation_grads,
     last_layer_grad_stack,
+    lockstep_plan,
     loss,
     own_class_grads,
     sgd_epochs,
@@ -431,3 +434,56 @@ class TestLockstepSgd:
         empty = sgd_epochs(p, [], seeds=[], **knobs)
         assert type(empty) is np.ndarray and empty.dtype == np.float64
         assert empty.shape == (0, p.values.size) and empty.flags.c_contiguous
+
+
+class TestPlanCache:
+    def setup_method(self):
+        self.params = init_params(ModelConfig("one_hidden", hidden_dim=5), 4, 3, seed=8)
+        self.datasets = [random_dataset(n, 4, 3, seed=n) for n in (21, 6, 13)]
+        self.knobs = dict(epochs=2, lr=0.3, batch_size=4, mu=0.1)
+
+    def train(self, indices, seeds, cache=None, datasets=None):
+        return sgd_epochs(self.params, datasets or self.datasets, seeds=seeds, indices=indices,
+                          cache=cache, **self.knobs)
+
+    def test_kept_plan_serves_calls_on_the_same_rows(self):
+        cache = PlanCache()
+        indices = [np.arange(ds.n)[::2] for ds in self.datasets]
+        plan = cache.get(self.datasets, 4, indices)
+        assert cache.get(list(self.datasets), 4, list(indices)) is plan
+        for seeds in ([1, 2, 3], [4, 5, 6]):
+            assert np.array_equal(self.train(indices, seeds, cache), self.train(indices, seeds))
+            assert cache.plan is plan
+
+    def test_new_rows_or_batch_size_build_a_new_plan(self):
+        cache = PlanCache()
+        rows = [np.arange(ds.n)[1::2] for ds in self.datasets]
+        self.train(rows, [1, 2, 3], cache)
+        # index vectors are compared by identity, not value
+        for change in (
+            lambda: ([idx.copy() for idx in rows], self.datasets),
+            lambda: ([rows[0], np.arange(5), rows[2]], self.datasets),
+            lambda: (rows[:2], self.datasets[:2]),
+            lambda: (rows[::-1], self.datasets[::-1]),
+        ):
+            plan = cache.plan
+            indices, datasets = change()
+            seeds = [7, 8, 9][: len(indices)]
+            got = self.train(indices, seeds, cache, datasets)
+            assert cache.plan is not plan
+            assert np.array_equal(got, self.train(indices, seeds, datasets=datasets))
+        plan = cache.plan
+        assert cache.get(datasets, 5, indices) is not plan
+
+    def test_plan_owns_its_rows(self):
+        plan = lockstep_plan(self.datasets, 4)
+        for ds in self.datasets:
+            assert not np.shares_memory(plan.table, ds.features)
+            assert not np.shares_memory(plan.labels, ds.labels)
+        assert np.array_equal(plan.table[:, -1], np.ones(sum(ds.n for ds in self.datasets)))
+
+    def test_clear_drops_the_plan(self):
+        cache = PlanCache()
+        ref = weakref.ref(cache.get(self.datasets, 4))
+        cache.clear()
+        assert cache.plan is None and ref() is None

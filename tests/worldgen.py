@@ -51,3 +51,31 @@ def balanced_world(num_clients=10, per_class_per_client=10, dim=6, num_classes=1
         test=test,
         fingerprint=dataset_fingerprint(chunks, val, test),
     )
+
+
+def sized_world(sizes, num_classes=4, dim=5, seed=0):
+    """Prepared world where client i holds exactly ``sizes[i]`` samples (0
+    allowed), about a quarter of them flagged noisy, plus 10 validation and
+    10 test samples of every class."""
+    per_blob = -(-sum(sizes) // num_classes) + 20
+    ds = blobs(num_classes, dim, np.ones(num_classes), per_blob, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    val_idx, test_idx, rest = [], [], []
+    for c in range(num_classes):
+        idx = rng.permutation(np.flatnonzero(ds.labels == c))
+        val_idx.extend(idx[:10])
+        test_idx.extend(idx[10:20])
+        rest.extend(idx[20:])
+    rest = rng.permutation(rest)
+    bounds = np.cumsum([0, *sizes])
+    chunks = [
+        ClientChunk(ds.subset(rest[a:b]), rng.random(b - a) >= 0.25, i)
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    val, test = ds.subset(np.array(val_idx)), ds.subset(np.array(test_idx))
+    return Prepared(
+        chunks=chunks,
+        val=val,
+        test=test,
+        fingerprint=dataset_fingerprint(chunks, val, test),
+    )
