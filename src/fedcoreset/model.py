@@ -347,8 +347,8 @@ class LockStepPlan:
     stack: np.ndarray  # runs by full-batch count, largest first (stable)
     sizes: np.ndarray  # each stacked run's rows
     full: np.ndarray  # and its full batches
-    live: np.ndarray  # step k of an epoch steps the first live[k] stacked runs
     starts: np.ndarray  # and its first row in the table
+    live: np.ndarray  # step k of an epoch steps the first live[k] stacked runs
     table: np.ndarray  # [sum n, d + 1], last column 1
     labels: np.ndarray  # [sum n]
 
@@ -378,7 +378,7 @@ def lockstep_plan(
     for i, start, n in zip(stack, starts, sizes):
         table[start : start + n, :-1] = datasets[i].features.take(indices[i], axis=0)
         labels[start : start + n] = datasets[i].labels.take(indices[i])
-    return LockStepPlan(batch_size, stack, sizes, full, live, starts, table, labels)
+    return LockStepPlan(batch_size, stack, sizes, full, starts, live, table, labels)
 
 
 class PlanCache:
