@@ -139,9 +139,6 @@ class DatasetConfig:
         return np.linspace(1.0, 8.0, self.num_blobs)
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.kind not in ("blobs", "csv"):
             raise ConfigurationError(f"dataset.kind must be blobs or csv, got {self.kind!r}")
         if self.kind == "csv" and not self.csv_path:

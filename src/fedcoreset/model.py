@@ -1,10 +1,13 @@
 """Small differentiable classifiers with last-layer gradient extraction.
 
 Two architectures share one parameter layout: parameters live in a flat
-float64 vector split into named ``[out, fan_in + 1]`` blocks whose last
-column is the bias.  The output block is always last, so the "last layer"
-(the softmax layer) is a contiguous slice of exactly
+float64 vector split into ``[out, fan_in + 1]`` blocks whose last column is
+the bias, the hidden block (if any) first and the output block last, so
+the "last layer" (the softmax layer) is a contiguous slice of exactly
 ``num_classes * (h + 1)`` values, where ``h`` is the penultimate width.
+One reader, :func:`_blocks`, turns a layout into block views; every other
+piece of code takes the views, and a hidden block of None is the only test
+for a hidden layer.
 
 For ``softmax_regression`` the penultimate activation is the raw input
 (h = input_dim); for ``one_hidden`` it is ``tanh(W1 x + b1)``
@@ -13,8 +16,11 @@ For ``softmax_regression`` the penultimate activation is the raw input
 There are two forward paths.  Evaluation (:func:`loss` and
 :func:`evaluate_accuracy`) runs class-major: logits are ``[classes, n]``, so
 each per-sample reduction over the classes is a vector operation across the
-samples.  Gradients and SGD run sample-major, ``[n, classes]``, the layout
-whose bits the coreset selection and the training were recorded with.
+samples.  Gradients and SGD run sample-major through one pass,
+:func:`_forward`, ``[n, classes]``, the layout whose bits the coreset
+selection and the training were recorded with: the gradient rows the
+selection matches are computed by the same arithmetic that local SGD trains
+with.
 
 :func:`sgd_epochs` trains many models at once, in lock-step, on a plan
 (:func:`lockstep_plan`): their training rows copied into one row table with
@@ -67,51 +73,49 @@ class ModelConfig:
     hidden_dim: int = 32
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.arch not in ARCHS:
             raise ConfigurationError(f"model.arch must be one of {ARCHS}, got {self.arch!r}")
         if self.arch == "one_hidden" and self.hidden_dim < 1:
             raise ConfigurationError("model.hidden_dim must be >= 1 for one_hidden")
 
 
+def _blocks(
+    theta: np.ndarray, layout: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(hidden, output)``: the layer blocks of the parameters ``theta``
+    (``[..., P]``, one model per row when stacked) as views of shape
+    ``[..., rows, cols]``, ``hidden`` None for a model without a hidden
+    layer.  The one code that turns a layout into offsets."""
+    lead, views, off = theta.shape[:-1], [None], 0
+    for rows, cols in layout:
+        views.append(theta[..., off : off + rows * cols].reshape(*lead, rows, cols))
+        off += rows * cols
+    return views[-2], views[-1]
+
+
 @dataclass
 class ParamVector:
-    """Flat parameter vector with named layer blocks.
+    """Flat parameter vector and its layout.
 
-    ``layout`` lists ``(name, (rows, cols))`` blocks in storage order; each
-    block reshapes to ``[rows, cols]`` with the bias in the final column.
-    The output block is the last one; a ``hidden`` block, if any, is first.
+    ``layout`` lists the ``(rows, cols)`` shape of each layer block in
+    storage order: the hidden block, if any, then the output block.  Each
+    block holds a layer's weights with the bias in the final column;
+    :meth:`blocks` returns them as views of ``values``.
     """
 
     values: np.ndarray
-    layout: tuple[tuple[str, tuple[int, int]], ...]
+    layout: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        total = sum(r * c for _, (r, c) in self.layout)
+        total = sum(r * c for r, c in self.layout)
         if total != self.values.size:
             raise ValueError("layout does not cover the parameter vector")
 
-    @property
-    def last_layer_slice(self) -> tuple[int, int]:
-        """(offset, length) of the output block."""
-        rows, cols = self.layout[-1][1]
-        return self.values.size - rows * cols, rows * cols
-
-    def block(self, name: str) -> np.ndarray:
-        off = 0
-        for bname, (r, c) in self.layout:
-            if bname == name:
-                return self.values[off : off + r * c].reshape(r, c)
-            off += r * c
-        raise KeyError(name)
-
-    def last_layer(self) -> np.ndarray:
-        off, length = self.last_layer_slice
-        rows, cols = self.layout[-1][1]
-        return self.values[off : off + length].reshape(rows, cols)
+    def blocks(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(hidden, output)`` as ``[rows, cols]`` views of ``values``;
+        ``hidden`` is None for softmax regression."""
+        return _blocks(self.values, self.layout)
 
     def with_values(self, values: np.ndarray) -> "ParamVector":
         return ParamVector(values, self.layout)
@@ -122,52 +126,55 @@ def init_params(model: ModelConfig, input_dim: int, num_classes: int, seed: int)
     dimensions come from a :class:`Dataset`, which keeps both positive."""
     rng = np.random.default_rng(seed)
     if model.arch == "softmax_regression":
-        blocks = [("output", (num_classes, input_dim + 1))]
+        layout = ((num_classes, input_dim + 1),)
     else:
-        blocks = [
-            ("hidden", (model.hidden_dim, input_dim + 1)),
-            ("output", (num_classes, model.hidden_dim + 1)),
-        ]
+        layout = ((model.hidden_dim, input_dim + 1), (num_classes, model.hidden_dim + 1))
     parts = []
-    for _, (rows, cols) in blocks:
+    for rows, cols in layout:
         fan_in = cols - 1
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(rows, fan_in))
         parts.append(np.concatenate([w, np.zeros((rows, 1))], axis=1).ravel())
-    return ParamVector(np.concatenate(parts), tuple(blocks))
+    return ParamVector(np.concatenate(parts), layout)
 
 
-def _penultimate(params: ParamVector, x: np.ndarray) -> np.ndarray:
-    if params.layout[0][0] == "hidden":
-        w1 = params.block("hidden")
-        return np.tanh(x @ w1[:, :-1].T + w1[:, -1])
-    return x
+def _forward(
+    w1: np.ndarray | None, w_out: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sample-major forward pass of c stacked models, model i on the
+    samples ``x[i]`` (``x`` is ``[c, n, d]``, ``w1`` and ``w_out`` the
+    ``[c, rows, cols]`` blocks of :func:`_blocks`).
 
-
-def _logits(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    act = _penultimate(params, x)
-    out = params.last_layer()
-    z = act @ out[:, :-1].T
-    z += out[:, -1]
-    return z, act
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    Returns ``(act, probs)``: the penultimate activations ``[c, n, h]``
+    (``x`` itself without a hidden layer) and the softmax ``[c, n,
+    classes]``, computed in place in the logits.  Every product is a stacked
+    matmul, which runs one BLAS call per model on operands of the shapes a
+    lone model's pass would use, so each model's bits are those of its pass
+    alone.
+    """
+    act = x
+    if w1 is not None:
+        act = x @ w1[:, :, :-1].transpose(0, 2, 1)
+        act += w1[:, None, :, -1]
+        np.tanh(act, out=act)
+    z = act @ w_out[:, :, :-1].transpose(0, 2, 1)
+    z += w_out[:, None, :, -1]
+    # each sample's largest logit, reduced over a class-major copy: a max is
+    # exact in any order, and a short last axis reduces slowly
+    z -= np.ascontiguousarray(z.transpose(2, 0, 1)).max(axis=0)[:, :, None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=2, keepdims=True)
+    return act, z
 
 
 def _class_logits(params: ParamVector, x: np.ndarray) -> np.ndarray:
     """Logits of the samples ``x`` (``[n, d]``) class-major, ``[classes, n]``."""
-    if params.layout[0][0] == "hidden":
-        w1 = params.block("hidden")
+    w1, out = params.blocks()
+    act = x.T
+    if w1 is not None:
         act = w1[:, :-1] @ x.T
         act += w1[:, -1:]
         np.tanh(act, out=act)
-    else:
-        act = x.T
-    out = params.last_layer()
     z = out[:, :-1] @ act
     z += out[:, -1:]
     return z
@@ -201,8 +208,8 @@ def last_layer_grad_stack(params: ParamVector, ds: Dataset) -> np.ndarray:
 
     Row c of sample (x, y) is (softmax(z)_c - 1{c==y}) * [h(x); 1].
     """
-    z, act = _logits(params, ds.features)
-    probs = _softmax(z)
+    act, probs = _forward(*_blocks(params.values[None], params.layout), ds.features[None])
+    probs, act = probs[0], act[0]
     probs[np.arange(ds.n), ds.labels] -= 1.0
     act1 = np.concatenate([act, np.ones((ds.n, 1))], axis=1)
     return probs[:, :, None] * act1[:, None, :]
@@ -215,16 +222,14 @@ def own_class_grads(params: ParamVector, ds: Dataset) -> np.ndarray:
     bit to ``last_layer_grad_stack(params, ds)[i, y]`` (the same operations
     on the same values) in O(n (h+1)) memory instead of O(n C (h+1)).  The
     softmax runs in place in the logits, and the rows are written straight
-    into the result, so the [n, C] logits are the only temporary.
+    into the result, so the [n, C] logits and the class-major copy
+    :func:`_forward` takes their maximum over are the only temporaries.
     """
-    z, act = _logits(params, ds.features)
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    own = z[np.arange(ds.n), ds.labels] - 1.0
-    del z
-    grads = np.empty((ds.n, act.shape[1] + 1))
-    np.multiply(own[:, None], act, out=grads[:, :-1])
+    act, probs = _forward(*_blocks(params.values[None], params.layout), ds.features[None])
+    own = probs[0, np.arange(ds.n), ds.labels] - 1.0
+    del probs
+    grads = np.empty((ds.n, act.shape[2] + 1))
+    np.multiply(own[:, None], act[0], out=grads[:, :-1])
     grads[:, -1] = own
     return grads
 
@@ -255,7 +260,6 @@ def _descend(
     c stacked models, in place, so no [c, P] array is allocated; IEEE
     products commute, so the in-place order is still a lone step's
     arithmetic."""
-    grad = grad.reshape(theta.shape)
     if mu:
         pull = theta - anchor
         pull *= mu
@@ -265,9 +269,9 @@ def _descend(
 
 
 def _sgd_step(
-    theta: np.ndarray,
-    layout: tuple[tuple[str, tuple[int, int]], ...],
-    anchor: np.ndarray,
+    w1: np.ndarray | None,
+    w_out: np.ndarray,
+    anchor: tuple[np.ndarray | None, np.ndarray],
     x1: np.ndarray,
     y: np.ndarray,
     hot: np.ndarray,
@@ -277,62 +281,43 @@ def _sgd_step(
     """One SGD step on mean cross-entropy for each of c stacked models, in
     place.
 
-    ``theta`` is ``[c, P]``, one model per row; row i steps on the batch
+    ``w1`` and ``w_out`` are the layer blocks of the c models
+    (:func:`_blocks`), which the step updates; model i steps on the batch
     ``x1[i]`` (``[b, d + 1]``, last column 1) with labels ``y[i]``.
     ``hot[:c, :b]`` holds ``(i * b + j) * classes``, the flat index of
     sample j of model i's class-0 entry in the ``[c, b, classes]`` softmax,
     so adding ``y`` gives the entries the one-hot is subtracted at; it is
     made once per :func:`sgd_epochs` call.
 
-    Every product is a stacked matmul, which runs one BLAS call per model
-    on operands of the shapes a lone model's step would use, so each row
-    comes out bit for bit as if it had been stepped alone; the elementwise
-    work runs in place.  ``mu > 0`` adds the FedProx pull
-    ``mu * (theta - anchor)`` to the gradient.
+    The forward pass is :func:`_forward`, and the backward pass's products
+    are stacked matmuls too, so each model comes out bit for bit as if it
+    had been stepped alone; the elementwise work runs in place.  ``mu > 0``
+    adds the FedProx pull ``mu * (theta - anchor)`` to the gradient, with
+    ``anchor`` the blocks of the parameters SGD started from.
     """
     c, b = y.shape
-    rows, cols = layout[-1][1]
-    off = theta.shape[1] - rows * cols
-    w_out = theta[:, off:].reshape(c, rows, cols)
-    x = x1[:, :, :-1]
-    if off:
-        w1 = theta[:, :off].reshape(c, *layout[0][1])
-        act = x @ w1[:, :, :-1].transpose(0, 2, 1)
-        act += w1[:, None, :, -1]
-        np.tanh(act, out=act)
-        act1 = np.concatenate([act, np.ones((c, b, 1))], axis=2)
-    else:
-        act, act1 = x, x1
-    z = act @ w_out[:, :, :-1].transpose(0, 2, 1)
-    z += w_out[:, None, :, -1]
-    # each sample's largest logit, reduced over a class-major copy: a max is
-    # exact in any order, and a short last axis reduces slowly
-    z -= np.ascontiguousarray(z.transpose(2, 0, 1)).max(axis=0)[:, :, None]
-    np.exp(z, out=z)
-    z /= z.sum(axis=2, keepdims=True)
-    delta = z
+    act, delta = _forward(w1, w_out, x1[:, :, :-1])
     delta.reshape(-1)[hot[:c, :b] + y] -= 1.0
     delta /= b
+    if w1 is None:
+        _descend(w_out, anchor[1], delta.transpose(0, 2, 1) @ x1, lr, mu)
+        return
 
-    # drop each activation once used, as a step of c stacked models holds c
-    # lone steps' worth of them; the hidden gradient needs the output
-    # weights before their update
-    g_out = delta.transpose(0, 2, 1) @ act1
-    del act1
-    if off:
-        d_z1 = delta @ w_out[:, :, :-1]
-    _descend(theta[:, off:], anchor[off:], g_out, lr, mu)
+    # drop each array once used, as a step of c stacked models holds c lone
+    # steps' worth of them; the hidden gradient needs the output weights
+    # before their update
+    g_out = delta.transpose(0, 2, 1) @ np.concatenate([act, np.ones((c, b, 1))], axis=2)
+    d_z1 = delta @ w_out[:, :, :-1]
+    del delta
+    _descend(w_out, anchor[1], g_out, lr, mu)
     del g_out
-    if off:
-        act *= act
-        np.subtract(1.0, act, out=act)
-        d_z1 *= act
-        del act
-        g_hid = d_z1.transpose(0, 2, 1) @ x1
-        del d_z1
-        _descend(theta[:, :off], anchor[:off], g_hid, lr, mu)
-
-
+    act *= act
+    np.subtract(1.0, act, out=act)
+    d_z1 *= act
+    del act
+    g_hid = d_z1.transpose(0, 2, 1) @ x1
+    del d_z1
+    _descend(w1, anchor[0], g_hid, lr, mu)
 
 
 @dataclass(eq=False)
@@ -413,44 +398,6 @@ class PlanCache:
         self._runs: tuple = ()
 
 
-def _run_plan(
-    params: ParamVector,
-    plan: LockStepPlan,
-    epochs: int,
-    lr: float,
-    seeds: Sequence[int],
-    mu: float,
-) -> np.ndarray:
-    """``epochs`` epochs of lock-step SGD from ``params`` on the runs of
-    ``plan``, run i shuffled with the generator of ``seeds[i]``; returns the
-    trained values as the rows of one ``[runs, P]`` array, in run order.
-    The order matrix and the models are the call's own, so a kept plan
-    holds only its rows."""
-    batch_size, sizes, starts = plan.batch_size, plan.sizes, plan.starts
-    rngs = [np.random.default_rng(seeds[i]) for i in plan.stack]
-
-    layout, anchor = params.layout, params.values
-    m, width = len(sizes), min(batch_size, sizes.max())
-    theta = np.tile(params.values, (m, 1))
-    order = np.empty((m, sizes.max()), dtype=np.int64)
-    # stacked batches are full and a partial one is a lone run's, so every
-    # step's hot[:c, :b] is (i * b + j) * classes
-    hot = np.arange(m * width).reshape(m, width) * layout[-1][1][0]
-    for _ in range(epochs):
-        for i, (rng, start, n) in enumerate(zip(rngs, starts, sizes)):
-            np.add(rng.permutation(n), start, out=order[i, :n])
-        for k, c in enumerate(plan.live):
-            rows = order[:c, k * batch_size : (k + 1) * batch_size]
-            x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
-            _sgd_step(theta[:c], layout, anchor, x1, y, hot, lr, mu)
-        for i, (n, k) in enumerate(zip(sizes, plan.full)):
-            if k * batch_size < n:
-                rows = order[i : i + 1, k * batch_size : n]
-                x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
-                _sgd_step(theta[i : i + 1], layout, anchor, x1, y, hot, lr, mu)
-    return theta[np.argsort(plan.stack)]
-
-
 def sgd_epochs(
     params: ParamVector,
     datasets: Sequence[Dataset],
@@ -487,7 +434,9 @@ def sgd_epochs(
     plan is taken from it, and built only when the cache holds none for
     these runs (:meth:`PlanCache.get`): a plan holds no seed, parameter or
     hyperparameter but the batch size, so one serves every call on the
-    same rows.  Each epoch writes every run's permutation, shifted by the
+    same rows.  The generators, the models, their block views and the
+    order matrix are the call's own, so a kept plan holds only its rows.
+    Each epoch writes every run's permutation, shifted by the
     run's offset in the table, into one ``[runs, largest n]`` order matrix,
     so a step's batch is one gather of table rows and one of labels.
 
@@ -505,4 +454,28 @@ def sgd_epochs(
         plan = lockstep_plan(datasets, batch_size, indices)
     else:
         plan = cache.get(datasets, batch_size, indices)
-    return _run_plan(params, plan, epochs, lr, seeds, mu)
+    sizes, starts = plan.sizes, plan.starts
+    rngs = [np.random.default_rng(seeds[i]) for i in plan.stack]
+
+    m, width = len(sizes), min(batch_size, sizes.max())
+    theta = np.tile(params.values, (m, 1))
+    w1, w_out = _blocks(theta, params.layout)
+    anchor = params.blocks()
+    order = np.empty((m, sizes.max()), dtype=np.int64)
+    # stacked batches are full and a partial one is a lone run's, so every
+    # step's hot[:c, :b] is (i * b + j) * classes
+    hot = np.arange(m * width).reshape(m, width) * w_out.shape[1]
+
+    def step(runs: slice, rows: np.ndarray) -> None:
+        x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
+        _sgd_step(None if w1 is None else w1[runs], w_out[runs], anchor, x1, y, hot, lr, mu)
+
+    for _ in range(epochs):
+        for i, (rng, start, n) in enumerate(zip(rngs, starts, sizes)):
+            np.add(rng.permutation(n), start, out=order[i, :n])
+        for k, c in enumerate(plan.live):
+            step(slice(c), order[:c, k * batch_size : (k + 1) * batch_size])
+        for i, (n, k) in enumerate(zip(sizes, plan.full)):
+            if k * batch_size < n:
+                step(slice(i, i + 1), order[i : i + 1, k * batch_size : n])
+    return theta[np.argsort(plan.stack)]

@@ -21,6 +21,7 @@ from fedcoreset.model import (
     labelwise_validation_grads,
     last_layer_grad_stack,
 )
+from reference import reference_facility_greedy, reference_labelwise
 from worldgen import blobs
 
 
@@ -67,67 +68,6 @@ def reference_greedy(cands: np.ndarray, target: np.ndarray, budget: int, lam: fl
         w, *_ = np.linalg.lstsq(gram, cols.T @ target, rcond=None)
         residual = target - cols @ w
     return selected
-
-
-def reference_omp(cands: np.ndarray, target: np.ndarray, budget: int, lam: float) -> Coreset:
-    """Matching pursuit on one class as a plain loop: each step computes the
-    distance ||c - r|| itself, picks its first minimum and re-solves the
-    ridge weights with ``_solve_ridge``."""
-    selected: list[int] = []
-    weights = np.empty(0)
-    residual = target
-    norm = float(np.linalg.norm(residual))
-    norms: list[float] = []
-    while len(selected) < min(budget, len(cands)) and norm > 0:
-        dist = np.linalg.norm(cands - residual, axis=1)
-        dist[selected] = np.inf
-        selected.append(int(np.argmin(dist)))
-        columns = cands[selected].T
-        weights = coreset._solve_ridge(columns, target, lam)
-        residual = target - columns @ weights
-        norm = float(np.linalg.norm(residual))
-        norms.append(norm)
-    return Coreset(selected, np.maximum(weights, 0.0), residual_norms=tuple(norms))
-
-
-def reference_labelwise(rows, labels, server_rows, budget, lam) -> Coreset:
-    """Label-wise selection as one ``reference_omp`` per shared class over
-    the own-class candidate ``rows``, concatenated in class order."""
-    shared = sorted(set(labels.tolist()) & set(server_rows))
-    shares = coreset._split_budget(budget, {c: int((labels == c).sum()) for c in shared})
-    parts = []
-    for c in shared:
-        if shares[c]:
-            local = np.flatnonzero(labels == c)
-            sub = reference_omp(rows[local], server_rows[c], shares[c], lam)
-            parts.append(Coreset(local[sub.indices], sub.weights, sub.residual_norms))
-    return Coreset(
-        np.concatenate([p.indices for p in parts] or [np.empty(0)]),
-        np.concatenate([p.weights for p in parts] or [np.empty(0)]),
-        residual_norms=sum((p.residual_norms for p in parts), ()),
-    )
-
-
-def reference_facility_greedy(feats: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dense facility-location greedy: every candidate's gain over the
-    whole similarity matrix at every pick, argmax ties to the lowest index;
-    weights are cluster sizes, earliest pick winning ties."""
-    n = len(feats)
-    norms = np.linalg.norm(feats, axis=1)
-    unit = feats / np.maximum(norms, 1e-300)[:, None]
-    sim = 0.5 * (1.0 + unit @ unit.T)
-    size = min(budget, n)
-    selected: list[int] = []
-    best = np.zeros(n)
-    for _ in range(size):
-        gains = np.maximum(sim, best[:, None]).sum(axis=0) - best.sum()
-        gains[selected] = -np.inf
-        j = int(np.argmax(gains))
-        selected.append(j)
-        best = np.maximum(best, sim[:, j])
-    rep = np.argmax(sim[:, selected], axis=1)
-    weights = np.bincount(rep, minlength=size).astype(np.float64)
-    return np.asarray(selected, dtype=np.int64), weights
 
 
 class TestOmpHandExamples:

@@ -178,7 +178,7 @@ class TestCanonicalOrder:
 
     @staticmethod
     def check(stack):
-        params = ParamVector(np.zeros(stack.shape[1]), (("out", (1, stack.shape[1])),))
+        params = ParamVector(np.zeros(stack.shape[1]), ((1, stack.shape[1]),))
         full = np.lexsort(stack.T[::-1])
         assert np.array_equal(federation._canonical_order(stack), full)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge sums
@@ -564,7 +564,7 @@ class TestNoisePathsEndToEnd:
         for kind in ("gcfl", "fedavg", "skyline"):
             result = run_training(cfg, Algo(kind), prepared)
             assert len(result.rounds) == 3
-            assert result.final_params.layout[-1][1][0] == 3
+            assert result.final_params.blocks()[1].shape[0] == 3
 
     def test_attribute_noise_runs_with_flags(self):
         cfg = tiny_cfg(noise=NoiseSpec("attribute", 0.5, severity=5.0), rounds=2)

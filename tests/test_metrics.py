@@ -15,18 +15,14 @@ from fedcoreset.metrics import (
     write_round_log,
     write_summary,
 )
-from fedcoreset.model import ARCHS, ModelConfig, _logits, _softmax, evaluate_accuracy, init_params
+from fedcoreset.model import ARCHS, ModelConfig, evaluate_accuracy, init_params
+from reference import reference_predictions
 from worldgen import blobs
 
 
 def zero_params(input_dim, num_classes):
     p = init_params(ModelConfig("softmax_regression"), input_dim, num_classes, seed=0)
     return p.with_values(np.zeros_like(p.values))
-
-
-def reference_predictions(params, x):
-    """Argmax of the sample-major softmax: the oracle for evaluate_accuracy."""
-    return np.argmax(_softmax(_logits(params, x)[0]), axis=1)
 
 
 def oracle_cases(arch, rng):
@@ -43,9 +39,10 @@ def oracle_cases(arch, rng):
         return base.with_values(np.full(base.values.size, value))
 
     def saturated(p):
-        if arch == "one_hidden":
-            p.block("hidden")[:, :-1] = 0.0
-            p.block("hidden")[:, -1] = 1e3
+        hidden = p.blocks()[0]
+        if hidden is not None:
+            hidden[:, :-1] = 0.0
+            hidden[:, -1] = 1e3
         return p
 
     cases = {
@@ -59,10 +56,10 @@ def oracle_cases(arch, rng):
         "plus_inf_class_1": saturated(drawn()),
         "minus_inf_class_0": saturated(drawn()),
     }
-    cases["nan_class_3"].last_layer()[3, 0] = np.nan
+    cases["nan_class_3"].blocks()[1][3, 0] = np.nan
     cases["nan_first_param"].values[0] = np.nan
-    cases["plus_inf_class_1"].last_layer()[:2, :-1] = [[-1e308], [1e308]]
-    cases["minus_inf_class_0"].last_layer()[0, :-1] = -1e308
+    cases["plus_inf_class_1"].blocks()[1][:2, :-1] = [[-1e308], [1e308]]
+    cases["minus_inf_class_0"].blocks()[1][0, :-1] = -1e308
     return cases
 
 
@@ -76,7 +73,7 @@ class TestAccuracy:
     def test_perfect_separation(self):
         ds = Dataset(np.eye(3), np.arange(3), 3)
         p = zero_params(3, 3)
-        p.last_layer()[:, :3] = 30.0 * np.eye(3)
+        p.blocks()[1][:, :3] = 30.0 * np.eye(3)
         assert evaluate_accuracy(p, ds) == 1.0
 
     def test_permutation_invariant(self):

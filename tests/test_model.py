@@ -13,8 +13,6 @@ from fedcoreset.model import (
     ModelConfig,
     ParamVector,
     PlanCache,
-    _logits,
-    _softmax,
     init_params,
     labelwise_validation_grads,
     last_layer_grad_stack,
@@ -23,6 +21,7 @@ from fedcoreset.model import (
     own_class_grads,
     sgd_epochs,
 )
+from reference import own_class_rows, class_mean_rows, reference_loss, reference_sgd
 from worldgen import blobs
 
 # (model, input_dim, num_classes), the leading arguments of init_params
@@ -39,63 +38,14 @@ def random_dataset(n, dim, num_classes, seed):
 
 def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarray:
     """Central finite differences of the mean loss w.r.t. last-layer params."""
-    off, length = params.last_layer_slice
-    grad = np.zeros(length)
-    for i in range(length):
+    grad = np.zeros(params.blocks()[1].shape)
+    for i in range(grad.size):
         plus = params.with_values(params.values.copy())
-        plus.values[off + i] += step
+        plus.blocks()[1].flat[i] += step
         minus = params.with_values(params.values.copy())
-        minus.values[off + i] -= step
-        grad[i] = (loss(plus, ds) - loss(minus, ds)) / (2 * step)
-    rows, cols = params.layout[-1][1]
-    return grad.reshape(rows, cols)
-
-
-def reference_loss(params: ParamVector, ds: Dataset) -> float:
-    """Mean cross-entropy from sample-major ``[n, classes]`` logits: the
-    oracle for the class-major ``loss``."""
-    z, _ = _logits(params, ds.features)
-    zmax = z.max(axis=1)
-    logsumexp = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    return float(np.mean(logsumexp - z[np.arange(ds.n), ds.labels]))
-
-
-def reference_grad(params: ParamVector, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy gradient of one batch, flattened to layout order."""
-    n = x.shape[0]
-    act = x
-    if params.layout[0][0] == "hidden":
-        w1 = params.block("hidden")
-        act = np.tanh(x @ w1[:, :-1].T + w1[:, -1])
-    out = params.last_layer()
-    z = act @ out[:, :-1].T + out[:, -1]
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    delta = e / e.sum(axis=1, keepdims=True)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    g_out = delta.T @ np.concatenate([act, np.ones((n, 1))], axis=1)
-    if params.layout[0][0] == "hidden":
-        d_z1 = (delta @ out[:, :-1]) * (1.0 - act * act)
-        g_hid = d_z1.T @ np.concatenate([x, np.ones((n, 1))], axis=1)
-        return np.concatenate([g_hid.ravel(), g_out.ravel()])
-    return g_out.ravel()
-
-
-def reference_sgd(params, ds, epochs, lr, batch_size, seed, mu=0.0) -> np.ndarray:
-    """One client's local SGD, batch by batch: the oracle for the
-    lock-step ``sgd_epochs``."""
-    rng = np.random.default_rng(seed)
-    theta = params.values.copy()
-    for _ in range(epochs):
-        order = rng.permutation(ds.n)
-        for start in range(0, ds.n, batch_size):
-            batch = order[start : start + batch_size]
-            grad = reference_grad(params.with_values(theta), ds.features[batch], ds.labels[batch])
-            if mu:
-                grad = grad + mu * (theta - params.values)
-            theta = theta - lr * grad
-    return theta
+        minus.blocks()[1].flat[i] -= step
+        grad.flat[i] = (loss(plus, ds) - loss(minus, ds)) / (2 * step)
+    return grad
 
 
 class TestInit:
@@ -107,19 +57,26 @@ class TestInit:
     def test_softmax_param_count(self):
         p = init_params(*SOFTMAX, seed=0)
         assert p.values.size == 10 * 11
-        assert p.last_layer_slice == (0, 110)
+        hidden, out = p.blocks()
+        assert hidden is None and out.shape == (10, 11)
+        assert np.shares_memory(out, p.values)
 
     def test_hidden_layout(self):
         p = init_params(*HIDDEN, seed=0)
         assert p.values.size == 7 * 11 + 10 * 8
-        assert p.last_layer_slice == (77, 80)
-        assert p.layout[-1][1] == (10, 7 + 1)  # penultimate width 7
+        hidden, out = p.blocks()
+        assert hidden.shape == (7, 11)
+        assert out.shape == (10, 7 + 1)  # penultimate width 7
+        # the hidden block first, then the output block, as views
+        hidden[...] = 1.0
+        out[...] = 2.0
+        assert np.array_equal(p.values, np.repeat([1.0, 2.0], [77, 80]))
 
     @pytest.mark.parametrize("spec", [SOFTMAX, HIDDEN])
     def test_biases_zero(self, spec):
         p = init_params(*spec, seed=1)
-        for name, _ in p.layout:
-            assert np.all(p.block(name)[:, -1] == 0.0)
+        for block in p.blocks():
+            assert block is None or np.all(block[:, -1] == 0.0)
 
     def test_bad_spec(self):
         with pytest.raises(ConfigurationError):
@@ -140,8 +97,7 @@ class TestLoss:
         ds = Dataset(np.eye(4), np.arange(4), 4)
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
         p = p.with_values(np.zeros_like(p.values))
-        ll = p.last_layer()
-        ll[:, :4] = 20.0 * np.eye(4)
+        p.blocks()[1][:, :4] = 20.0 * np.eye(4)
         assert loss(p, ds) < 1e-3
 
     def test_mean_of_per_sample_losses(self):
@@ -177,7 +133,9 @@ class TestSoftmax:
         ds = random_dataset(64, 10, 10, seed=5)
         p = init_params(*spec, seed=6)
         p.values[:] = rng.normal(scale=3.0, size=p.values.size)
-        probs = _softmax(_logits(p, ds.features)[0])
+        # the bias column of a sample's gradient rows is softmax - one-hot
+        probs = last_layer_grad_stack(p, ds)[:, :, -1]
+        probs[np.arange(ds.n), ds.labels] += 1.0
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0)
 
@@ -187,7 +145,7 @@ class TestLastLayerGrads:
         ds = Dataset(np.eye(4)[:1], np.array([0]), 4)
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
         p.values[:] = 0.0
-        p.last_layer()[:, :4] = 50.0 * np.eye(4)
+        p.blocks()[1][:, :4] = 50.0 * np.eye(4)
         g = last_layer_grad_stack(p, ds)[0]
         assert np.linalg.norm(g) < 1e-8
 
@@ -262,6 +220,25 @@ class TestLastLayerGrads:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * (dim + 1 + classes + 4), peak / (8 * n)
+
+
+class TestGradientRowBits:
+    """The gradient rows selection matches, against the test-side 2-D
+    forward pass bit for bit, at the benchmarks' shapes: chunks of about
+    100 to 6,700 rows, 10 classes, softmax regression on 10 features and
+    one hidden layer of 64 on 50."""
+
+    @pytest.mark.parametrize("arch, dim", [("softmax_regression", 10), ("one_hidden", 50)])
+    @pytest.mark.parametrize("n", [99, 716, 2048, 6724])
+    def test_rows_equal_the_oracle(self, arch, dim, n):
+        ds = random_dataset(n, dim, 10, seed=n)
+        p = init_params(ModelConfig(arch, hidden_dim=64), dim, 10, seed=n)
+        p.values[:] = np.random.default_rng(n).normal(scale=0.3, size=p.values.size)
+        assert np.array_equal(own_class_grads(p, ds), own_class_rows(p, ds))
+        got, want = labelwise_validation_grads(p, ds), class_mean_rows(p, ds)
+        assert got.keys() == want.keys()
+        for c in want:
+            assert np.array_equal(got[c], want[c])
 
 
 class TestLabelwiseGrads:
