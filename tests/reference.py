@@ -185,6 +185,7 @@ def reference_facility_greedy(feats: np.ndarray, budget: int) -> tuple[np.ndarra
 
 
 def reference_accuracy(params: ParamVector, test: Dataset) -> float:
+    """The fraction of ``test`` that :func:`reference_predictions` gets right."""
     return float(np.mean(reference_predictions(params, test.features) == test.labels))
 
 

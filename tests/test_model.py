@@ -21,7 +21,7 @@ from fedcoreset.model import (
     own_class_grads,
     sgd_epochs,
 )
-from reference import own_class_rows, class_mean_rows, reference_loss, reference_sgd
+from reference import class_mean_rows, own_class_rows, reference_loss, reference_sgd
 from worldgen import blobs
 
 # (model, input_dim, num_classes), the leading arguments of init_params
