@@ -35,7 +35,6 @@ from .config import (
 from .errors import ConfigurationError
 from .federation import compute_cost_ratio, prepare_experiment, run_training
 from .metrics import write_round_log, write_summary
-from .seeding import derive_seed
 
 # per-arm values of a summary.json that sweep.json records and compares
 POINT_METRICS = ("final_accuracy", "final_clean_fraction")
@@ -47,9 +46,7 @@ def run(cfg: ExperimentConfig) -> int:
 
     An arm whose parameters turn non-finite stops at that round, which its
     summary entry records as ``diverged_round``; the other arms still run,
-    and the run returns 1.  The seed memo is cleared first, so it holds
-    this run's keys alone."""
-    derive_seed.cache_clear()
+    and the run returns 1."""
     prepared = prepare_experiment(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

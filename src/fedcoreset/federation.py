@@ -21,13 +21,19 @@ to :func:`aggregate`, one client per row; only the global model is a
 Scheduling independence: every client draws from a private RNG stream
 keyed by (run seed, client id, round), and deltas are aggregated in a
 canonical order, so results do not depend on the order clients run in.
+Client c's stream in round t is ``default_rng(derive_seed(seed, "client",
+c, "round", t))``; :func:`run_training` computes the PCG64 seed words of
+all clients' streams for a block of rounds, about ``SEED_BLOCK`` streams,
+in one vectorized pass (:func:`~fedcoreset.seeding.client_seed_words`),
+and :func:`run_round` hands the trainees their rows, so no arm derives a
+key per client and round.
 A round's clients train in lock-step, one stacked SGD step for all the
-clients whose next batch is full (:func:`~fedcoreset.model.sgd_epochs`),
-and each client's arithmetic is unchanged bit for bit from training it
-alone.  Each client's training rows are gathered from its chunk straight
-into the row table of the round's lock-step plan.  :func:`run_training`
-keeps the plan from round to round in a :class:`~fedcoreset.model.PlanCache`,
-so the rows are copied again only when the round's trainees or one of
+clients whose next batch is full and one fused step for their partial
+last batches (:func:`~fedcoreset.model.sgd_epochs`), and each client's
+arithmetic is unchanged bit for bit from training it alone.  Each
+client's training rows are gathered from its chunk straight into the row
+table of the round's lock-step plan.  :func:`run_training` keeps the plan
+from round to round in a :class:`~fedcoreset.model.PlanCache`, so the rows are copied again only when the round's trainees or one of
 their row vectors change: on a gcfl refresh, and each round under partial
 participation.  A refresh drops the plan before the selection runs, and
 the arm drops it when its rounds end.
@@ -63,7 +69,7 @@ from .errors import ConfigurationError
 from .metrics import RoundMetrics, coreset_composition, dataset_fingerprint
 from .model import ParamVector, PlanCache, evaluate_accuracy, init_params
 from .model import labelwise_validation_grads, loss, sgd_epochs
-from .seeding import derive_seed, spawn_rng
+from .seeding import client_seed_words, derive_seed, seed_words, spawn_rng
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -88,6 +94,10 @@ ALGO_KINDS = ("gcfl", "fedavg", "fedprox", "skyline", "random", "facility_locati
 CORESET_KINDS = ("gcfl", "random", "facility_location")
 
 DEFAULT_FEDPROX_MU = 0.1
+
+# client streams seeded per vectorized pass (run_training): enough for the
+# pass to pay, few enough that its arrays stay small
+SEED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -176,7 +186,7 @@ def client_update(
     train_indices: Sequence[np.ndarray],
     cfg: "ExperimentConfig",
     *,
-    seeds: Sequence[int],
+    seeds: np.ndarray,
     mu: float = 0.0,
     cache: PlanCache | None = None,
 ) -> np.ndarray:
@@ -184,7 +194,9 @@ def client_update(
     theta_t on the indexed subset of its chunk at rate cfg.local_lr, with a
     FedProx pull of strength mu toward theta_t; returns the deltas
     theta' - theta_t as the rows of one ``[clients, P]`` array, in the order
-    of ``chunks``.  The clients train in lock-step (:func:`sgd_epochs`),
+    of ``chunks``.  ``seeds`` holds each client's PCG64 seed words, one
+    ``[4]`` uint64 row per chunk (see :mod:`~fedcoreset.seeding`).
+    The clients train in lock-step (:func:`sgd_epochs`),
     each bit for bit as if alone, on non-empty index vectors; the indexed
     rows are gathered straight into the row table of its plan, which
     ``cache``, when given, keeps for the next call on the same rows."""
@@ -267,10 +279,15 @@ def run_round(
     cfg: "ExperimentConfig",
     round_index: int,
     ledger: CostLedger,
+    client_words: np.ndarray,
     cache: PlanCache | None = None,
 ) -> tuple[ParamVector, RoundMetrics]:
     """Execute one communication round from the global parameters and
     return the new parameters plus that round's metrics.
+
+    ``client_words`` holds the PCG64 seed words of every client's SGD
+    stream in this round, ``client_seed_words(cfg.seed, num_clients,
+    range(round_index, round_index + 1))[0]``; the trainees draw theirs.
 
     ``train_rows`` holds, for each chunk of ``prepared``, the int64 indices
     of the rows that client trains on; a gcfl refresh round replaces the
@@ -315,7 +332,7 @@ def run_round(
         params,
         [train_rows[cid] for cid in trainees],
         cfg,
-        seeds=[derive_seed(cfg.seed, "client", int(cid), "round", round_index) for cid in trainees],
+        seeds=client_words[trainees],
         mu=algo.mu if algo.kind == "fedprox" else 0.0,
         cache=cache,
     )
@@ -414,7 +431,9 @@ def run_training(
     fine-tune: a diverged model's accuracy is not a result.  The rounds
     share one :class:`~fedcoreset.model.PlanCache`, so local SGD copies its
     training rows only in rounds where they change; it is emptied when the
-    rounds end."""
+    rounds end.  The clients' seed words are computed a block of rounds at
+    a time, ``max(1, SEED_BLOCK // num_clients)`` rounds of every client,
+    so their memory does not grow with the rounds."""
     if prepared is None:
         prepared = prepare_experiment(cfg)
 
@@ -430,9 +449,16 @@ def run_training(
 
     series: list[RoundMetrics] = []
     diverged_round = None
+    n_clients = len(prepared.chunks)
+    block = max(1, SEED_BLOCK // n_clients)
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a blow-up
         for t in range(cfg.rounds):
-            params, rm = run_round(params, prepared, train_rows, algo, cfg, t, ledger, cache=cache)
+            if t % block == 0:
+                rounds = range(t, min(t + block, cfg.rounds))
+                words = client_seed_words(cfg.seed, n_clients, rounds)
+            params, rm = run_round(
+                params, prepared, train_rows, algo, cfg, t, ledger, words[t % block], cache=cache
+            )
             series.append(rm)
             if not np.isfinite(params.values).all():
                 diverged_round = t
@@ -459,7 +485,7 @@ def run_training(
             epochs=cfg.fine_tune_epochs,
             lr=cfg.local_lr,
             batch_size=cfg.batch_size,
-            seeds=[derive_seed(cfg.seed, "finetune")],
+            seeds=seed_words([derive_seed(cfg.seed, "finetune")]),
         )
         result.fine_tuned_accuracy = evaluate_accuracy(params.with_values(tuned), prepared.test)
     return result

@@ -28,11 +28,15 @@ a bias column of ones, and the batch schedule.  Each stacked step gathers
 its batches with one ``take`` of table rows and one of labels, and the
 step's softmax and update run in place.  A caller that trains on the same
 rows again keeps the plan in a :class:`PlanCache`, so the rows are copied
-again only when they change.  Partial
-last batches are stepped alone, never zero-padded into a stacked step,
-whose BLAS remainder path would change their bits.  The trained models come
-back as the rows of one ``[runs, P]`` array, not as one
-:class:`ParamVector` each: a round's callers only add and average them.
+again only when they change.  The runs' partial last batches, of unequal
+sizes, share one fused step per epoch (:func:`_tail_step`): each run keeps
+its lone step's matmuls, and the elementwise work runs once over all their
+rows.  They are never zero-padded into a stacked step, whose BLAS
+remainder path would change their bits.  Each run's generator is built
+from its precomputed PCG64 seed words (:func:`~fedcoreset.seeding.words_rngs`).
+The trained models come back as the rows of one ``[runs, P]`` array, not
+as one :class:`ParamVector` each: a round's callers only add and average
+them.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError
+from .seeding import words_rngs
 
 __all__ = [
     "ARCHS",
@@ -159,12 +164,18 @@ def _forward(
         np.tanh(act, out=act)
     z = act @ w_out[:, :, :-1].transpose(0, 2, 1)
     z += w_out[:, None, :, -1]
+    _softmax(z)
+    return act, z
+
+
+def _softmax(z: np.ndarray) -> None:
+    """The softmax over the last axis of the sample-major logits ``z``, in
+    place."""
     # each sample's largest logit, reduced over a class-major copy: a max is
     # exact in any order, and a short last axis reduces slowly
-    z -= np.ascontiguousarray(z.transpose(2, 0, 1)).max(axis=0)[:, :, None]
+    z -= np.ascontiguousarray(z.transpose(-1, *range(z.ndim - 1))).max(axis=0)[..., None]
     np.exp(z, out=z)
-    z /= z.sum(axis=2, keepdims=True)
-    return act, z
+    z /= z.sum(axis=-1, keepdims=True)
 
 
 def _class_logits(params: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -320,12 +331,101 @@ def _sgd_step(
     _descend(w1, anchor[0], g_hid, lr, mu)
 
 
+def _tail_step(
+    w1: np.ndarray | None,
+    w_out: np.ndarray,
+    runs: np.ndarray,
+    anchor: tuple[np.ndarray | None, np.ndarray],
+    x1: np.ndarray,
+    y: np.ndarray,
+    sizes: np.ndarray,
+    hot: np.ndarray,
+    lr: float,
+    mu: float,
+) -> None:
+    """One SGD step for each of the stacked models ``runs`` on batches of
+    unequal sizes, in place: model ``runs[i]`` (its blocks ``w1[runs[i]]``
+    and ``w_out[runs[i]]``) steps on the next ``sizes[i]`` rows of ``x1``
+    (``[sum sizes, d + 1]``, last column 1) and of ``y``; ``hot`` is
+    :func:`_sgd_step`'s.
+
+    Each model's products are those of its lone :func:`_sgd_step`: 2-D
+    matmuls of the same shapes, strides and transposes, written into the
+    model's rows of one buffer.  The elementwise work (bias add, softmax,
+    one-hot, the mean's division, the update) runs once over all models'
+    rows; its bits depend on neither the array's length nor its other rows,
+    so each model comes out bit for bit as from its lone step.  Zero-padding
+    the batches to one size for a stacked step instead would change the
+    bits of the padded products.  The update copies the models' blocks out
+    and back one layer at a time, so the step holds about what a stacked
+    step of as many models holds, and no copy of their parameters.
+    """
+    ends = np.cumsum(sizes).tolist()
+    spans = [(run, slice(end - n, end)) for run, end, n in zip(runs.tolist(), ends, sizes.tolist())]
+    owner = np.repeat(runs, sizes)  # each row's model
+
+    def rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Each model's rows of ``a`` times its matrix of ``w``."""
+        out = np.empty((len(a), w.shape[2]))
+        for run, span in spans:
+            np.matmul(a[span], w[run], out=out[span])
+        return out
+
+    def grads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``a[rows].T @ b[rows]`` over each model's rows, ``[len(runs), ., .]``."""
+        out = np.empty((len(spans), a.shape[1], b.shape[1]))
+        for i, (_, span) in enumerate(spans):
+            np.matmul(a[span].T, b[span], out=out[i])
+        return out
+
+    def descend(block: np.ndarray, start: np.ndarray, grad: np.ndarray) -> None:
+        """:func:`_descend` on the models' rows of ``block``, which the
+        fancy index copies out and writes back."""
+        if mu:
+            pull = block[runs]
+            pull -= start
+            pull *= mu
+            grad += pull
+            del pull
+        grad *= lr
+        block[runs] -= grad
+
+    act = x1[:, :-1]
+    if w1 is not None:
+        act = rows(act, w1[:, :, :-1].transpose(0, 2, 1))
+        act += w1[owner, :, -1]
+        np.tanh(act, out=act)
+    delta = rows(act, w_out[:, :, :-1].transpose(0, 2, 1))
+    delta += w_out[owner, :, -1]
+    _softmax(delta)
+    delta.reshape(-1)[hot.reshape(-1)[: len(y)] + y] -= 1.0
+    delta /= sizes.repeat(sizes)[:, None]
+    if w1 is None:
+        descend(w_out, anchor[1], grads(delta, x1))
+        return
+
+    # the order of _sgd_step's hidden-layer backward pass
+    g_out = grads(delta, np.concatenate([act, np.ones((len(y), 1))], axis=1))
+    d_z1 = rows(delta, w_out[:, :, :-1])
+    del delta
+    descend(w_out, anchor[1], g_out)
+    del g_out
+    act *= act
+    np.subtract(1.0, act, out=act)
+    d_z1 *= act
+    del act
+    g_hid = grads(d_z1, x1)
+    del d_z1
+    descend(w1, anchor[0], g_hid)
+
+
 @dataclass(eq=False)
 class LockStepPlan:
     """What lock-step SGD needs of its runs that no step changes, built by
-    :func:`lockstep_plan`: the stack order and batch schedule, and every
-    run's training rows in one row table with a bias column of ones, beside
-    one label vector.  Stacked run i is run ``stack[i]`` of the plan's
+    :func:`lockstep_plan`: the stack order and batch schedule, with the
+    places of the partial last batches' rows that the tail step gathers,
+    and every run's training rows in one row table with a bias column of
+    ones, beside one label vector.  Stacked run i is run ``stack[i]`` of the plan's
     datasets; its rows are ``table[starts[i] : starts[i] + sizes[i]]``."""
 
     batch_size: int
@@ -334,6 +434,9 @@ class LockStepPlan:
     full: np.ndarray  # and its full batches
     starts: np.ndarray  # and its first row in the table
     live: np.ndarray  # step k of an epoch steps the first live[k] stacked runs
+    tail: np.ndarray  # the stacked runs with a partial last batch
+    tail_sizes: np.ndarray  # and its partial batch's rows
+    tail_rows: np.ndarray  # those rows' places in the flat [runs, largest n] order matrix
     table: np.ndarray  # [sum n, d + 1], last column 1
     labels: np.ndarray  # [sum n]
 
@@ -356,6 +459,10 @@ def lockstep_plan(
     full = sizes // batch_size
     live = np.searchsorted(-full, -np.arange(full[0]))
     starts = np.cumsum(sizes) - sizes
+    rest = sizes - full * batch_size
+    tail = np.flatnonzero(rest)
+    cols = np.arange(sizes.max())
+    tail_rows = np.flatnonzero((cols >= (full * batch_size)[:, None]) & (cols < sizes[:, None]))
 
     table = np.empty((sizes.sum(), datasets[0].dim + 1))
     table[:, -1] = 1.0
@@ -363,7 +470,9 @@ def lockstep_plan(
     for i, start, n in zip(stack, starts, sizes):
         table[start : start + n, :-1] = datasets[i].features.take(indices[i], axis=0)
         labels[start : start + n] = datasets[i].labels.take(indices[i])
-    return LockStepPlan(batch_size, stack, sizes, full, starts, live, table, labels)
+    return LockStepPlan(
+        batch_size, stack, sizes, full, starts, live, tail, rest[tail], tail_rows, table, labels
+    )
 
 
 class PlanCache:
@@ -404,7 +513,7 @@ def sgd_epochs(
     epochs: int,
     lr: float,
     batch_size: int,
-    seeds: Sequence[int],
+    seeds: np.ndarray,
     mu: float = 0.0,
     indices: Sequence[np.ndarray] | None = None,
     cache: PlanCache | None = None,
@@ -416,17 +525,22 @@ def sgd_epochs(
     ``params.values``, and no datasets give a ``(0, P)`` array.
 
     Run i trains on the rows ``indices[i]`` of ``datasets[i]`` (all its
-    rows, in order, when ``indices`` is None), shuffling them with the generator of
-    ``seeds[i]`` each epoch and stepping on its batches in that order.
+    rows, in order, when ``indices`` is None), shuffling them each epoch
+    with the generator whose PCG64 seed words are ``seeds[i]`` and stepping
+    on its batches in that order; ``seeds`` is a ``[runs, 4]`` uint64 array
+    (:func:`~fedcoreset.seeding.seed_words` turns an int seed, and
+    :func:`~fedcoreset.seeding.client_seed_words` a client's round, into
+    its row), so run i shuffles as ``np.random.default_rng`` would on the
+    seed its words come from.
     The runs advance in lock-step: step k of every run whose k-th batch of
-    the epoch is full is one stacked step (see :func:`_sgd_step`), and each
-    run's partial last batch, if any, is a step of that run alone, never
-    padded into a stacked one (BLAS takes a different path for the
-    remainder rows of a padded batch, which changes the forward bits).  A
-    run's arithmetic does not depend on the others, so it is bit for bit
-    the run on its rows alone.  Runs are stacked in order of their
-    full-batch counts, largest first, so the runs taking step k are a
-    prefix of the stack.
+    the epoch is full is one stacked step (see :func:`_sgd_step`), and the
+    runs' partial last batches, of unequal sizes, are one fused step after
+    them (:func:`_tail_step`), never padded into a stacked one (BLAS takes a
+    different path for the remainder rows of a padded batch, which changes
+    the forward bits).  A run's arithmetic does not depend on the others,
+    so it is bit for bit the run on its rows alone.  Runs are stacked in
+    order of their full-batch counts, largest first, so the runs taking
+    step k are a prefix of the stack.
 
     A call builds its :class:`LockStepPlan` (:func:`lockstep_plan`), which
     copies all runs' rows into one ``[sum n, d + 1]`` row table whose bias
@@ -438,14 +552,16 @@ def sgd_epochs(
     order matrix are the call's own, so a kept plan holds only its rows.
     Each epoch writes every run's permutation, shifted by the
     run's offset in the table, into one ``[runs, largest n]`` order matrix,
-    so a step's batch is one gather of table rows and one of labels.
+    so a step's batch is one gather of table rows and one of labels (the
+    tail step reads its rows' places off the matrix with one more).
 
     With ``mu > 0`` the objective gains the FedProx term
     mu/2 * ||theta - params||^2, a pull toward the parameters SGD started
     from.  Deterministic given (params, datasets, indices, seeds,
     hyperparameters), which are values ``ExperimentConfig`` has checked:
     epochs >= 0, lr > 0, batch_size >= 1.  The datasets share one feature
-    dimension, and each has a seed and at least one row to train on.
+    dimension, and each has a row of seed words and at least one row to
+    train on.
     Neither ``params`` nor the datasets are modified.
     """
     if epochs == 0 or not datasets:
@@ -455,27 +571,27 @@ def sgd_epochs(
     else:
         plan = cache.get(datasets, batch_size, indices)
     sizes, starts = plan.sizes, plan.starts
-    rngs = [np.random.default_rng(seeds[i]) for i in plan.stack]
+    rngs = words_rngs(np.asarray(seeds)[plan.stack])
 
     m, width = len(sizes), min(batch_size, sizes.max())
     theta = np.tile(params.values, (m, 1))
     w1, w_out = _blocks(theta, params.layout)
     anchor = params.blocks()
     order = np.empty((m, sizes.max()), dtype=np.int64)
-    # stacked batches are full and a partial one is a lone run's, so every
-    # step's hot[:c, :b] is (i * b + j) * classes
+    # stacked batches are full, so every stacked step's hot[:c, :b] is
+    # (i * b + j) * classes; the tail step's rows, fewer than b a run, are
+    # no more than hot's entries, and it reads hot flat
     hot = np.arange(m * width).reshape(m, width) * w_out.shape[1]
-
-    def step(runs: slice, rows: np.ndarray) -> None:
-        x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
-        _sgd_step(None if w1 is None else w1[runs], w_out[runs], anchor, x1, y, hot, lr, mu)
 
     for _ in range(epochs):
         for i, (rng, start, n) in enumerate(zip(rngs, starts, sizes)):
             np.add(rng.permutation(n), start, out=order[i, :n])
         for k, c in enumerate(plan.live):
-            step(slice(c), order[:c, k * batch_size : (k + 1) * batch_size])
-        for i, (n, k) in enumerate(zip(sizes, plan.full)):
-            if k * batch_size < n:
-                step(slice(i, i + 1), order[i : i + 1, k * batch_size : n])
+            rows = order[:c, k * batch_size : (k + 1) * batch_size]
+            x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
+            _sgd_step(None if w1 is None else w1[:c], w_out[:c], anchor, x1, y, hot, lr, mu)
+        if plan.tail.size:
+            rows = order.take(plan.tail_rows)
+            x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
+            _tail_step(w1, w_out, plan.tail, anchor, x1, y, plan.tail_sizes, hot, lr, mu)
     return theta[np.argsort(plan.stack)]

@@ -31,7 +31,7 @@ from fedcoreset.model import (
     loss,
     sgd_epochs,
 )
-from fedcoreset.seeding import derive_seed
+from fedcoreset.seeding import derive_seed, seed_words
 from worldgen import balanced_world, blobs
 
 ACCURACY_MARGIN = 0.05  # gcfl over fedavg, mean of 5 seeds
@@ -324,7 +324,7 @@ class TestCriterion7ProtocolSuite:
         for t in range(cfg.rounds):
             (values,) = sgd_epochs(
                 theta, [ds], epochs=1, lr=0.1, batch_size=10_000,
-                seeds=[derive_seed(cfg.seed, "client", 0, "round", t)],
+                seeds=seed_words([derive_seed(cfg.seed, "client", 0, "round", t)]),
             )
             theta = theta.with_values(values)
         gap = float(np.abs(fed.final_params.values - theta.values).max())

@@ -36,7 +36,7 @@ from fedcoreset.model import (
     loss,
     sgd_epochs,
 )
-from fedcoreset.seeding import derive_seed, spawn_rng
+from fedcoreset.seeding import client_seed_words, derive_seed, seed_words, spawn_rng
 from worldgen import balanced_world, blobs, sized_world
 
 
@@ -86,7 +86,7 @@ class TestClientUpdate:
         chunk = self.make_chunk()
         cfg = tiny_cfg(local_epochs=0, batch_size=8)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=1)
-        (delta,) = client_update([chunk], theta, [np.arange(chunk.n)], cfg, seeds=[0])
+        (delta,) = client_update([chunk], theta, [np.arange(chunk.n)], cfg, seeds=seed_words([0]))
         assert np.all(delta == 0.0)
 
     def test_single_full_batch_step_identity(self):
@@ -94,7 +94,7 @@ class TestClientUpdate:
         cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=2)
         idx = np.arange(chunk.n)
-        (delta,) = client_update([chunk], theta, [idx], cfg, seeds=[0])
+        (delta,) = client_update([chunk], theta, [idx], cfg, seeds=seed_words([0]))
         grad = last_layer_grad_stack(theta, chunk.dataset).mean(axis=0).ravel()
         assert np.allclose(delta, -0.05 * grad, atol=1e-12)
 
@@ -103,8 +103,8 @@ class TestClientUpdate:
         cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=3)
         idx = np.arange(chunk.n)
-        (plain,) = client_update([chunk], theta, [idx], cfg, seeds=[0])
-        (proxed,) = client_update([chunk], theta, [idx], cfg, seeds=[0], mu=5.0)
+        (plain,) = client_update([chunk], theta, [idx], cfg, seeds=seed_words([0]))
+        (proxed,) = client_update([chunk], theta, [idx], cfg, seeds=seed_words([0]), mu=5.0)
         # one step from the anchor itself: prox gradient mu*(theta-anchor)=0
         assert np.allclose(plain, proxed, atol=1e-12)
 
@@ -113,7 +113,8 @@ class TestClientUpdate:
         lr, mu = 0.05, 2.0
         cfg = tiny_cfg(local_epochs=2, local_lr=lr, batch_size=chunk.n)
         theta0 = init_params(ModelConfig("softmax_regression"), 5, 4, seed=6)
-        (delta,) = client_update([chunk], theta0, [np.arange(chunk.n)], cfg, seeds=[0], mu=mu)
+        rows = [np.arange(chunk.n)]
+        (delta,) = client_update([chunk], theta0, rows, cfg, seeds=seed_words([0]), mu=mu)
 
         def grad(values):
             params = theta0.with_values(values)
@@ -281,7 +282,8 @@ class TestRunRound:
             built.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(ParamVector, "__post_init__", counting)
-                federation.run_round(params, prepared, train_rows, Algo(kind), cfg, 0, CostLedger())
+                federation.run_round(params, prepared, train_rows, Algo(kind), cfg, 0, CostLedger(),
+                                     client_seed_words(cfg.seed, cfg.num_clients, range(1))[0])
             counts[m] = len(built)
         assert counts[2] == counts[8]
 
@@ -292,7 +294,8 @@ class TestRunRound:
             federation._round0_rows(algo, c, federation._client_budget(c, cfg.budget_fraction), 0)
             for c in prepared.chunks
         ]
-        return federation.run_round(params, prepared, train_rows, algo, cfg, 0, CostLedger())
+        words = client_seed_words(cfg.seed, len(prepared.chunks), range(1))[0]
+        return federation.run_round(params, prepared, train_rows, algo, cfg, 0, CostLedger(), words)
 
     @pytest.mark.parametrize("kind", federation.ALGO_KINDS)
     def test_round_leaves_its_input_params_bit_equal(self, kind):
@@ -372,7 +375,7 @@ class TestSingleClientEquivalence:
         for t in range(cfg.rounds):
             (values,) = sgd_epochs(
                 theta, [ds], epochs=1, lr=0.1, batch_size=10_000,
-                seeds=[derive_seed(cfg.seed, "client", 0, "round", t)],
+                seeds=seed_words([derive_seed(cfg.seed, "client", 0, "round", t)]),
             )
             theta = theta.with_values(values)
         assert np.abs(fed.final_params.values - theta.values).max() <= 1e-12
@@ -430,6 +433,24 @@ class TestRunTraining:
             result = run_training(cfg, Algo(kind))
             assert len(result.rounds) == 2
 
+
+    @pytest.mark.parametrize("num_clients, rounds", [(4, 3), (300, 8), (1100, 2)])
+    def test_client_seed_words_come_in_bounded_blocks(self, num_clients, rounds, monkeypatch):
+        # every round's words once, in order, and no block holds more than
+        # SEED_BLOCK streams unless one round's clients alone are more
+        spans = []
+        real = federation.client_seed_words
+
+        def spy(master, clients, span):
+            assert clients * len(span) <= max(federation.SEED_BLOCK, clients)
+            spans.append(span)
+            return real(master, clients, span)
+
+        monkeypatch.setattr(federation, "client_seed_words", spy)
+        cfg = tiny_cfg(num_clients=num_clients, rounds=rounds, local_epochs=0)
+        run_training(cfg, Algo("fedavg"))
+        assert [t for span in spans for t in span] == list(range(rounds))
+        assert len(spans) == -(-rounds // max(1, federation.SEED_BLOCK // num_clients))
 
     def test_non_finite_parameters_stop_the_arm(self):
         cfg = tiny_cfg(local_lr=1e300, global_lr=1e10, rounds=5, fine_tune_epochs=1)
@@ -611,14 +632,16 @@ class TestFineTune:
     def test_zero_epochs_identity(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
-        (out,) = sgd_epochs(p, [prepared.val], epochs=0, lr=0.1, batch_size=32, seeds=[0])
+        (out,) = sgd_epochs(p, [prepared.val], epochs=0, lr=0.1, batch_size=32,
+                            seeds=seed_words([0]))
         assert np.array_equal(out, p.values)
 
     def test_loss_non_increasing_on_val(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=1)
         before = loss(p, prepared.val)
-        (tuned,) = sgd_epochs(p, [prepared.val], epochs=50, lr=0.05, batch_size=32, seeds=[2])
+        (tuned,) = sgd_epochs(p, [prepared.val], epochs=50, lr=0.05, batch_size=32,
+                              seeds=seed_words([2]))
         assert loss(p.with_values(tuned), prepared.val) <= before
 
 
@@ -816,8 +839,9 @@ class TestProtocolProperties:
         def cost_ratio(ledger, fedavg):
             assert fedavg.sgd_sample_visits > 0
 
-        def counted(params, prepared, train_rows, algo, cfg, t, ledger, cache=None):
+        def counted(params, prepared, train_rows, algo, cfg, t, ledger, client_words, cache=None):
             chunks = prepared.chunks
+            assert client_words.shape == (len(chunks), 4)
             m = cfg.clients_per_round or len(chunks)
             sampled = spawn_rng(cfg.seed, "sample", t).choice(len(chunks), size=m, replace=False)
             reached["sampled empty chunk"] += any(chunks[cid].n == 0 for cid in sampled)

@@ -21,6 +21,7 @@ from fedcoreset.model import (
     own_class_grads,
     sgd_epochs,
 )
+from fedcoreset.seeding import seed_words
 from reference import class_mean_rows, own_class_rows, reference_loss, reference_sgd
 from worldgen import blobs
 
@@ -273,7 +274,7 @@ class TestSgd:
     def test_zero_epochs_identity(self):
         ds = random_dataset(10, 10, 10, seed=20)
         p = init_params(*SOFTMAX, seed=21)
-        (out,) = sgd_epochs(p, [ds], epochs=0, lr=0.1, batch_size=4, seeds=[0])
+        (out,) = sgd_epochs(p, [ds], epochs=0, lr=0.1, batch_size=4, seeds=seed_words([0]))
         assert np.array_equal(out, p.values)
 
     def test_single_full_batch_step_matches_gradient(self):
@@ -281,7 +282,7 @@ class TestSgd:
         # full-batch step must equal theta - lr * mean last-layer gradient
         ds = random_dataset(20, 10, 10, seed=22)
         p = init_params(*SOFTMAX, seed=23)
-        (out,) = sgd_epochs(p, [ds], epochs=1, lr=0.05, batch_size=ds.n, seeds=[0])
+        (out,) = sgd_epochs(p, [ds], epochs=1, lr=0.05, batch_size=ds.n, seeds=seed_words([0]))
         expect = p.values - 0.05 * last_layer_grad_stack(p, ds).mean(axis=0).ravel()
         assert np.allclose(out, expect, atol=1e-12)
 
@@ -289,15 +290,15 @@ class TestSgd:
         ds = blobs(3, 4, [0.5, 0.5, 0.5], 30, seed=24)
         p = init_params(ModelConfig("softmax_regression"), 4, 3, seed=25)
         before = loss(p, ds)
-        (out,) = sgd_epochs(p, [ds], epochs=200, lr=0.1, batch_size=32, seeds=[1])
+        (out,) = sgd_epochs(p, [ds], epochs=200, lr=0.1, batch_size=32, seeds=seed_words([1]))
         after = loss(p.with_values(out), ds)
         assert after < 0.5 * before
 
     def test_deterministic(self):
         ds = random_dataset(25, 10, 10, seed=26)
         p = init_params(*HIDDEN, seed=27)
-        (a,) = sgd_epochs(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=[5])
-        (b,) = sgd_epochs(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=[5])
+        (a,) = sgd_epochs(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=seed_words([5]))
+        (b,) = sgd_epochs(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=seed_words([5]))
         assert np.array_equal(a, b)
 
     def test_prox_pulls_toward_anchor(self):
@@ -305,15 +306,16 @@ class TestSgd:
         ds = random_dataset(30, 10, 10, seed=28)
         p = init_params(*SOFTMAX, seed=29)
         start = p.values.copy()
-        (plain,) = sgd_epochs(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=[6])
-        (proxed,) = sgd_epochs(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=[6], mu=2.0)
+        (plain,) = sgd_epochs(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=seed_words([6]))
+        (proxed,) = sgd_epochs(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=seed_words([6]),
+                               mu=2.0)
         assert np.array_equal(p.values, start)
         assert np.linalg.norm(proxed - start) < np.linalg.norm(plain - start)
 
     def test_one_hidden_trains(self):
         ds = blobs(3, 4, [0.5] * 3, 30, seed=32)
         p = init_params(ModelConfig("one_hidden", hidden_dim=8), 4, 3, seed=33)
-        (out,) = sgd_epochs(p, [ds], epochs=100, lr=0.2, batch_size=16, seeds=[7])
+        (out,) = sgd_epochs(p, [ds], epochs=100, lr=0.2, batch_size=16, seeds=seed_words([7]))
         assert loss(p.with_values(out), ds) < 0.5 * loss(p, ds)
 
 
@@ -352,7 +354,7 @@ class TestLockstepSgd:
                     for n, s in zip(case["sizes"], rng.integers(0, 2**32, len(case["sizes"])))]
         seeds = [int(s) for s in rng.integers(0, 2**63, len(datasets))]
         knobs = dict(epochs=case["epochs"], lr=0.1, batch_size=case["batch"], mu=case["mu"])
-        trained = sgd_epochs(p, datasets, seeds=seeds, **knobs)
+        trained = sgd_epochs(p, datasets, seeds=seed_words(seeds), **knobs)
         assert len(trained) == len(datasets)
         for ds, seed, theta in zip(datasets, seeds, trained):
             assert np.array_equal(theta, reference_sgd(p, ds, seed=seed, **knobs))
@@ -369,8 +371,25 @@ class TestLockstepSgd:
         datasets = [random_dataset(n, dim, 10, seed=i) for i, n in enumerate(sizes)]
         seeds = [1000 + i for i in range(len(sizes))]
         knobs = dict(epochs=2, lr=0.3, batch_size=32, mu=mu)
-        trained = sgd_epochs(p, datasets, seeds=seeds, **knobs)
+        trained = sgd_epochs(p, datasets, seeds=seed_words(seeds), **knobs)
         for ds, seed, theta in zip(datasets, seeds, trained):
+            assert np.array_equal(theta, reference_sgd(p, ds, seed=seed, **knobs))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("batch", [6, 32])
+    def test_fused_tail_step_equals_lone_runs(self, arch, batch):
+        # one run per residue mod the batch size, 0, 1, b - 1 and all
+        # between, with 0 to 2 full batches besides: each epoch's one tail
+        # step fuses partial batches of every size
+        sizes = [r + (r % 3) * batch for r in range(1, batch)] + [batch, 2 * batch]
+        p = init_params(ModelConfig(arch, hidden_dim=64), 10, 10, seed=batch)
+        datasets = [random_dataset(n, 10, 10, seed=i) for i, n in enumerate(sizes)]
+        seeds = [50 + i for i in range(len(sizes))]
+        knobs = dict(epochs=2, lr=0.3, batch_size=batch, mu=0.5)
+        trained = sgd_epochs(p, datasets, seeds=seed_words(seeds), **knobs)
+        for ds, seed, theta in zip(datasets, seeds, trained):
+            (alone,) = sgd_epochs(p, [ds], seeds=seed_words([seed]), **knobs)
+            assert np.array_equal(theta, alone)
             assert np.array_equal(theta, reference_sgd(p, ds, seed=seed, **knobs))
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -378,7 +397,8 @@ class TestLockstepSgd:
         p = init_params(ModelConfig(arch, hidden_dim=5), 4, 3, seed=1)
         datasets = [random_dataset(n, 4, 3, seed=n) for n in (9, 1, 16, 5)]
         before = p.values.tobytes(), [(ds.features.tobytes(), ds.labels.tobytes()) for ds in datasets]
-        sgd_epochs(p, datasets, epochs=2, lr=0.3, batch_size=4, seeds=[1, 2, 3, 4], mu=0.5)
+        sgd_epochs(p, datasets, epochs=2, lr=0.3, batch_size=4, seeds=seed_words([1, 2, 3, 4]),
+                   mu=0.5)
         after = p.values.tobytes(), [(ds.features.tobytes(), ds.labels.tobytes()) for ds in datasets]
         assert after == before
 
@@ -387,7 +407,7 @@ class TestLockstepSgd:
         rng = np.random.default_rng(0)
         indices = [rng.permutation(ds.n)[: ds.n // 2 + 1] for ds in datasets]
         p = init_params(ModelConfig("one_hidden", hidden_dim=5), 4, 3, seed=2)
-        knobs = dict(epochs=2, lr=0.3, batch_size=4, seeds=[1, 2, 3], mu=0.1)
+        knobs = dict(epochs=2, lr=0.3, batch_size=4, seeds=seed_words([1, 2, 3]), mu=0.1)
         got = sgd_epochs(p, datasets, indices=indices, **knobs)
         want = sgd_epochs(p, [ds.subset(idx) for ds, idx in zip(datasets, indices)], **knobs)
         assert np.array_equal(got, want)
@@ -401,14 +421,14 @@ class TestLockstepSgd:
         datasets = [random_dataset(n, 4, 3, seed=n) for n in (3, 17, 9, 26)]
         seeds = [4, 5, 6, 7]
         knobs = dict(epochs=epochs, lr=0.3, batch_size=4)
-        got = sgd_epochs(p, datasets, seeds=seeds, **knobs)
+        got = sgd_epochs(p, datasets, seeds=seed_words(seeds), **knobs)
         assert type(got) is np.ndarray and got.dtype == np.float64
         assert got.shape == (4, p.values.size) and got.flags.c_contiguous
         for row, ds, seed in zip(got, datasets, seeds):
-            (alone,) = sgd_epochs(p, [ds], seeds=[seed], **knobs)
+            (alone,) = sgd_epochs(p, [ds], seeds=seed_words([seed]), **knobs)
             assert np.array_equal(row, alone)
             assert np.array_equal(row, reference_sgd(p, ds, seed=seed, **knobs))
-        empty = sgd_epochs(p, [], seeds=[], **knobs)
+        empty = sgd_epochs(p, [], seeds=seed_words([]), **knobs)
         assert type(empty) is np.ndarray and empty.dtype == np.float64
         assert empty.shape == (0, p.values.size) and empty.flags.c_contiguous
 
@@ -420,8 +440,8 @@ class TestPlanCache:
         self.knobs = dict(epochs=2, lr=0.3, batch_size=4, mu=0.1)
 
     def train(self, indices, seeds, cache=None, datasets=None):
-        return sgd_epochs(self.params, datasets or self.datasets, seeds=seeds, indices=indices,
-                          cache=cache, **self.knobs)
+        return sgd_epochs(self.params, datasets or self.datasets, seeds=seed_words(seeds),
+                          indices=indices, cache=cache, **self.knobs)
 
     def test_kept_plan_serves_calls_on_the_same_rows(self):
         cache = PlanCache()

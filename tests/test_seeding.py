@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedcoreset.seeding import derive_seed, spawn_rng
+from fedcoreset.seeding import client_seed_words, derive_seed, seed_words, spawn_rng, words_rngs
 
 
 def test_same_tags_same_stream():
@@ -29,38 +32,56 @@ def test_derive_seed_stable():
 
 def test_numpy_and_python_int_tags_keep_their_own_seeds():
     # repr tells the two apart, so they name different substreams, though
-    # they compare and hash equal: the memo must not hand one the other's
+    # they compare and hash equal
     python_int, numpy_int = 17226571596288210046, 12761920981498353551
-    derive_seed.cache_clear()
     assert derive_seed(0, "client", 3) == python_int
     assert derive_seed(0, "client", np.int64(3)) == numpy_int
-    derive_seed.cache_clear()
     assert derive_seed(0, "client", np.int64(3)) == numpy_int
     assert derive_seed(0, "client", 3) == python_int
 
 
-def test_memo_serves_every_arm_of_a_run(tmp_path):
-    # 42 clients x 100 rounds at m = N: one arm derives 4,200 client keys,
-    # more than a 4,096-entry LRU would hold, so a bounded memo would give
-    # the second arm no hits
-    from fedcoreset import cli
-    from fedcoreset.config import DatasetConfig, ExperimentConfig
-    from fedcoreset.federation import parse_algo
+def rng_words(seed):
+    """The PCG64 seed words of ``np.random.default_rng(seed)``."""
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
 
-    def run(*arms):
-        cfg = ExperimentConfig(
-            dataset=DatasetConfig(num_blobs=2, dim=2, samples_per_blob=300),
-            num_clients=42, rounds=100, local_epochs=0, dirichlet_alpha=100.0,
-            arms=tuple(map(parse_algo, arms)), output_dir=str(tmp_path / "-".join(arms)),
-        )
-        assert cli.run(cfg) == 0
-        return derive_seed.cache_info()
 
-    alone = run("fedavg")
-    assert alone.misses > 42 * 100 > 4096
-    # run clears the memo first, so the pair's fedavg misses every key again
-    # (uncleared, it would hit them all), and fedprox, which derives the
-    # same client keys, hits every one
-    pair = run("fedavg", "fedprox")
-    assert pair.misses == alone.misses
-    assert 42 * 100 <= pair.hits < alone.misses
+@settings(max_examples=60, deadline=None)
+@given(
+    master=st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**64 + 5)),
+                     st.integers(0, 2**64), st.integers(0, 2**200)),
+    clients=st.integers(1, 6),
+    first=st.one_of(st.just(0), st.integers(0, 10**6)),
+    rounds=st.integers(1, 4),
+)
+def test_client_words_are_the_seed_sequence_words(master, clients, first, rounds):
+    words = client_seed_words(master, clients, range(first, first + rounds))
+    assert words.dtype == np.uint64 and words.shape == (rounds, clients, 4)
+    assert words.flags.c_contiguous
+    for j, t in enumerate(range(first, first + rounds)):
+        for c in range(clients):
+            want = rng_words(derive_seed(master, "client", c, "round", t))
+            assert np.array_equal(words[j, c], want), (master, c, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.one_of(st.sampled_from((0, 1, 2**32 - 1, 2**32, 2**64 - 1)),
+                                st.integers(0, 2**64 - 1)), max_size=5))
+def test_seed_words_are_the_default_rng_words(seeds):
+    words = seed_words(seeds)
+    assert words.shape == (len(seeds), 4)
+    for row, seed in zip(words, seeds):
+        assert np.array_equal(row, rng_words(seed)), seed
+
+
+def test_word_generators_draw_the_default_rng_streams():
+    seeds = [0, 7, 2**32, derive_seed(3, "client", 0, "round", 0)]
+    for rng, seed in zip(words_rngs(seed_words(seeds)), seeds):
+        want = np.random.default_rng(seed)
+        assert np.array_equal(rng.permutation(50), want.permutation(50))
+        assert rng.random() == want.random()
+
+
+def test_words_must_be_rows_of_four():
+    for bad in (np.zeros(4, dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64)):
+        with pytest.raises(ValueError, match="shape"):
+            words_rngs(bad)
