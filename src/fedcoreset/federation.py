@@ -27,10 +27,10 @@ all clients' streams for a block of rounds, about ``SEED_BLOCK`` streams,
 in one vectorized pass (:func:`~fedcoreset.seeding.client_seed_words`),
 and :func:`run_round` hands the trainees their rows, so no arm derives a
 key per client and round.
-A round's clients train in lock-step, one stacked SGD step for all the
-clients whose next batch is full and one fused step for their partial
-last batches (:func:`~fedcoreset.model.sgd_epochs`), and each client's
-arithmetic is unchanged bit for bit from training it alone.  Each
+A round's clients train in lock-step (:func:`~fedcoreset.model.sgd_epochs`),
+one SGD step for all the clients whose next batch is full and one for
+their partial last batches, both taken by the one step kernel, and each
+client's arithmetic is unchanged bit for bit from training it alone.  Each
 client's training rows are gathered from its chunk straight into the row
 table of the round's lock-step plan.  :func:`run_training` keeps the plan
 from round to round in a :class:`~fedcoreset.model.PlanCache`, so the rows are copied again only when the round's trainees or one of

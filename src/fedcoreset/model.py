@@ -28,11 +28,14 @@ a bias column of ones, and the batch schedule.  Each stacked step gathers
 its batches with one ``take`` of table rows and one of labels, and the
 step's softmax and update run in place.  A caller that trains on the same
 rows again keeps the plan in a :class:`PlanCache`, so the rows are copied
-again only when they change.  The runs' partial last batches, of unequal
-sizes, share one fused step per epoch (:func:`_tail_step`): each run keeps
-its lone step's matmuls, and the elementwise work runs once over all their
-rows.  They are never zero-padded into a stacked step, whose BLAS
-remainder path would change their bits.  Each run's generator is built
+again only when they change.  One step function, :func:`_sgd_step`, takes
+every step.  The runs whose next batch is full step on equal batches, each
+product one stacked matmul on views of the stack; the runs' partial last
+batches, of unequal sizes, share one step per epoch, in which each run's
+products are 2-D matmuls into its rows of one buffer.  Either way the
+elementwise work runs once over all the step's rows.  Partial batches are
+never zero-padded into a stacked step, whose BLAS remainder path would
+change their bits.  Each run's generator is built
 from its precomputed PCG64 seed words (:func:`~fedcoreset.seeding.words_rngs`).
 The trained models come back as the rows of one ``[runs, P]`` array, not
 as one :class:`ParamVector` each: a round's callers only add and average
@@ -44,6 +47,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import EllipsisType
 
 import numpy as np
 
@@ -143,39 +147,69 @@ def init_params(model: ModelConfig, input_dim: int, num_classes: int, seed: int)
     return ParamVector(np.concatenate(parts), layout)
 
 
-def _forward(
-    w1: np.ndarray | None, w_out: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sample-major forward pass of c stacked models, model i on the
-    samples ``x[i]`` (``x`` is ``[c, n, d]``, ``w1`` and ``w_out`` the
-    ``[c, rows, cols]`` blocks of :func:`_blocks`).
+def _product(a: np.ndarray, w: np.ndarray, spans: list[tuple[int, slice]] | None) -> np.ndarray:
+    """``a @ w`` for each model, ``w`` holding one ``[k, m]`` matrix per
+    model.  Without ``spans``, ``a`` is ``[c, n, k]``, model i's rows
+    ``a[i]``, and the product is one stacked matmul, which runs one BLAS
+    call per model on operands of the shapes a lone model's product would
+    use.  With them, ``a`` is ``[rows, k]``, model ``run`` owns the rows
+    ``a[span]`` of each ``(run, span)``, and their 2-D product with
+    ``w[run]`` is written into the same rows of one ``[rows, m]`` buffer.
+    Either way each model's bits are those of its product alone."""
+    if spans is None:
+        return a @ w
+    out = np.empty((len(a), w.shape[2]))
+    for run, span in spans:
+        np.matmul(a[span], w[run], out=out[span])
+    return out
 
-    Returns ``(act, probs)``: the penultimate activations ``[c, n, h]``
-    (``x`` itself without a hidden layer) and the softmax ``[c, n,
-    classes]``, computed in place in the logits.  Every product is a stacked
-    matmul, which runs one BLAS call per model on operands of the shapes a
-    lone model's pass would use, so each model's bits are those of its pass
-    alone.
+
+def _gradient(a: np.ndarray, b: np.ndarray, spans: list[tuple[int, slice]] | None) -> np.ndarray:
+    """``a.T @ b`` over each model's rows of ``a`` and ``b``, laid out as
+    :func:`_product`'s ``a``: one ``[k, m]`` matrix per model, with
+    ``spans`` in their order."""
+    if spans is None:
+        return a.transpose(0, 2, 1) @ b
+    out = np.empty((len(spans), a.shape[1], b.shape[1]))
+    for i, (_, span) in enumerate(spans):
+        np.matmul(a[span].T, b[span], out=out[i])
+    return out
+
+
+def _forward(
+    w1: np.ndarray | None,
+    w_out: np.ndarray,
+    x: np.ndarray,
+    spans: list[tuple[int, slice]] | None = None,
+    owner: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sample-major forward pass of c stacked models (``w1`` and
+    ``w_out`` their ``[c, rows, cols]`` layer blocks, as :func:`_blocks`
+    lays them out), model i on the samples ``x[i]`` (``x`` is ``[c, n,
+    d]``).  With ``spans``, ``x`` is ``[rows, d]``, split among the models
+    as :func:`_product` splits its ``a``, and ``owner`` names each row's
+    model.
+
+    Returns ``(act, probs)``: the penultimate activations ``[..., h]``
+    (``x`` itself without a hidden layer) and the softmax ``[...,
+    classes]``, computed in place in the logits.  Every product is a lone
+    model's (:func:`_product`), and the elementwise bits depend on neither
+    the array's length nor its other rows, so each model's bits are those
+    of its pass alone.
     """
     act = x
     if w1 is not None:
-        act = x @ w1[:, :, :-1].transpose(0, 2, 1)
-        act += w1[:, None, :, -1]
+        act = _product(x, w1[:, :, :-1].transpose(0, 2, 1), spans)
+        act += w1[:, None, :, -1] if spans is None else w1[owner, :, -1]
         np.tanh(act, out=act)
-    z = act @ w_out[:, :, :-1].transpose(0, 2, 1)
-    z += w_out[:, None, :, -1]
-    _softmax(z)
-    return act, z
-
-
-def _softmax(z: np.ndarray) -> None:
-    """The softmax over the last axis of the sample-major logits ``z``, in
-    place."""
+    z = _product(act, w_out[:, :, :-1].transpose(0, 2, 1), spans)
+    z += w_out[:, None, :, -1] if spans is None else w_out[owner, :, -1]
     # each sample's largest logit, reduced over a class-major copy: a max is
     # exact in any order, and a short last axis reduces slowly
     z -= np.ascontiguousarray(z.transpose(-1, *range(z.ndim - 1))).max(axis=0)[..., None]
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
+    return act, z
 
 
 def _class_logits(params: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -264,178 +298,98 @@ def labelwise_validation_grads(
     return {int(c): rows[val.labels == c].mean(axis=0) for c in np.unique(val.labels)}
 
 
-def _descend(
-    theta: np.ndarray, anchor: np.ndarray, grad: np.ndarray, lr: float, mu: float
-) -> None:
-    """``theta -= lr * (grad + mu * (theta - anchor))`` on one layer block of
-    c stacked models, in place, so no [c, P] array is allocated; IEEE
-    products commute, so the in-place order is still a lone step's
-    arithmetic."""
-    if mu:
-        pull = theta - anchor
-        pull *= mu
-        grad += pull
-    grad *= lr
-    theta -= grad
-
-
 def _sgd_step(
     w1: np.ndarray | None,
     w_out: np.ndarray,
+    runs: EllipsisType | np.ndarray,
     anchor: tuple[np.ndarray | None, np.ndarray],
     x1: np.ndarray,
     y: np.ndarray,
     hot: np.ndarray,
     lr: float,
     mu: float,
+    spans: list[tuple[int, slice]] | None = None,
 ) -> None:
-    """One SGD step on mean cross-entropy for each of c stacked models, in
-    place.
+    """One SGD step on mean cross-entropy for each of the models ``runs``
+    of the stacked layer blocks ``w1`` and ``w_out`` (``[models, rows,
+    cols]``, as :func:`_blocks` lays them out), in place.
 
-    ``w1`` and ``w_out`` are the layer blocks of the c models
-    (:func:`_blocks`), which the step updates; model i steps on the batch
-    ``x1[i]`` (``[b, d + 1]``, last column 1) with labels ``y[i]``.
-    ``hot[:c, :b]`` holds ``(i * b + j) * classes``, the flat index of
-    sample j of model i's class-0 entry in the ``[c, b, classes]`` softmax,
-    so adding ``y`` gives the entries the one-hot is subtracted at; it is
-    made once per :func:`sgd_epochs` call.
+    Without ``spans``, ``runs`` is ``...``: every model of the blocks
+    steps, model i on the batch ``x1[i]`` (``x1`` is ``[c, b, d + 1]``,
+    last column 1) with labels ``y[i]``.  With them, ``runs`` holds
+    the models of ``spans`` in order, and model ``run`` steps on the rows
+    ``x1[span]`` (``x1`` is ``[rows, d + 1]``) and ``y[span]``: batches of
+    unequal sizes, never zero-padded to one size, as BLAS takes a
+    different path for the remainder rows of a padded batch.  ``hot[j]``
+    is ``j * classes``, so ``hot[:y.size] + y`` are the flat indices of
+    the softmax entries the one-hot is subtracted at; it is made once per
+    :func:`sgd_epochs` call.
 
     The forward pass is :func:`_forward`, and the backward pass's products
-    are stacked matmuls too, so each model comes out bit for bit as if it
-    had been stepped alone; the elementwise work runs in place.  ``mu > 0``
-    adds the FedProx pull ``mu * (theta - anchor)`` to the gradient, with
-    ``anchor`` the blocks of the parameters SGD started from.
+    are a lone model's too (:func:`_product`, :func:`_gradient`), so each
+    model comes out bit for bit as if it had been stepped alone; the
+    elementwise work runs in place, once over all the step's rows.  ``mu >
+    0`` adds the FedProx pull ``mu * (theta - anchor)`` to the gradient,
+    with ``anchor`` the blocks of the parameters SGD started from.  The
+    update reads and writes ``block[runs]``: a view for ``...``, whose
+    write-back numpy skips, and for an index array a copy of the models'
+    layer, out and back one layer at a time, so the step copies no model's
+    whole parameters.
     """
-    c, b = y.shape
-    act, delta = _forward(w1, w_out, x1[:, :, :-1])
-    delta.reshape(-1)[hot[:c, :b] + y] -= 1.0
-    delta /= b
+    n, owner = float(y.shape[-1]), None
+    if spans is not None:
+        sizes = np.array([span.stop - span.start for _, span in spans])
+        n, owner = np.repeat(sizes, sizes)[:, None], np.repeat(runs, sizes)
+    act, delta = _forward(w1, w_out, x1[..., :-1], spans, owner)
+    delta.reshape(-1)[hot[: y.size] + y.reshape(-1)] -= 1.0
+    delta /= n
     if w1 is None:
-        _descend(w_out, anchor[1], delta.transpose(0, 2, 1) @ x1, lr, mu)
-        return
-
-    # drop each array once used, as a step of c stacked models holds c lone
-    # steps' worth of them; the hidden gradient needs the output weights
-    # before their update
-    g_out = delta.transpose(0, 2, 1) @ np.concatenate([act, np.ones((c, b, 1))], axis=2)
-    d_z1 = delta @ w_out[:, :, :-1]
-    del delta
-    _descend(w_out, anchor[1], g_out, lr, mu)
-    del g_out
-    act *= act
-    np.subtract(1.0, act, out=act)
-    d_z1 *= act
-    del act
-    g_hid = d_z1.transpose(0, 2, 1) @ x1
-    del d_z1
-    _descend(w1, anchor[0], g_hid, lr, mu)
-
-
-def _tail_step(
-    w1: np.ndarray | None,
-    w_out: np.ndarray,
-    runs: np.ndarray,
-    anchor: tuple[np.ndarray | None, np.ndarray],
-    x1: np.ndarray,
-    y: np.ndarray,
-    sizes: np.ndarray,
-    hot: np.ndarray,
-    lr: float,
-    mu: float,
-) -> None:
-    """One SGD step for each of the stacked models ``runs`` on batches of
-    unequal sizes, in place: model ``runs[i]`` (its blocks ``w1[runs[i]]``
-    and ``w_out[runs[i]]``) steps on the next ``sizes[i]`` rows of ``x1``
-    (``[sum sizes, d + 1]``, last column 1) and of ``y``; ``hot`` is
-    :func:`_sgd_step`'s.
-
-    Each model's products are those of its lone :func:`_sgd_step`: 2-D
-    matmuls of the same shapes, strides and transposes, written into the
-    model's rows of one buffer.  The elementwise work (bias add, softmax,
-    one-hot, the mean's division, the update) runs once over all models'
-    rows; its bits depend on neither the array's length nor its other rows,
-    so each model comes out bit for bit as from its lone step.  Zero-padding
-    the batches to one size for a stacked step instead would change the
-    bits of the padded products.  The update copies the models' blocks out
-    and back one layer at a time, so the step holds about what a stacked
-    step of as many models holds, and no copy of their parameters.
-    """
-    ends = np.cumsum(sizes).tolist()
-    spans = [(run, slice(end - n, end)) for run, end, n in zip(runs.tolist(), ends, sizes.tolist())]
-    owner = np.repeat(runs, sizes)  # each row's model
-
-    def rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Each model's rows of ``a`` times its matrix of ``w``."""
-        out = np.empty((len(a), w.shape[2]))
-        for run, span in spans:
-            np.matmul(a[span], w[run], out=out[span])
-        return out
-
-    def grads(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``a[rows].T @ b[rows]`` over each model's rows, ``[len(runs), ., .]``."""
-        out = np.empty((len(spans), a.shape[1], b.shape[1]))
-        for i, (_, span) in enumerate(spans):
-            np.matmul(a[span].T, b[span], out=out[i])
-        return out
-
-    def descend(block: np.ndarray, start: np.ndarray, grad: np.ndarray) -> None:
-        """:func:`_descend` on the models' rows of ``block``, which the
-        fancy index copies out and writes back."""
+        grad = _gradient(delta, x1, spans)
+    else:
+        # drop each array once used, as a step of c models holds c lone
+        # steps' worth of them
+        ones = np.ones((*act.shape[:-1], 1))
+        grad = _gradient(delta, np.concatenate([act, ones], axis=-1), spans)
+        d_z1 = _product(delta, w_out[:, :, :-1], spans)
+        del delta
+        act *= act
+        np.subtract(1.0, act, out=act)
+        d_z1 *= act
+        del act
+    # the output layer first, as d_z1 read its weights before their update;
+    # the hidden gradient is made once the output one is dropped
+    for block, start in ((w_out, anchor[1]), (w1, anchor[0])):
+        if block is None:
+            break
+        if block is w1:
+            grad = _gradient(d_z1, x1, spans)
+            del d_z1
         if mu:
-            pull = block[runs]
-            pull -= start
+            pull = block[runs] - start
             pull *= mu
             grad += pull
             del pull
         grad *= lr
         block[runs] -= grad
-
-    act = x1[:, :-1]
-    if w1 is not None:
-        act = rows(act, w1[:, :, :-1].transpose(0, 2, 1))
-        act += w1[owner, :, -1]
-        np.tanh(act, out=act)
-    delta = rows(act, w_out[:, :, :-1].transpose(0, 2, 1))
-    delta += w_out[owner, :, -1]
-    _softmax(delta)
-    delta.reshape(-1)[hot.reshape(-1)[: len(y)] + y] -= 1.0
-    delta /= sizes.repeat(sizes)[:, None]
-    if w1 is None:
-        descend(w_out, anchor[1], grads(delta, x1))
-        return
-
-    # the order of _sgd_step's hidden-layer backward pass
-    g_out = grads(delta, np.concatenate([act, np.ones((len(y), 1))], axis=1))
-    d_z1 = rows(delta, w_out[:, :, :-1])
-    del delta
-    descend(w_out, anchor[1], g_out)
-    del g_out
-    act *= act
-    np.subtract(1.0, act, out=act)
-    d_z1 *= act
-    del act
-    g_hid = grads(d_z1, x1)
-    del d_z1
-    descend(w1, anchor[0], g_hid)
+        del grad
 
 
 @dataclass(eq=False)
 class LockStepPlan:
     """What lock-step SGD needs of its runs that no step changes, built by
-    :func:`lockstep_plan`: the stack order and batch schedule, with the
-    places of the partial last batches' rows that the tail step gathers,
-    and every run's training rows in one row table with a bias column of
-    ones, beside one label vector.  Stacked run i is run ``stack[i]`` of the plan's
+    :func:`lockstep_plan`: the stack order and batch schedule, the partial
+    last batches' row spans and the places of their rows, and every run's
+    training rows in one row table with a bias column of ones, beside one
+    label vector.  Stacked run i is run ``stack[i]`` of the plan's
     datasets; its rows are ``table[starts[i] : starts[i] + sizes[i]]``."""
 
     batch_size: int
     stack: np.ndarray  # runs by full-batch count, largest first (stable)
     sizes: np.ndarray  # each stacked run's rows
-    full: np.ndarray  # and its full batches
     starts: np.ndarray  # and its first row in the table
     live: np.ndarray  # step k of an epoch steps the first live[k] stacked runs
     tail: np.ndarray  # the stacked runs with a partial last batch
-    tail_sizes: np.ndarray  # and its partial batch's rows
+    spans: list[tuple[int, slice]]  # and each one's rows of the tail batch
     tail_rows: np.ndarray  # those rows' places in the flat [runs, largest n] order matrix
     table: np.ndarray  # [sum n, d + 1], last column 1
     labels: np.ndarray  # [sum n]
@@ -461,6 +415,8 @@ def lockstep_plan(
     starts = np.cumsum(sizes) - sizes
     rest = sizes - full * batch_size
     tail = np.flatnonzero(rest)
+    ends = np.cumsum(rest[tail]).tolist()
+    spans = [(r, slice(e - n, e)) for r, n, e in zip(tail.tolist(), rest[tail].tolist(), ends)]
     cols = np.arange(sizes.max())
     tail_rows = np.flatnonzero((cols >= (full * batch_size)[:, None]) & (cols < sizes[:, None]))
 
@@ -471,7 +427,7 @@ def lockstep_plan(
         table[start : start + n, :-1] = datasets[i].features.take(indices[i], axis=0)
         labels[start : start + n] = datasets[i].labels.take(indices[i])
     return LockStepPlan(
-        batch_size, stack, sizes, full, starts, live, tail, rest[tail], tail_rows, table, labels
+        batch_size, stack, sizes, starts, live, tail, spans, tail_rows, table, labels
     )
 
 
@@ -532,15 +488,13 @@ def sgd_epochs(
     :func:`~fedcoreset.seeding.client_seed_words` a client's round, into
     its row), so run i shuffles as ``np.random.default_rng`` would on the
     seed its words come from.
-    The runs advance in lock-step: step k of every run whose k-th batch of
-    the epoch is full is one stacked step (see :func:`_sgd_step`), and the
-    runs' partial last batches, of unequal sizes, are one fused step after
-    them (:func:`_tail_step`), never padded into a stacked one (BLAS takes a
-    different path for the remainder rows of a padded batch, which changes
-    the forward bits).  A run's arithmetic does not depend on the others,
-    so it is bit for bit the run on its rows alone.  Runs are stacked in
-    order of their full-batch counts, largest first, so the runs taking
-    step k are a prefix of the stack.
+    The runs advance in lock-step (:func:`_sgd_step`): step k of every run
+    whose k-th batch of the epoch is full is one step on equal batches, and
+    the runs' partial last batches, of unequal sizes, are one step after
+    them.  A run's arithmetic does not depend on the others, so it is bit
+    for bit the run on its rows alone.  Runs are stacked in order of their
+    full-batch counts, largest first, so the runs taking step k are a
+    prefix of the stack.
 
     A call builds its :class:`LockStepPlan` (:func:`lockstep_plan`), which
     copies all runs' rows into one ``[sum n, d + 1]`` row table whose bias
@@ -548,12 +502,14 @@ def sgd_epochs(
     plan is taken from it, and built only when the cache holds none for
     these runs (:meth:`PlanCache.get`): a plan holds no seed, parameter or
     hyperparameter but the batch size, so one serves every call on the
-    same rows.  The generators, the models, their block views and the
-    order matrix are the call's own, so a kept plan holds only its rows.
+    same rows.  The generators, the models (one contiguous stack per
+    layer) and the order matrix are the call's own, so a kept plan holds
+    only its rows.
     Each epoch writes every run's permutation, shifted by the
     run's offset in the table, into one ``[runs, largest n]`` order matrix,
     so a step's batch is one gather of table rows and one of labels (the
-    tail step reads its rows' places off the matrix with one more).
+    partial batches' step reads its rows' places off the matrix with one
+    more).
 
     With ``mu > 0`` the objective gains the FedProx term
     mu/2 * ||theta - params||^2, a pull toward the parameters SGD started
@@ -574,14 +530,13 @@ def sgd_epochs(
     rngs = words_rngs(np.asarray(seeds)[plan.stack])
 
     m, width = len(sizes), min(batch_size, sizes.max())
-    theta = np.tile(params.values, (m, 1))
-    w1, w_out = _blocks(theta, params.layout)
     anchor = params.blocks()
+    # each layer's stack is contiguous: numpy copies a strided 3-D operand
+    # of an in-place ufunc, such as the update's
+    w1, w_out = (None if w is None else np.tile(w, (m, 1, 1)) for w in anchor)
     order = np.empty((m, sizes.max()), dtype=np.int64)
-    # stacked batches are full, so every stacked step's hot[:c, :b] is
-    # (i * b + j) * classes; the tail step's rows, fewer than b a run, are
-    # no more than hot's entries, and it reads hot flat
-    hot = np.arange(m * width).reshape(m, width) * w_out.shape[1]
+    # a step's rows, at most b of each of its runs, are no more than hot's
+    hot = np.arange(m * width) * w_out.shape[1]
 
     for _ in range(epochs):
         for i, (rng, start, n) in enumerate(zip(rngs, starts, sizes)):
@@ -589,9 +544,13 @@ def sgd_epochs(
         for k, c in enumerate(plan.live):
             rows = order[:c, k * batch_size : (k + 1) * batch_size]
             x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
-            _sgd_step(None if w1 is None else w1[:c], w_out[:c], anchor, x1, y, hot, lr, mu)
-        if plan.tail.size:
+            _sgd_step(None if w1 is None else w1[:c], w_out[:c], ..., anchor, x1, y, hot, lr, mu)
+        if plan.spans:
             rows = order.take(plan.tail_rows)
             x1, y = plan.table.take(rows, axis=0), plan.labels.take(rows)
-            _tail_step(w1, w_out, plan.tail, anchor, x1, y, plan.tail_sizes, hot, lr, mu)
-    return theta[np.argsort(plan.stack)]
+            _sgd_step(w1, w_out, plan.tail, anchor, x1, y, hot, lr, mu, plan.spans)
+    trained = np.empty((m, params.values.size))
+    for block, w in zip(_blocks(trained, params.layout), (w1, w_out)):
+        if w is not None:
+            block[plan.stack] = w
+    return trained

@@ -13,6 +13,8 @@ from fedcoreset.model import (
     ModelConfig,
     ParamVector,
     PlanCache,
+    _blocks,
+    _sgd_step,
     init_params,
     labelwise_validation_grads,
     last_layer_grad_stack,
@@ -391,6 +393,51 @@ class TestLockstepSgd:
             (alone,) = sgd_epochs(p, [ds], seeds=seed_words([seed]), **knobs)
             assert np.array_equal(theta, alone)
             assert np.array_equal(theta, reference_sgd(p, ds, seed=seed, **knobs))
+
+    @pytest.mark.parametrize("arch, dim", [("softmax_regression", 10), ("one_hidden", 50)])
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_stacked_and_span_steps_agree(self, arch, dim, mu):
+        """The step kernel's one split: c models on equal batches step bit
+        for bit alike through the stacked products and through one row
+        span per model, at the benchmarks' shapes (C = 10, B = 32, h =
+        64)."""
+        c, b, classes = 10, 32, 10
+        rng = np.random.default_rng(dim)
+        p = init_params(ModelConfig(arch, hidden_dim=64), dim, classes, seed=dim)
+        stack = p.values + rng.normal(scale=0.3, size=(c, p.values.size))
+        x1 = np.concatenate([rng.normal(size=(c, b, dim)), np.ones((c, b, 1))], axis=2)
+        y = rng.integers(0, classes, size=(c, b))
+        hot = np.arange(c * b) * classes
+        spans = [(i, slice(i * b, (i + 1) * b)) for i in range(c)]
+        stacked = [None if w is None else w.copy() for w in _blocks(stack, p.layout)]
+        split = [None if w is None else w.copy() for w in stacked]
+        for _ in range(2):
+            _sgd_step(*stacked, ..., p.blocks(), x1, y, hot, 0.3, mu)
+            _sgd_step(*split, np.arange(c), p.blocks(), x1.reshape(c * b, -1), y.reshape(-1),
+                      hot, 0.3, mu, spans)
+        for got, want in zip(split, stacked):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+    def test_kept_plan_step_holds_no_parameter_copy(self):
+        """Peak memory of a call on a kept plan, 10 hidden runs each with a
+        partial last batch, at mu 0.1.  The partial batches' update copies
+        one layer of their models out and back at a time: the peak is
+        about 4.0 times the [runs, P] stack of models, where a step that
+        copied their whole parameters would reach about 5.1 times."""
+        sizes = (33, 45, 57, 70, 81, 95, 100, 109, 115, 120)
+        datasets = [random_dataset(n, 50, 10, seed=i) for i, n in enumerate(sizes)]
+        p = init_params(ModelConfig("one_hidden", hidden_dim=64), 50, 10, seed=0)
+        knobs = dict(epochs=2, lr=0.1, batch_size=32, seeds=seed_words(list(range(10))),
+                     mu=0.1, cache=PlanCache())
+        sgd_epochs(p, datasets, **knobs)  # builds the kept plan; numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            sgd_epochs(p, datasets, **knobs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack = 8 * len(sizes) * p.values.size
+        assert peak < 4.6 * stack, peak / stack
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_inputs_untouched(self, arch):
