@@ -7,8 +7,12 @@ re-select their coresets by gradient matching, all of them in one call of
 :func:`~fedcoreset.coreset.labelwise_omp_select`, each client's coreset bit
 for bit the one it would select alone.  Clients train locally for E
 epochs on their training rows, upload parameter deltas, and the server
-applies the global-rate mean.  All compute and traffic is metered in a
-:class:`CostLedger`.
+applies the global-rate mean.  The round's train loss scores all the
+sampled non-empty chunks in one :func:`~fedcoreset.model.loss` call, each
+chunk's mean bit for bit that of scoring it alone.  Under full
+participation the sampled clients are all N, what the sorted draw of all
+of them gives, and no sample stream is drawn.  All compute and traffic is
+metered in a :class:`CostLedger`.
 A run keeps one int64 row vector per client, the indices of the chunk rows
 it trains on: the whole chunk for fedavg and fedprox, the clean rows for
 skyline, and the current coreset's indices for the coreset arms (a refresh
@@ -300,8 +304,11 @@ def run_round(
     chunks = prepared.chunks
     n_clients = len(chunks)
     m = cfg.clients_per_round or n_clients
-    rng = spawn_rng(cfg.seed, "sample", round_index)
-    sampled = np.sort(rng.choice(n_clients, size=m, replace=False))
+    if m == n_clients:
+        sampled = np.arange(n_clients)  # what the sorted draw of all N gives
+    else:
+        rng = spawn_rng(cfg.seed, "sample", round_index)
+        sampled = np.sort(rng.choice(n_clients, size=m, replace=False))
     theta_size = params.values.size
 
     if algo.kind == "gcfl" and round_index % cfg.refresh_period == 0:
@@ -340,13 +347,8 @@ def run_round(
     # nothing modifies a ParamVector in place, so an idle round can return its input
     new_params = aggregate(params, deltas, cfg.global_lr) if trainees else params
 
-    losses, weights = [], []
-    for cid in sampled:
-        chunk = chunks[cid]
-        if chunk.n:
-            losses.append(loss(new_params, chunk.dataset))
-            weights.append(chunk.n)
-    mean_loss = float(np.average(losses, weights=weights)) if losses else float("nan")
+    scored = [chunks[cid].dataset for cid in sampled if chunks[cid].n]
+    mean_loss = loss(new_params, scored) if scored else float("nan")
 
     clean_frac = None
     if algo.uses_coreset:

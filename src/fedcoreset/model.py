@@ -16,7 +16,11 @@ For ``softmax_regression`` the penultimate activation is the raw input
 There are two forward paths.  Evaluation (:func:`loss` and
 :func:`evaluate_accuracy`) runs class-major: logits are ``[classes, n]``, so
 each per-sample reduction over the classes is a vector operation across the
-samples.  Gradients and SGD run sample-major through one pass,
+samples.  :func:`loss` scores many datasets, a round's sampled chunks, in a
+few passes over their logits side by side (:func:`_class_logits`), each
+dataset's products still one BLAS call on its rows alone, so each dataset's
+mean keeps the bits of a pass over it alone.  Gradients and SGD run
+sample-major through one pass,
 :func:`_forward`, ``[n, classes]``, the layout whose bits the coreset
 selection and the training were recorded with: the gradient rows the
 selection matches are computed by the same arithmetic that local SGD trains
@@ -47,6 +51,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from types import EllipsisType
 
 import numpy as np
@@ -72,6 +77,11 @@ __all__ = [
 ]
 
 ARCHS = ("softmax_regression", "one_hidden")
+
+# rows scored per class-major pass of loss: enough to spread a pass's cost
+# over many small datasets, few enough that its temporaries stay those of
+# one large dataset's pass
+LOSS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -212,27 +222,73 @@ def _forward(
     return act, z
 
 
-def _class_logits(params: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Logits of the samples ``x`` (``[n, d]``) class-major, ``[classes, n]``."""
+def _class_logits(params: ParamVector, inputs: Sequence[np.ndarray]) -> np.ndarray:
+    """Logits of the samples of the ``[n, d]`` arrays ``inputs`` side by
+    side, class-major: ``[classes, sum n]``.  Each array's products are one
+    BLAS call on its rows alone, written into its columns, and the rest is
+    elementwise, so each array's logits are bit for bit those of a pass
+    over it alone (a product's bits depend on how its rows are batched)."""
     w1, out = params.blocks()
-    act = x.T
+    ends = list(accumulate(len(x) for x in inputs))
+    spans = [slice(e - len(x), e) for x, e in zip(inputs, ends)]
+    cols = [x.T for x in inputs]
     if w1 is not None:
-        act = w1[:, :-1] @ x.T
+        act = np.empty((w1.shape[0], ends[-1]))
+        for x, span in zip(cols, spans):
+            np.matmul(w1[:, :-1], x, out=act[:, span])
         act += w1[:, -1:]
         np.tanh(act, out=act)
-    z = out[:, :-1] @ act
+        cols = [act[:, span] for span in spans]
+    z = np.empty((out.shape[0], ends[-1]))
+    for x, span in zip(cols, spans):
+        np.matmul(out[:, :-1], x, out=z[:, span])
     z += out[:, -1:]
     return z
 
 
-def loss(params: ParamVector, ds: Dataset) -> float:
-    """Mean cross-entropy over the non-empty dataset."""
-    z = _class_logits(params, ds.features)
-    own = z[ds.labels, np.arange(ds.n)]
+def loss(params: ParamVector, datasets: Sequence[Dataset]) -> float:
+    """Mean cross-entropy over the samples of the datasets, at least one
+    and each non-empty: each dataset's mean, averaged with its size as the
+    weight (``np.average``).
+
+    The datasets are scored in groups of consecutive datasets of at most
+    ``LOSS_BLOCK`` rows (a larger dataset alone), one class-major pass a
+    group (:func:`_class_major_means`), so each dataset's mean is bit for
+    bit the one a pass over it alone gives.
+    """
+    means, group, rows = [], [], 0
+    for ds in datasets:
+        if group and rows + ds.n > LOSS_BLOCK:
+            means += _class_major_means(params, group)
+            group, rows = [], 0
+        group.append(ds)
+        rows += ds.n
+    means += _class_major_means(params, group)
+    return float(np.average(means, weights=[ds.n for ds in datasets]))
+
+
+def _class_major_means(params: ParamVector, datasets: list[Dataset]) -> list[float]:
+    """Each dataset's mean cross-entropy, from one pass over the class-major
+    logits of all their rows (:func:`_class_logits`): the reductions over
+    the classes run once over all the rows, and each dataset's mean is the
+    sum of its rows' losses divided by its size."""
+    z = _class_logits(params, [ds.features for ds in datasets])
+    ends = list(accumulate(ds.n for ds in datasets))
+    spans = [slice(e - ds.n, e) for ds, e in zip(datasets, ends)]
+    own = z[np.concatenate([ds.labels for ds in datasets]), np.arange(ends[-1])]
     zmax = z.max(axis=0)
     z -= zmax
     np.exp(z, out=z)
-    return float((np.log(z.sum(axis=0)) + zmax - own).mean())
+    per = z.sum(axis=0)
+    for span in spans:
+        if span.stop - span.start == 1:
+            # a pass over this row alone sums its classes as one vector,
+            # pairwise; down the columns of a wider array they add in order
+            per[span.start] = z[:, span.start].sum()
+    np.log(per, out=per)
+    per += zmax
+    per -= own
+    return [np.add.reduce(per[span]) / ds.n for ds, span in zip(datasets, spans)]
 
 
 def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
@@ -242,7 +298,7 @@ def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
     sample whose logits hold a NaN or whose largest is infinite has no
     defined softmax and is predicted class 0.  The set is non-empty.
     """
-    z = _class_logits(params, test.features)
+    z = _class_logits(params, [test.features])
     pred = np.argmax(z, axis=0)
     pred[~np.isfinite(z[pred, np.arange(test.n)])] = 0
     return float(np.mean(pred == test.labels))
@@ -365,7 +421,11 @@ def _sgd_step(
             grad = _gradient(d_z1, x1, spans)
             del d_z1
         if mu:
-            pull = block[runs] - start
+            if runs is ...:
+                pull = block[runs] - start  # block[...] is the block itself
+            else:
+                pull = block[runs]  # a copy: the pull is made in it
+                pull -= start
             pull *= mu
             grad += pull
             del pull

@@ -277,7 +277,7 @@ class TestCriterion6GradientSuite:
                     lo = params.with_values(params.values.copy())
                     hi.blocks()[1].flat[i] += step
                     lo.blocks()[1].flat[i] -= step
-                    fd.flat[i] = (loss(hi, ds) - loss(lo, ds)) / (2 * step)
+                    fd.flat[i] = (loss(hi, [ds]) - loss(lo, [ds])) / (2 * step)
                 denom = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
                 worst = max(worst, float(np.abs(analytic - fd).max() / denom))
         report(

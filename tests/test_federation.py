@@ -37,6 +37,7 @@ from fedcoreset.model import (
     sgd_epochs,
 )
 from fedcoreset.seeding import client_seed_words, derive_seed, seed_words, spawn_rng
+from reference import reference_run
 from worldgen import balanced_world, blobs, sized_world
 
 
@@ -318,6 +319,58 @@ class TestRunRound:
         new, rm = self.first_round(kind, cfg, prepared, params)
         assert np.array_equal(new.values, params.values)
         assert rm.ledger_snapshot.update_uploads == 0
+
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_train_loss_is_one_call_a_round(self, m, monkeypatch):
+        """A round scores all its sampled non-empty chunks, in sampled order,
+        with one ``loss`` call, and a round that samples only empty chunks
+        makes none and logs a NaN loss."""
+        prepared = sized_world((0, 9, 0, 1, 0, 40))
+        cfg = tiny_cfg(num_clients=6, clients_per_round=m, rounds=12)
+        scored: list[list] = []
+        real_round, real_loss = federation.run_round, federation.loss
+
+        def round_(*args, **kw):
+            scored.append([])
+            return real_round(*args, **kw)
+
+        def loss_(params, datasets):
+            scored[-1].append(list(datasets))
+            return real_loss(params, datasets)
+
+        monkeypatch.setattr(federation, "run_round", round_)
+        monkeypatch.setattr(federation, "loss", loss_)
+        result = run_training(cfg, Algo("fedavg"), prepared)
+        for t, calls in enumerate(scored):
+            sampled = range(6) if m is None else sorted(
+                spawn_rng(cfg.seed, "sample", t).choice(6, size=m, replace=False))
+            want = [prepared.chunks[cid].dataset for cid in sampled if prepared.chunks[cid].n]
+            assert [list(map(id, c)) for c in calls] == ([list(map(id, want))] if want else [])
+            assert np.isnan(result.rounds[t].mean_train_loss) == (not want)
+        assert len(scored) == cfg.rounds
+        assert any(scored) and (m is None or not all(scored))
+
+    def test_full_participation_draws_no_sample(self, monkeypatch):
+        """Under full participation the sampled clients are all of them, the
+        sorted draw of all N, so the round draws no sample stream and logs
+        the rounds the drawing reference does; a partial round still draws."""
+        prepared = sized_world((5, 0, 13, 40, 22))
+        streams = []
+        real = federation.spawn_rng
+
+        def spy(*key):
+            streams.append(key[1])
+            return real(*key)
+
+        monkeypatch.setattr(federation, "spawn_rng", spy)
+        for m in (None, 5):
+            cfg = tiny_cfg(num_clients=5, clients_per_round=m, rounds=4, refresh_period=1)
+            for kind in ("gcfl", "fedavg"):
+                got = run_training(cfg, Algo(kind), prepared)
+                assert got.rounds == reference_run(cfg, Algo(kind), prepared).rounds
+        assert "sample" not in streams
+        run_training(tiny_cfg(num_clients=5, clients_per_round=4), Algo("fedavg"), prepared)
+        assert streams.count("sample") == 3
 
     def test_gcfl_refresh_never_builds_the_full_grad_stack(self, monkeypatch):
         import fedcoreset.coreset
@@ -639,10 +692,10 @@ class TestFineTune:
     def test_loss_non_increasing_on_val(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=1)
-        before = loss(p, prepared.val)
+        before = loss(p, [prepared.val])
         (tuned,) = sgd_epochs(p, [prepared.val], epochs=50, lr=0.05, batch_size=32,
                               seeds=seed_words([2]))
-        assert loss(p.with_values(tuned), prepared.val) <= before
+        assert loss(p.with_values(tuned), [prepared.val]) <= before
 
 
 class TestCostRatio:
@@ -808,6 +861,9 @@ class TestProtocolProperties:
         def nonempty(params, ds):
             assert ds.n > 0
 
+        def scored(params, datasets):
+            assert datasets and all(ds.n > 0 for ds in datasets)
+
         def labelwise(chunks, params, server_rows, budgets, *, lam):
             assert len(budgets) == len(chunks) and min(budgets, default=1) >= 1
             for chunk in chunks:
@@ -860,7 +916,7 @@ class TestProtocolProperties:
             patch.setattr(module, name, call)
 
         checks = {
-            "loss": nonempty,
+            "loss": scored,
             "evaluate_accuracy": nonempty,
             "labelwise_validation_grads": nonempty,
             "labelwise_omp_select": labelwise,

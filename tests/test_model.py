@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedcoreset.model as model_module
 from fedcoreset.data import Dataset
 from fedcoreset.errors import ConfigurationError
 from fedcoreset.model import (
@@ -24,7 +25,13 @@ from fedcoreset.model import (
     sgd_epochs,
 )
 from fedcoreset.seeding import seed_words
-from reference import class_mean_rows, own_class_rows, reference_loss, reference_sgd
+from reference import (
+    class_major_loss,
+    class_mean_rows,
+    own_class_rows,
+    reference_loss,
+    reference_sgd,
+)
 from worldgen import blobs
 
 # (model, input_dim, num_classes), the leading arguments of init_params
@@ -47,7 +54,7 @@ def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarra
         plus.blocks()[1].flat[i] += step
         minus = params.with_values(params.values.copy())
         minus.blocks()[1].flat[i] -= step
-        grad.flat[i] = (loss(plus, ds) - loss(minus, ds)) / (2 * step)
+        grad.flat[i] = (loss(plus, [ds]) - loss(minus, [ds])) / (2 * step)
     return grad
 
 
@@ -93,7 +100,7 @@ class TestLoss:
         ds = random_dataset(50, 10, 10, seed=0)
         p = init_params(*SOFTMAX, seed=0)
         zeros = p.with_values(np.zeros_like(p.values))
-        assert loss(zeros, ds) == pytest.approx(np.log(10), abs=1e-12)
+        assert loss(zeros, [ds]) == pytest.approx(np.log(10), abs=1e-12)
 
     def test_large_margin_drives_loss_to_zero(self):
         # logits with margin 20 at the true class
@@ -101,13 +108,13 @@ class TestLoss:
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
         p = p.with_values(np.zeros_like(p.values))
         p.blocks()[1][:, :4] = 20.0 * np.eye(4)
-        assert loss(p, ds) < 1e-3
+        assert loss(p, [ds]) < 1e-3
 
     def test_mean_of_per_sample_losses(self):
         ds = random_dataset(16, 10, 10, seed=1)
         p = init_params(*SOFTMAX, seed=2)
-        singles = [loss(p, ds.subset([i])) for i in range(ds.n)]
-        assert loss(p, ds) == pytest.approx(np.mean(singles), rel=1e-12)
+        singles = [loss(p, [ds.subset([i])]) for i in range(ds.n)]
+        assert loss(p, [ds]) == pytest.approx(np.mean(singles), rel=1e-12)
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize(
@@ -126,7 +133,45 @@ class TestLoss:
             p = init_params(ModelConfig(arch, hidden_dim=7), 10, classes, seed=case)
             p.values[:] = rng.normal(scale=scale, size=p.values.size)
             expect = reference_loss(p, ds)
-            assert abs(loss(p, ds) - expect) <= 1e-15 * abs(expect) + classes * eps
+            assert abs(loss(p, [ds]) - expect) <= 1e-15 * abs(expect) + classes * eps
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("block", [None, 100], ids=["default_bound", "bound_100"])
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1,), (37,), (8600,), (1, 2, 1, 99, 1, 716, 1, 3000, 8600, 5, 1, 250, 4096, *[1] * 12)],
+        ids=["one_row", "one_dataset", "largest_chunk", "round"],
+    )
+    def test_one_pass_equals_the_lone_passes(self, arch, block, sizes, monkeypatch):
+        """The datasets' loss is bit for bit the size-weighted mean of each
+        dataset's lone class-major pass, and so is each dataset's mean (the
+        weighting hides an ulp of a small dataset's), at 10 classes (where
+        numpy sums a lone row's classes pairwise) and h = 64 on dim 50.  The
+        passes take consecutive groups of at most the row bound, or one
+        larger dataset alone."""
+        if block is not None:
+            monkeypatch.setattr(model_module, "LOSS_BLOCK", block)
+        bound = model_module.LOSS_BLOCK
+        groups, means = [], []
+        one_pass = model_module._class_major_means
+
+        def spy(params, group):
+            groups.append([ds.n for ds in group])
+            means.extend(one_pass(params, group))
+            return means[-len(group):]
+
+        monkeypatch.setattr(model_module, "_class_major_means", spy)
+        rng = np.random.default_rng(len(sizes))
+        p = init_params(ModelConfig(arch, hidden_dim=64), 50, 10, seed=len(sizes))
+        p.values[:] = rng.normal(scale=0.3, size=p.values.size)
+        datasets = [random_dataset(n, 50, 10, seed=i) for i, n in enumerate(sizes)]
+        lone = [class_major_loss(p, ds) for ds in datasets]
+        assert loss(p, datasets) == np.average(lone, weights=sizes)
+        assert means == lone
+        assert [n for group in groups for n in group] == list(sizes)
+        assert all(sum(group) <= bound or len(group) == 1 for group in groups)
+        # no two neighbouring groups would fit in one
+        assert all(sum(a) + b[0] > bound for a, b in zip(groups, groups[1:]))
 
 
 class TestSoftmax:
@@ -291,9 +336,9 @@ class TestSgd:
     def test_descent_on_blobs(self):
         ds = blobs(3, 4, [0.5, 0.5, 0.5], 30, seed=24)
         p = init_params(ModelConfig("softmax_regression"), 4, 3, seed=25)
-        before = loss(p, ds)
+        before = loss(p, [ds])
         (out,) = sgd_epochs(p, [ds], epochs=200, lr=0.1, batch_size=32, seeds=seed_words([1]))
-        after = loss(p.with_values(out), ds)
+        after = loss(p.with_values(out), [ds])
         assert after < 0.5 * before
 
     def test_deterministic(self):
@@ -318,7 +363,7 @@ class TestSgd:
         ds = blobs(3, 4, [0.5] * 3, 30, seed=32)
         p = init_params(ModelConfig("one_hidden", hidden_dim=8), 4, 3, seed=33)
         (out,) = sgd_epochs(p, [ds], epochs=100, lr=0.2, batch_size=16, seeds=seed_words([7]))
-        assert loss(p.with_values(out), ds) < 0.5 * loss(p, ds)
+        assert loss(p.with_values(out), [ds]) < 0.5 * loss(p, [ds])
 
 
 @st.composite
@@ -438,6 +483,35 @@ class TestLockstepSgd:
             tracemalloc.stop()
         stack = 8 * len(sizes) * p.values.size
         assert peak < 4.6 * stack, peak / stack
+
+    def test_tail_step_peaks_no_higher_than_the_stacked_steps(self, monkeypatch):
+        """Peak memory in each step of a kept-plan call, 10 hidden runs each
+        with a partial last batch, at mu 0.1.  The partial batches' step
+        makes the FedProx pull in the copy of their models' layer it reads,
+        so it peaks no higher than the stacked steps (about 960 against
+        1,025 KiB; holding the copy and the pull at once reads 1,214)."""
+        sizes = (33, 45, 57, 70, 81, 95, 100, 109, 115, 120)
+        datasets = [random_dataset(n, 50, 10, seed=i) for i, n in enumerate(sizes)]
+        p = init_params(ModelConfig("one_hidden", hidden_dim=64), 50, 10, seed=0)
+        knobs = dict(epochs=2, lr=0.1, batch_size=32, seeds=seed_words(list(range(10))),
+                     mu=0.1, cache=PlanCache())
+        sgd_epochs(p, datasets, **knobs)  # builds the kept plan; numpy's lazy set-up
+        peaks = {"stacked": 0, "tail": 0}
+        step = model_module._sgd_step
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            step(*args)
+            kind = "stacked" if args[2] is ... else "tail"
+            peaks[kind] = max(peaks[kind], tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(model_module, "_sgd_step", measured)
+        tracemalloc.start()
+        try:
+            sgd_epochs(p, datasets, **knobs)
+        finally:
+            tracemalloc.stop()
+        assert 0 < peaks["tail"] <= peaks["stacked"], peaks
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_inputs_untouched(self, arch):
