@@ -7,9 +7,10 @@
 Any config key can be overridden with ``--<key> <value>``, using dots for
 the nested groups (``--noise.ratio 0.4``, ``--dataset.dim 20``, ``--seed 7``,
 ``--output_dir runs/demo``); a flag beats the config file, and a run without
-``--config`` starts from the defaults.  Each ``--values`` entry of a sweep is
-applied as ``--<param> <entry>`` is.  Every arm of a run sees the same
-realized dataset, partition and noise, so arms are paired.
+``--config`` starts from the defaults.  A sweep takes any key but
+``output_dir`` as ``--param``, and applies each ``--values`` entry as
+``--<param> <entry>`` is.  Every arm of a run sees the same realized
+dataset, partition and noise, so arms are paired.
 """
 
 from __future__ import annotations
@@ -25,19 +26,13 @@ from pathlib import Path
 from statistics import fmean, pstdev
 
 from . import __version__
-from .config import (
-    SWEEPABLE,
-    ExperimentConfig,
-    apply_override,
-    config_to_dict,
-    parse_config,
-)
+from .config import ExperimentConfig, apply_override, config_to_dict, parse_config
 from .errors import ConfigurationError
 from .federation import compute_cost_ratio, prepare_experiment, run_training
 from .metrics import write_round_log, write_summary
 
 # per-arm values of a summary.json that sweep.json records and compares
-POINT_METRICS = ("final_accuracy", "final_clean_fraction")
+POINT_METRICS = ("final_accuracy", "fine_tuned_accuracy", "final_clean_fraction")
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -125,14 +120,16 @@ def _sweep_points(
     cfg: ExperimentConfig, param: str, entries: Iterable[str]
 ) -> list[tuple[str, object, ExperimentConfig]]:
     """(entry, value, config) per non-blank entry, each config set as
-    ``--<param> <entry>`` sets it.  Rejects a parameter outside SWEEPABLE,
-    no entry, and two entries parsing to equal values."""
-    if param not in SWEEPABLE:
-        raise ConfigurationError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
+    ``--<param> <entry>`` sets it and each value its ``config_to_dict``
+    echo.  An unknown key or a bad entry fails as its flag does.  Rejects
+    ``output_dir``, no entry, and two entries parsing to equal values."""
+    if param == "output_dir":
+        # the value recorded would not be the directory the point ran in
+        raise ConfigurationError("sweep parameter output_dir is set per point by the sweep")
     points: list[tuple[str, object, ExperimentConfig]] = []
     for text in filter(None, map(str.strip, entries)):
         point_cfg = apply_override(cfg, param, text)
-        value = reduce(getattr, param.split("."), point_cfg)
+        value = reduce(dict.__getitem__, param.split("."), config_to_dict(point_cfg))
         if any(value == seen for _, seen, _ in points):
             raise ConfigurationError(f"sweep value {value} is repeated")
         points.append((text, value, point_cfg))
@@ -144,15 +141,16 @@ def _sweep_points(
 def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
     """Run once per entry, set as ``--<param> <entry>`` sets it, in the
     subdirectory ``<param>=<entry>`` and write sweep.json: per point, the
-    value, ``diverged_round`` and each other arm's final accuracy and clean
-    fraction; over the points, their spread and the arms' paired gaps.
+    value, ``diverged_round`` and each other arm's POINT_METRICS; over the
+    points, their spread and the arms' paired gaps.
 
     Every point's config is built and its data world prepared before the
-    first run, so an unknown parameter, no entry, two entries parsing to
-    equal values, a value that is invalid against the base config, or one
-    whose realized world fails the pre-flight checks, fails before anything
-    is written.  Blank entries are skipped.  Returns 1 when any point's run
-    did (an arm diverged), after every point has run.
+    first run, so an unknown parameter or ``output_dir``, no entry, an
+    entry the parameter cannot parse, two entries parsing to equal values,
+    a value that is invalid against the base config, or one whose realized
+    world fails the pre-flight checks, fails before anything is written.
+    Blank entries are skipped.  Returns 1 when any point's run did (an arm
+    diverged), after every point has run.
     """
     base_out = Path(cfg.output_dir)
     points = [
@@ -202,7 +200,7 @@ def _parser() -> argparse.ArgumentParser:
         if name == "sweep":
             # --values is read with the --key value pairs, which take the
             # next token verbatim, so a list may start with a minus sign
-            p.add_argument("--param", required=True, help=f"one of {', '.join(SWEEPABLE)}")
+            p.add_argument("--param", required=True, help="config key, as --<key> names it")
     return parser
 
 

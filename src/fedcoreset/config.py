@@ -34,21 +34,10 @@ __all__ = [
     "DatasetConfig",
     "ModelConfig",
     "ExperimentConfig",
-    "SWEEPABLE",
     "parse_config",
     "config_to_dict",
     "apply_override",
 ]
-
-SWEEPABLE = (
-    "noise.ratio",
-    "budget_fraction",
-    "dirichlet_alpha",
-    "refresh_period",
-    "num_clients",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

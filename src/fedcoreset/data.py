@@ -229,11 +229,8 @@ def split_train_val_test(
         val_idx.append(idx[n_test : n_test + n_val])
         train_idx.append(idx[n_test + n_val :])
 
-    def gather(parts: list[np.ndarray]) -> Dataset:
-        idx = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        return ds.subset(idx)
-
-    return gather(train_idx), gather(val_idx), gather(test_idx)
+    # one index array per class, and a dataset has at least one class
+    return tuple(ds.subset(np.concatenate(parts)) for parts in (train_idx, val_idx, test_idx))
 
 
 def dirichlet_partition(
@@ -258,15 +255,9 @@ def dirichlet_partition(
         for i, part in enumerate(np.split(idx, bounds)):
             per_client[i].append(part)
 
-    chunks = []
-    for i in range(num_clients):
-        idx = (
-            np.concatenate(per_client[i])
-            if per_client[i]
-            else np.empty(0, dtype=np.int64)
-        )
-        chunks.append(_fresh_chunk(ds.subset(idx), i))
-    return chunks
+    return [
+        _fresh_chunk(ds.subset(np.concatenate(parts)), i) for i, parts in enumerate(per_client)
+    ]
 
 
 def inject_closed_set(chunk: ClientChunk, noise: NoiseSpec, seed: int) -> ClientChunk:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcoreset.cli import main, sweep
+from fedcoreset.cli import _sweep_points, main, sweep
 from fedcoreset.config import (
     DatasetConfig,
     ExperimentConfig,
@@ -222,6 +222,13 @@ def test_every_config_field_is_settable_and_echoed(section, name, default):
     assert echo(base) != expected
     assert echo(parse_config(_render(ini))) == expected
     assert echo(apply_override(base, key, text)) == expected
+    if key == "output_dir":
+        # the sweep names each point's directory itself
+        with pytest.raises(ConfigurationError, match="output_dir"):
+            _sweep_points(base, key, [text])
+    else:
+        ((_, value, _),) = _sweep_points(base, key, [text])
+        assert value == expected
 
 
 def _config_key(section: str, name: str) -> str:
@@ -322,7 +329,7 @@ def test_readme_commands_pass_a_dry_run(tmp_path, capsys):
     """Every README command line resolves its config, so a flag or key the
     CLI no longer takes cannot linger in the docs."""
     commands = _readme_commands()
-    assert len(commands) == 8  # five in CLI, three in Experiments
+    assert len(commands) == 9  # five in CLI, four in Experiments
     ini = write_ini(tmp_path, README_INI)
     for argv in commands:
         argv = [ini if arg == "exp.ini" else arg for arg in argv]
@@ -409,8 +416,8 @@ class TestSweepSpec:
 
     def test_unknown_parameter_rejected(self, tmp_path):
         cfg, out = self.base(tmp_path)
-        with pytest.raises(ConfigurationError):
-            sweep(cfg, "batch_size", ("1", "2"))
+        with pytest.raises(ConfigurationError, match="unknown config key 'nope'"):
+            sweep(cfg, "nope", ("1", "2"))
         assert not out.exists()
 
     def test_repeated_value_rejected(self, tmp_path):
@@ -810,9 +817,10 @@ class TestCliSweep:
     @pytest.mark.parametrize(
         "param,values,message",
         [
-            ("batch_size", "x,x", "sweep parameter must be one of"),
-            ("rounds", "1,2", "sweep parameter must be one of"),
+            ("batch_size", "x,x", "cannot parse 'x' as int"),
+            ("nope", "1,2", "unknown config key 'nope'"),
             ("noise.ratio", "0.1,0.10", "sweep value 0.1 is repeated"),
+            ("output_dir", "a,b", "output_dir is set per point by the sweep"),
         ],
     )
     def test_dry_run_checks_the_sweep(self, tmp_path, capsys, param, values, message):
@@ -825,6 +833,42 @@ class TestCliSweep:
         assert captured.out == ""
         assert message in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param,values,message",
+        [
+            ("nope", "1,2", "unknown config key 'nope'"),
+            ("output_dir", "a,b", "output_dir is set per point by the sweep"),
+        ],
+    )
+    def test_rejected_parameter_writes_nothing(self, tmp_path, capsys, param, values, message):
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", write_ini(tmp_path, SWEEP_CFG), "--output_dir",
+                     str(out), "--param", param, "--values", values])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param,values",
+        [("local_lr", "0.05,0.2"), ("global_lr", "0.5,1.0"), ("local_epochs", "0,2"),
+         ("val_frac", "0.2,0.3"), ("lambda", "0,0.9")],
+    )
+    def test_any_key_runs_every_point_and_records_the_value_that_ran(
+        self, tmp_path, param, values
+    ):
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", write_ini(tmp_path, SWEEP_CFG), "--output_dir",
+                     str(out), "--rounds", "1", "--param", param, "--values", values])
+        assert code == 0
+        payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        texts = values.split(",")
+        assert len(payload["results"]) == len(texts)
+        for text, rec in zip(texts, payload["results"]):
+            point = out / f"{param}={text}"
+            summary = json.loads((point / "summary.json").read_text(encoding="utf-8"))
+            assert rec["value"] == summary["manifest"]["config"][param]
+            assert sorted(rec["final_accuracy"]) == ["fedavg", "gcfl"]
 
     def test_dry_run_prints_the_run_echo(self, tmp_path, capsys):
         out = tmp_path / "sweepout"
@@ -914,6 +958,27 @@ class TestCliSweep:
             {"mean": gap.mean(), "std": gap.std(), "min": gap.min(), "max": gap.max(),
              "wins": int((gap > 0).sum())}, abs=1e-12
         )
+
+    def test_fine_tuned_accuracy_per_arm_and_over_points(self, tmp_path):
+        code, out = self.seed_sweep(tmp_path, "--values", "0,1", "--fine_tune_epochs", "1")
+        assert code == 0
+        payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        arms = ["fedavg", "gcfl", "random"]
+        for rec in payload["results"]:
+            summary = json.loads(
+                (out / f"seed={rec['value']}" / "summary.json").read_text(encoding="utf-8")
+            )
+            assert rec["fine_tuned_accuracy"] == {
+                arm: summary["arms"][arm]["fine_tuned_accuracy"] for arm in arms
+            }
+        over = payload["over_points"]
+        for arm in arms:
+            tuned = [rec["fine_tuned_accuracy"][arm] for rec in payload["results"]]
+            assert over["arms"][arm]["fine_tuned_accuracy"]["mean"] == pytest.approx(
+                np.mean(tuned), abs=1e-12
+            )
+        gap = over["pairs"]["gcfl - fedavg"]["fine_tuned_accuracy"]
+        assert sorted(gap) == ["max", "mean", "min", "std", "wins"]
 
     def test_negative_seed_fails_before_any_point_runs(self, tmp_path, capsys):
         for values_flags in (["--values=-1,0"], ["--values", "-1,0"]):
