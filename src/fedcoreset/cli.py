@@ -33,6 +33,8 @@ from .metrics import write_round_log, write_summary
 
 # per-arm values of a summary.json that sweep.json records and compares
 POINT_METRICS = ("final_accuracy", "fine_tuned_accuracy", "final_clean_fraction")
+# percent-encodes a sweep entry into one path component of its point directory
+POINT_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\\": "%5C"})
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -140,9 +142,10 @@ def _sweep_points(
 
 def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
     """Run once per entry, set as ``--<param> <entry>`` sets it, in the
-    subdirectory ``<param>=<entry>`` and write sweep.json: per point, the
-    value, ``diverged_round`` and each other arm's POINT_METRICS; over the
-    points, their spread and the arms' paired gaps.
+    subdirectory ``<param>=<entry>`` (POINT_ESCAPES applied) and write
+    sweep.json: per point, the value, ``diverged_round`` and each other
+    arm's POINT_METRICS; over the points, their spread and the paired gaps
+    of the arms that ran at every point.
 
     Every point's config is built and its data world prepared before the
     first run, so an unknown parameter or ``output_dir``, no entry, an
@@ -153,10 +156,10 @@ def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
     diverged), after every point has run.
     """
     base_out = Path(cfg.output_dir)
-    points = [
-        (value, replace(point_cfg, output_dir=str(base_out / f"{param}={text}")))
-        for text, value, point_cfg in _sweep_points(cfg, param, entries)
-    ]
+    points = []
+    for text, value, point_cfg in _sweep_points(cfg, param, entries):
+        point_dir = base_out / f"{param}={text.translate(POINT_ESCAPES)}"
+        points.append((value, replace(point_cfg, output_dir=str(point_dir))))
     for _, point_cfg in points:
         prepare_experiment(point_cfg)
     base_out.mkdir(parents=True, exist_ok=True)
@@ -176,10 +179,12 @@ def sweep(cfg: ExperimentConfig, param: str, entries: Iterable[str]) -> int:
             }
         records.append(record)
 
+    ran = [[algo.label for algo in point_cfg.arms] for _, point_cfg in points]
+    labels = [label for label in ran[0] if all(label in arms for arms in ran)]
     combined = {
         "parameter": param,
         "results": records,
-        "over_points": _over_points(records, [algo.label for algo in cfg.arms]),
+        "over_points": _over_points(records, labels),
     }
     with open(base_out / "sweep.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(combined, fh, indent=2, sort_keys=True)

@@ -76,12 +76,6 @@ class Coreset:
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=np.int64).ravel()
         self.weights = np.asarray(self.weights, dtype=np.float64).ravel()
-        if self.indices.size != self.weights.size:
-            raise ValueError("weights must align with indices")
-        if self.indices.size != np.unique(self.indices).size:
-            raise ValueError("coreset indices must be distinct")
-        if np.any(self.weights < 0):
-            raise ValueError("coreset weights must be non-negative")
 
     @property
     def size(self) -> int:
@@ -321,14 +315,6 @@ def omp_select(
     """
     cands = np.atleast_2d(np.asarray(candidate_grads, dtype=np.float64))
     target = np.asarray(target, dtype=np.float64).ravel()
-    if cands.size == 0:
-        raise ValueError("candidate list is empty")
-    if cands.shape[1] != target.size:
-        raise ValueError(
-            f"candidate dim {cands.shape[1]} != target dim {target.size}"
-        )
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     n = len(cands)
     # one class: the kernel never moves a block, so cands is only read
     picks, weights, traces, made = _matching_pursuits(

@@ -104,10 +104,6 @@ class ClientChunk:
     def __post_init__(self) -> None:
         flags = np.ascontiguousarray(np.asarray(self.clean_flags, dtype=bool))
         object.__setattr__(self, "clean_flags", flags)
-        if flags.shape != (self.dataset.n,):
-            raise ValueError("clean_flags must have one entry per sample")
-        if self.client_id < 0:
-            raise ValueError("client_id must be non-negative")
 
     @property
     def n(self) -> int:

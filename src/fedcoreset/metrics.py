@@ -45,13 +45,6 @@ class RoundMetrics:
     coreset_clean_fraction: float | None  # None for non-coreset algorithms
     ledger_snapshot: "CostLedger"
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.test_accuracy <= 1.0:
-            raise ValueError("test_accuracy out of [0, 1]")
-        frac = self.coreset_clean_fraction
-        if frac is not None and not 0.0 <= frac <= 1.0:
-            raise ValueError("coreset_clean_fraction out of [0, 1]")
-
 
 def coreset_composition(pairs: Iterable[tuple[np.ndarray, ClientChunk]]) -> float:
     """Fraction of the rows selected over all (indices, chunk) pairs that

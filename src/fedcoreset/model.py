@@ -127,9 +127,6 @@ class ParamVector:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        total = sum(r * c for r, c in self.layout)
-        if total != self.values.size:
-            raise ValueError("layout does not cover the parameter vector")
 
     def blocks(self) -> tuple[np.ndarray | None, np.ndarray]:
         """``(hidden, output)`` as ``[rows, cols]`` views of ``values``;
@@ -351,7 +348,8 @@ def labelwise_validation_grads(
     the plain one.  The pre-flight keeps ``val`` non-empty for gcfl.
     """
     rows = own_class_grads(params, val)
-    return {int(c): rows[val.labels == c].mean(axis=0) for c in np.unique(val.labels)}
+    present = np.flatnonzero(np.bincount(val.labels)).tolist()  # np.unique imports numpy.ma
+    return {c: rows[val.labels == c].mean(axis=0) for c in present}
 
 
 def _sgd_step(

@@ -184,7 +184,5 @@ def words_rngs(words: np.ndarray) -> list[np.random.Generator]:
     (:func:`seed_words`, :func:`client_seed_words`), each the generator of
     ``default_rng`` on the seed the row was derived from."""
     words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.ndim != 2 or words.shape[1] != 4:
-        raise ValueError(f"seed words must have shape (n, 4), got {words.shape}")
     source, pcg64, generator = _words_source(), np.random.PCG64, np.random.Generator
     return [generator(pcg64(source(row))) for row in words]

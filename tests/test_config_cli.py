@@ -914,6 +914,48 @@ class TestCliSweep:
         assert value == manifest["seed"] == manifest["config"]["seed"] == seed
         assert name == f"seed={seed}"
 
+    def test_path_entries_stay_one_directory_under_output_dir(self, tmp_path, monkeypatch):
+        from worldgen import blobs
+
+        entries = ["data/d0.csv", "data/../../esc.csv", "d\\%1.csv"]
+        work = tmp_path / "work"
+        (work / "data").mkdir(parents=True)
+        for entry in entries:
+            write_csv(blobs(3, 3, np.ones(3), 30, seed=0), work / entry)
+        cfg_path = write_ini(tmp_path, SWEEP_CFG)
+        inputs = set(tmp_path.rglob("*"))
+        monkeypatch.chdir(work)
+        code = main(["sweep", "--config", cfg_path, "--output_dir", "out", "--rounds", "1",
+                     "--dataset.kind", "csv", "--dataset.csv_path", entries[0],
+                     "--param", "dataset.csv_path", "--values", ",".join(entries)])
+        assert code == 0
+        out = work / "out"
+        names = ["data%2Fd0.csv", "data%2F..%2F..%2Fesc.csv", "d%5C%251.csv"]
+        points = [out / f"dataset.csv_path={name}" for name in names]
+        assert sorted(out.iterdir()) == sorted([*points, out / "sweep.json"])
+        assert all((point / "summary.json").exists() for point in points)
+        assert all(out in path.parents for path in set(tmp_path.rglob("*")) - inputs - {out})
+        payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        assert [rec["value"] for rec in payload["results"]] == entries
+
+    @pytest.mark.parametrize(
+        "values,ran,over_arms",
+        [("fedavg,gcfl", ["fedavg", "gcfl"], []),
+         ("fedprox:0.5", ["fedprox_mu0.5"], ["fedprox_mu0.5"])],
+    )
+    def test_arms_sweep_lists_only_arms_that_ran_at_every_point(
+        self, tmp_path, values, ran, over_arms
+    ):
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", write_ini(tmp_path, SWEEP_CFG), "--output_dir",
+                     str(out), "--rounds", "2", "--param", "arms", "--values", values])
+        assert code == 0
+        payload = json.loads((out / "sweep.json").read_text(encoding="utf-8"))
+        assert [list(rec["final_accuracy"]) for rec in payload["results"]] == [[a] for a in ran]
+        over = payload["over_points"]
+        assert sorted(over["arms"]) == over_arms and over["pairs"] == {}
+        assert all(sorted(over["arms"][arm]) == ["final_accuracy"] for arm in over_arms)
+
     def seed_sweep(self, tmp_path, *values_flags):
         out = tmp_path / "seeds"
         code = main(["sweep", "--config", write_ini(tmp_path, SMALL_RUN), "--output_dir",

@@ -696,13 +696,3 @@ class TestFacilityLocation:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * k * n, peak / (8 * k * n)
-
-
-class TestValidation:
-    def test_coreset_invariants(self):
-        with pytest.raises(ValueError):
-            Coreset(np.array([1, 1]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            Coreset(np.array([0]), np.array([-0.5]))
-        with pytest.raises(ValueError):
-            Coreset(np.array([0, 1]), np.array([1.0]))

@@ -854,7 +854,10 @@ class TestProtocolProperties:
         at every kernel call of a whole ``cli.run`` of every arm kind, each
         kernel is called, and the configs reach the cases the engine keeps
         from the kernels: a sampled empty chunk, and a sampled non-empty
-        client of a coreset arm whose budget rounds to 0."""
+        client of a coreset arm whose budget rounds to 0.  Nor are the
+        package's own results re-checked where they are built: the same
+        calls assert their invariants (coresets, round metrics, the
+        aggregate's layout, the prepared chunks, the SGD seed words)."""
         reached = {"sampled empty chunk": 0, "zero-budget client": 0}
         calls = Counter()
 
@@ -877,7 +880,7 @@ class TestProtocolProperties:
 
         def sgd(params, datasets, epochs, lr, batch_size, seeds, mu=0.0, indices=None, cache=None):
             rows = [ds.n for ds in datasets] if indices is None else [len(i) for i in indices]
-            assert len(seeds) == len(rows) == len(datasets) and all(rows)
+            assert np.shape(seeds) == (len(rows), 4) and len(rows) == len(datasets) and all(rows)
 
         real_composition = federation.coreset_composition
 
@@ -905,13 +908,43 @@ class TestProtocolProperties:
                        for cid in sampled if chunks[cid].n]
             reached["zero-budget client"] += algo.uses_coreset and min(budgets, default=1) < 1
 
-        def check_calls(patch, module, name, check):
+        def coreset(cs, chunk):
+            idx = cs.indices
+            assert np.unique(idx).size == idx.size and ((idx >= 0) & (idx < chunk.n)).all()
+            assert cs.weights.shape == idx.shape and (cs.weights >= 0).all()
+
+        def selected(coresets, chunks, *inputs, **knobs):
+            assert len(coresets) == len(chunks)
+            for cs, chunk in zip(coresets, chunks):
+                coreset(cs, chunk)
+
+        def round0_selected(cs, chunk, *inputs):
+            coreset(cs, chunk)
+
+        def aggregated(new, params, deltas, global_lr):
+            assert new.layout == params.layout
+            assert new.values.size == sum(rows * cols for rows, cols in new.layout)
+
+        def metered(out, *inputs, **knobs):
+            _, rm = out
+            assert 0.0 <= rm.test_accuracy <= 1.0
+            frac = rm.coreset_clean_fraction
+            assert frac is None or 0.0 <= frac <= 1.0
+
+        def prepared_world(prepared, cfg):
+            for chunk in prepared.chunks:
+                assert chunk.clean_flags.shape == (chunk.n,) and chunk.client_id >= 0
+
+        def check_calls(patch, module, name, check, result=None):
             real = getattr(module, name)
 
             def call(*args, **kwargs):
                 calls[name] += 1
                 check(*args, **kwargs)
-                return real(*args, **kwargs)
+                out = real(*args, **kwargs)
+                if result is not None:
+                    result(out, *args, **kwargs)
+                return out
 
             patch.setattr(module, name, call)
 
@@ -926,6 +959,13 @@ class TestProtocolProperties:
             "sgd_epochs": sgd,
             "inject_open_set": open_set,
             "run_round": counted,
+        }
+        results = {
+            "labelwise_omp_select": selected,
+            "random_select": round0_selected,
+            "facility_location_select": round0_selected,
+            "aggregate": aggregated,
+            "run_round": metered,
         }
 
         every_arm = tuple(Algo(kind) for kind in federation.ALGO_KINDS)
@@ -945,8 +985,9 @@ class TestProtocolProperties:
         def every_call_keeps_the_contracts(cfg):
             with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
                 for name, check in checks.items():
-                    check_calls(patch, federation, name, check)
+                    check_calls(patch, federation, name, check, results.get(name))
                 check_calls(patch, cli, "compute_cost_ratio", cost_ratio)
+                check_calls(patch, cli, "prepare_experiment", lambda cfg: None, prepared_world)
                 patch.setattr(federation, "coreset_composition", composition)
                 try:
                     assert cli.run(replace(cfg, arms=every_arm, output_dir=out)) == 0
@@ -955,5 +996,5 @@ class TestProtocolProperties:
 
         every_call_keeps_the_contracts()
         assert all(reached.values()), reached
-        kernels = [*checks, "compute_cost_ratio", "coreset_composition"]
+        kernels = [*checks, "compute_cost_ratio", "coreset_composition", "prepare_experiment"]
         assert all(calls[name] for name in kernels), calls

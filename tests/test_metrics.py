@@ -247,9 +247,3 @@ class TestFingerprint:
         assert dataset_fingerprint([flipped], ds, ds) != base
         other = blobs(2, 2, [1, 1], 10, seed=1)
         assert dataset_fingerprint([chunk], other, ds) != base
-
-    def test_validation_ranges(self):
-        with pytest.raises(ValueError):
-            RoundMetrics(0, 1.5, 0.0, None, CostLedger())
-        with pytest.raises(ValueError):
-            RoundMetrics(0, 0.5, 0.0, -0.2, CostLedger())

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,9 +78,3 @@ def test_word_generators_draw_the_default_rng_streams():
         want = np.random.default_rng(seed)
         assert np.array_equal(rng.permutation(50), want.permutation(50))
         assert rng.random() == want.random()
-
-
-def test_words_must_be_rows_of_four():
-    for bad in (np.zeros(4, dtype=np.uint64), np.zeros((2, 3), dtype=np.uint64)):
-        with pytest.raises(ValueError, match="shape"):
-            words_rngs(bad)
