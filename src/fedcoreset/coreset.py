@@ -375,8 +375,8 @@ def labelwise_omp_select(
     # one entry per (client, shared class), client-major and in class order
     spans, members, counts, shares, targets = [], [], [], [], []
     for chunk, budget in zip(chunks, budgets):
-        classes, sizes = np.unique(chunk.dataset.labels, return_counts=True)
-        shared = {c: n for c, n in zip(classes.tolist(), sizes.tolist()) if c in server_rows}
+        sizes = np.bincount(chunk.dataset.labels).tolist()  # np.unique imports numpy.ma
+        shared = {c: n for c, n in enumerate(sizes) if n and c in server_rows}
         split = _split_budget(budget, shared)
         spans.append((len(members), len(members) + len(shared)))
         members += [np.flatnonzero(chunk.dataset.labels == c) for c in shared]
@@ -429,15 +429,10 @@ def labelwise_omp_select(
 
 
 def random_select(chunk: ClientChunk, budget: int, seed: int) -> Coreset:
-    """Uniform sample without replacement of ``budget >= 1`` rows, unit weights.
-
-    A budget above the chunk size is clamped to it, so empty chunks yield
-    empty coresets.
-    """
-    rng = np.random.default_rng(seed)
-    size = min(budget, chunk.n)
-    idx = rng.choice(chunk.n, size=size, replace=False) if size else np.empty(0)
-    return Coreset(np.sort(idx.astype(np.int64)), np.ones(size))
+    """Uniform sample without replacement of ``budget`` rows, unit weights,
+    for 1 <= budget <= chunk.n."""
+    idx = np.random.default_rng(seed).choice(chunk.n, size=budget, replace=False)
+    return Coreset(np.sort(idx), np.ones(budget))
 
 
 def _column_coverage(sim: np.ndarray, best: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -99,7 +99,6 @@ class ClientChunk:
 
     dataset: Dataset
     clean_flags: np.ndarray  # [n] bool, True = untouched by injectors
-    client_id: int
 
     def __post_init__(self) -> None:
         flags = np.ascontiguousarray(np.asarray(self.clean_flags, dtype=bool))
@@ -108,10 +107,6 @@ class ClientChunk:
     @property
     def n(self) -> int:
         return self.dataset.n
-
-
-def _fresh_chunk(ds: Dataset, client_id: int) -> ClientChunk:
-    return ClientChunk(ds, np.ones(ds.n, dtype=bool), client_id)
 
 
 @dataclass(frozen=True)
@@ -251,9 +246,8 @@ def dirichlet_partition(
         for i, part in enumerate(np.split(idx, bounds)):
             per_client[i].append(part)
 
-    return [
-        _fresh_chunk(ds.subset(np.concatenate(parts)), i) for i, parts in enumerate(per_client)
-    ]
+    parts = [ds.subset(np.concatenate(client)) for client in per_client]
+    return [ClientChunk(part, np.ones(part.n, dtype=bool)) for part in parts]
 
 
 def inject_closed_set(chunk: ClientChunk, noise: NoiseSpec, seed: int) -> ClientChunk:
@@ -274,7 +268,7 @@ def inject_closed_set(chunk: ClientChunk, noise: NoiseSpec, seed: int) -> Client
     flags = chunk.clean_flags.copy()
     flags[flip] = False
     ds = Dataset(chunk.dataset.features, labels, num_classes)
-    return ClientChunk(ds, flags, chunk.client_id)
+    return ClientChunk(ds, flags)
 
 
 def inject_open_set(
@@ -304,30 +298,29 @@ def inject_open_set(
         )
 
     rng = np.random.default_rng(seed)
-    removed = rng.choice(num_classes, size=n_remove, replace=False)
-    kept = np.setdiff1d(np.arange(num_classes), removed)
+    keep = np.ones(num_classes, dtype=bool)
+    keep[rng.choice(num_classes, size=n_remove, replace=False)] = False
+    kept = np.flatnonzero(keep)  # np.setdiff1d's np.unique imports numpy.ma
     remap = np.full(num_classes, -1, dtype=np.int64)
     remap[kept] = np.arange(kept.size)
 
     new_chunks = []
     for chunk in train_chunks:
         labels = chunk.dataset.labels
-        noisy = ~np.isin(labels, kept)
+        noisy = ~keep[labels]
         new_labels = np.where(noisy, 0, remap[labels])
         n_noisy = int(noisy.sum())
         if n_noisy:
             new_labels[noisy] = rng.integers(0, kept.size, size=n_noisy)
         flags = chunk.clean_flags & ~noisy
         ds = Dataset(chunk.dataset.features, new_labels, int(kept.size))
-        new_chunks.append(ClientChunk(ds, flags, chunk.client_id))
+        new_chunks.append(ClientChunk(ds, flags))
 
     def filter_remap(part: Dataset) -> Dataset:
-        keep_mask = np.isin(part.labels, kept)
-        return Dataset(
-            part.features[keep_mask], remap[part.labels[keep_mask]], int(kept.size)
-        )
+        mask = keep[part.labels]
+        return Dataset(part.features[mask], remap[part.labels[mask]], int(kept.size))
 
-    return new_chunks, filter_remap(test), filter_remap(val), kept.astype(np.int64)
+    return new_chunks, filter_remap(test), filter_remap(val), kept
 
 
 def inject_attribute(chunk: ClientChunk, noise: NoiseSpec, seed: int) -> ClientChunk:
@@ -343,7 +336,7 @@ def inject_attribute(chunk: ClientChunk, noise: NoiseSpec, seed: int) -> ClientC
     flags = chunk.clean_flags.copy()
     flags[hit] = False
     ds = Dataset(features, chunk.dataset.labels, chunk.dataset.num_classes)
-    return ClientChunk(ds, flags, chunk.client_id)
+    return ClientChunk(ds, flags)
 
 
 def load_dataset_csv(path: str) -> Dataset:

@@ -22,8 +22,10 @@ from :func:`~fedcoreset.model.sgd_epochs` through :func:`client_update`
 to :func:`aggregate`, one client per row; only the global model is a
 :class:`~fedcoreset.model.ParamVector`.
 
+A client is its chunk's position in ``Prepared.chunks``: client c's noise,
+round-0 coreset and SGD streams are keyed by c.
 Scheduling independence: every client draws from a private RNG stream
-keyed by (run seed, client id, round), and deltas are aggregated in a
+keyed by (run seed, client, round), and deltas are aggregated in a
 canonical order, so results do not depend on the order clients run in.
 Client c's stream in round t is ``default_rng(derive_seed(seed, "client",
 c, "round", t))``; :func:`run_training` computes the PCG64 seed words of
@@ -37,10 +39,11 @@ their partial last batches, both taken by the one step kernel, and each
 client's arithmetic is unchanged bit for bit from training it alone.  Each
 client's training rows are gathered from its chunk straight into the row
 table of the round's lock-step plan.  :func:`run_training` keeps the plan
-from round to round in a :class:`~fedcoreset.model.PlanCache`, so the rows are copied again only when the round's trainees or one of
-their row vectors change: on a gcfl refresh, and each round under partial
-participation.  A refresh drops the plan before the selection runs, and
-the arm drops it when its rounds end.
+from round to round in a :class:`~fedcoreset.model.PlanCache`, so the rows
+are copied again only when the round's trainees or one of their row vectors
+change: on a gcfl refresh, and each round under partial participation.  A
+refresh drops the plan before the selection runs, and the arm drops it when
+its rounds end.
 The canonical order is that of ``np.lexsort`` over all P values of each
 delta (the first value the primary key), but it is read off the first
 value with one stable argsort, O(m log m) for m deltas.  Only where
@@ -191,8 +194,8 @@ def client_update(
     cfg: "ExperimentConfig",
     *,
     seeds: np.ndarray,
-    mu: float = 0.0,
-    cache: PlanCache | None = None,
+    mu: float,
+    cache: PlanCache,
 ) -> np.ndarray:
     """For each client, E = cfg.local_epochs epochs of local SGD from
     theta_t on the indexed subset of its chunk at rate cfg.local_lr, with a
@@ -203,7 +206,7 @@ def client_update(
     The clients train in lock-step (:func:`sgd_epochs`),
     each bit for bit as if alone, on non-empty index vectors; the indexed
     rows are gathered straight into the row table of its plan, which
-    ``cache``, when given, keeps for the next call on the same rows."""
+    ``cache`` keeps for the next call on the same rows."""
     trained = sgd_epochs(
         theta_t,
         [chunk.dataset for chunk in chunks],
@@ -257,12 +260,12 @@ def _client_budget(chunk: ClientChunk, budget_fraction: float) -> int:
     return round_half_away(budget_fraction * chunk.n)
 
 
-def _round0_rows(algo: Algo, chunk: ClientChunk, budget: int, master_seed: int) -> np.ndarray:
-    """The rows of ``chunk`` a client trains on from round 0: all of them
-    for fedavg and fedprox, the clean ones for skyline, and otherwise its
-    round-0 coreset, random for gcfl and the random baseline and feature
-    driven for facility location.  A coreset arm's client with a budget
-    below 1, as an empty chunk's is, gets no rows."""
+def _round0_rows(algo: Algo, c: int, chunk: ClientChunk, budget: int, seed: int) -> np.ndarray:
+    """The rows of ``chunk`` that client ``c`` (its position) trains on
+    from round 0: all of them for fedavg and fedprox, the clean ones for
+    skyline, and otherwise its round-0 coreset, random for gcfl and the
+    random baseline and feature driven for facility location.  A coreset
+    arm's client with a budget below 1, as an empty chunk's is, gets no rows."""
     if algo.kind in ("fedavg", "fedprox"):
         return np.arange(chunk.n, dtype=np.int64)
     if algo.kind == "skyline":
@@ -271,8 +274,7 @@ def _round0_rows(algo: Algo, chunk: ClientChunk, budget: int, master_seed: int) 
         return np.empty(0, dtype=np.int64)
     if algo.kind == "facility_location":
         return facility_location_select(chunk, budget).indices
-    seed = derive_seed(master_seed, "coreset0", chunk.client_id)
-    return random_select(chunk, budget, seed).indices
+    return random_select(chunk, budget, derive_seed(seed, "coreset0", c)).indices
 
 
 def run_round(
@@ -284,7 +286,7 @@ def run_round(
     round_index: int,
     ledger: CostLedger,
     client_words: np.ndarray,
-    cache: PlanCache | None = None,
+    cache: PlanCache,
 ) -> tuple[ParamVector, RoundMetrics]:
     """Execute one communication round from the global parameters and
     return the new parameters plus that round's metrics.
@@ -297,9 +299,9 @@ def run_round(
     of the rows that client trains on; a gcfl refresh round replaces the
     selecting clients' entries in place with their coresets' indices.
     ``prepared`` is the world of ``cfg``, so it has ``num_clients >=
-    clients_per_round`` chunks.  ``cache``, when given, keeps the local
-    SGD's lock-step plan for the next round (see :func:`client_update`); a
-    refresh round empties it before the selection runs.
+    clients_per_round`` chunks.  ``cache`` keeps the local SGD's lock-step
+    plan for the next round (see :func:`client_update`); a refresh round
+    empties it before the selection runs.
     """
     chunks = prepared.chunks
     n_clients = len(chunks)
@@ -312,8 +314,7 @@ def run_round(
     theta_size = params.values.size
 
     if algo.kind == "gcfl" and round_index % cfg.refresh_period == 0:
-        if cache is not None:
-            cache.clear()  # the rows change, and no plan may sit under the selector's memory
+        cache.clear()  # the rows change, and no plan may sit under the selector's memory
         rows = labelwise_validation_grads(params, prepared.val)
         ledger.grads_broadcast += len(sampled) * sum(r.size for r in rows.values())
         budgets = {cid: _client_budget(chunks[cid], cfg.budget_fraction) for cid in sampled}
@@ -386,7 +387,8 @@ def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
         )
     elif noise.kind != "none":
         inject = inject_closed_set if noise.kind == "closed_set" else inject_attribute
-        chunks = [inject(c, noise, derive_seed(cfg.seed, "noise", c.client_id)) for c in chunks]
+        seeds = [derive_seed(cfg.seed, "noise", c) for c in range(len(chunks))]
+        chunks = [inject(chunk, noise, seed) for chunk, seed in zip(chunks, seeds)]
 
     _check_prepared(cfg, chunks, val, test)
     return Prepared(
@@ -414,19 +416,18 @@ def _check_prepared(
     if refreshes:
         in_val = np.zeros(val.num_classes, dtype=bool)
         in_val[val.labels] = True
-        for chunk in chunks:
+        for c, chunk in enumerate(chunks):
             budget = _client_budget(chunk, cfg.budget_fraction)
             if budget >= 1 and not in_val[chunk.dataset.labels].any():
                 raise ConfigurationError(
-                    f"client {chunk.client_id} shares no class with the validation "
+                    f"client {c} shares no class with the validation "
                     "set, so gcfl cannot select its coreset: raise val_frac"
                 )
 
 
-def run_training(
-    cfg: "ExperimentConfig", algo: Algo, prepared: Prepared | None = None
-) -> TrainingResult:
-    """Run T rounds of one algorithm arm, fully determined by cfg.seed.
+def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> TrainingResult:
+    """Run T rounds of one algorithm arm on ``prepared``, the world of cfg
+    (:func:`prepare_experiment`), fully determined by cfg.seed.
 
     The arm stops after the first round whose aggregated parameters hold a
     non-finite value, records it as ``diverged_round`` and skips the
@@ -436,15 +437,12 @@ def run_training(
     rounds end.  The clients' seed words are computed a block of rounds at
     a time, ``max(1, SEED_BLOCK // num_clients)`` rounds of every client,
     so their memory does not grow with the rounds."""
-    if prepared is None:
-        prepared = prepare_experiment(cfg)
-
     params = init_params(
         cfg.model, prepared.test.dim, prepared.test.num_classes, derive_seed(cfg.seed, "init")
     )
     train_rows = [
-        _round0_rows(algo, chunk, _client_budget(chunk, cfg.budget_fraction), cfg.seed)
-        for chunk in prepared.chunks
+        _round0_rows(algo, c, chunk, _client_budget(chunk, cfg.budget_fraction), cfg.seed)
+        for c, chunk in enumerate(prepared.chunks)
     ]
     ledger = CostLedger()
     cache = PlanCache()
@@ -459,7 +457,7 @@ def run_training(
                 rounds = range(t, min(t + block, cfg.rounds))
                 words = client_seed_words(cfg.seed, n_clients, rounds)
             params, rm = run_round(
-                params, prepared, train_rows, algo, cfg, t, ledger, words[t % block], cache=cache
+                params, prepared, train_rows, algo, cfg, t, ledger, words[t % block], cache
             )
             series.append(rm)
             if not np.isfinite(params.values).all():

@@ -182,7 +182,8 @@ def _words_source() -> type:
 def words_rngs(words: np.ndarray) -> list[np.random.Generator]:
     """One PCG64 generator per row of the ``[n, 4]`` uint64 seed words
     (:func:`seed_words`, :func:`client_seed_words`), each the generator of
-    ``default_rng`` on the seed the row was derived from."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
+    ``default_rng`` on the seed the row was derived from.  PCG64 reads four
+    words from each row's buffer, so rows of another width raise ``ValueError``."""
+    words = np.ascontiguousarray(words, dtype=np.uint64).reshape(len(words), 4)
     source, pcg64, generator = _words_source(), np.random.PCG64, np.random.Generator
     return [generator(pcg64(source(row))) for row in words]

@@ -189,7 +189,7 @@ def reference_accuracy(params: ParamVector, test: Dataset) -> float:
     return float(np.mean(reference_predictions(params, test.features) == test.labels))
 
 
-def _round0_rows(kind, chunk, budget, seed) -> np.ndarray:
+def _round0_rows(kind, c, chunk, budget, seed) -> np.ndarray:
     if kind in ("fedavg", "fedprox"):
         return np.arange(chunk.n)
     if kind == "skyline":
@@ -198,7 +198,7 @@ def _round0_rows(kind, chunk, budget, seed) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if kind == "facility_location":
         return reference_facility_greedy(chunk.dataset.features, budget)[0]
-    rng = np.random.default_rng(derive_seed(seed, "coreset0", chunk.client_id))
+    rng = np.random.default_rng(derive_seed(seed, "coreset0", c))
     return np.sort(rng.choice(chunk.n, size=min(budget, chunk.n), replace=False))
 
 
@@ -234,7 +234,7 @@ def reference_run(cfg, algo, prepared) -> TrainingResult:
     params = init_params(cfg.model, test.dim, test.num_classes, derive_seed(cfg.seed, "init"))
     size = params.values.size
     budgets = [round_half_away(cfg.budget_fraction * chunk.n) for chunk in chunks]
-    rows = [_round0_rows(algo.kind, c, b, cfg.seed) for c, b in zip(chunks, budgets)]
+    rows = [_round0_rows(algo.kind, c, chunks[c], b, cfg.seed) for c, b in enumerate(budgets)]
     mu = algo.mu if algo.kind == "fedprox" else 0.0
     ledger, series, diverged = CostLedger(), [], None
     with np.errstate(over="ignore", invalid="ignore"):

@@ -700,7 +700,7 @@ class TestPreflight:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "shares no class" in err and "val_frac" in err
+        assert "client 0 shares no class" in err and "val_frac" in err
         assert not out.exists()
 
     def test_gcfl_without_rounds_needs_no_validation_set(self, tmp_path):

@@ -25,8 +25,8 @@ from reference import reference_facility_greedy, reference_labelwise
 from worldgen import blobs
 
 
-def chunk_of(ds: Dataset, client_id: int = 0) -> ClientChunk:
-    return ClientChunk(ds, np.ones(ds.n, dtype=bool), client_id)
+def chunk_of(ds: Dataset) -> ClientChunk:
+    return ClientChunk(ds, np.ones(ds.n, dtype=bool))
 
 
 def select_one(chunk, params, server_rows, budget, lam) -> Coreset:
@@ -434,8 +434,8 @@ class TestRoundWide:
             clients, server_rows, lam = self.make_round(rng, kind)
             classes = len(server_rows)
             chunks = [
-                chunk_of(Dataset(rng.normal(size=(len(labels), 2)), labels, classes), i)
-                for i, (_, labels, _) in enumerate(clients)
+                chunk_of(Dataset(rng.normal(size=(len(labels), 2)), labels, classes))
+                for _, labels, _ in clients
             ]
             rows_of = {id(chunk.dataset): rows for chunk, (rows, _, _) in zip(chunks, clients)}
             monkeypatch.setattr(coreset, "own_class_grads", lambda p, ds: rows_of[id(ds)])
@@ -501,7 +501,7 @@ class TestRoundWide:
         for i in range(clients):
             labels = np.concatenate([np.full(1200, i), np.repeat(np.arange(classes), 2)])
             ds = Dataset(rng.normal(size=(len(labels), dim)), labels, classes)
-            chunks.append(chunk_of(ds, i))
+            chunks.append(chunk_of(ds))
         params = init_params(ModelConfig("softmax_regression"), dim, classes, seed=33)
         server_rows = {c: rng.normal(size=dim + 1) for c in range(classes)}
         budgets = [round(0.1 * c.n) for c in chunks]
@@ -509,8 +509,7 @@ class TestRoundWide:
         packed = 1.25 * 8 * rows * (dim + 1 + 2)
         support = 8 * clients * classes * max(budgets) * (dim + 1)
         client = 8 * chunks[0].n * (dim + 1 + classes)
-        # a first call, so numpy's lazy imports (np.unique loads numpy.ma) are
-        # not counted
+        # a first call, so numpy's lazy imports are not counted
         labelwise_omp_select(chunks[:1], params, server_rows, budgets[:1], lam=0.5)
         tracemalloc.start()
         try:
@@ -543,11 +542,6 @@ class TestRandomSelect:
         a = random_select(chunk, 10, seed=5)
         b = random_select(chunk, 10, seed=5)
         assert np.array_equal(a.indices, b.indices)
-
-    def test_empty_chunk_gives_empty_coreset(self):
-        ds = blobs(2, 2, [1, 1], 5, seed=0)
-        empty = ClientChunk(ds.subset([]), np.ones(0, dtype=bool), 0)
-        assert random_select(empty, 3, seed=0).size == 0
 
 
 class TestFacilityLocation:

@@ -22,8 +22,8 @@ from fedcoreset.errors import ConfigurationError
 from worldgen import blobs, write_csv
 
 
-def chunk_of(ds: Dataset, client_id: int = 0) -> ClientChunk:
-    return ClientChunk(ds, np.ones(ds.n, dtype=bool), client_id)
+def chunk_of(ds: Dataset) -> ClientChunk:
+    return ClientChunk(ds, np.ones(ds.n, dtype=bool))
 
 
 def row_multiset(ds: Dataset) -> list[tuple]:

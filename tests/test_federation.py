@@ -81,13 +81,14 @@ class TestAlgo:
 class TestClientUpdate:
     def make_chunk(self, n=20):
         ds = blobs(4, 5, np.ones(4), n // 4, seed=0)
-        return ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
+        return ClientChunk(ds, np.ones(ds.n, dtype=bool))
 
     def test_zero_epochs_zero_delta(self):
         chunk = self.make_chunk()
         cfg = tiny_cfg(local_epochs=0, batch_size=8)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=1)
-        (delta,) = client_update([chunk], theta, [np.arange(chunk.n)], cfg, seeds=seed_words([0]))
+        (delta,) = client_update([chunk], theta, [np.arange(chunk.n)], cfg, seeds=seed_words([0]),
+                                 mu=0.0, cache=PlanCache())
         assert np.all(delta == 0.0)
 
     def test_single_full_batch_step_identity(self):
@@ -95,7 +96,8 @@ class TestClientUpdate:
         cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=2)
         idx = np.arange(chunk.n)
-        (delta,) = client_update([chunk], theta, [idx], cfg, seeds=seed_words([0]))
+        (delta,) = client_update([chunk], theta, [idx], cfg, seeds=seed_words([0]), mu=0.0,
+                                 cache=PlanCache())
         grad = last_layer_grad_stack(theta, chunk.dataset).mean(axis=0).ravel()
         assert np.allclose(delta, -0.05 * grad, atol=1e-12)
 
@@ -104,8 +106,10 @@ class TestClientUpdate:
         cfg = tiny_cfg(local_lr=0.05, batch_size=chunk.n)
         theta = init_params(ModelConfig("softmax_regression"), 5, 4, seed=3)
         idx = np.arange(chunk.n)
-        (plain,) = client_update([chunk], theta, [idx], cfg, seeds=seed_words([0]))
-        (proxed,) = client_update([chunk], theta, [idx], cfg, seeds=seed_words([0]), mu=5.0)
+        (plain,) = client_update([chunk], theta, [idx], cfg, seeds=seed_words([0]), mu=0.0,
+                                 cache=PlanCache())
+        (proxed,) = client_update([chunk], theta, [idx], cfg, seeds=seed_words([0]), mu=5.0,
+                                  cache=PlanCache())
         # one step from the anchor itself: prox gradient mu*(theta-anchor)=0
         assert np.allclose(plain, proxed, atol=1e-12)
 
@@ -115,7 +119,8 @@ class TestClientUpdate:
         cfg = tiny_cfg(local_epochs=2, local_lr=lr, batch_size=chunk.n)
         theta0 = init_params(ModelConfig("softmax_regression"), 5, 4, seed=6)
         rows = [np.arange(chunk.n)]
-        (delta,) = client_update([chunk], theta0, rows, cfg, seeds=seed_words([0]), mu=mu)
+        (delta,) = client_update([chunk], theta0, rows, cfg, seeds=seed_words([0]), mu=mu,
+                                 cache=PlanCache())
 
         def grad(values):
             params = theta0.with_values(values)
@@ -277,14 +282,17 @@ class TestRunRound:
         for m in (2, 8):
             cfg = tiny_cfg(num_clients=8, clients_per_round=m, batch_size=4)
             train_rows = [
-                federation._round0_rows(Algo(kind), c, federation._client_budget(c, cfg.budget_fraction), 0)
-                for c in prepared.chunks
+                federation._round0_rows(
+                    Algo(kind), c, chunk, federation._client_budget(chunk, cfg.budget_fraction), 0
+                )
+                for c, chunk in enumerate(prepared.chunks)
             ]
             built.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(ParamVector, "__post_init__", counting)
                 federation.run_round(params, prepared, train_rows, Algo(kind), cfg, 0, CostLedger(),
-                                     client_seed_words(cfg.seed, cfg.num_clients, range(1))[0])
+                                     client_seed_words(cfg.seed, cfg.num_clients, range(1))[0],
+                                     PlanCache())
             counts[m] = len(built)
         assert counts[2] == counts[8]
 
@@ -292,11 +300,14 @@ class TestRunRound:
     def first_round(kind, cfg, prepared, params):
         algo = Algo(kind)
         train_rows = [
-            federation._round0_rows(algo, c, federation._client_budget(c, cfg.budget_fraction), 0)
-            for c in prepared.chunks
+            federation._round0_rows(
+                algo, c, chunk, federation._client_budget(chunk, cfg.budget_fraction), 0
+            )
+            for c, chunk in enumerate(prepared.chunks)
         ]
         words = client_seed_words(cfg.seed, len(prepared.chunks), range(1))[0]
-        return federation.run_round(params, prepared, train_rows, algo, cfg, 0, CostLedger(), words)
+        return federation.run_round(params, prepared, train_rows, algo, cfg, 0, CostLedger(), words,
+                                    PlanCache())
 
     @pytest.mark.parametrize("kind", federation.ALGO_KINDS)
     def test_round_leaves_its_input_params_bit_equal(self, kind):
@@ -383,7 +394,7 @@ class TestRunRound:
             monkeypatch.setattr(module, "last_layer_grad_stack", full_stack)
         for arch in ARCHS:
             cfg = tiny_cfg(model=ModelConfig(arch, hidden_dim=5), rounds=3, refresh_period=1)
-            result = run_training(cfg, Algo("gcfl"))
+            result = run_training(cfg, Algo("gcfl"), prepare_experiment(cfg))
             assert result.ledger.grads_broadcast > 0
 
     def test_gcfl_refresh_counter_k1_vs_k10(self):
@@ -437,15 +448,15 @@ class TestSingleClientEquivalence:
 class TestRunTraining:
     def test_zero_rounds(self):
         cfg = tiny_cfg(rounds=0)
-        result = run_training(cfg, Algo("fedavg"))
+        result = run_training(cfg, Algo("fedavg"), prepare_experiment(cfg))
         assert result.rounds == []
         expect = init_params(ModelConfig("softmax_regression"), 4, 4, derive_seed(cfg.seed, "init"))
         assert np.array_equal(result.final_params.values, expect.values)
 
     def test_bitwise_deterministic(self):
         cfg = tiny_cfg(noise=NoiseSpec("closed_set", 0.3), rounds=4)
-        a = run_training(cfg, Algo("gcfl"))
-        b = run_training(cfg, Algo("gcfl"))
+        a = run_training(cfg, Algo("gcfl"), prepare_experiment(cfg))
+        b = run_training(cfg, Algo("gcfl"), prepare_experiment(cfg))
         assert np.array_equal(a.final_params.values, b.final_params.values)
         for ra, rb in zip(a.rounds, b.rounds):
             assert ra.test_accuracy == rb.test_accuracy
@@ -454,23 +465,23 @@ class TestRunTraining:
 
     def test_rounds_strictly_increasing_and_complete(self):
         cfg = tiny_cfg(rounds=5)
-        result = run_training(cfg, Algo("fedavg"))
+        result = run_training(cfg, Algo("fedavg"), prepare_experiment(cfg))
         assert [rm.round for rm in result.rounds] == list(range(5))
 
     def test_clean_fraction_only_for_coreset_algos(self):
         cfg = tiny_cfg(rounds=2)
         assert all(
             rm.coreset_clean_fraction is None
-            for rm in run_training(cfg, Algo("fedavg")).rounds
+            for rm in run_training(cfg, Algo("fedavg"), prepare_experiment(cfg)).rounds
         )
         assert all(
             rm.coreset_clean_fraction is not None
-            for rm in run_training(cfg, Algo("random")).rounds
+            for rm in run_training(cfg, Algo("random"), prepare_experiment(cfg)).rounds
         )
 
     def test_ledger_counters_monotone(self):
         cfg = tiny_cfg(rounds=6, refresh_period=2)
-        result = run_training(cfg, Algo("gcfl"))
+        result = run_training(cfg, Algo("gcfl"), prepare_experiment(cfg))
         snaps = [rm.ledger_snapshot for rm in result.rounds]
         for a, b in zip(snaps, snaps[1:]):
             assert b.per_sample_grad_evals >= a.per_sample_grad_evals
@@ -483,7 +494,7 @@ class TestRunTraining:
         # alpha small enough that some client very likely gets nothing
         cfg = tiny_cfg(num_clients=8, dirichlet_alpha=0.05, rounds=2)
         for kind in ("fedavg", "gcfl", "skyline", "random", "facility_location"):
-            result = run_training(cfg, Algo(kind))
+            result = run_training(cfg, Algo(kind), prepare_experiment(cfg))
             assert len(result.rounds) == 2
 
 
@@ -501,17 +512,18 @@ class TestRunTraining:
 
         monkeypatch.setattr(federation, "client_seed_words", spy)
         cfg = tiny_cfg(num_clients=num_clients, rounds=rounds, local_epochs=0)
-        run_training(cfg, Algo("fedavg"))
+        run_training(cfg, Algo("fedavg"), prepare_experiment(cfg))
         assert [t for span in spans for t in span] == list(range(rounds))
         assert len(spans) == -(-rounds // max(1, federation.SEED_BLOCK // num_clients))
 
     def test_non_finite_parameters_stop_the_arm(self):
         cfg = tiny_cfg(local_lr=1e300, global_lr=1e10, rounds=5, fine_tune_epochs=1)
-        result = run_training(cfg, Algo("fedavg"))
+        result = run_training(cfg, Algo("fedavg"), prepare_experiment(cfg))
         assert result.diverged_round == len(result.rounds) - 1
         assert not np.isfinite(result.final_params.values).all()
         assert result.fine_tuned_accuracy is None
-        assert run_training(tiny_cfg(rounds=5), Algo("fedavg")).diverged_round is None
+        cfg = tiny_cfg(rounds=5)
+        assert run_training(cfg, Algo("fedavg"), prepare_experiment(cfg)).diverged_round is None
 
 
 class TestKeptPlan:
@@ -614,7 +626,7 @@ class TestOneHiddenArchitecture:
             model=ModelConfig(arch="one_hidden", hidden_dim=6),
             noise=NoiseSpec("closed_set", 0.3),
         )
-        result = run_training(cfg, Algo("gcfl"))
+        result = run_training(cfg, Algo("gcfl"), prepare_experiment(cfg))
         assert len(result.rounds) == 4
         # broadcast rows sized by the hidden width, not the input width
         num_classes, h1 = 4, 6 + 1
@@ -657,10 +669,11 @@ class TestNoisePathsEndToEnd:
 
     def test_fine_tuned_accuracy_reported(self):
         cfg = tiny_cfg(noise=NoiseSpec("closed_set", 0.4), rounds=3, fine_tune_epochs=20)
-        result = run_training(cfg, Algo("fedavg"))
+        result = run_training(cfg, Algo("fedavg"), prepare_experiment(cfg))
         assert result.fine_tuned_accuracy is not None
         assert 0.0 <= result.fine_tuned_accuracy <= 1.0
-        untuned = run_training(replace(cfg, fine_tune_epochs=0), Algo("fedavg"))
+        untuned_cfg = replace(cfg, fine_tune_epochs=0)
+        untuned = run_training(untuned_cfg, Algo("fedavg"), prepare_experiment(untuned_cfg))
         assert untuned.fine_tuned_accuracy is None
 
 
@@ -674,7 +687,8 @@ class TestFinalAccuracy:
             return evaluated[-1]
 
         monkeypatch.setattr(federation, "evaluate_accuracy", spy)
-        result = run_training(tiny_cfg(rounds=rounds, fine_tune_epochs=fine_tune), Algo("fedavg"))
+        cfg = tiny_cfg(rounds=rounds, fine_tune_epochs=fine_tune)
+        result = run_training(cfg, Algo("fedavg"), prepare_experiment(cfg))
         assert len(evaluated) == calls
         assert result.final_accuracy == evaluated[rounds - 1 if rounds else 0]
 
@@ -873,7 +887,7 @@ class TestProtocolProperties:
                 assert np.isin(chunk.dataset.labels, list(server_rows)).any()
 
         def round0_coreset(chunk, budget, *seed):
-            assert budget >= 1 and chunk.n >= 1
+            assert 1 <= budget <= chunk.n
 
         def aggregate_(params, deltas, global_lr):
             assert len(deltas) and deltas.shape[1] == params.values.size
@@ -898,7 +912,7 @@ class TestProtocolProperties:
         def cost_ratio(ledger, fedavg):
             assert fedavg.sgd_sample_visits > 0
 
-        def counted(params, prepared, train_rows, algo, cfg, t, ledger, client_words, cache=None):
+        def counted(params, prepared, train_rows, algo, cfg, t, ledger, client_words, cache):
             chunks = prepared.chunks
             assert client_words.shape == (len(chunks), 4)
             m = cfg.clients_per_round or len(chunks)
@@ -933,7 +947,7 @@ class TestProtocolProperties:
 
         def prepared_world(prepared, cfg):
             for chunk in prepared.chunks:
-                assert chunk.clean_flags.shape == (chunk.n,) and chunk.client_id >= 0
+                assert chunk.clean_flags.shape == (chunk.n,)
 
         def check_calls(patch, module, name, check, result=None):
             real = getattr(module, name)

@@ -102,17 +102,17 @@ class TestAccuracy:
 class TestComposition:
     def test_all_clean_chunk(self):
         ds = blobs(2, 2, [1, 1], 10, seed=0)
-        chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
+        chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool))
         assert coreset_composition([(np.array([0, 3, 7]), chunk)]) == 1.0
 
     def test_empty_coreset_is_vacuously_clean(self):
         ds = blobs(2, 2, [1, 1], 10, seed=0)
-        chunk = ClientChunk(ds, np.zeros(ds.n, dtype=bool), 0)
+        chunk = ClientChunk(ds, np.zeros(ds.n, dtype=bool))
         assert coreset_composition([(np.empty(0, dtype=np.int64), chunk)]) == 1.0
 
     def test_counts_clean_flags(self):
         ds = blobs(4, 2, np.ones(4), 25, seed=1)
-        chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
+        chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool))
         noisy = inject_closed_set(chunk, NoiseSpec("closed_set", 0.4), seed=2)
         idx = np.arange(noisy.n)
         assert coreset_composition([(idx, noisy)]) == pytest.approx(
@@ -123,8 +123,8 @@ class TestComposition:
         ds = blobs(2, 2, [1, 1], 10, seed=0)
         flags = np.ones(ds.n, dtype=bool)
         flags[:3] = False
-        one = ClientChunk(ds, flags, 0)
-        two = ClientChunk(ds, np.ones(ds.n, dtype=bool), 1)
+        one = ClientChunk(ds, flags)
+        two = ClientChunk(ds, np.ones(ds.n, dtype=bool))
         pairs = [
             (np.array([0, 1, 2, 5]), one),  # 1 of 4 clean
             (np.empty(0, dtype=np.int64), one),
@@ -241,9 +241,9 @@ class TestSummary:
 class TestFingerprint:
     def test_sensitive_to_any_field(self):
         ds = blobs(2, 2, [1, 1], 10, seed=0)
-        chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool), 0)
+        chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool))
         base = dataset_fingerprint([chunk], ds, ds)
-        flipped = ClientChunk(ds, np.zeros(ds.n, dtype=bool), 0)
+        flipped = ClientChunk(ds, np.zeros(ds.n, dtype=bool))
         assert dataset_fingerprint([flipped], ds, ds) != base
         other = blobs(2, 2, [1, 1], 10, seed=1)
         assert dataset_fingerprint([chunk], other, ds) != base

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +79,10 @@ def test_word_generators_draw_the_default_rng_streams():
         want = np.random.default_rng(seed)
         assert np.array_equal(rng.permutation(50), want.permutation(50))
         assert rng.random() == want.random()
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_word_rows_of_another_width_are_rejected(width):
+    # PCG64 reads four words from a row's buffer: three would read past it, five drop one
+    with pytest.raises(ValueError):
+        words_rngs(np.zeros((2, width), dtype=np.uint64))

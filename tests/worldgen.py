@@ -41,8 +41,7 @@ def balanced_world(num_clients=10, per_class_per_client=10, dim=6, num_classes=1
         for i in range(num_clients):
             chunk_idx[i].extend(rest[i * per_class_per_client : (i + 1) * per_class_per_client])
     chunks = [
-        ClientChunk(ds.subset(np.array(ix)), np.ones(len(ix), dtype=bool), i)
-        for i, ix in enumerate(chunk_idx)
+        ClientChunk(ds.subset(np.array(ix)), np.ones(len(ix), dtype=bool)) for ix in chunk_idx
     ]
     val, test = ds.subset(np.array(val_idx)), ds.subset(np.array(test_idx))
     return Prepared(
@@ -69,8 +68,8 @@ def sized_world(sizes, num_classes=4, dim=5, seed=0):
     rest = rng.permutation(rest)
     bounds = np.cumsum([0, *sizes])
     chunks = [
-        ClientChunk(ds.subset(rest[a:b]), rng.random(b - a) >= 0.25, i)
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        ClientChunk(ds.subset(rest[a:b]), rng.random(b - a) >= 0.25)
+        for a, b in zip(bounds, bounds[1:])
     ]
     val, test = ds.subset(np.array(val_idx)), ds.subset(np.array(test_idx))
     return Prepared(
