@@ -234,6 +234,13 @@ def dirichlet_partition(
     to ``ds.n`` exactly.  A client may end up with zero samples; downstream
     code must tolerate empty chunks.  ``ExperimentConfig`` keeps
     ``num_clients >= 1`` and ``alpha > 0``.
+
+    The rows are gathered once, client by client, into one client-major
+    table, and each chunk's features are a view of its consecutive rows,
+    which follow the previous chunk's: the chunks hold no copy of a row
+    beside the table, and no index vector of all the rows is built.  A
+    round's scoring pass (:func:`~fedcoreset.scoring.scoring_plan`) takes
+    one product over each run of adjacent chunks.
     """
     rng = np.random.default_rng(seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
@@ -246,8 +253,17 @@ def dirichlet_partition(
         for i, part in enumerate(np.split(idx, bounds)):
             per_client[i].append(part)
 
-    parts = [ds.subset(np.concatenate(client)) for client in per_client]
-    return [ClientChunk(part, np.ones(part.n, dtype=bool)) for part in parts]
+    table = np.empty_like(ds.features)
+    chunks, start = [], 0
+    for client in per_client:
+        idx = np.concatenate(client)
+        span = slice(start, start + idx.size)
+        # the indices are in range, and mode "raise" would buffer the output
+        ds.features.take(idx, axis=0, out=table[span], mode="clip")
+        part = Dataset(table[span], ds.labels.take(idx), ds.num_classes)
+        chunks.append(ClientChunk(part, np.ones(idx.size, dtype=bool)))
+        start = span.stop
+    return chunks
 
 
 def inject_closed_set(chunk: ClientChunk, noise: NoiseSpec, seed: int) -> ClientChunk:

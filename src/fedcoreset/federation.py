@@ -7,16 +7,20 @@ re-select their coresets by gradient matching, all of them in one call of
 :func:`~fedcoreset.coreset.labelwise_omp_select`, each client's coreset bit
 for bit the one it would select alone.  Clients train locally for E
 epochs on their training rows, upload parameter deltas, and the server
-applies the global-rate mean.  The round's train loss scores all the
-sampled non-empty chunks in one :func:`~fedcoreset.model.loss` call, each
-chunk's mean bit for bit that of scoring it alone.  Under full
+applies the global-rate mean.  One :func:`~fedcoreset.scoring.loss` call
+scores the round: the mean train loss of all the sampled non-empty chunks
+and the test accuracy, from one class-major pass over a scoring plan that
+the arm keeps while the sampled chunks stay the same; adjacent sampled
+chunks, one run of the partition's client-major table, share one product,
+and each chunk's mean keeps the bits of scoring its run alone.  Under full
 participation the sampled clients are all N, what the sorted draw of all
 of them gives, and no sample stream is drawn.  All compute and traffic is
 metered in a :class:`CostLedger`.
 A run keeps one int64 row vector per client, the indices of the chunk rows
 it trains on: the whole chunk for fedavg and fedprox, the clean rows for
 skyline, and the current coreset's indices for the coreset arms (a refresh
-stores the new ones); coreset weights steer selection only.
+stores the new ones), and beside them how many of those rows are clean, so
+a round's clean fraction sums counts; coreset weights steer selection only.
 A round's client models and deltas travel as one ``[m, P]`` float64 array
 from :func:`~fedcoreset.model.sgd_epochs` through :func:`client_update`
 to :func:`aggregate`, one client per row; only the global model is a
@@ -28,11 +32,12 @@ Scheduling independence: every client draws from a private RNG stream
 keyed by (run seed, client, round), and deltas are aggregated in a
 canonical order, so results do not depend on the order clients run in.
 Client c's stream in round t is ``default_rng(derive_seed(seed, "client",
-c, "round", t))``; :func:`run_training` computes the PCG64 seed words of
-all clients' streams for a block of rounds, about ``SEED_BLOCK`` streams,
-in one vectorized pass (:func:`~fedcoreset.seeding.client_seed_words`),
-and :func:`run_round` hands the trainees their rows, so no arm derives a
-key per client and round.
+c, "round", t))``; :func:`run_training` draws the sampled clients of a
+block of rounds, about ``SEED_BLOCK`` streams, and computes the PCG64 seed
+words of just their streams in one vectorized pass
+(:func:`~fedcoreset.seeding.client_seed_words`), and :func:`run_round`
+hands the trainees their rows, so no arm derives a key per client and
+round.
 A round's clients train in lock-step (:func:`~fedcoreset.model.sgd_epochs`),
 one SGD step for all the clients whose next batch is full and one for
 their partial last batches, both taken by the one step kernel, and each
@@ -42,8 +47,8 @@ table of the round's lock-step plan.  :func:`run_training` keeps the plan
 from round to round in a :class:`~fedcoreset.model.PlanCache`, so the rows
 are copied again only when the round's trainees or one of their row vectors
 change: on a gcfl refresh, and each round under partial participation.  A
-refresh drops the plan before the selection runs, and the arm drops it when
-its rounds end.
+refresh drops both plans before the selection runs, and the arm drops them
+when its rounds end.
 The canonical order is that of ``np.lexsort`` over all P values of each
 delta (the first value the primary key), but it is read off the first
 value with one stable argsort, O(m log m) for m deltas.  Only where
@@ -73,9 +78,9 @@ from .data import (
     split_train_val_test,
 )
 from .errors import ConfigurationError
-from .metrics import RoundMetrics, coreset_composition, dataset_fingerprint
-from .model import ParamVector, PlanCache, evaluate_accuracy, init_params
-from .model import labelwise_validation_grads, loss, sgd_epochs
+from .metrics import RoundMetrics, dataset_fingerprint
+from .model import ParamVector, PlanCache, init_params, labelwise_validation_grads, sgd_epochs
+from .scoring import evaluate_accuracy, loss
 from .seeding import client_seed_words, derive_seed, seed_words, spawn_rng
 
 if TYPE_CHECKING:
@@ -277,40 +282,48 @@ def _round0_rows(algo: Algo, c: int, chunk: ClientChunk, budget: int, seed: int)
     return random_select(chunk, budget, derive_seed(seed, "coreset0", c)).indices
 
 
+def _sample(cfg: "ExperimentConfig", n_clients: int, round_index: int) -> np.ndarray:
+    """The sorted positions of the clients round ``round_index`` samples:
+    all N under full participation, what the sorted draw of all of them
+    gives, without drawing a sample stream."""
+    m = cfg.clients_per_round or n_clients
+    if m == n_clients:
+        return np.arange(n_clients)
+    rng = spawn_rng(cfg.seed, "sample", round_index)
+    return np.sort(rng.choice(n_clients, size=m, replace=False))
+
+
 def run_round(
     params: ParamVector,
     prepared: Prepared,
     train_rows: list[np.ndarray],
+    clean_counts: np.ndarray,
     algo: Algo,
     cfg: "ExperimentConfig",
     round_index: int,
     ledger: CostLedger,
+    sampled: np.ndarray,
     client_words: np.ndarray,
     cache: PlanCache,
 ) -> tuple[ParamVector, RoundMetrics]:
     """Execute one communication round from the global parameters and
     return the new parameters plus that round's metrics.
 
-    ``client_words`` holds the PCG64 seed words of every client's SGD
-    stream in this round, ``client_seed_words(cfg.seed, num_clients,
-    range(round_index, round_index + 1))[0]``; the trainees draw theirs.
+    ``sampled`` holds the round's clients, ``_sample(cfg, num_clients,
+    round_index)``, and ``client_words[i]`` the PCG64 seed words of client
+    ``sampled[i]``'s SGD stream in this round,
+    ``client_seed_words(cfg.seed, sampled[i], round_index)``; the trainees
+    draw theirs.
 
     ``train_rows`` holds, for each chunk of ``prepared``, the int64 indices
-    of the rows that client trains on; a gcfl refresh round replaces the
-    selecting clients' entries in place with their coresets' indices.
-    ``prepared`` is the world of ``cfg``, so it has ``num_clients >=
-    clients_per_round`` chunks.  ``cache`` keeps the local SGD's lock-step
-    plan for the next round (see :func:`client_update`); a refresh round
-    empties it before the selection runs.
+    of the rows that client trains on, and ``clean_counts`` how many of them
+    are clean; a gcfl refresh round replaces the selecting clients' entries
+    of both in place.  ``prepared`` is the world of ``cfg``.  ``cache``
+    keeps the local SGD's lock-step plan and the scoring plan for the next
+    round (see :func:`client_update` and :func:`~fedcoreset.scoring.loss`); a
+    refresh round empties it before the selection runs.
     """
     chunks = prepared.chunks
-    n_clients = len(chunks)
-    m = cfg.clients_per_round or n_clients
-    if m == n_clients:
-        sampled = np.arange(n_clients)  # what the sorted draw of all N gives
-    else:
-        rng = spawn_rng(cfg.seed, "sample", round_index)
-        sampled = np.sort(rng.choice(n_clients, size=m, replace=False))
     theta_size = params.values.size
 
     if algo.kind == "gcfl" and round_index % cfg.refresh_period == 0:
@@ -329,18 +342,21 @@ def run_round(
         )
         for cid, cs in zip(selecting, selected):
             train_rows[cid] = cs.indices
+            clean_counts[cid] = np.count_nonzero(chunks[cid].clean_flags[cs.indices])
 
     ledger.params_broadcast += len(sampled) * theta_size
     # a client with nothing to train on sits this round out
-    trainees = [cid for cid in sampled if train_rows[cid].size]
-    ledger.sgd_sample_visits += cfg.local_epochs * sum(train_rows[cid].size for cid in trainees)
+    sizes = [train_rows[cid].size for cid in sampled]
+    trainees = [cid for cid, size in zip(sampled, sizes) if size]
+    picked = sum(sizes)
+    ledger.sgd_sample_visits += cfg.local_epochs * picked
     ledger.update_uploads += len(trainees) * theta_size
     deltas = client_update(
         [chunks[cid] for cid in trainees],
         params,
         [train_rows[cid] for cid in trainees],
         cfg,
-        seeds=client_words[trainees],
+        seeds=client_words[np.flatnonzero(sizes)],
         mu=algo.mu if algo.kind == "fedprox" else 0.0,
         cache=cache,
     )
@@ -349,15 +365,16 @@ def run_round(
     new_params = aggregate(params, deltas, cfg.global_lr) if trainees else params
 
     scored = [chunks[cid].dataset for cid in sampled if chunks[cid].n]
-    mean_loss = loss(new_params, scored) if scored else float("nan")
+    mean_loss, accuracy = loss(new_params, cache.scoring(scored, prepared.test))
 
     clean_frac = None
     if algo.uses_coreset:
-        clean_frac = coreset_composition((train_rows[cid], chunks[cid]) for cid in sampled)
+        clean = int(clean_counts[sampled].sum())
+        clean_frac = clean / picked if picked else 1.0
 
     rm = RoundMetrics(
         round=round_index,
-        test_accuracy=evaluate_accuracy(new_params, prepared.test),
+        test_accuracy=accuracy,
         mean_train_loss=mean_loss,
         coreset_clean_fraction=clean_frac,
         ledger_snapshot=ledger.snapshot(),
@@ -375,9 +392,11 @@ def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
     train, val, test = split_train_val_test(
         ds, cfg.val_frac, cfg.test_frac, derive_seed(cfg.seed, "split")
     )
+    del ds  # the splits are copies: the whole set need not sit under the partition
     chunks = dirichlet_partition(
         train, cfg.num_clients, cfg.dirichlet_alpha, derive_seed(cfg.seed, "partition")
     )
+    del train  # the chunks' rows are the partition's client-major table
 
     # each injector returns its input unchanged at ratio 0
     noise = cfg.noise
@@ -387,8 +406,14 @@ def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
         )
     elif noise.kind != "none":
         inject = inject_closed_set if noise.kind == "closed_set" else inject_attribute
-        seeds = [derive_seed(cfg.seed, "noise", c) for c in range(len(chunks))]
-        chunks = [inject(chunk, noise, seed) for chunk, seed in zip(chunks, seeds)]
+        for c, chunk in enumerate(chunks):
+            noisy = inject(chunk, noise, derive_seed(cfg.seed, "noise", c))
+            rows = chunk.dataset.features
+            if noisy.dataset.features is not rows:
+                # attribute noise: its rows go back into the partition's table
+                rows[...] = noisy.dataset.features
+                noisy = ClientChunk(replace(noisy.dataset, features=rows), noisy.clean_flags)
+            chunks[c] = noisy
 
     _check_prepared(cfg, chunks, val, test)
     return Prepared(
@@ -433,31 +458,40 @@ def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> Tra
     non-finite value, records it as ``diverged_round`` and skips the
     fine-tune: a diverged model's accuracy is not a result.  The rounds
     share one :class:`~fedcoreset.model.PlanCache`, so local SGD copies its
-    training rows only in rounds where they change; it is emptied when the
-    rounds end.  The clients' seed words are computed a block of rounds at
-    a time, ``max(1, SEED_BLOCK // num_clients)`` rounds of every client,
-    so their memory does not grow with the rounds."""
+    training rows only in rounds where they change and the scoring plan is
+    rebuilt only when the sampled chunks change or a refresh drops it; it
+    is emptied when the rounds end.  The sampled clients and their seed
+    words are drawn a block of rounds at a time, ``max(1, SEED_BLOCK //
+    clients_per_round)`` rounds, so their memory does not grow with the
+    rounds, and only the sampled clients' streams are hashed."""
     params = init_params(
         cfg.model, prepared.test.dim, prepared.test.num_classes, derive_seed(cfg.seed, "init")
     )
+    chunks = prepared.chunks
     train_rows = [
         _round0_rows(algo, c, chunk, _client_budget(chunk, cfg.budget_fraction), cfg.seed)
-        for c, chunk in enumerate(prepared.chunks)
+        for c, chunk in enumerate(chunks)
     ]
+    clean_counts = np.array(
+        [np.count_nonzero(chunk.clean_flags[rows]) for chunk, rows in zip(chunks, train_rows)],
+        dtype=np.int64,
+    )
     ledger = CostLedger()
     cache = PlanCache()
 
     series: list[RoundMetrics] = []
     diverged_round = None
-    n_clients = len(prepared.chunks)
-    block = max(1, SEED_BLOCK // n_clients)
+    n_clients = len(chunks)
+    block = max(1, SEED_BLOCK // (cfg.clients_per_round or n_clients))
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a blow-up
         for t in range(cfg.rounds):
             if t % block == 0:
-                rounds = range(t, min(t + block, cfg.rounds))
-                words = client_seed_words(cfg.seed, n_clients, rounds)
+                rounds = np.arange(t, min(t + block, cfg.rounds))
+                samples = np.array([_sample(cfg, n_clients, r) for r in rounds.tolist()])
+                words = client_seed_words(cfg.seed, samples, rounds[:, None])
             params, rm = run_round(
-                params, prepared, train_rows, algo, cfg, t, ledger, words[t % block], cache
+                params, prepared, train_rows, clean_counts, algo, cfg, t, ledger,
+                samples[t % block], words[t % block], cache,
             )
             series.append(rm)
             if not np.isfinite(params.values).all():

@@ -1,4 +1,4 @@
-"""Reporting: round metrics, coreset composition, round logs, summaries.
+"""Reporting: round metrics, data fingerprints, round logs, summaries.
 
 Per-round series go to CSV (floats rendered with 9 significant digits);
 run summaries go to JSON with a versioned schema.  Files are UTF-8 with LF
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -23,7 +22,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SCHEMA_VERSION",
     "RoundMetrics",
-    "coreset_composition",
     "dataset_fingerprint",
     "write_round_log",
     "write_summary",
@@ -44,19 +42,6 @@ class RoundMetrics:
     mean_train_loss: float
     coreset_clean_fraction: float | None  # None for non-coreset algorithms
     ledger_snapshot: "CostLedger"
-
-
-def coreset_composition(pairs: Iterable[tuple[np.ndarray, ClientChunk]]) -> float:
-    """Fraction of the rows selected over all (indices, chunk) pairs that
-    the injectors left untouched.
-
-    Nothing selected scores 1.0 (vacuously clean).
-    """
-    picked = clean = 0
-    for indices, chunk in pairs:
-        picked += indices.size
-        clean += int(chunk.clean_flags[indices].sum())
-    return clean / picked if picked else 1.0
 
 
 def dataset_fingerprint(chunks: list[ClientChunk], val: Dataset, test: Dataset) -> str:

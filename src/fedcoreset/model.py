@@ -13,18 +13,11 @@ For ``softmax_regression`` the penultimate activation is the raw input
 (h = input_dim); for ``one_hidden`` it is ``tanh(W1 x + b1)``
 (h = hidden_dim).  All math is float64.
 
-There are two forward paths.  Evaluation (:func:`loss` and
-:func:`evaluate_accuracy`) runs class-major: logits are ``[classes, n]``, so
-each per-sample reduction over the classes is a vector operation across the
-samples.  :func:`loss` scores many datasets, a round's sampled chunks, in a
-few passes over their logits side by side (:func:`_class_logits`), each
-dataset's products still one BLAS call on its rows alone, so each dataset's
-mean keeps the bits of a pass over it alone.  Gradients and SGD run
-sample-major through one pass,
+Gradients and SGD run sample-major through one forward pass,
 :func:`_forward`, ``[n, classes]``, the layout whose bits the coreset
 selection and the training were recorded with: the gradient rows the
 selection matches are computed by the same arithmetic that local SGD trains
-with.
+with.  Scoring runs class-major, in :mod:`~fedcoreset.scoring`.
 
 :func:`sgd_epochs` trains many models at once, in lock-step, on a plan
 (:func:`lockstep_plan`): their training rows copied into one row table with
@@ -51,13 +44,13 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from types import EllipsisType
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError
+from .scoring import ScoringPlan, scoring_plan
 from .seeding import words_rngs
 
 __all__ = [
@@ -65,8 +58,6 @@ __all__ = [
     "ModelConfig",
     "ParamVector",
     "init_params",
-    "loss",
-    "evaluate_accuracy",
     "last_layer_grad_stack",
     "own_class_grads",
     "labelwise_validation_grads",
@@ -77,12 +68,6 @@ __all__ = [
 ]
 
 ARCHS = ("softmax_regression", "one_hidden")
-
-# rows scored per class-major pass of loss: enough to spread a pass's cost
-# over many small datasets, few enough that its temporaries stay those of
-# one large dataset's pass
-LOSS_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -217,88 +202,6 @@ def _forward(
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return act, z
-
-
-def _class_logits(params: ParamVector, inputs: Sequence[np.ndarray]) -> np.ndarray:
-    """Logits of the samples of the ``[n, d]`` arrays ``inputs`` side by
-    side, class-major: ``[classes, sum n]``.  Each array's products are one
-    BLAS call on its rows alone, written into its columns, and the rest is
-    elementwise, so each array's logits are bit for bit those of a pass
-    over it alone (a product's bits depend on how its rows are batched)."""
-    w1, out = params.blocks()
-    ends = list(accumulate(len(x) for x in inputs))
-    spans = [slice(e - len(x), e) for x, e in zip(inputs, ends)]
-    cols = [x.T for x in inputs]
-    if w1 is not None:
-        act = np.empty((w1.shape[0], ends[-1]))
-        for x, span in zip(cols, spans):
-            np.matmul(w1[:, :-1], x, out=act[:, span])
-        act += w1[:, -1:]
-        np.tanh(act, out=act)
-        cols = [act[:, span] for span in spans]
-    z = np.empty((out.shape[0], ends[-1]))
-    for x, span in zip(cols, spans):
-        np.matmul(out[:, :-1], x, out=z[:, span])
-    z += out[:, -1:]
-    return z
-
-
-def loss(params: ParamVector, datasets: Sequence[Dataset]) -> float:
-    """Mean cross-entropy over the samples of the datasets, at least one
-    and each non-empty: each dataset's mean, averaged with its size as the
-    weight (``np.average``).
-
-    The datasets are scored in groups of consecutive datasets of at most
-    ``LOSS_BLOCK`` rows (a larger dataset alone), one class-major pass a
-    group (:func:`_class_major_means`), so each dataset's mean is bit for
-    bit the one a pass over it alone gives.
-    """
-    means, group, rows = [], [], 0
-    for ds in datasets:
-        if group and rows + ds.n > LOSS_BLOCK:
-            means += _class_major_means(params, group)
-            group, rows = [], 0
-        group.append(ds)
-        rows += ds.n
-    means += _class_major_means(params, group)
-    return float(np.average(means, weights=[ds.n for ds in datasets]))
-
-
-def _class_major_means(params: ParamVector, datasets: list[Dataset]) -> list[float]:
-    """Each dataset's mean cross-entropy, from one pass over the class-major
-    logits of all their rows (:func:`_class_logits`): the reductions over
-    the classes run once over all the rows, and each dataset's mean is the
-    sum of its rows' losses divided by its size."""
-    z = _class_logits(params, [ds.features for ds in datasets])
-    ends = list(accumulate(ds.n for ds in datasets))
-    spans = [slice(e - ds.n, e) for ds, e in zip(datasets, ends)]
-    own = z[np.concatenate([ds.labels for ds in datasets]), np.arange(ends[-1])]
-    zmax = z.max(axis=0)
-    z -= zmax
-    np.exp(z, out=z)
-    per = z.sum(axis=0)
-    for span in spans:
-        if span.stop - span.start == 1:
-            # a pass over this row alone sums its classes as one vector,
-            # pairwise; down the columns of a wider array they add in order
-            per[span.start] = z[:, span.start].sum()
-    np.log(per, out=per)
-    per += zmax
-    per -= own
-    return [np.add.reduce(per[span]) / ds.n for ds, span in zip(datasets, spans)]
-
-
-def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
-    """Fraction of samples whose largest logit is their label's.
-
-    The prediction is the argmax of the logits, ties to the lowest class; a
-    sample whose logits hold a NaN or whose largest is infinite has no
-    defined softmax and is predicted class 0.  The set is non-empty.
-    """
-    z = _class_logits(params, [test.features])
-    pred = np.argmax(z, axis=0)
-    pred[~np.isfinite(z[pred, np.arange(test.n)])] = 0
-    return float(np.mean(pred == test.labels))
 
 
 def last_layer_grad_stack(params: ParamVector, ds: Dataset) -> np.ndarray:
@@ -490,13 +393,17 @@ def lockstep_plan(
 
 
 class PlanCache:
-    """Keeps one :class:`LockStepPlan` across :func:`sgd_epochs` calls.
+    """Keeps a run's plans from round to round: one :class:`LockStepPlan`
+    across :func:`sgd_epochs` calls and one
+    :class:`~fedcoreset.scoring.ScoringPlan` across
+    :func:`~fedcoreset.scoring.loss` calls.
 
-    :meth:`get` returns the kept plan when the call's batch size and its
-    datasets and index vectors, compared by identity, are the ones the
-    plan was built for; so a caller must not modify a cached index vector
-    in place.  Otherwise it drops the kept plan, then builds and keeps the
-    call's, so no two plans are alive at once.
+    :meth:`get` returns the kept lock-step plan when the call's batch size
+    and its datasets and index vectors, compared by identity, are the ones
+    the plan was built for; so a caller must not modify a cached index
+    vector in place.  Otherwise it drops the kept plan, then builds and
+    keeps the call's, so no two plans are alive at once.  :meth:`scoring`
+    does the same for the scoring plan of its datasets and test set.
     """
 
     def __init__(self) -> None:
@@ -510,15 +417,30 @@ class PlanCache:
     ) -> LockStepPlan:
         runs = (*datasets, *(() if indices is None else indices))
         kept = self.plan is not None and self.plan.batch_size == batch_size
-        if not (kept and len(runs) == len(self._runs) and all(map(operator.is_, runs, self._runs))):
-            self.clear()
+        if not (kept and _same(runs, self._runs)):
+            self.plan = None  # dropped before the build: one plan alive at a time
             self.plan = lockstep_plan(datasets, batch_size, indices)
             self._runs = runs
         return self.plan
 
+    def scoring(self, datasets: Sequence[Dataset], test: Dataset) -> ScoringPlan:
+        parts = (*datasets, test)
+        if self.scored is None or not _same(parts, self._parts):
+            self.scored = None  # dropped before the build: one plan alive at a time
+            self.scored = scoring_plan(datasets, test)
+            self._parts = parts
+        return self.scored
+
     def clear(self) -> None:
+        """Drop both plans."""
         self.plan: LockStepPlan | None = None
         self._runs: tuple = ()
+        self.scored: ScoringPlan | None = None
+        self._parts: tuple = ()
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    return len(a) == len(b) and all(map(operator.is_, a, b))
 
 
 def sgd_epochs(

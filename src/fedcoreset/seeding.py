@@ -131,14 +131,17 @@ def seed_words(seeds: Sequence[int]) -> np.ndarray:
     return _rng_words((s & _MASK).astype(np.uint32), (s >> 32).astype(np.uint32))
 
 
-def client_seed_words(master_seed: int, clients: int, rounds: range) -> np.ndarray:
-    """``[len(rounds), clients, 4]`` uint64: entry ``[j, c]`` the PCG64 seed
-    words of client c's stream in round ``rounds[j]``,
-    ``default_rng(derive_seed(master_seed, "client", c, "round", rounds[j]))``.
+def client_seed_words(master_seed: int, clients: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """``[*shape, 4]`` uint64 over the broadcast shape of the non-negative
+    int arrays ``clients`` and ``rounds``: each entry the PCG64 seed words
+    of client ``clients[i]``'s stream in round ``rounds[i]``,
+    ``default_rng(derive_seed(master_seed, "client", clients[i], "round",
+    rounds[i]))``.  So ``client_seed_words(s, np.arange(N), np.arange(T)[:,
+    None])`` is ``[T, N, 4]``, every client's stream in every round.
 
-    One vectorized pass, whose memory and time grow with the block of
-    ``len(rounds) * clients`` seeds; its fixed cost is that of some ten
-    ``default_rng`` calls, so it pays on blocks of many seeds."""
+    One vectorized pass, whose memory and time grow with the number of
+    seeds; its fixed cost is that of some ten ``default_rng`` calls, so it
+    pays on blocks of many seeds."""
     # SeedSequence's uint32 words of the master, least significant first,
     # zero-padded to the pool size as it pads them beside a spawn key
     master = int(master_seed)
@@ -147,16 +150,15 @@ def client_seed_words(master_seed: int, clients: int, rounds: range) -> np.ndarr
         for shift in range(0, max(32 * _POOL, master.bit_length()), 32)
     ]
 
-    def crc(tags, shape):
-        return np.array(_spawn_key(tuple(tags)), dtype=np.uint32).reshape(shape)
+    def crc(values):
+        """Each value's spawn-key word, hashed once per int in their range."""
+        values = np.asarray(values, dtype=np.int64)
+        low = int(values.min())
+        keys = np.array(_spawn_key(range(low, int(values.max()) + 1)), dtype=np.uint32)
+        return keys[values - low]
 
-    entropy = run + [
-        crc(["client"], 1),
-        crc(range(clients), (1, clients)),
-        crc(["round"], 1),
-        crc(rounds, (len(rounds), 1)),
-    ]
-    lo, hi = _state(_pool(entropy), 2)
+    tag = [np.array(_spawn_key((name,)), dtype=np.uint32) for name in ("client", "round")]
+    lo, hi = _state(_pool(run + [tag[0], crc(clients), tag[1], crc(rounds)]), 2)
     return _rng_words(lo, hi)
 
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from fedcoreset import coreset
+from fedcoreset import coreset, scoring
 from fedcoreset.coreset import Coreset
 from fedcoreset.data import Dataset, round_half_away
 from fedcoreset.federation import CostLedger, TrainingResult
@@ -57,18 +57,28 @@ def reference_loss(params: ParamVector, ds: Dataset) -> float:
     return float(np.mean(logsumexp - z[np.arange(ds.n), ds.labels]))
 
 
+def class_major_logits(params: ParamVector, x: np.ndarray) -> np.ndarray:
+    """The class-major ``[classes, n]`` logits of the samples ``x``, each
+    layer one product over all of them."""
+    hidden, out = unpack(params)
+    act = x.T
+    if hidden is not None:
+        act = np.tanh(hidden[:, :-1] @ x.T + hidden[:, -1:])
+    return out[:, :-1] @ act + out[:, -1:]
+
+
+def class_major_mean(z: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of the samples of the class-major logits ``z``."""
+    zmax = z.max(axis=0)
+    logsumexp = np.log(np.exp(z - zmax).sum(axis=0)) + zmax
+    return float((logsumexp - z[labels, np.arange(len(labels))]).mean())
+
+
 def class_major_loss(params: ParamVector, ds: Dataset) -> float:
     """Mean cross-entropy from class-major ``[classes, n]`` logits, in the
     order of operations the round log's train loss is recorded with, so
-    equal to ``loss`` bit for bit."""
-    hidden, out = unpack(params)
-    act = ds.features.T
-    if hidden is not None:
-        act = np.tanh(hidden[:, :-1] @ ds.features.T + hidden[:, -1:])
-    z = out[:, :-1] @ act + out[:, -1:]
-    zmax = z.max(axis=0)
-    logsumexp = np.log(np.exp(z - zmax).sum(axis=0)) + zmax
-    return float((logsumexp - z[ds.labels, np.arange(ds.n)]).mean())
+    equal to ``loss`` on ``ds`` alone bit for bit."""
+    return class_major_mean(class_major_logits(params, ds.features), ds.labels)
 
 
 def reference_predictions(params: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -202,13 +212,47 @@ def _round0_rows(kind, c, chunk, budget, seed) -> np.ndarray:
     return np.sort(rng.choice(chunk.n, size=min(budget, chunk.n), replace=False))
 
 
-def _train_loss(params: ParamVector, chunks) -> float:
-    """The sample-weighted mean of the non-empty chunks' losses."""
-    scored = [chunk for chunk in chunks if chunk.n]
-    if not scored:
+def chunk_losses(params: ParamVector, chunks, sampled) -> list[float]:
+    """The loss of each sampled non-empty chunk, in sampled order.
+
+    The chunks are scored in consecutive groups of at most
+    ``scoring.LOSS_BLOCK`` rows, or one larger chunk alone.  In a group each
+    run of chunks with no other non-empty chunk between them, whose rows
+    follow each other in the partition's table, takes one product per
+    layer (:func:`class_major_logits`) on their stacked rows, and each
+    chunk's loss is :func:`class_major_mean` of its columns."""
+    scored = [c for c in sampled if chunks[c].n]
+    groups, rows = [], 0
+    for c in scored:
+        if not groups or rows + chunks[c].n > scoring.LOSS_BLOCK:
+            groups.append([])
+            rows = 0
+        groups[-1].append(c)
+        rows += chunks[c].n
+    losses = []
+    for group in groups:
+        runs = []
+        for c in group:
+            if runs and not any(chunks[b].n for b in range(runs[-1][-1] + 1, c)):
+                runs[-1].append(c)
+            else:
+                runs.append([c])
+        for run in runs:
+            z = class_major_logits(params, np.concatenate([chunks[c].dataset.features for c in run]))
+            start = 0
+            for c in run:
+                end = start + chunks[c].n
+                losses.append(class_major_mean(z[:, start:end], chunks[c].dataset.labels))
+                start = end
+    return losses
+
+
+def _train_loss(params: ParamVector, chunks, sampled) -> float:
+    """The sample-weighted mean of :func:`chunk_losses`, NaN without any."""
+    losses = chunk_losses(params, chunks, sampled)
+    if not losses:
         return float("nan")
-    losses = [class_major_loss(params, chunk.dataset) for chunk in scored]
-    return float(np.average(losses, weights=[chunk.n for chunk in scored]))
+    return float(np.average(losses, weights=[chunks[c].n for c in sampled if chunks[c].n]))
 
 
 def _clean_fraction(rows, chunks) -> float:
@@ -224,7 +268,7 @@ def reference_run(cfg, algo, prepared) -> TrainingResult:
     its class-mean own-class rows and every sampled client with a budget
     re-selects by :func:`reference_labelwise`; each client with rows trains
     alone (:func:`reference_sgd`); the deltas are averaged in full-lexsort
-    order; and the round is scored with :func:`class_major_loss` on the
+    order; and the round is scored with :func:`_train_loss` on the
     sampled chunks and :func:`reference_accuracy` on the test set.  The
     ledger counts as the engine's does, and the run stops after a round
     that leaves a non-finite parameter.
@@ -272,7 +316,7 @@ def reference_run(cfg, algo, prepared) -> TrainingResult:
             clean_frac = None
             if algo.uses_coreset:
                 clean_frac = _clean_fraction([rows[cid] for cid in sampled], picked)
-            loss = _train_loss(params, picked)
+            loss = _train_loss(params, chunks, sampled)
             accuracy = reference_accuracy(params, test)
             series.append(RoundMetrics(t, accuracy, loss, clean_frac, replace(ledger)))
             if not np.isfinite(params.values).all():

@@ -28,9 +28,9 @@ from fedcoreset.model import (
     init_params,
     labelwise_validation_grads,
     last_layer_grad_stack,
-    loss,
     sgd_epochs,
 )
+from fedcoreset.scoring import loss, scoring_plan
 from fedcoreset.seeding import derive_seed, seed_words
 from worldgen import balanced_world, blobs
 
@@ -271,13 +271,14 @@ class TestCriterion6GradientSuite:
                 params = init_params(model, 8, 5, seed=int(rng.integers(1 << 30)))
                 params.values[:] = rng.normal(scale=0.6, size=params.values.size)
                 analytic = last_layer_grad_stack(params, ds)[0]
+                plan = scoring_plan([ds])
                 fd = np.zeros(analytic.shape)
                 for i in range(fd.size):
                     hi = params.with_values(params.values.copy())
                     lo = params.with_values(params.values.copy())
                     hi.blocks()[1].flat[i] += step
                     lo.blocks()[1].flat[i] -= step
-                    fd.flat[i] = (loss(hi, [ds]) - loss(lo, [ds])) / (2 * step)
+                    fd.flat[i] = (loss(hi, plan)[0] - loss(lo, plan)[0]) / (2 * step)
                 denom = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
                 worst = max(worst, float(np.abs(analytic - fd).max() / denom))
         report(

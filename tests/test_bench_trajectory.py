@@ -1,6 +1,9 @@
 """BENCH_trajectory.json records each measured change's before/after
 numbers from the benchmark that BENCHMARK.json declares.  Check that it
-parses and names only workloads and metrics that benchmark has."""
+parses and names only workloads and metrics that benchmark has, and that
+an entry's optional ``claim`` of a gain (a workload and metric) names a
+row of that entry whose change won at least nine tenths of its
+alternating parent/change pairs, the least a claimed gain may rest on."""
 
 import json
 import math
@@ -21,6 +24,11 @@ def test_trajectory_names_only_benchmark_workloads_and_metrics():
             assert re.fullmatch(r"[0-9a-f]{40}", entry[key]), key
         assert entry["host"] and entry["command"]
         assert entry["workloads"]
+        claim = entry.get("claim")
+        if claim is not None:
+            assert set(claim) == {"workload", "metric"}
+            row = entry["workloads"][claim["workload"]]
+            assert row["metrics"][claim["metric"]]["change_wins"] >= 0.9 * row["pairs"]
         for workload, row in entry["workloads"].items():
             assert workload in WORKLOADS
             assert row["pairs"] == len(row["bench_seeds"]) >= 1

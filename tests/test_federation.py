@@ -33,9 +33,9 @@ from fedcoreset.model import (
     PlanCache,
     init_params,
     last_layer_grad_stack,
-    loss,
     sgd_epochs,
 )
+from fedcoreset.scoring import loss, scoring_plan
 from fedcoreset.seeding import client_seed_words, derive_seed, seed_words, spawn_rng
 from reference import reference_run
 from worldgen import balanced_world, blobs, sized_world
@@ -281,33 +281,33 @@ class TestRunRound:
         counts = {}
         for m in (2, 8):
             cfg = tiny_cfg(num_clients=8, clients_per_round=m, batch_size=4)
-            train_rows = [
-                federation._round0_rows(
-                    Algo(kind), c, chunk, federation._client_budget(chunk, cfg.budget_fraction), 0
-                )
-                for c, chunk in enumerate(prepared.chunks)
-            ]
+            args = self.round_state(Algo(kind), cfg, prepared)
             built.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(ParamVector, "__post_init__", counting)
-                federation.run_round(params, prepared, train_rows, Algo(kind), cfg, 0, CostLedger(),
-                                     client_seed_words(cfg.seed, cfg.num_clients, range(1))[0],
-                                     PlanCache())
+                federation.run_round(params, prepared, *args)
             counts[m] = len(built)
         assert counts[2] == counts[8]
 
     @staticmethod
-    def first_round(kind, cfg, prepared, params):
-        algo = Algo(kind)
+    def round_state(algo, cfg, prepared, t=0):
+        """The arguments after ``prepared`` that ``run_training`` hands
+        ``run_round`` for round ``t`` of a fresh arm."""
+        chunks = prepared.chunks
         train_rows = [
             federation._round0_rows(
                 algo, c, chunk, federation._client_budget(chunk, cfg.budget_fraction), 0
             )
-            for c, chunk in enumerate(prepared.chunks)
+            for c, chunk in enumerate(chunks)
         ]
-        words = client_seed_words(cfg.seed, len(prepared.chunks), range(1))[0]
-        return federation.run_round(params, prepared, train_rows, algo, cfg, 0, CostLedger(), words,
-                                    PlanCache())
+        clean = np.array([np.count_nonzero(ch.clean_flags[r]) for ch, r in zip(chunks, train_rows)])
+        sampled = federation._sample(cfg, len(chunks), t)
+        words = client_seed_words(cfg.seed, sampled, np.full(len(sampled), t))
+        return train_rows, clean, algo, cfg, t, CostLedger(), sampled, words, PlanCache()
+
+    @classmethod
+    def first_round(cls, kind, cfg, prepared, params):
+        return federation.run_round(params, prepared, *cls.round_state(Algo(kind), cfg, prepared))
 
     @pytest.mark.parametrize("kind", federation.ALGO_KINDS)
     def test_round_leaves_its_input_params_bit_equal(self, kind):
@@ -334,32 +334,41 @@ class TestRunRound:
     @pytest.mark.parametrize("m", [None, 2])
     def test_train_loss_is_one_call_a_round(self, m, monkeypatch):
         """A round scores all its sampled non-empty chunks, in sampled order,
-        with one ``loss`` call, and a round that samples only empty chunks
-        makes none and logs a NaN loss."""
+        and then the test set with one ``loss`` call on the plan the arm's
+        cache keeps for them; a round that samples only empty chunks scores
+        the test set alone and logs a NaN loss."""
         prepared = sized_world((0, 9, 0, 1, 0, 40))
         cfg = tiny_cfg(num_clients=6, clients_per_round=m, rounds=12)
         scored: list[list] = []
-        real_round, real_loss = federation.run_round, federation.loss
+        real_round, real_loss, real_plan = federation.run_round, federation.loss, PlanCache.scoring
 
         def round_(*args, **kw):
             scored.append([])
             return real_round(*args, **kw)
 
-        def loss_(params, datasets):
-            scored[-1].append(list(datasets))
-            return real_loss(params, datasets)
+        def plan_(cache, datasets, test):
+            plan = real_plan(cache, datasets, test)
+            scored[-1].append((list(datasets), test, plan))
+            return plan
+
+        def loss_(params, plan):
+            assert plan is scored[-1][-1][2]
+            return real_loss(params, plan)
 
         monkeypatch.setattr(federation, "run_round", round_)
         monkeypatch.setattr(federation, "loss", loss_)
+        monkeypatch.setattr(PlanCache, "scoring", plan_)
         result = run_training(cfg, Algo("fedavg"), prepared)
         for t, calls in enumerate(scored):
             sampled = range(6) if m is None else sorted(
                 spawn_rng(cfg.seed, "sample", t).choice(6, size=m, replace=False))
             want = [prepared.chunks[cid].dataset for cid in sampled if prepared.chunks[cid].n]
-            assert [list(map(id, c)) for c in calls] == ([list(map(id, want))] if want else [])
+            (datasets, test, _), = calls
+            assert list(map(id, datasets)) == list(map(id, want)) and test is prepared.test
             assert np.isnan(result.rounds[t].mean_train_loss) == (not want)
         assert len(scored) == cfg.rounds
-        assert any(scored) and (m is None or not all(scored))
+        assert any(calls[0][0] for calls in scored)
+        assert m is None or not all(calls[0][0] for calls in scored)
 
     def test_full_participation_draws_no_sample(self, monkeypatch):
         """Under full participation the sampled clients are all of them, the
@@ -500,21 +509,56 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("num_clients, rounds", [(4, 3), (300, 8), (1100, 2)])
     def test_client_seed_words_come_in_bounded_blocks(self, num_clients, rounds, monkeypatch):
-        # every round's words once, in order, and no block holds more than
-        # SEED_BLOCK streams unless one round's clients alone are more
-        spans = []
+        # every round's sampled clients' words once, in order, and no block
+        # holds more than SEED_BLOCK streams unless one round's clients alone
+        # are more
+        blocks = []
         real = federation.client_seed_words
 
         def spy(master, clients, span):
-            assert clients * len(span) <= max(federation.SEED_BLOCK, clients)
-            spans.append(span)
+            every, ts = np.broadcast_arrays(clients, span)
+            assert every.size <= max(federation.SEED_BLOCK, num_clients)
+            blocks.append((every.ravel().tolist(), ts.ravel().tolist()))
             return real(master, clients, span)
 
         monkeypatch.setattr(federation, "client_seed_words", spy)
         cfg = tiny_cfg(num_clients=num_clients, rounds=rounds, local_epochs=0)
         run_training(cfg, Algo("fedavg"), prepare_experiment(cfg))
-        assert [t for span in spans for t in span] == list(range(rounds))
-        assert len(spans) == -(-rounds // max(1, federation.SEED_BLOCK // num_clients))
+        pairs = [pair for clients, span in blocks for pair in zip(span, clients)]
+        assert pairs == [(t, c) for t in range(rounds) for c in range(num_clients)]
+        assert len(blocks) == -(-rounds // max(1, federation.SEED_BLOCK // num_clients))
+
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_trainees_get_their_streams_words(self, m, monkeypatch):
+        """Only the sampled clients' streams are hashed, and every trainee's
+        words are its entry of the grid of every client's words in every
+        round; under partial participation a block holds SEED_BLOCK // m
+        rounds."""
+        hashed, trained = [], []
+        real_words, real_update = federation.client_seed_words, federation.client_update
+
+        def words_(master, clients, span):
+            hashed.append(np.broadcast(clients, span).size)
+            return real_words(master, clients, span)
+
+        def update_(chunks, theta, indices, cfg, *, seeds, mu, cache):
+            trained.append((list(map(id, chunks)), seeds.copy()))
+            return real_update(chunks, theta, indices, cfg, seeds=seeds, mu=mu, cache=cache)
+
+        monkeypatch.setattr(federation, "client_seed_words", words_)
+        monkeypatch.setattr(federation, "client_update", update_)
+        monkeypatch.setattr(federation, "SEED_BLOCK", 7)
+        cfg = tiny_cfg(num_clients=8, clients_per_round=m, rounds=6, dirichlet_alpha=0.1)
+        prepared = prepare_experiment(cfg)
+        run_training(cfg, Algo("fedavg"), prepared)
+        grid = client_seed_words(cfg.seed, np.arange(8), np.arange(cfg.rounds)[:, None])
+        position = {id(chunk): c for c, chunk in enumerate(prepared.chunks)}
+        assert len(trained) == cfg.rounds
+        for t, (chunks, seeds) in enumerate(trained):
+            assert np.array_equal(seeds, grid[t, [position[c] for c in chunks]])
+        per_block = max(1, 7 // (m or 8))
+        assert sum(hashed) == cfg.rounds * (m or 8)
+        assert len(hashed) == -(-cfg.rounds // per_block)
 
     def test_non_finite_parameters_stop_the_arm(self):
         cfg = tiny_cfg(local_lr=1e300, global_lr=1e10, rounds=5, fine_tune_epochs=1)
@@ -527,9 +571,9 @@ class TestRunTraining:
 
 
 class TestKeptPlan:
-    """``run_training`` keeps the lock-step plan of local SGD from round to
-    round; that must change no bit, and no plan may outlive the rounds or
-    sit under a selection."""
+    """``run_training`` keeps the lock-step plan of local SGD and the
+    scoring plan from round to round; that must change no bit, and no
+    lock-step plan may outlive the rounds or sit under a selection."""
 
     # 12 clients of uneven sizes: one empty, two whose budgets round to 0
     # at a 10% budget (3 and 1 samples), sizes on both sides of the batch
@@ -543,29 +587,38 @@ class TestKeptPlan:
 
     @staticmethod
     def arm(cfg, algo, prepared, path, monkeypatch, rebuild):
-        """Run one arm, the plan kept or rebuilt every round; returns its
+        """Run one arm, the plans kept or rebuilt every round; returns its
         round-log bytes, final-parameter bytes, fine-tuned accuracy and the
-        number of plans built."""
-        built = []
-        real = model_module.lockstep_plan
+        numbers of lock-step and scoring plans built."""
+        built = Counter()
+        real_lockstep, real_scoring = model_module.lockstep_plan, model_module.scoring_plan
 
-        def counting(*args):
-            built.append(1)
-            return real(*args)
+        def lockstep(*args):
+            built["lockstep"] += 1
+            return real_lockstep(*args)
+
+        def scoring(*args):
+            built["scoring"] += 1
+            return real_scoring(*args)
 
         class Rebuilding(PlanCache):
             def get(self, *args):
                 self.clear()
                 return super().get(*args)
 
+            def scoring(self, *args):
+                self.clear()
+                return super().scoring(*args)
+
         with monkeypatch.context() as patch:
-            patch.setattr(model_module, "lockstep_plan", counting)
+            patch.setattr(model_module, "lockstep_plan", lockstep)
+            patch.setattr(model_module, "scoring_plan", scoring)
             if rebuild:
                 patch.setattr(federation, "PlanCache", Rebuilding)
             result = run_training(cfg, algo, prepared)
         write_round_log(str(path), result.rounds)
         return (path.read_bytes(), result.final_params.values.tobytes(),
-                result.fine_tuned_accuracy), len(built)
+                result.fine_tuned_accuracy), built
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("m", [None, 5])
@@ -577,13 +630,16 @@ class TestKeptPlan:
         kept, kept_builds = self.arm(cfg, algo, prepared, tmp_path / "kept.csv", monkeypatch, False)
         rebuilt, builds = self.arm(cfg, algo, prepared, tmp_path / "rebuilt.csv", monkeypatch, True)
         assert kept == rebuilt
-        # the fine-tune builds one plan on each side; at m = N the rows
-        # change only on a gcfl refresh (rounds 0, 2 and 4)
-        assert builds == cfg.rounds + 1
+        # the fine-tune builds one lock-step plan on each side; at m = N the
+        # rows change only on a gcfl refresh (rounds 0, 2 and 4), which
+        # drops both plans, and the scored chunks never
+        assert builds == Counter(lockstep=cfg.rounds + 1, scoring=cfg.rounds)
         if m is None:
-            assert kept_builds == (1 + 3 if kind == "gcfl" else 1 + 1)
+            refreshes = 3 if kind == "gcfl" else 1
+            assert kept_builds == Counter(lockstep=1 + refreshes, scoring=refreshes)
         else:
-            assert kept_builds <= builds
+            assert kept_builds["lockstep"] <= builds["lockstep"]
+            assert kept_builds["scoring"] <= builds["scoring"]
 
     @pytest.mark.parametrize("kind, m", [("gcfl", None), ("fedavg", 5)])
     def test_one_plan_at_a_time_none_under_selection_or_after_the_arm(self, kind, m, monkeypatch):
@@ -677,20 +733,78 @@ class TestNoisePathsEndToEnd:
         assert untuned.fine_tuned_accuracy is None
 
 
+class TestCleanFraction:
+    """A coreset arm's round logs the clean share of its sampled clients'
+    training rows, pooled over the clients, from per-client counts kept
+    beside the rows."""
+
+    @staticmethod
+    def fractions(cfg, prepared, kind="random"):
+        rows = [
+            federation._round0_rows(
+                Algo(kind), c, chunk, federation._client_budget(chunk, cfg.budget_fraction),
+                cfg.seed,
+            )
+            for c, chunk in enumerate(prepared.chunks)
+        ]
+        got = [rm.coreset_clean_fraction for rm in run_training(cfg, Algo(kind), prepared).rounds]
+        return got, rows
+
+    def test_all_clean_chunks(self):
+        prepared = balanced_world(num_clients=4, per_class_per_client=5, num_classes=4)
+        got, _ = self.fractions(tiny_cfg(num_clients=4, budget_fraction=0.5), prepared)
+        assert got == [1.0] * 3
+
+    def test_no_picked_row_is_vacuously_clean(self):
+        prepared = sized_world((5, 0, 9, 12))
+        got, rows = self.fractions(tiny_cfg(num_clients=4, budget_fraction=0.01), prepared)
+        assert not any(r.size for r in rows) and got == [1.0] * 3
+
+    def test_counts_clean_flags(self):
+        prepared = sized_world((30,))
+        got, (rows,) = self.fractions(tiny_cfg(num_clients=1, budget_fraction=0.8), prepared)
+        flags = prepared.chunks[0].clean_flags[rows]
+        assert 0 < flags.sum() < flags.size
+        assert got == [flags.sum() / flags.size] * 3
+
+    def test_pools_over_clients(self):
+        # the pooled share of the sampled clients' rows, not the mean of the
+        # clients' shares
+        prepared = sized_world((40, 7, 0, 19, 25))
+        cfg = tiny_cfg(num_clients=5, clients_per_round=3, budget_fraction=0.5, rounds=6)
+        got, rows = self.fractions(cfg, prepared)
+        for t, frac in enumerate(got):
+            sampled = federation._sample(cfg, 5, t)
+            clean = sum(int(prepared.chunks[c].clean_flags[rows[c]].sum()) for c in sampled)
+            assert frac == clean / sum(rows[c].size for c in sampled)
+        shares = [prepared.chunks[c].clean_flags[rows[c]].mean() for c in (0, 1, 3, 4)]
+        assert got[0] != np.mean(shares[: len(got)])
+
+
 class TestFinalAccuracy:
     @pytest.mark.parametrize("rounds, fine_tune, calls", [(3, 0, 3), (3, 5, 4), (0, 0, 1)])
     def test_test_set_evaluated_once_a_round(self, rounds, fine_tune, calls, monkeypatch):
-        evaluated, evaluate = [], federation.evaluate_accuracy
+        # a round's accuracy comes from its one scoring pass; the fine-tuned
+        # model, or an arm without rounds, is evaluated on its own
+        evaluated = []
+        real_loss, real_evaluate = federation.loss, federation.evaluate_accuracy
 
-        def spy(params, test):
-            evaluated.append(evaluate(params, test))
+        def loss_(params, plan):
+            out = real_loss(params, plan)
+            evaluated.append(out[1])
+            return out
+
+        def evaluate_(params, test):
+            evaluated.append(real_evaluate(params, test))
             return evaluated[-1]
 
-        monkeypatch.setattr(federation, "evaluate_accuracy", spy)
+        monkeypatch.setattr(federation, "loss", loss_)
+        monkeypatch.setattr(federation, "evaluate_accuracy", evaluate_)
         cfg = tiny_cfg(rounds=rounds, fine_tune_epochs=fine_tune)
         result = run_training(cfg, Algo("fedavg"), prepare_experiment(cfg))
         assert len(evaluated) == calls
         assert result.final_accuracy == evaluated[rounds - 1 if rounds else 0]
+        assert [rm.test_accuracy for rm in result.rounds] == evaluated[:rounds]
 
 
 class TestFineTune:
@@ -706,10 +820,11 @@ class TestFineTune:
     def test_loss_non_increasing_on_val(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=1)
-        before = loss(p, [prepared.val])
+        plan = scoring_plan([prepared.val])
+        before = loss(p, plan)[0]
         (tuned,) = sgd_epochs(p, [prepared.val], epochs=50, lr=0.05, batch_size=32,
                               seeds=seed_words([2]))
-        assert loss(p.with_values(tuned), [prepared.val]) <= before
+        assert loss(p.with_values(tuned), plan)[0] <= before
 
 
 class TestCostRatio:
@@ -878,8 +993,8 @@ class TestProtocolProperties:
         def nonempty(params, ds):
             assert ds.n > 0
 
-        def scored(params, datasets):
-            assert datasets and all(ds.n > 0 for ds in datasets)
+        def scored(params, plan):
+            assert plan.test.n > 0 and (plan.sizes > 0).all()
 
         def labelwise(chunks, params, server_rows, budgets, *, lam):
             assert len(budgets) == len(chunks) and min(budgets, default=1) >= 1
@@ -896,15 +1011,6 @@ class TestProtocolProperties:
             rows = [ds.n for ds in datasets] if indices is None else [len(i) for i in indices]
             assert np.shape(seeds) == (len(rows), 4) and len(rows) == len(datasets) and all(rows)
 
-        real_composition = federation.coreset_composition
-
-        def composition(pairs):
-            calls["coreset_composition"] += 1
-            pairs = list(pairs)  # a generator: read it once
-            for indices, chunk in pairs:
-                assert ((indices >= 0) & (indices < chunk.n)).all()
-            return real_composition(pairs)
-
         def open_set(chunks, test, val, noise, seed):
             parts = [chunk.dataset for chunk in chunks] + [val]
             assert all(part.num_classes == test.num_classes for part in parts)
@@ -912,11 +1018,13 @@ class TestProtocolProperties:
         def cost_ratio(ledger, fedavg):
             assert fedavg.sgd_sample_visits > 0
 
-        def counted(params, prepared, train_rows, algo, cfg, t, ledger, client_words, cache):
+        def counted(params, prepared, train_rows, clean_counts, algo, cfg, t, ledger, sampled,
+                    client_words, cache):
             chunks = prepared.chunks
-            assert client_words.shape == (len(chunks), 4)
-            m = cfg.clients_per_round or len(chunks)
-            sampled = spawn_rng(cfg.seed, "sample", t).choice(len(chunks), size=m, replace=False)
+            assert client_words.shape == (len(sampled), 4)
+            assert clean_counts.tolist() == [
+                np.count_nonzero(chunk.clean_flags[rows]) for chunk, rows in zip(chunks, train_rows)
+            ]
             reached["sampled empty chunk"] += any(chunks[cid].n == 0 for cid in sampled)
             budgets = [federation._client_budget(chunks[cid], cfg.budget_fraction)
                        for cid in sampled if chunks[cid].n]
@@ -1002,7 +1110,6 @@ class TestProtocolProperties:
                     check_calls(patch, federation, name, check, results.get(name))
                 check_calls(patch, cli, "compute_cost_ratio", cost_ratio)
                 check_calls(patch, cli, "prepare_experiment", lambda cfg: None, prepared_world)
-                patch.setattr(federation, "coreset_composition", composition)
                 try:
                     assert cli.run(replace(cfg, arms=every_arm, output_dir=out)) == 0
                 except ConfigurationError:
@@ -1010,5 +1117,5 @@ class TestProtocolProperties:
 
         every_call_keeps_the_contracts()
         assert all(reached.values()), reached
-        kernels = [*checks, "compute_cost_ratio", "coreset_composition", "prepare_experiment"]
+        kernels = [*checks, "compute_cost_ratio", "prepare_experiment"]
         assert all(calls[name] for name in kernels), calls

@@ -10,12 +10,12 @@ from fedcoreset.metrics import (
     ROUND_LOG_HEADER,
     SCHEMA_VERSION,
     RoundMetrics,
-    coreset_composition,
     dataset_fingerprint,
     write_round_log,
     write_summary,
 )
-from fedcoreset.model import ARCHS, ModelConfig, evaluate_accuracy, init_params
+from fedcoreset.model import ARCHS, ModelConfig, init_params
+from fedcoreset.scoring import evaluate_accuracy
 from reference import reference_predictions
 from worldgen import blobs
 
@@ -97,42 +97,6 @@ class TestAccuracy:
             if name in ("zero_ties", "all_nan", "all_inf"):
                 assert np.all(expect == 0), name
             assert got == 1.0, name
-
-
-class TestComposition:
-    def test_all_clean_chunk(self):
-        ds = blobs(2, 2, [1, 1], 10, seed=0)
-        chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool))
-        assert coreset_composition([(np.array([0, 3, 7]), chunk)]) == 1.0
-
-    def test_empty_coreset_is_vacuously_clean(self):
-        ds = blobs(2, 2, [1, 1], 10, seed=0)
-        chunk = ClientChunk(ds, np.zeros(ds.n, dtype=bool))
-        assert coreset_composition([(np.empty(0, dtype=np.int64), chunk)]) == 1.0
-
-    def test_counts_clean_flags(self):
-        ds = blobs(4, 2, np.ones(4), 25, seed=1)
-        chunk = ClientChunk(ds, np.ones(ds.n, dtype=bool))
-        noisy = inject_closed_set(chunk, NoiseSpec("closed_set", 0.4), seed=2)
-        idx = np.arange(noisy.n)
-        assert coreset_composition([(idx, noisy)]) == pytest.approx(
-            noisy.clean_flags.mean()
-        )
-
-    def test_pools_over_pairs(self):
-        ds = blobs(2, 2, [1, 1], 10, seed=0)
-        flags = np.ones(ds.n, dtype=bool)
-        flags[:3] = False
-        one = ClientChunk(ds, flags)
-        two = ClientChunk(ds, np.ones(ds.n, dtype=bool))
-        pairs = [
-            (np.array([0, 1, 2, 5]), one),  # 1 of 4 clean
-            (np.empty(0, dtype=np.int64), one),
-            (np.array([4, 9]), two),  # 2 of 2 clean
-        ]
-        # pooled 3/6, not the mean 0.625 of the per-pair fractions
-        assert coreset_composition(pairs) == 0.5
-        assert coreset_composition([]) == 1.0
 
 
 def series_of(n, with_fraction=True):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedcoreset.model as model_module
+import fedcoreset.scoring as scoring_module
 from fedcoreset.data import Dataset
 from fedcoreset.errors import ConfigurationError
 from fedcoreset.model import (
@@ -20,10 +21,10 @@ from fedcoreset.model import (
     labelwise_validation_grads,
     last_layer_grad_stack,
     lockstep_plan,
-    loss,
     own_class_grads,
     sgd_epochs,
 )
+from fedcoreset.scoring import loss, scoring_plan
 from fedcoreset.seeding import seed_words
 from reference import (
     class_major_loss,
@@ -46,6 +47,11 @@ def random_dataset(n, dim, num_classes, seed):
     )
 
 
+def mean_loss(params: ParamVector, *datasets: Dataset) -> float:
+    """The mean loss of ``datasets`` from the one scoring pass."""
+    return loss(params, scoring_plan(datasets))[0]
+
+
 def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarray:
     """Central finite differences of the mean loss w.r.t. last-layer params."""
     grad = np.zeros(params.blocks()[1].shape)
@@ -54,7 +60,7 @@ def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarra
         plus.blocks()[1].flat[i] += step
         minus = params.with_values(params.values.copy())
         minus.blocks()[1].flat[i] -= step
-        grad.flat[i] = (loss(plus, [ds]) - loss(minus, [ds])) / (2 * step)
+        grad.flat[i] = (mean_loss(plus, ds) - mean_loss(minus, ds)) / (2 * step)
     return grad
 
 
@@ -100,7 +106,7 @@ class TestLoss:
         ds = random_dataset(50, 10, 10, seed=0)
         p = init_params(*SOFTMAX, seed=0)
         zeros = p.with_values(np.zeros_like(p.values))
-        assert loss(zeros, [ds]) == pytest.approx(np.log(10), abs=1e-12)
+        assert mean_loss(zeros, ds) == pytest.approx(np.log(10), abs=1e-12)
 
     def test_large_margin_drives_loss_to_zero(self):
         # logits with margin 20 at the true class
@@ -108,13 +114,13 @@ class TestLoss:
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
         p = p.with_values(np.zeros_like(p.values))
         p.blocks()[1][:, :4] = 20.0 * np.eye(4)
-        assert loss(p, [ds]) < 1e-3
+        assert mean_loss(p, ds) < 1e-3
 
     def test_mean_of_per_sample_losses(self):
         ds = random_dataset(16, 10, 10, seed=1)
         p = init_params(*SOFTMAX, seed=2)
-        singles = [loss(p, [ds.subset([i])]) for i in range(ds.n)]
-        assert loss(p, [ds]) == pytest.approx(np.mean(singles), rel=1e-12)
+        singles = [mean_loss(p, ds.subset([i])) for i in range(ds.n)]
+        assert mean_loss(p, ds) == pytest.approx(np.mean(singles), rel=1e-12)
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize(
@@ -133,7 +139,7 @@ class TestLoss:
             p = init_params(ModelConfig(arch, hidden_dim=7), 10, classes, seed=case)
             p.values[:] = rng.normal(scale=scale, size=p.values.size)
             expect = reference_loss(p, ds)
-            assert abs(loss(p, [ds]) - expect) <= 1e-15 * abs(expect) + classes * eps
+            assert abs(mean_loss(p, ds) - expect) <= 1e-15 * abs(expect) + classes * eps
 
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("block", [None, 100], ids=["default_bound", "bound_100"])
@@ -143,30 +149,30 @@ class TestLoss:
         ids=["one_row", "one_dataset", "largest_chunk", "round"],
     )
     def test_one_pass_equals_the_lone_passes(self, arch, block, sizes, monkeypatch):
-        """The datasets' loss is bit for bit the size-weighted mean of each
-        dataset's lone class-major pass, and so is each dataset's mean (the
-        weighting hides an ulp of a small dataset's), at 10 classes (where
-        numpy sums a lone row's classes pairwise) and h = 64 on dim 50.  The
-        passes take consecutive groups of at most the row bound, or one
-        larger dataset alone."""
+        """Datasets held in arrays of their own: their loss is bit for bit
+        the size-weighted mean of each dataset's lone class-major pass, and
+        so is each dataset's mean (the weighting hides an ulp of a small
+        dataset's), at 10 classes (where numpy sums a lone row's classes
+        pairwise) and h = 64 on dim 50.  The passes take consecutive groups
+        of at most the row bound, or one larger dataset alone."""
         if block is not None:
-            monkeypatch.setattr(model_module, "LOSS_BLOCK", block)
-        bound = model_module.LOSS_BLOCK
+            monkeypatch.setattr(scoring_module, "LOSS_BLOCK", block)
+        bound = scoring_module.LOSS_BLOCK
         groups, means = [], []
-        one_pass = model_module._class_major_means
+        one_pass = scoring_module._pass_means
 
-        def spy(params, group):
-            groups.append([ds.n for ds in group])
-            means.extend(one_pass(params, group))
-            return means[-len(group):]
+        def spy(z, p):
+            groups.append([span.stop - span.start for span in p.spans])
+            means.extend(one_pass(z, p))
+            return means[len(means) - len(p.spans):]
 
-        monkeypatch.setattr(model_module, "_class_major_means", spy)
+        monkeypatch.setattr(scoring_module, "_pass_means", spy)
         rng = np.random.default_rng(len(sizes))
         p = init_params(ModelConfig(arch, hidden_dim=64), 50, 10, seed=len(sizes))
         p.values[:] = rng.normal(scale=0.3, size=p.values.size)
         datasets = [random_dataset(n, 50, 10, seed=i) for i, n in enumerate(sizes)]
         lone = [class_major_loss(p, ds) for ds in datasets]
-        assert loss(p, datasets) == np.average(lone, weights=sizes)
+        assert mean_loss(p, *datasets) == np.average(lone, weights=sizes)
         assert means == lone
         assert [n for group in groups for n in group] == list(sizes)
         assert all(sum(group) <= bound or len(group) == 1 for group in groups)
@@ -336,9 +342,9 @@ class TestSgd:
     def test_descent_on_blobs(self):
         ds = blobs(3, 4, [0.5, 0.5, 0.5], 30, seed=24)
         p = init_params(ModelConfig("softmax_regression"), 4, 3, seed=25)
-        before = loss(p, [ds])
+        before = mean_loss(p, ds)
         (out,) = sgd_epochs(p, [ds], epochs=200, lr=0.1, batch_size=32, seeds=seed_words([1]))
-        after = loss(p.with_values(out), [ds])
+        after = mean_loss(p.with_values(out), ds)
         assert after < 0.5 * before
 
     def test_deterministic(self):
@@ -363,7 +369,7 @@ class TestSgd:
         ds = blobs(3, 4, [0.5] * 3, 30, seed=32)
         p = init_params(ModelConfig("one_hidden", hidden_dim=8), 4, 3, seed=33)
         (out,) = sgd_epochs(p, [ds], epochs=100, lr=0.2, batch_size=16, seeds=seed_words([7]))
-        assert loss(p.with_values(out), [ds]) < 0.5 * loss(p, [ds])
+        assert mean_loss(p.with_values(out), ds) < 0.5 * mean_loss(p, ds)
 
 
 @st.composite

@@ -54,13 +54,26 @@ def rng_words(seed):
     rounds=st.integers(1, 4),
 )
 def test_client_words_are_the_seed_sequence_words(master, clients, first, rounds):
-    words = client_seed_words(master, clients, range(first, first + rounds))
+    words = client_seed_words(master, np.arange(clients), np.arange(first, first + rounds)[:, None])
     assert words.dtype == np.uint64 and words.shape == (rounds, clients, 4)
     assert words.flags.c_contiguous
     for j, t in enumerate(range(first, first + rounds)):
         for c in range(clients):
             want = rng_words(derive_seed(master, "client", c, "round", t))
             assert np.array_equal(words[j, c], want), (master, c, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    master=st.integers(0, 2**70),
+    pairs=st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 10**6)), min_size=1, max_size=8),
+)
+def test_client_words_of_paired_clients_and_rounds(master, pairs):
+    clients, rounds = (np.array(column) for column in zip(*pairs))
+    words = client_seed_words(master, clients, rounds)
+    assert words.dtype == np.uint64 and words.shape == (len(pairs), 4)
+    for row, (c, t) in zip(words, pairs):
+        assert np.array_equal(row, rng_words(derive_seed(master, "client", c, "round", t)))
 
 
 @settings(max_examples=60, deadline=None)

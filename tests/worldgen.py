@@ -1,4 +1,5 @@
-"""Hand-built data worlds with exactly controlled chunk sizes, for tests
+"""Hand-built data worlds with exactly controlled chunk sizes, their
+chunks views of one client-major table as a partition's are, for tests
 that check counter arithmetic, blobs built from loose values, and CSV
 files of a dataset."""
 
@@ -24,6 +25,19 @@ def write_csv(ds: Dataset, path) -> None:
     np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
 
 
+def client_major(ds: Dataset, parts, flags) -> list[ClientChunk]:
+    """The chunks of the rows ``parts[c]`` of ``ds`` with clean flags
+    ``flags[c]``, views of one client-major table of their rows, as
+    ``dirichlet_partition`` builds them."""
+    table = ds.subset(np.concatenate([np.asarray(p, dtype=np.int64) for p in parts]))
+    ends = np.cumsum([len(p) for p in parts]).tolist()
+    return [
+        ClientChunk(Dataset(table.features[e - len(p) : e], table.labels[e - len(p) : e],
+                            ds.num_classes), f)
+        for p, e, f in zip(parts, ends, flags)
+    ]
+
+
 def balanced_world(num_clients=10, per_class_per_client=10, dim=6, num_classes=10, seed=0):
     """Prepared world where every client holds exactly
     per_class_per_client samples of every class, plus balanced val/test."""
@@ -40,9 +54,7 @@ def balanced_world(num_clients=10, per_class_per_client=10, dim=6, num_classes=1
         rest = idx[20:]
         for i in range(num_clients):
             chunk_idx[i].extend(rest[i * per_class_per_client : (i + 1) * per_class_per_client])
-    chunks = [
-        ClientChunk(ds.subset(np.array(ix)), np.ones(len(ix), dtype=bool)) for ix in chunk_idx
-    ]
+    chunks = client_major(ds, chunk_idx, [np.ones(len(ix), dtype=bool) for ix in chunk_idx])
     val, test = ds.subset(np.array(val_idx)), ds.subset(np.array(test_idx))
     return Prepared(
         chunks=chunks,
@@ -67,10 +79,8 @@ def sized_world(sizes, num_classes=4, dim=5, seed=0):
         rest.extend(idx[20:])
     rest = rng.permutation(rest)
     bounds = np.cumsum([0, *sizes])
-    chunks = [
-        ClientChunk(ds.subset(rest[a:b]), rng.random(b - a) >= 0.25)
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    parts = [rest[a:b] for a, b in zip(bounds, bounds[1:])]
+    chunks = client_major(ds, parts, [rng.random(b - a) >= 0.25 for a, b in zip(bounds, bounds[1:])])
     val, test = ds.subset(np.array(val_idx)), ds.subset(np.array(test_idx))
     return Prepared(
         chunks=chunks,
