@@ -10,9 +10,8 @@ epochs on their training rows, upload parameter deltas, and the server
 applies the global-rate mean.  One :func:`~fedcoreset.scoring.loss` call
 scores the round: the mean train loss of all the sampled non-empty chunks
 and the test accuracy, from one class-major pass over a scoring plan that
-the arm keeps while the sampled chunks stay the same; adjacent sampled
-chunks, one run of the partition's client-major table, share one product,
-and each chunk's mean keeps the bits of scoring its run alone.  Under full
+the arm keeps while the sampled chunks stay the same; each chunk takes its
+own product, so its mean keeps the bits of scoring it alone.  Under full
 participation the sampled clients are all N, what the sorted draw of all
 of them gives, and no sample stream is drawn.  All compute and traffic is
 metered in a :class:`CostLedger`.
@@ -410,7 +409,10 @@ def prepare_experiment(cfg: "ExperimentConfig") -> Prepared:
             noisy = inject(chunk, noise, derive_seed(cfg.seed, "noise", c))
             rows = chunk.dataset.features
             if noisy.dataset.features is not rows:
-                # attribute noise: its rows go back into the partition's table
+                # attribute noise: its rows go back into the partition's
+                # table, so each row is held once; an empty chunk keeps its
+                # zero-row view of the table, which would otherwise stay
+                # alive beside the noisy copies
                 rows[...] = noisy.dataset.features
                 noisy = ClientChunk(replace(noisy.dataset, features=rows), noisy.clean_flags)
             chunks[c] = noisy

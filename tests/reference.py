@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from fedcoreset import coreset, scoring
+from fedcoreset import coreset
 from fedcoreset.coreset import Coreset
 from fedcoreset.data import Dataset, round_half_away
 from fedcoreset.federation import CostLedger, TrainingResult
@@ -67,18 +67,14 @@ def class_major_logits(params: ParamVector, x: np.ndarray) -> np.ndarray:
     return out[:, :-1] @ act + out[:, -1:]
 
 
-def class_major_mean(z: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of the samples of the class-major logits ``z``."""
-    zmax = z.max(axis=0)
-    logsumexp = np.log(np.exp(z - zmax).sum(axis=0)) + zmax
-    return float((logsumexp - z[labels, np.arange(len(labels))]).mean())
-
-
 def class_major_loss(params: ParamVector, ds: Dataset) -> float:
     """Mean cross-entropy from class-major ``[classes, n]`` logits, in the
     order of operations the round log's train loss is recorded with, so
     equal to ``loss`` on ``ds`` alone bit for bit."""
-    return class_major_mean(class_major_logits(params, ds.features), ds.labels)
+    z = class_major_logits(params, ds.features)
+    zmax = z.max(axis=0)
+    logsumexp = np.log(np.exp(z - zmax).sum(axis=0)) + zmax
+    return float((logsumexp - z[ds.labels, np.arange(ds.n)]).mean())
 
 
 def reference_predictions(params: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -213,38 +209,9 @@ def _round0_rows(kind, c, chunk, budget, seed) -> np.ndarray:
 
 
 def chunk_losses(params: ParamVector, chunks, sampled) -> list[float]:
-    """The loss of each sampled non-empty chunk, in sampled order.
-
-    The chunks are scored in consecutive groups of at most
-    ``scoring.LOSS_BLOCK`` rows, or one larger chunk alone.  In a group each
-    run of chunks with no other non-empty chunk between them, whose rows
-    follow each other in the partition's table, takes one product per
-    layer (:func:`class_major_logits`) on their stacked rows, and each
-    chunk's loss is :func:`class_major_mean` of its columns."""
-    scored = [c for c in sampled if chunks[c].n]
-    groups, rows = [], 0
-    for c in scored:
-        if not groups or rows + chunks[c].n > scoring.LOSS_BLOCK:
-            groups.append([])
-            rows = 0
-        groups[-1].append(c)
-        rows += chunks[c].n
-    losses = []
-    for group in groups:
-        runs = []
-        for c in group:
-            if runs and not any(chunks[b].n for b in range(runs[-1][-1] + 1, c)):
-                runs[-1].append(c)
-            else:
-                runs.append([c])
-        for run in runs:
-            z = class_major_logits(params, np.concatenate([chunks[c].dataset.features for c in run]))
-            start = 0
-            for c in run:
-                end = start + chunks[c].n
-                losses.append(class_major_mean(z[:, start:end], chunks[c].dataset.labels))
-                start = end
-    return losses
+    """The loss of each sampled non-empty chunk, in sampled order, each
+    scored alone (:func:`class_major_loss`)."""
+    return [class_major_loss(params, chunks[c].dataset) for c in sampled if chunks[c].n]
 
 
 def _train_loss(params: ParamVector, chunks, sampled) -> float:

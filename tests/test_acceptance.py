@@ -271,7 +271,7 @@ class TestCriterion6GradientSuite:
                 params = init_params(model, 8, 5, seed=int(rng.integers(1 << 30)))
                 params.values[:] = rng.normal(scale=0.6, size=params.values.size)
                 analytic = last_layer_grad_stack(params, ds)[0]
-                plan = scoring_plan([ds])
+                plan = scoring_plan([ds], ds)
                 fd = np.zeros(analytic.shape)
                 for i in range(fd.size):
                     hi = params.with_values(params.values.copy())

@@ -820,7 +820,7 @@ class TestFineTune:
     def test_loss_non_increasing_on_val(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=1)
-        plan = scoring_plan([prepared.val])
+        plan = scoring_plan([prepared.val], prepared.test)
         before = loss(p, plan)[0]
         (tuned,) = sgd_epochs(p, [prepared.val], epochs=50, lr=0.05, batch_size=32,
                               seeds=seed_words([2]))
