@@ -20,10 +20,17 @@ Label-wise selection (one pursuit per class, as in GRAD-MATCH, Killamsetty
 et al. 2021) runs once per refresh round for all of the round's clients:
 every client's classes advance together in one lockstep loop.  The classes
 are sorted by size and packed into a few zero-padded [classes, rows, d]
-candidate stacks, each at most 1.25 times as wide as its narrowest class,
-so the padding stays small however skewed the classes are.  Each step
-scores every class's candidates with one matmul per stack, ||c||^2 / 2 -
-c.r, the expansion of ||c - r||^2 with ||c||^2 cached (Batch-OMP's trick),
+candidate pools, a pool taking the next class while its padding stays at
+most a quarter of its real rows, so the packed block holds at most 1.25
+times the real rows however skewed the classes are.  What no parameter
+changes, the (client, class) entries, their packing and each client's
+scatter map into the block, is a ``SelectionPlan``, which the round engine
+keeps while the selecting chunks, their budgets and the broadcast classes
+stay the same: once per arm under full participation.  A refresh computes
+each client's gradient rows, scatters them into a fresh block with one
+assignment per client and runs the pursuit.  Each step scores every
+class's candidates with one matmul per pool, ||c||^2 / 2 - c.r, the
+expansion of ||c - r||^2 with ||c||^2 cached (Batch-OMP's trick),
 and re-solves every class's weights with one stacked solve.  The expansion
 rounds differently from the distance itself, so candidates within its
 rounding bound of the best score are re-ranked by ||c - r||: the picks are
@@ -49,13 +56,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ClientChunk
-from .model import ParamVector, own_class_grads
+from .model import ParamVector, PlanCache, own_class_grads
 from .model import last_layer_grad_stack  # noqa: F401  perfbench/tracing.py wraps this name
 
 __all__ = [
     "Coreset",
     "omp_select",
     "labelwise_omp_select",
+    "SelectionPlan",
+    "selection_plan",
     "random_select",
     "facility_location_select",
 ]
@@ -138,25 +147,28 @@ def _solve_stacked(supports: np.ndarray, targets: np.ndarray, lam: float) -> np.
     return np.stack([_solve_ridge(s.T, t, lam) for s, t in zip(supports, targets)])
 
 
-# A packed stack's widest class has at most this many times the rows of its
-# narrowest, so padding is at most a fifth of its rows.
-_PACK_RATIO = 1.25
+# A pool takes the next class while its zero padding stays at most this
+# share of its real rows, so the packed block holds at most 1.25 times them.
+_PAD_SHARE = 0.25
 
 
 def _pack(counts: np.ndarray) -> list[np.ndarray]:
-    """The classes of each packed stack, as indices into ``counts``.
+    """The classes of each pool, as indices into ``counts``.
 
     The classes are sorted by count, largest first (stable), and cut into
-    runs: a run takes the next class while its count times ``_PACK_RATIO``
-    reaches the run's first (largest) count.
+    runs: a run takes the next class while the zero rows that pad its
+    classes to its first (largest) count stay at most ``_PAD_SHARE`` of
+    their real rows.
     """
     order = np.argsort(-counts, kind="stable")
-    groups, first = [], 0
-    for j in range(1, len(order) + 1):
-        if j == len(order) or counts[order[j]] * _PACK_RATIO < counts[order[first]]:
+    sizes = counts[order].tolist()
+    groups, first, real = [], 0, 0
+    for j, n in enumerate(sizes):
+        real += n
+        if (j + 1 - first) * sizes[first] - real > _PAD_SHARE * real:
             groups.append(order[first:j])
-            first = j
-    return groups
+            first, real = j, n
+    return groups + [order[first:]] if sizes else groups
 
 
 def _compact(stack: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -336,6 +348,79 @@ def _split_budget(budget: int, class_counts: dict[int, int]) -> dict[int, int]:
     return shares
 
 
+@dataclass(eq=False)
+class SelectionPlan:
+    """What a refresh's label-wise selection needs that no parameter
+    changes, built by :func:`selection_plan`.  Its entries are the (client,
+    broadcast class) pairs with a nonzero share, client-major and in class
+    order; the pools hold them in pack order, pool s as the rows of a
+    [classes, rows] stack of the packed block, one after another.  Entry
+    e's rows are the block rows ``starts[e]`` onward, its class's rows of
+    its chunk in ascending order."""
+
+    classes: tuple[int, ...]  # the broadcast classes, ascending
+    pools: list[tuple[int, int]]  # each pool's classes and rows
+    rows: int  # the packed block's rows; one more, the last, takes the rows of no entry
+    rank: np.ndarray  # each entry's place in pack order
+    counts: np.ndarray  # in pack order: each entry's rows,
+    limits: np.ndarray  # its pick limit, min(share, rows),
+    place: np.ndarray  # and its class's place in classes
+    starts: np.ndarray  # each entry's first block row
+    bounds: np.ndarray  # client i's entries are [bounds[i], bounds[i + 1])
+    dest: list[np.ndarray]  # each client's rows' block rows
+
+
+def selection_plan(
+    chunks: Sequence[ClientChunk], budgets: Sequence[int], classes: Sequence[int]
+) -> SelectionPlan:
+    """The plan of selecting each chunk's coreset, at most its ``budgets``
+    entry (>= 1) of samples, against the server rows of ``classes``; every
+    chunk shares one of them.  A client's budget splits as
+    floor(budget/|shared|) per shared class, the remainder to its largest
+    classes.  The entries are packed into pools by :func:`_pack`."""
+    classes = tuple(sorted(classes))
+    place = {c: i for i, c in enumerate(classes)}
+    bounds, counts, limits, places, owned = [0], [], [], [], []
+    for chunk, budget in zip(chunks, budgets):
+        sizes = np.bincount(chunk.dataset.labels).tolist()  # np.unique imports numpy.ma
+        shared = {c: n for c, n in enumerate(sizes) if n and c in place}
+        split = _split_budget(budget, shared)
+        mine = [c for c in shared if split[c]]
+        owned.append((sizes, mine))
+        counts += [shared[c] for c in mine]
+        limits += [min(split[c], shared[c]) for c in mine]
+        places += [place[c] for c in mine]
+        bounds.append(len(counts))
+    counts = np.array(counts, dtype=np.int64)
+    groups = _pack(counts)
+    order = np.concatenate([np.empty(0, dtype=np.int64), *groups])
+    pools = [(len(g), int(counts[g[0]])) for g in groups]
+    # in pack order each entry takes its pool's rows of the block
+    widths = np.repeat([n for _, n in pools], [a for a, _ in pools]).astype(np.int64)
+    starts = np.empty(len(counts), dtype=np.int64)
+    starts[order] = np.cumsum(widths) - widths
+    rows = int(widths.sum())
+    rank = np.empty(len(counts), dtype=np.int64)
+    rank[order] = np.arange(len(counts))
+    dest = []
+    for chunk, (sizes, mine), lo in zip(chunks, owned, bounds):
+        labels = chunk.dataset.labels
+        first = np.full(len(sizes), -1, dtype=np.int64)  # each class's first block row
+        first[mine] = starts[lo : lo + len(mine)]
+        # a row's rank among its class's rows
+        within = np.empty(len(labels), dtype=np.int64)
+        within[np.argsort(labels, kind="stable")] = np.arange(len(labels)) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
+        )
+        at = first[labels]
+        # int32 halves the kept maps; a block of 2^31 rows would not fit in memory
+        dest.append(np.where(at >= 0, at + within, rows).astype(np.int32))
+    return SelectionPlan(
+        classes, pools, rows, rank, counts[order], np.array(limits, dtype=np.int64)[order],
+        np.array(places, dtype=np.int64)[order], starts, np.array(bounds), dest,
+    )
+
+
 def labelwise_omp_select(
     chunks: Sequence[ClientChunk],
     params: ParamVector,
@@ -343,6 +428,7 @@ def labelwise_omp_select(
     budgets: Sequence[int],
     *,
     lam: float,
+    cache: PlanCache | None = None,
 ) -> list[Coreset]:
     """Select the coreset of every client of a refresh round: one
     matching-pursuit instance per class a client shares with the server,
@@ -357,11 +443,17 @@ def labelwise_omp_select(
     largest classes; classes the server did not broadcast are skipped and
     their share flows back into the split.  All the round's classes, every
     client's, advance together, one pick each per step
-    (:func:`_matching_pursuits`).  They are sorted by size, largest first,
-    and packed into a few zero-padded [classes, rows, h+1] stacks, each as
-    wide as its largest class and at most ``_PACK_RATIO`` times as wide as
-    its smallest, so the padding stays small however skewed the classes
-    are.  The stacks are filled one client's gradient rows at a time.
+    (:func:`_matching_pursuits`), packed into a few zero-padded [classes,
+    rows, h+1] pools (:func:`_pack`).
+
+    What no parameter changes is a :class:`SelectionPlan`, taken from
+    ``cache`` when given (:meth:`~fedcoreset.model.PlanCache.selection`).
+    A call computes each client's gradient rows with its own product (a
+    product's bits depend on how its rows are batched), scatters them into
+    a fresh zeroed block with one assignment per client and runs the
+    pursuit, which drops the entries whose server row is zero, so the plan
+    never depends on the rows' values.
+
     Each class's picks, weights and residual trace equal those of
     :func:`omp_select` on that class alone, so a client's coreset is the
     same whichever clients are selected with it.  A client's indices,
@@ -372,60 +464,38 @@ def labelwise_omp_select(
     """
     if not chunks:
         return []
-    # one entry per (client, shared class), client-major and in class order
-    spans, members, counts, shares, targets = [], [], [], [], []
-    for chunk, budget in zip(chunks, budgets):
-        sizes = np.bincount(chunk.dataset.labels).tolist()  # np.unique imports numpy.ma
-        shared = {c: n for c, n in enumerate(sizes) if n and c in server_rows}
-        split = _split_budget(budget, shared)
-        spans.append((len(members), len(members) + len(shared)))
-        members += [np.flatnonzero(chunk.dataset.labels == c) for c in shared]
-        counts += shared.values()
-        shares += [split[c] for c in shared]
-        targets += [np.asarray(server_rows[c], dtype=np.float64) for c in shared]
-    counts = np.array(counts)
-    limits = np.minimum(shares, counts)
-    targets = np.stack(targets)
-    active = np.flatnonzero((limits > 0) & (_row_norms(targets) > 0))
-    groups = [active[g] for g in _pack(counts[active])]
-    packed = np.concatenate([np.empty(0, dtype=np.int64), *groups])  # entries in stack order
-    # the stacks are views of one block, so freeing them leaves one hole in
-    # the heap for later allocations, not one per stack
-    shapes = [(len(g), counts[g[0]], targets.shape[1]) for g in groups]
-    sizes = [a * n * d for a, n, d in shapes]
-    block = np.zeros(sum(sizes))
-    stacks = [x.reshape(shape) for x, shape in zip(np.split(block, np.cumsum(sizes[:-1])), shapes)]
+    classes = sorted(server_rows)
+    if cache is None:
+        plan = selection_plan(chunks, budgets, classes)
+    else:
+        plan = cache.selection(chunks, budgets, classes)
+    targets = np.array([server_rows[c] for c in plan.classes], dtype=np.float64)
+    targets = targets.take(plan.place, axis=0)
+    d = targets.shape[1]
+    block = np.zeros((plan.rows + 1, d))
+    for chunk, dest in zip(chunks, plan.dest):
+        block[dest] = own_class_grads(params, chunk.dataset)
+    # the pools are views of one block, so freeing them leaves one hole in
+    # the heap for later allocations, not one per pool
+    ends = np.cumsum([a * n for a, n in plan.pools])
+    stacks = [x.reshape(a, n, d) for x, (a, n) in zip(np.split(block, ends), plan.pools)]
     del block
-    slot = {e: (s, j) for s, g in enumerate(groups) for j, e in enumerate(g.tolist())}
-    for chunk, (lo, hi) in zip(chunks, spans):
-        todo = [e for e in range(lo, hi) if e in slot]
-        if not todo:
-            continue
-        rows = own_class_grads(params, chunk.dataset)
-        for e in todo:
-            s, j = slot[e]
-            np.take(rows, members[e], axis=0, out=stacks[s][j, : counts[e]], mode="clip")
-        del rows
-
-    found = _matching_pursuits(stacks, counts[packed], targets[packed], limits[packed], lam)
+    found = _matching_pursuits(stacks, plan.counts, targets, plan.limits, lam)
     del stacks
-    # back to entry order; entries that never ran keep made = 0
-    picks, weights, traces, made = (np.zeros((len(counts), *x.shape[1:]), x.dtype) for x in found)
-    for full, part in zip((picks, weights, traces, made), found):
-        full[packed] = part
-    steps = np.arange(picks.shape[1])
-    out = []
-    for lo, hi in spans:
-        mask = steps < made[lo:hi, None]
-        picked = [members[e][picks[e, : made[e]]] for e in range(lo, hi)]
-        out.append(
-            Coreset(
-                np.concatenate(picked),
-                weights[lo:hi][mask],
-                residual_norms=tuple(traces[lo:hi][mask].tolist()),
-            )
-        )
-    return out
+    src = np.empty(plan.rows + 1, dtype=np.int64)  # each block row's row of its chunk
+    for dest in plan.dest:
+        src[dest] = np.arange(len(dest))
+
+    # back to entry order, each client's picks one run of the flat arrays
+    picks, weights, traces, made = (x[plan.rank] for x in found)
+    taken = np.arange(picks.shape[1]) < made[:, None]
+    picks += plan.starts[:, None]
+    indices, weights, traces = src[picks[taken]], weights[taken], traces[taken].tolist()
+    cuts = np.concatenate([[0], np.cumsum(made)])[plan.bounds].tolist()
+    return [
+        Coreset(indices[lo:hi], weights[lo:hi], residual_norms=tuple(traces[lo:hi]))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
 
 
 def random_select(chunk: ClientChunk, budget: int, seed: int) -> Coreset:

@@ -5,9 +5,11 @@ parameters; on refresh rounds (t % K == 0) the gcfl arm additionally
 broadcasts per-class validation gradient rows and the sampled clients
 re-select their coresets by gradient matching, all of them in one call of
 :func:`~fedcoreset.coreset.labelwise_omp_select`, each client's coreset bit
-for bit the one it would select alone.  Clients train locally for E
-epochs on their training rows, upload parameter deltas, and the server
-applies the global-rate mean.  One :func:`~fedcoreset.scoring.loss` call
+for bit the one it would select alone; the call's selection plan, which
+holds what no parameter changes, is kept while the selecting clients stay
+the same, so under full participation an arm builds it once.  Clients
+train locally for E epochs on their training rows, upload parameter
+deltas, and the server applies the global-rate mean.  One :func:`~fedcoreset.scoring.loss` call
 scores the round: the mean train loss of all the sampled non-empty chunks
 and the test accuracy, from one class-major pass over a scoring plan that
 the arm keeps while the sampled chunks stay the same; each chunk takes its
@@ -46,8 +48,11 @@ table of the round's lock-step plan.  :func:`run_training` keeps the plan
 from round to round in a :class:`~fedcoreset.model.PlanCache`, so the rows
 are copied again only when the round's trainees or one of their row vectors
 change: on a gcfl refresh, and each round under partial participation.  A
-refresh drops both plans before the selection runs, and the arm drops them
-when its rounds end.
+refresh drops only the lock-step plan before the selection runs, as that
+plan's rows change and no copy of rows may sit under the selector's
+memory; the scoring plan holds views of the chunks' rows, not copies, and
+the selection never reads it.  The arm drops every plan when its rounds
+end.
 The canonical order is that of ``np.lexsort`` over all P values of each
 delta (the first value the primary key), but it is read off the first
 value with one stable argsort, O(m log m) for m deltas.  Only where
@@ -318,15 +323,17 @@ def run_round(
     of the rows that client trains on, and ``clean_counts`` how many of them
     are clean; a gcfl refresh round replaces the selecting clients' entries
     of both in place.  ``prepared`` is the world of ``cfg``.  ``cache``
-    keeps the local SGD's lock-step plan and the scoring plan for the next
-    round (see :func:`client_update` and :func:`~fedcoreset.scoring.loss`); a
-    refresh round empties it before the selection runs.
+    keeps the local SGD's lock-step plan, the scoring plan and the selection
+    plan for the next round (see :func:`client_update`,
+    :func:`~fedcoreset.scoring.loss` and
+    :func:`~fedcoreset.coreset.labelwise_omp_select`); a refresh round drops
+    the lock-step plan before the selection runs.
     """
     chunks = prepared.chunks
     theta_size = params.values.size
 
     if algo.kind == "gcfl" and round_index % cfg.refresh_period == 0:
-        cache.clear()  # the rows change, and no plan may sit under the selector's memory
+        cache.drop_lockstep()  # its rows change, and no row copy may sit under the selector
         rows = labelwise_validation_grads(params, prepared.val)
         ledger.grads_broadcast += len(sampled) * sum(r.size for r in rows.values())
         budgets = {cid: _client_budget(chunks[cid], cfg.budget_fraction) for cid in sampled}
@@ -338,6 +345,7 @@ def run_round(
             rows,
             [budgets[cid] for cid in selecting],
             lam=cfg.lam,
+            cache=cache,
         )
         for cid, cs in zip(selecting, selected):
             train_rows[cid] = cs.indices
@@ -460,12 +468,13 @@ def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> Tra
     non-finite value, records it as ``diverged_round`` and skips the
     fine-tune: a diverged model's accuracy is not a result.  The rounds
     share one :class:`~fedcoreset.model.PlanCache`, so local SGD copies its
-    training rows only in rounds where they change and the scoring plan is
-    rebuilt only when the sampled chunks change or a refresh drops it; it
-    is emptied when the rounds end.  The sampled clients and their seed
-    words are drawn a block of rounds at a time, ``max(1, SEED_BLOCK //
-    clients_per_round)`` rounds, so their memory does not grow with the
-    rounds, and only the sampled clients' streams are hashed."""
+    training rows only in rounds where they change, the scoring plan is
+    rebuilt only when the sampled chunks change and the selection plan only
+    when the selecting chunks do; it is emptied when the rounds end.  The
+    sampled clients and their seed words are drawn a block of rounds at a
+    time, ``max(1, SEED_BLOCK // clients_per_round)`` rounds, so their
+    memory does not grow with the rounds, and only the sampled clients'
+    streams are hashed."""
     params = init_params(
         cfg.model, prepared.test.dim, prepared.test.num_classes, derive_seed(cfg.seed, "init")
     )

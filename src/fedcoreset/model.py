@@ -45,13 +45,17 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import EllipsisType
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset
+from .data import ClientChunk, Dataset
 from .errors import ConfigurationError
 from .scoring import ScoringPlan, scoring_plan
 from .seeding import words_rngs
+
+if TYPE_CHECKING:
+    from .coreset import SelectionPlan
 
 __all__ = [
     "ARCHS",
@@ -394,16 +398,20 @@ def lockstep_plan(
 
 class PlanCache:
     """Keeps a run's plans from round to round: one :class:`LockStepPlan`
-    across :func:`sgd_epochs` calls and one
+    across :func:`sgd_epochs` calls, one
     :class:`~fedcoreset.scoring.ScoringPlan` across
-    :func:`~fedcoreset.scoring.loss` calls.
+    :func:`~fedcoreset.scoring.loss` calls and one
+    :class:`~fedcoreset.coreset.SelectionPlan` across
+    :func:`~fedcoreset.coreset.labelwise_omp_select` calls.
 
     :meth:`get` returns the kept lock-step plan when the call's batch size
     and its datasets and index vectors, compared by identity, are the ones
     the plan was built for; so a caller must not modify a cached index
     vector in place.  Otherwise it drops the kept plan, then builds and
     keeps the call's, so no two plans are alive at once.  :meth:`scoring`
-    does the same for the scoring plan of its datasets and test set.
+    does the same for the scoring plan of its datasets and test set, and
+    :meth:`selection` for the selection plan of its chunks, compared by
+    identity, and their budgets and broadcast classes, by value.
     """
 
     def __init__(self) -> None:
@@ -431,12 +439,31 @@ class PlanCache:
             self._parts = parts
         return self.scored
 
-    def clear(self) -> None:
-        """Drop both plans."""
+    def selection(
+        self, chunks: Sequence[ClientChunk], budgets: Sequence[int], classes: Sequence[int]
+    ) -> SelectionPlan:
+        from .coreset import selection_plan  # coreset imports this module
+
+        key = (tuple(budgets), tuple(classes))
+        if self.selected is None or key != self._key or not _same(tuple(chunks), self._chunks):
+            self.selected = None  # dropped before the build: one plan alive at a time
+            self.selected = selection_plan(chunks, budgets, classes)
+            self._chunks, self._key = tuple(chunks), key
+        return self.selected
+
+    def drop_lockstep(self) -> None:
+        """Drop the lock-step plan, the one plan that copies rows."""
         self.plan: LockStepPlan | None = None
         self._runs: tuple = ()
+
+    def clear(self) -> None:
+        """Drop every plan."""
+        self.drop_lockstep()
         self.scored: ScoringPlan | None = None
         self._parts: tuple = ()
+        self.selected: SelectionPlan | None = None
+        self._chunks: tuple = ()
+        self._key: tuple = ()
 
 
 def _same(a: tuple, b: tuple) -> bool:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +18,7 @@ from fedcoreset.coreset import (
 from fedcoreset.data import ClientChunk, Dataset, NoiseSpec, dirichlet_partition, inject_closed_set
 from fedcoreset.model import (
     ModelConfig,
+    PlanCache,
     init_params,
     labelwise_validation_grads,
     last_layer_grad_stack,
@@ -485,6 +487,82 @@ class TestRoundWide:
         zero = {c: np.zeros_like(row) for c, row in server_rows.items()}
         (cs,) = labelwise_omp_select(chunks[:1], params, zero, budgets[:1], lam=0.5)
         assert cs.size == 0 and cs.residual_norms == ()
+
+    def test_kept_plan_until_the_chunks_budgets_or_classes_change(self):
+        """With a cache a call takes the kept selection plan while its
+        chunks, compared by identity, and their budgets and broadcast
+        classes are the plan's, and builds a new one otherwise; either way
+        it selects what a call without a cache selects."""
+        chunks, params, server_rows, budgets = self.world(0)
+        cache = PlanCache()
+
+        def check(chunks=chunks, rows=server_rows, budgets=budgets):
+            got = labelwise_omp_select(chunks, params, rows, budgets, lam=0.5, cache=cache)
+            want = labelwise_omp_select(chunks, params, rows, budgets, lam=0.5)
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a.indices, b.indices)
+                assert np.array_equal(a.weights, b.weights)
+                assert a.residual_norms == b.residual_norms
+
+        for change in (
+            dict(chunks=[replace(chunk) for chunk in chunks]),
+            dict(budgets=[budget + 1 for budget in budgets]),
+            dict(rows={**server_rows, len(server_rows): np.ones(6)}),
+        ):
+            check()
+            plan = cache.selected
+            for scale in (-2.0, 0.0):  # new rows of the same classes, zero ones too
+                check(rows={c: scale * row for c, row in server_rows.items()})
+                assert cache.selected is plan
+            check(**change)
+            assert cache.selected is not plan
+
+    @pytest.mark.parametrize("kind", TestLabelwiseLockstep.KINDS)
+    def test_one_class_per_pool_selects_the_same_bits(self, kind, monkeypatch):
+        """The packing never changes a bit: every kind's rounds select the
+        same coresets with one class per pool as with the default pools."""
+        rng = np.random.default_rng(200 + self.KINDS.index(kind))
+        shared_pools = 0
+        for _ in range(15):
+            clients, server_rows, lam = self.make_round(rng, kind)
+            classes = len(server_rows)
+            chunks = [
+                chunk_of(Dataset(rng.normal(size=(len(labels), 2)), labels, classes))
+                for _, labels, _ in clients
+            ]
+            rows_of = {id(chunk.dataset): rows for chunk, (rows, _, _) in zip(chunks, clients)}
+            monkeypatch.setattr(coreset, "own_class_grads", lambda p, ds: rows_of[id(ds)])
+            params = init_params(ModelConfig("softmax_regression"), 2, classes, seed=0)
+            budgets = [budget for _, _, budget in clients]
+            plan = coreset.selection_plan(chunks, budgets, server_rows)
+            shared_pools += any(a > 1 for a, _ in plan.pools)
+            packed = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam)
+            with monkeypatch.context() as patch:
+                patch.setattr(coreset, "_pack", lambda counts: [[a] for a in range(len(counts))])
+                alone = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam)
+            for a, b in zip(packed, alone):
+                assert np.array_equal(a.indices, b.indices)
+                assert np.array_equal(a.weights, b.weights)
+                assert a.residual_norms == b.residual_norms
+        assert shared_pools
+
+    def test_pools_pad_at_most_a_quarter_of_their_rows(self):
+        """Each pool takes the classes in count order, largest first, as
+        long as its zero padding stays at most a quarter of its real rows:
+        so it pads at most that much, and the next pool's first class would
+        have padded more."""
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            counts = rng.integers(1, int(rng.integers(2, 400)), size=int(rng.integers(1, 60)))
+            groups = coreset._pack(counts)
+            assert np.array_equal(np.concatenate(groups), np.argsort(-counts, kind="stable"))
+            for group, after in zip(groups, groups[1:] + [None]):
+                width = counts[group[0]]
+                real = counts[group].sum()
+                assert 4 * (len(group) * width - real) <= real
+                if after is not None:
+                    real += counts[after[0]]
+                    assert 4 * ((len(group) + 1) * width - real) > real
 
     def test_peak_memory_near_the_real_candidate_rows(self):
         """Each client holds 1,200 samples of one class and 2 of each of the

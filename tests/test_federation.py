@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fedcoreset.cli as cli
+import fedcoreset.coreset as coreset_module
 import fedcoreset.federation as federation
 import fedcoreset.model as model_module
 from fedcoreset.config import DatasetConfig, ExperimentConfig, ModelConfig
@@ -571,9 +572,10 @@ class TestRunTraining:
 
 
 class TestKeptPlan:
-    """``run_training`` keeps the lock-step plan of local SGD and the
-    scoring plan from round to round; that must change no bit, and no
-    lock-step plan may outlive the rounds or sit under a selection."""
+    """``run_training`` keeps the lock-step plan of local SGD, the scoring
+    plan and the selection plan from round to round; that must change no
+    bit, and no lock-step plan may outlive the rounds or sit under a
+    selection."""
 
     # 12 clients of uneven sizes: one empty, two whose budgets round to 0
     # at a 10% budget (3 and 1 samples), sizes on both sides of the batch
@@ -587,11 +589,12 @@ class TestKeptPlan:
 
     @staticmethod
     def arm(cfg, algo, prepared, path, monkeypatch, rebuild):
-        """Run one arm, the plans kept or rebuilt every round; returns its
+        """Run one arm, the plans kept or rebuilt at every call; returns its
         round-log bytes, final-parameter bytes, fine-tuned accuracy and the
-        numbers of lock-step and scoring plans built."""
+        numbers of lock-step, scoring and selection plans built."""
         built = Counter()
         real_lockstep, real_scoring = model_module.lockstep_plan, model_module.scoring_plan
+        real_selection = coreset_module.selection_plan
 
         def lockstep(*args):
             built["lockstep"] += 1
@@ -600,6 +603,10 @@ class TestKeptPlan:
         def scoring(*args):
             built["scoring"] += 1
             return real_scoring(*args)
+
+        def selection(*args):
+            built["selection"] += 1
+            return real_selection(*args)
 
         class Rebuilding(PlanCache):
             def get(self, *args):
@@ -610,9 +617,14 @@ class TestKeptPlan:
                 self.clear()
                 return super().scoring(*args)
 
+            def selection(self, *args):
+                self.clear()
+                return super().selection(*args)
+
         with monkeypatch.context() as patch:
             patch.setattr(model_module, "lockstep_plan", lockstep)
             patch.setattr(model_module, "scoring_plan", scoring)
+            patch.setattr(coreset_module, "selection_plan", selection)
             if rebuild:
                 patch.setattr(federation, "PlanCache", Rebuilding)
             result = run_training(cfg, algo, prepared)
@@ -630,16 +642,55 @@ class TestKeptPlan:
         kept, kept_builds = self.arm(cfg, algo, prepared, tmp_path / "kept.csv", monkeypatch, False)
         rebuilt, builds = self.arm(cfg, algo, prepared, tmp_path / "rebuilt.csv", monkeypatch, True)
         assert kept == rebuilt
-        # the fine-tune builds one lock-step plan on each side; at m = N the
-        # rows change only on a gcfl refresh (rounds 0, 2 and 4), which
-        # drops both plans, and the scored chunks never
-        assert builds == Counter(lockstep=cfg.rounds + 1, scoring=cfg.rounds)
+        # gcfl refreshes at rounds 0, 2 and 4; the fine-tune builds one
+        # lock-step plan on each side
+        refreshes = 3 if kind == "gcfl" else 0
+        assert builds == Counter(lockstep=cfg.rounds + 1, scoring=cfg.rounds, selection=refreshes)
         if m is None:
-            refreshes = 3 if kind == "gcfl" else 1
-            assert kept_builds == Counter(lockstep=1 + refreshes, scoring=refreshes)
+            # the rows change only on a gcfl refresh, which drops only the
+            # lock-step plan, and the scored and selecting chunks never:
+            # round 0's lock-step plan or each refresh's, then the fine-tune's
+            assert kept_builds == Counter(
+                lockstep=(refreshes or 1) + 1, scoring=1, selection=min(refreshes, 1))
         else:
-            assert kept_builds["lockstep"] <= builds["lockstep"]
-            assert kept_builds["scoring"] <= builds["scoring"]
+            for plan in ("lockstep", "scoring", "selection"):
+                assert kept_builds[plan] <= builds[plan]
+
+    @pytest.mark.parametrize("period", [1, 2])
+    @pytest.mark.parametrize("m", [None, 5])
+    def test_one_selection_call_a_refresh_round_builds_its_plan(self, m, period, monkeypatch):
+        """A gcfl run calls ``federation.labelwise_omp_select`` once per
+        refresh round, the call the benchmark's span counts, and builds its
+        selection plan inside that call: once per arm at m = N."""
+        prepared = sized_world(self.SIZES, dim=4)
+        cfg = self.world_cfg(rounds=6, refresh_period=period, clients_per_round=m)
+        rounds, calls, built_inside, selecting = [], [], [], [False]
+        real_round, real_select = federation.run_round, federation.labelwise_omp_select
+        real_plan = coreset_module.selection_plan
+
+        def round_(*args):
+            rounds.append(args[6])
+            return real_round(*args)
+
+        def select(*args, **kw):
+            calls.append(rounds[-1])
+            selecting[0] = True
+            try:
+                return real_select(*args, **kw)
+            finally:
+                selecting[0] = False
+
+        def plan(*args):
+            built_inside.append(selecting[0])
+            return real_plan(*args)
+
+        monkeypatch.setattr(federation, "run_round", round_)
+        monkeypatch.setattr(federation, "labelwise_omp_select", select)
+        monkeypatch.setattr(coreset_module, "selection_plan", plan)
+        run_training(cfg, Algo("gcfl"), prepared)
+        assert calls == list(range(0, cfg.rounds, period))
+        assert built_inside and all(built_inside)
+        assert m is not None or len(built_inside) == 1
 
     @pytest.mark.parametrize("kind, m", [("gcfl", None), ("fedavg", 5)])
     def test_one_plan_at_a_time_none_under_selection_or_after_the_arm(self, kind, m, monkeypatch):
@@ -996,7 +1047,8 @@ class TestProtocolProperties:
         def scored(params, plan):
             assert plan.test.n > 0 and (plan.sizes > 0).all()
 
-        def labelwise(chunks, params, server_rows, budgets, *, lam):
+        def labelwise(chunks, params, server_rows, budgets, *, lam, cache):
+            assert isinstance(cache, PlanCache)
             assert len(budgets) == len(chunks) and min(budgets, default=1) >= 1
             for chunk in chunks:
                 assert np.isin(chunk.dataset.labels, list(server_rows)).any()
