@@ -24,19 +24,22 @@ candidate pools, a pool taking the next class while its padding stays at
 most a quarter of its real rows, so the packed block holds at most 1.25
 times the real rows however skewed the classes are.  What no parameter
 changes, the (client, class) entries, their packing and each client's
-scatter map into the block, is a ``SelectionPlan``, which the round engine
-keeps while the selecting chunks, their budgets and the broadcast classes
-stay the same: once per arm under full participation.  A refresh computes
-each client's gradient rows, scatters them into a fresh block with one
-assignment per client and runs the pursuit.  Each step scores every
-class's candidates with one matmul per pool, ||c||^2 / 2 - c.r, the
-expansion of ||c - r||^2 with ||c||^2 cached (Batch-OMP's trick),
-and re-solves every class's weights with one stacked solve.  The expansion
-rounds differently from the distance itself, so candidates within its
-rounding bound of the best score are re-ranked by ||c - r||: the picks are
-those of the per-class loop with the direct distance, ties to the lowest
-index, and the weights are bit for bit that loop's, whichever classes and
-clients share the loop.  ``omp_select`` is the same kernel on one class.
+per-label offsets into the block, is a ``SelectionPlan``, which the round
+engine keeps while the selecting chunks, their budgets and the broadcast
+classes stay the same: once per arm under full participation.  The plan
+holds nothing per chunk row.  A refresh computes each client's gradient
+rows, scatters them into a fresh block with one assignment per client,
+through a map from chunk rows to block rows it builds from the client's
+labels, and runs the pursuit.
+Each step scores every class's candidates with one matmul per pool,
+||c||^2 / 2 - c.r, the expansion of ||c - r||^2 with ||c||^2 cached
+(Batch-OMP's trick), and re-solves every class's weights with one stacked
+solve.  The expansion rounds differently from the distance itself, so
+candidates within its rounding bound of the best score are re-ranked by
+||c - r||: the picks are those of the per-class loop with the direct
+distance, ties to the lowest index, and the weights are bit for bit that
+loop's, whichever classes and clients share the loop.  ``omp_select`` is
+the same kernel on one class.
 
 The facility-location baseline is a lazy greedy (Minoux 1978; used for
 coresets in CRAIG, Mirzasoleiman et al. 2020) whose picks equal the dense
@@ -355,8 +358,10 @@ class SelectionPlan:
     broadcast class) pairs with a nonzero share, client-major and in class
     order; the pools hold them in pack order, pool s as the rows of a
     [classes, rows] stack of the packed block, one after another.  Entry
-    e's rows are the block rows ``starts[e]`` onward, its class's rows of
-    its chunk in ascending order."""
+    e's rows are its class's rows of its chunk in ascending order, which
+    are the chunk's rows ``offsets[e]`` onward in label order
+    (:func:`_label_order`).  The plan keeps nothing per chunk row: each
+    call sorts a chunk's labels to map its rows to block rows and back."""
 
     classes: tuple[int, ...]  # the broadcast classes, ascending
     pools: list[tuple[int, int]]  # each pool's classes and rows
@@ -365,9 +370,10 @@ class SelectionPlan:
     counts: np.ndarray  # in pack order: each entry's rows,
     limits: np.ndarray  # its pick limit, min(share, rows),
     place: np.ndarray  # and its class's place in classes
-    starts: np.ndarray  # each entry's first block row
+    offsets: np.ndarray  # each entry's first row in its chunk's label order
     bounds: np.ndarray  # client i's entries are [bounds[i], bounds[i + 1])
-    dest: list[np.ndarray]  # each client's rows' block rows
+    sizes: list[np.ndarray]  # each client's rows per label,
+    leads: list[np.ndarray]  # and per label, its first block row less its offset in label order
 
 
 def selection_plan(
@@ -382,8 +388,8 @@ def selection_plan(
     place = {c: i for i, c in enumerate(classes)}
     bounds, counts, limits, places, owned = [0], [], [], [], []
     for chunk, budget in zip(chunks, budgets):
-        sizes = np.bincount(chunk.dataset.labels).tolist()  # np.unique imports numpy.ma
-        shared = {c: n for c, n in enumerate(sizes) if n and c in place}
+        sizes = np.bincount(chunk.dataset.labels)  # np.unique imports numpy.ma
+        shared = {c: n for c, n in enumerate(sizes.tolist()) if n and c in place}
         split = _split_budget(budget, shared)
         mine = [c for c in shared if split[c]]
         owned.append((sizes, mine))
@@ -402,23 +408,24 @@ def selection_plan(
     rows = int(widths.sum())
     rank = np.empty(len(counts), dtype=np.int64)
     rank[order] = np.arange(len(counts))
-    dest = []
-    for chunk, (sizes, mine), lo in zip(chunks, owned, bounds):
-        labels = chunk.dataset.labels
-        first = np.full(len(sizes), -1, dtype=np.int64)  # each class's first block row
-        first[mine] = starts[lo : lo + len(mine)]
-        # a row's rank among its class's rows
-        within = np.empty(len(labels), dtype=np.int64)
-        within[np.argsort(labels, kind="stable")] = np.arange(len(labels)) - np.repeat(
-            np.cumsum(sizes) - sizes, sizes
-        )
-        at = first[labels]
-        # int32 halves the kept maps; a block of 2^31 rows would not fit in memory
-        dest.append(np.where(at >= 0, at + within, rows).astype(np.int32))
+    offsets = np.concatenate([(np.cumsum(sizes) - sizes)[mine] for sizes, mine in owned])
+    leads = []
+    for (sizes, mine), lo, hi in zip(owned, bounds, bounds[1:]):
+        lead = np.full(len(sizes), rows, dtype=np.int64)
+        lead[mine] = starts[lo:hi] - offsets[lo:hi]
+        leads.append(lead)
     return SelectionPlan(
         classes, pools, rows, rank, counts[order], np.array(limits, dtype=np.int64)[order],
-        np.array(places, dtype=np.int64)[order], starts, np.array(bounds), dest,
+        np.array(places, dtype=np.int64)[order], offsets, np.array(bounds),
+        [sizes for sizes, _ in owned], leads,
     )
+
+
+def _label_order(chunk: ClientChunk, sizes: np.ndarray) -> np.ndarray:
+    """A chunk's rows in label order, ascending within a label; ``sizes``
+    counts its rows per label."""
+    # a stable sort of an integer type of 16 bits or fewer is a radix sort
+    return np.argsort(chunk.dataset.labels.astype(np.min_scalar_type(len(sizes))), kind="stable")
 
 
 def labelwise_omp_select(
@@ -428,7 +435,7 @@ def labelwise_omp_select(
     budgets: Sequence[int],
     *,
     lam: float,
-    cache: PlanCache | None = None,
+    cache: PlanCache,
 ) -> list[Coreset]:
     """Select the coreset of every client of a refresh round: one
     matching-pursuit instance per class a client shares with the server,
@@ -446,13 +453,16 @@ def labelwise_omp_select(
     (:func:`_matching_pursuits`), packed into a few zero-padded [classes,
     rows, h+1] pools (:func:`_pack`).
 
-    What no parameter changes is a :class:`SelectionPlan`, taken from
-    ``cache`` when given (:meth:`~fedcoreset.model.PlanCache.selection`).
-    A call computes each client's gradient rows with its own product (a
-    product's bits depend on how its rows are batched), scatters them into
-    a fresh zeroed block with one assignment per client and runs the
-    pursuit, which drops the entries whose server row is zero, so the plan
-    never depends on the rows' values.
+    What no parameter changes is a :class:`SelectionPlan`, kept in the
+    ``"selection"`` slot of ``cache`` while the chunks, compared by
+    identity, and their budgets and the broadcast classes, by value, stay
+    the same (:meth:`~fedcoreset.model.PlanCache.keep`).  A call computes
+    each client's gradient rows with its own product (a product's bits
+    depend on how its rows are batched), scatters them into a fresh zeroed
+    block with one assignment per client and runs the pursuit, which drops
+    the entries whose server row is zero, so the plan never depends on the
+    rows' values.  The maps between chunk rows and block rows are the
+    call's own, one chunk at a time, from a sort of its labels.
 
     Each class's picks, weights and residual trace equal those of
     :func:`omp_select` on that class alone, so a client's coreset is the
@@ -465,15 +475,18 @@ def labelwise_omp_select(
     if not chunks:
         return []
     classes = sorted(server_rows)
-    if cache is None:
-        plan = selection_plan(chunks, budgets, classes)
-    else:
-        plan = cache.selection(chunks, budgets, classes)
+    plan = cache.keep("selection", lambda: selection_plan(chunks, budgets, classes),
+                      same=tuple(chunks), equal=(tuple(budgets), tuple(classes)))
     targets = np.array([server_rows[c] for c in plan.classes], dtype=np.float64)
     targets = targets.take(plan.place, axis=0)
     d = targets.shape[1]
     block = np.zeros((plan.rows + 1, d))
-    for chunk, dest in zip(chunks, plan.dest):
+    for chunk, sizes, lead in zip(chunks, plan.sizes, plan.leads):
+        to = np.repeat(lead, sizes)  # rows in label order to block rows,
+        to += np.arange(len(to))
+        np.minimum(to, plan.rows, out=to)  # the rows of no entry to the last
+        dest = np.empty_like(to)
+        dest[_label_order(chunk, sizes)] = to
         block[dest] = own_class_grads(params, chunk.dataset)
     # the pools are views of one block, so freeing them leaves one hole in
     # the heap for later allocations, not one per pool
@@ -482,19 +495,17 @@ def labelwise_omp_select(
     del block
     found = _matching_pursuits(stacks, plan.counts, targets, plan.limits, lam)
     del stacks
-    src = np.empty(plan.rows + 1, dtype=np.int64)  # each block row's row of its chunk
-    for dest in plan.dest:
-        src[dest] = np.arange(len(dest))
 
     # back to entry order, each client's picks one run of the flat arrays
     picks, weights, traces, made = (x[plan.rank] for x in found)
     taken = np.arange(picks.shape[1]) < made[:, None]
-    picks += plan.starts[:, None]
-    indices, weights, traces = src[picks[taken]], weights[taken], traces[taken].tolist()
+    picks += plan.offsets[:, None]  # places in the chunk's label order
+    places, weights, traces = picks[taken], weights[taken], traces[taken].tolist()
     cuts = np.concatenate([[0], np.cumsum(made)])[plan.bounds].tolist()
     return [
-        Coreset(indices[lo:hi], weights[lo:hi], residual_norms=tuple(traces[lo:hi]))
-        for lo, hi in zip(cuts, cuts[1:])
+        Coreset(_label_order(chunk, sizes)[places[lo:hi]], weights[lo:hi],
+                residual_norms=tuple(traces[lo:hi]))
+        for chunk, sizes, lo, hi in zip(chunks, plan.sizes, cuts, cuts[1:])
     ]
 
 

@@ -84,7 +84,7 @@ from .data import (
 from .errors import ConfigurationError
 from .metrics import RoundMetrics, dataset_fingerprint
 from .model import ParamVector, PlanCache, init_params, labelwise_validation_grads, sgd_epochs
-from .scoring import evaluate_accuracy, loss
+from .scoring import evaluate_accuracy, loss, scoring_plan
 from .seeding import client_seed_words, derive_seed, seed_words, spawn_rng
 
 if TYPE_CHECKING:
@@ -333,7 +333,7 @@ def run_round(
     theta_size = params.values.size
 
     if algo.kind == "gcfl" and round_index % cfg.refresh_period == 0:
-        cache.drop_lockstep()  # its rows change, and no row copy may sit under the selector
+        cache.drop("lockstep")  # its rows change, and no row copy may sit under the selector
         rows = labelwise_validation_grads(params, prepared.val)
         ledger.grads_broadcast += len(sampled) * sum(r.size for r in rows.values())
         budgets = {cid: _client_budget(chunks[cid], cfg.budget_fraction) for cid in sampled}
@@ -372,7 +372,9 @@ def run_round(
     new_params = aggregate(params, deltas, cfg.global_lr) if trainees else params
 
     scored = [chunks[cid].dataset for cid in sampled if chunks[cid].n]
-    mean_loss, accuracy = loss(new_params, cache.scoring(scored, prepared.test))
+    plan = cache.keep("scoring", lambda: scoring_plan(scored, prepared.test),
+                      same=(*scored, prepared.test))
+    mean_loss, accuracy = loss(new_params, plan)
 
     clean_frac = None
     if algo.uses_coreset:

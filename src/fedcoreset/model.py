@@ -42,20 +42,18 @@ them.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from types import EllipsisType
-from typing import TYPE_CHECKING
+from typing import Any, TypeVar
 
 import numpy as np
 
-from .data import ClientChunk, Dataset
+from .data import Dataset
 from .errors import ConfigurationError
-from .scoring import ScoringPlan, scoring_plan
 from .seeding import words_rngs
 
-if TYPE_CHECKING:
-    from .coreset import SelectionPlan
+T = TypeVar("T")
 
 __all__ = [
     "ARCHS",
@@ -397,73 +395,41 @@ def lockstep_plan(
 
 
 class PlanCache:
-    """Keeps a run's plans from round to round: one :class:`LockStepPlan`
-    across :func:`sgd_epochs` calls, one
-    :class:`~fedcoreset.scoring.ScoringPlan` across
-    :func:`~fedcoreset.scoring.loss` calls and one
-    :class:`~fedcoreset.coreset.SelectionPlan` across
-    :func:`~fedcoreset.coreset.labelwise_omp_select` calls.
+    """Keeps a run's plans from round to round, one per slot: local SGD's
+    :class:`LockStepPlan` (``"lockstep"``), the round's
+    :class:`~fedcoreset.scoring.ScoringPlan` (``"scoring"``) and the
+    refresh's :class:`~fedcoreset.coreset.SelectionPlan` (``"selection"``).
+    ``plans`` maps each slot to its kept plan.
 
-    :meth:`get` returns the kept lock-step plan when the call's batch size
-    and its datasets and index vectors, compared by identity, are the ones
-    the plan was built for; so a caller must not modify a cached index
-    vector in place.  Otherwise it drops the kept plan, then builds and
-    keeps the call's, so no two plans are alive at once.  :meth:`scoring`
-    does the same for the scoring plan of its datasets and test set, and
-    :meth:`selection` for the selection plan of its chunks, compared by
-    identity, and their budgets and broadcast classes, by value.
+    :meth:`keep` returns a slot's kept plan when the call's ``same``
+    objects, compared by identity, and ``equal`` values, compared by value,
+    are the ones the plan was built for; so a caller must not modify a
+    keyed object, such as an index vector, in place.  Otherwise it drops the
+    kept plan, then builds and keeps the call's, so no two plans of a slot
+    are alive at once.
     """
 
     def __init__(self) -> None:
-        self.clear()
+        self.plans: dict[str, Any] = {}
+        self._keys: dict[str, tuple[tuple, tuple]] = {}
 
-    def get(
-        self,
-        datasets: Sequence[Dataset],
-        batch_size: int,
-        indices: Sequence[np.ndarray] | None = None,
-    ) -> LockStepPlan:
-        runs = (*datasets, *(() if indices is None else indices))
-        kept = self.plan is not None and self.plan.batch_size == batch_size
-        if not (kept and _same(runs, self._runs)):
-            self.plan = None  # dropped before the build: one plan alive at a time
-            self.plan = lockstep_plan(datasets, batch_size, indices)
-            self._runs = runs
-        return self.plan
+    def keep(self, slot: str, build: Callable[[], T], *, same: tuple = (), equal: tuple = ()) -> T:
+        key = self._keys.get(slot)
+        if key is None or key[1] != equal or not _same(same, key[0]):
+            self.drop(slot)  # before the build: one plan of a slot alive at a time
+            self.plans[slot] = build()
+            self._keys[slot] = (same, equal)
+        return self.plans[slot]
 
-    def scoring(self, datasets: Sequence[Dataset], test: Dataset) -> ScoringPlan:
-        parts = (*datasets, test)
-        if self.scored is None or not _same(parts, self._parts):
-            self.scored = None  # dropped before the build: one plan alive at a time
-            self.scored = scoring_plan(datasets, test)
-            self._parts = parts
-        return self.scored
-
-    def selection(
-        self, chunks: Sequence[ClientChunk], budgets: Sequence[int], classes: Sequence[int]
-    ) -> SelectionPlan:
-        from .coreset import selection_plan  # coreset imports this module
-
-        key = (tuple(budgets), tuple(classes))
-        if self.selected is None or key != self._key or not _same(tuple(chunks), self._chunks):
-            self.selected = None  # dropped before the build: one plan alive at a time
-            self.selected = selection_plan(chunks, budgets, classes)
-            self._chunks, self._key = tuple(chunks), key
-        return self.selected
-
-    def drop_lockstep(self) -> None:
-        """Drop the lock-step plan, the one plan that copies rows."""
-        self.plan: LockStepPlan | None = None
-        self._runs: tuple = ()
+    def drop(self, slot: str) -> None:
+        """Drop the plan kept in ``slot``, if any."""
+        self.plans.pop(slot, None)
+        self._keys.pop(slot, None)
 
     def clear(self) -> None:
         """Drop every plan."""
-        self.drop_lockstep()
-        self.scored: ScoringPlan | None = None
-        self._parts: tuple = ()
-        self.selected: SelectionPlan | None = None
-        self._chunks: tuple = ()
-        self._key: tuple = ()
+        self.plans.clear()
+        self._keys.clear()
 
 
 def _same(a: tuple, b: tuple) -> bool:
@@ -506,12 +472,13 @@ def sgd_epochs(
     A call builds its :class:`LockStepPlan` (:func:`lockstep_plan`), which
     copies all runs' rows into one ``[sum n, d + 1]`` row table whose bias
     column is set once, then runs the epochs on it.  With a ``cache`` the
-    plan is taken from it, and built only when the cache holds none for
-    these runs (:meth:`PlanCache.get`): a plan holds no seed, parameter or
-    hyperparameter but the batch size, so one serves every call on the
-    same rows.  The generators, the models (one contiguous stack per
-    layer) and the order matrix are the call's own, so a kept plan holds
-    only its rows.
+    plan is taken from its ``"lockstep"`` slot, and built only when the
+    cache holds none for these datasets and index vectors, compared by
+    identity, and this batch size (:meth:`PlanCache.keep`): a plan holds
+    no seed, parameter or hyperparameter but the batch size, so one serves
+    every call on the same rows.  The generators, the models (one
+    contiguous stack per layer) and the order matrix are the call's own, so
+    a kept plan holds only its rows.
     Each epoch writes every run's permutation, shifted by the
     run's offset in the table, into one ``[runs, largest n]`` order matrix,
     so a step's batch is one gather of table rows and one of labels (the
@@ -532,7 +499,9 @@ def sgd_epochs(
     if cache is None:
         plan = lockstep_plan(datasets, batch_size, indices)
     else:
-        plan = cache.get(datasets, batch_size, indices)
+        runs = (*datasets, *(() if indices is None else indices))
+        plan = cache.keep("lockstep", lambda: lockstep_plan(datasets, batch_size, indices),
+                          same=runs, equal=(batch_size,))
     sizes, starts = plan.sizes, plan.starts
     rngs = words_rngs(np.asarray(seeds)[plan.stack])
 

@@ -81,7 +81,9 @@ def scoring_plan(datasets: Sequence[Dataset], test: Dataset) -> ScoringPlan:
         cols, n = ends[-1], sum(ds.n for ds in scored)
         labels = np.concatenate([ds.labels for ds in scored]) if scored else np.empty(0, np.int64)
         singles = [span.start for x, span in parts[: len(scored)] if len(x) == 1]
-        passes.append(_Pass(parts, cols, n, labels * cols + np.arange(n), singles))
+        # the smallest type that holds every flat index: the plan is kept under the selector
+        own = (labels * cols + np.arange(n)).astype(np.min_scalar_type(test.num_classes * cols))
+        passes.append(_Pass(parts, cols, n, own, singles))
     sizes = np.array([ds.n for ds in datasets], dtype=np.float64)
     test_at = np.arange(passes[-1].scored, passes[-1].cols)
     return ScoringPlan(passes, sizes, float(sizes.sum()), test, test_at)

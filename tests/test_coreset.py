@@ -33,7 +33,7 @@ def chunk_of(ds: Dataset) -> ClientChunk:
 
 def select_one(chunk, params, server_rows, budget, lam) -> Coreset:
     """``labelwise_omp_select`` of a round with this one client."""
-    (cs,) = labelwise_omp_select([chunk], params, server_rows, [budget], lam=lam)
+    (cs,) = labelwise_omp_select([chunk], params, server_rows, [budget], lam=lam, cache=PlanCache())
     return cs
 
 
@@ -443,7 +443,8 @@ class TestRoundWide:
             monkeypatch.setattr(coreset, "own_class_grads", lambda p, ds: rows_of[id(ds)])
             params = init_params(ModelConfig("softmax_regression"), 2, classes, seed=0)
             budgets = [budget for _, _, budget in clients]
-            got = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam)
+            got = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam,
+                                       cache=PlanCache())
             assert len(got) == len(chunks)
             for (rows, labels, budget), cs in zip(clients, got):
                 ref = reference_labelwise(rows, labels, server_rows, budget, lam)
@@ -471,11 +472,12 @@ class TestRoundWide:
         rng = np.random.default_rng(31)
         for seed in range(3):
             chunks, params, server_rows, budgets = self.world(seed)
-            whole = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam)
+            whole = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam,
+                                         cache=PlanCache())
             for _ in range(6):
                 some = rng.permutation(len(chunks))[: rng.integers(1, len(chunks) + 1)]
                 part = labelwise_omp_select([chunks[i] for i in some], params, server_rows,
-                                            [budgets[i] for i in some], lam=lam)
+                                            [budgets[i] for i in some], lam=lam, cache=PlanCache())
                 for i, cs in zip(some, part):
                     assert np.array_equal(cs.indices, whole[i].indices)
                     assert np.array_equal(cs.weights, whole[i].weights)
@@ -483,22 +485,24 @@ class TestRoundWide:
 
     def test_budget_per_chunk_and_empty_rounds(self):
         chunks, params, server_rows, budgets = self.world(0)
-        assert labelwise_omp_select([], params, server_rows, [], lam=0.5) == []
+        assert labelwise_omp_select([], params, server_rows, [], lam=0.5, cache=PlanCache()) == []
         zero = {c: np.zeros_like(row) for c, row in server_rows.items()}
-        (cs,) = labelwise_omp_select(chunks[:1], params, zero, budgets[:1], lam=0.5)
+        (cs,) = labelwise_omp_select(chunks[:1], params, zero, budgets[:1], lam=0.5,
+                                     cache=PlanCache())
         assert cs.size == 0 and cs.residual_norms == ()
 
     def test_kept_plan_until_the_chunks_budgets_or_classes_change(self):
-        """With a cache a call takes the kept selection plan while its
-        chunks, compared by identity, and their budgets and broadcast
-        classes are the plan's, and builds a new one otherwise; either way
-        it selects what a call without a cache selects."""
+        """A call takes the cache's kept selection plan while its chunks,
+        compared by identity, and their budgets and broadcast classes are
+        the plan's, and builds a new one otherwise; either way it selects
+        what a call with a fresh cache selects."""
         chunks, params, server_rows, budgets = self.world(0)
         cache = PlanCache()
 
         def check(chunks=chunks, rows=server_rows, budgets=budgets):
             got = labelwise_omp_select(chunks, params, rows, budgets, lam=0.5, cache=cache)
-            want = labelwise_omp_select(chunks, params, rows, budgets, lam=0.5)
+            want = labelwise_omp_select(chunks, params, rows, budgets, lam=0.5,
+                                        cache=PlanCache())
             for a, b in zip(got, want, strict=True):
                 assert np.array_equal(a.indices, b.indices)
                 assert np.array_equal(a.weights, b.weights)
@@ -510,12 +514,31 @@ class TestRoundWide:
             dict(rows={**server_rows, len(server_rows): np.ones(6)}),
         ):
             check()
-            plan = cache.selected
+            plan = cache.plans["selection"]
             for scale in (-2.0, 0.0):  # new rows of the same classes, zero ones too
                 check(rows={c: scale * row for c, row in server_rows.items()})
-                assert cache.selected is plan
+                assert cache.plans["selection"] is plan
             check(**change)
-            assert cache.selected is not plan
+            assert cache.plans["selection"] is not plan
+
+    def test_plan_keeps_nothing_per_chunk_row(self):
+        """A plan's arrays grow with the round's entries and each chunk's
+        labels, not with its rows: the maps from chunk rows to block rows
+        are each call's own."""
+        chunks, params, server_rows, budgets = self.world(0)
+        plan = coreset.selection_plan(chunks, budgets, server_rows)
+        # ten times the rows, the labels in the same proportions
+        big = [chunk_of(Dataset(np.repeat(c.dataset.features, 10, axis=0),
+                                np.repeat(c.dataset.labels, 10), c.dataset.num_classes))
+               for c in chunks]
+        grown = coreset.selection_plan(big, budgets, server_rows)
+
+        def held(plan):
+            return sum(x.nbytes for x in vars(plan).values() if isinstance(x, np.ndarray)) + sum(
+                x.nbytes for xs in (plan.sizes, plan.leads) for x in xs)
+
+        assert held(grown) == held(plan)
+        assert grown.rows == 10 * plan.rows
 
     @pytest.mark.parametrize("kind", TestLabelwiseLockstep.KINDS)
     def test_one_class_per_pool_selects_the_same_bits(self, kind, monkeypatch):
@@ -536,10 +559,12 @@ class TestRoundWide:
             budgets = [budget for _, _, budget in clients]
             plan = coreset.selection_plan(chunks, budgets, server_rows)
             shared_pools += any(a > 1 for a, _ in plan.pools)
-            packed = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam)
+            packed = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam,
+                                          cache=PlanCache())
             with monkeypatch.context() as patch:
                 patch.setattr(coreset, "_pack", lambda counts: [[a] for a in range(len(counts))])
-                alone = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam)
+                alone = labelwise_omp_select(chunks, params, server_rows, budgets, lam=lam,
+                                             cache=PlanCache())
             for a, b in zip(packed, alone):
                 assert np.array_equal(a.indices, b.indices)
                 assert np.array_equal(a.weights, b.weights)
@@ -588,10 +613,11 @@ class TestRoundWide:
         support = 8 * clients * classes * max(budgets) * (dim + 1)
         client = 8 * chunks[0].n * (dim + 1 + classes)
         # a first call, so numpy's lazy imports are not counted
-        labelwise_omp_select(chunks[:1], params, server_rows, budgets[:1], lam=0.5)
+        labelwise_omp_select(chunks[:1], params, server_rows, budgets[:1], lam=0.5,
+                             cache=PlanCache())
         tracemalloc.start()
         try:
-            labelwise_omp_select(chunks, params, server_rows, budgets, lam=0.5)
+            labelwise_omp_select(chunks, params, server_rows, budgets, lam=0.5, cache=PlanCache())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

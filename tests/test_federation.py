@@ -341,15 +341,16 @@ class TestRunRound:
         prepared = sized_world((0, 9, 0, 1, 0, 40))
         cfg = tiny_cfg(num_clients=6, clients_per_round=m, rounds=12)
         scored: list[list] = []
-        real_round, real_loss, real_plan = federation.run_round, federation.loss, PlanCache.scoring
+        real_round, real_loss, real_keep = federation.run_round, federation.loss, PlanCache.keep
 
         def round_(*args, **kw):
             scored.append([])
             return real_round(*args, **kw)
 
-        def plan_(cache, datasets, test):
-            plan = real_plan(cache, datasets, test)
-            scored[-1].append((list(datasets), test, plan))
+        def keep_(cache, slot, build, *, same=(), equal=()):
+            plan = real_keep(cache, slot, build, same=same, equal=equal)
+            if slot == "scoring":
+                scored[-1].append((list(same[:-1]), same[-1], plan))
             return plan
 
         def loss_(params, plan):
@@ -358,7 +359,7 @@ class TestRunRound:
 
         monkeypatch.setattr(federation, "run_round", round_)
         monkeypatch.setattr(federation, "loss", loss_)
-        monkeypatch.setattr(PlanCache, "scoring", plan_)
+        monkeypatch.setattr(PlanCache, "keep", keep_)
         result = run_training(cfg, Algo("fedavg"), prepared)
         for t, calls in enumerate(scored):
             sampled = range(6) if m is None else sorted(
@@ -593,7 +594,7 @@ class TestKeptPlan:
         round-log bytes, final-parameter bytes, fine-tuned accuracy and the
         numbers of lock-step, scoring and selection plans built."""
         built = Counter()
-        real_lockstep, real_scoring = model_module.lockstep_plan, model_module.scoring_plan
+        real_lockstep, real_scoring = model_module.lockstep_plan, federation.scoring_plan
         real_selection = coreset_module.selection_plan
 
         def lockstep(*args):
@@ -609,21 +610,13 @@ class TestKeptPlan:
             return real_selection(*args)
 
         class Rebuilding(PlanCache):
-            def get(self, *args):
+            def keep(self, *args, **kw):
                 self.clear()
-                return super().get(*args)
-
-            def scoring(self, *args):
-                self.clear()
-                return super().scoring(*args)
-
-            def selection(self, *args):
-                self.clear()
-                return super().selection(*args)
+                return super().keep(*args, **kw)
 
         with monkeypatch.context() as patch:
             patch.setattr(model_module, "lockstep_plan", lockstep)
-            patch.setattr(model_module, "scoring_plan", scoring)
+            patch.setattr(federation, "scoring_plan", scoring)
             patch.setattr(coreset_module, "selection_plan", selection)
             if rebuild:
                 patch.setattr(federation, "PlanCache", Rebuilding)

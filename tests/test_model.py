@@ -567,20 +567,21 @@ class TestPlanCache:
     def setup_method(self):
         self.params = init_params(ModelConfig("one_hidden", hidden_dim=5), 4, 3, seed=8)
         self.datasets = [random_dataset(n, 4, 3, seed=n) for n in (21, 6, 13)]
-        self.knobs = dict(epochs=2, lr=0.3, batch_size=4, mu=0.1)
+        self.knobs = dict(epochs=2, lr=0.3, mu=0.1)
 
-    def train(self, indices, seeds, cache=None, datasets=None):
+    def train(self, indices, seeds, cache=None, datasets=None, batch_size=4):
         return sgd_epochs(self.params, datasets or self.datasets, seeds=seed_words(seeds),
-                          indices=indices, cache=cache, **self.knobs)
+                          indices=indices, cache=cache, batch_size=batch_size, **self.knobs)
 
     def test_kept_plan_serves_calls_on_the_same_rows(self):
         cache = PlanCache()
         indices = [np.arange(ds.n)[::2] for ds in self.datasets]
-        plan = cache.get(self.datasets, 4, indices)
-        assert cache.get(list(self.datasets), 4, list(indices)) is plan
+        self.train(indices, [1, 2, 3], cache)
+        plan = cache.plans["lockstep"]
         for seeds in ([1, 2, 3], [4, 5, 6]):
-            assert np.array_equal(self.train(indices, seeds, cache), self.train(indices, seeds))
-            assert cache.plan is plan
+            got = self.train(list(indices), seeds, cache, list(self.datasets))
+            assert np.array_equal(got, self.train(indices, seeds))
+            assert cache.plans["lockstep"] is plan
 
     def test_new_rows_or_batch_size_build_a_new_plan(self):
         cache = PlanCache()
@@ -593,14 +594,15 @@ class TestPlanCache:
             lambda: (rows[:2], self.datasets[:2]),
             lambda: (rows[::-1], self.datasets[::-1]),
         ):
-            plan = cache.plan
+            plan = cache.plans["lockstep"]
             indices, datasets = change()
             seeds = [7, 8, 9][: len(indices)]
             got = self.train(indices, seeds, cache, datasets)
-            assert cache.plan is not plan
+            assert cache.plans["lockstep"] is not plan
             assert np.array_equal(got, self.train(indices, seeds, datasets=datasets))
-        plan = cache.plan
-        assert cache.get(datasets, 5, indices) is not plan
+        plan = cache.plans["lockstep"]
+        self.train(indices, seeds, cache, datasets, batch_size=5)
+        assert cache.plans["lockstep"] is not plan
 
     def test_plan_owns_its_rows(self):
         plan = lockstep_plan(self.datasets, 4)
@@ -609,8 +611,36 @@ class TestPlanCache:
             assert not np.shares_memory(plan.labels, ds.labels)
         assert np.array_equal(plan.table[:, -1], np.ones(sum(ds.n for ds in self.datasets)))
 
+    def test_keep_compares_same_by_identity_and_equal_by_value(self):
+        """A slot's plan is kept while its ``same`` objects are the very
+        ones and its ``equal`` values equal; otherwise the kept plan is
+        dropped before the new one is built, and other slots are left be."""
+
+        class Plan:  # weakly referable
+            pass
+
+        cache, built = PlanCache(), []
+
+        def build():
+            assert all(ref() is None for ref in built)  # the kept plan is gone
+            plan = Plan()
+            built.append(weakref.ref(plan))
+            return plan
+
+        rows, other = np.arange(3), cache.keep("other", Plan)
+        kept = cache.keep("slot", build, same=(rows,), equal=((1, 2),))
+        assert cache.keep("slot", build, same=(rows,), equal=(tuple([1, 2]),)) is kept
+        del kept
+        for same, equal in (((rows,), ((1, 3),)), ((rows.copy(),), ((1, 3),))):
+            cache.keep("slot", build, same=same, equal=equal)
+        assert len(built) == 3 and cache.plans["other"] is other
+        cache.drop("slot")
+        assert "slot" not in cache.plans and cache.plans["other"] is other
+
     def test_clear_drops_the_plan(self):
         cache = PlanCache()
-        ref = weakref.ref(cache.get(self.datasets, 4))
+        self.train(None, [1, 2, 3], cache)
+        ref = weakref.ref(cache.plans["lockstep"])
+        cache.keep("other", lambda: [1])
         cache.clear()
-        assert cache.plan is None and ref() is None
+        assert not cache.plans and ref() is None

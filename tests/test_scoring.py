@@ -90,7 +90,8 @@ def check_rounds(cfg, block, scale, poison, reached):
             sampled = federation._sample(cfg, len(chunks), t)
             ids = [c for c in sampled if chunks[c].n]
             scored = [chunks[c].dataset for c in ids]
-            plan = cache.scoring(scored, test)
+            plan = cache.keep("scoring", lambda: scoring_plan(scored, test),
+                              same=(*scored, test))
             (mean, accuracy), means = scored_means(params, plan)
             # each chunk's mean, as the weighting can hide an ulp of a small one's
             assert [m.hex() for m in means] == [m.hex() for m in chunk_losses(params, chunks, sampled)]
@@ -212,7 +213,7 @@ class TestNoCopy:
                                model=ModelConfig(arch, hidden), num_clients=6, seed=4)
         prepared = prepare_experiment(cfg)
         scored = [chunk.dataset for chunk in prepared.chunks if chunk.n]
-        plan = PlanCache().scoring(scored, prepared.test)
+        plan = scoring_plan(scored, prepared.test)
         table = prepared.chunks[0].dataset.features.base
         assert all(np.shares_memory(x, table) for p in plan.passes for x, _ in p.parts
                    if x is not prepared.test.features)
