@@ -9,11 +9,12 @@ for bit the one it would select alone; the call's selection plan, which
 holds what no parameter changes, is kept while the selecting clients stay
 the same, so under full participation an arm builds it once.  Clients
 train locally for E epochs on their training rows, upload parameter
-deltas, and the server applies the global-rate mean.  One :func:`~fedcoreset.scoring.loss` call
-scores the round: the mean train loss of all the sampled non-empty chunks
-and the test accuracy, from one class-major pass over a scoring plan that
-the arm keeps while the sampled chunks stay the same; each chunk takes its
-own product, so its mean keeps the bits of scoring it alone.  Under full
+deltas, and the server applies the global-rate mean.  One
+:func:`~fedcoreset.scoring.loss` call scores the round: the mean train loss
+of all the sampled non-empty chunks and the test accuracy, from one
+class-major pass over a scoring plan that the call keeps in the arm's
+cache while the sampled chunks stay the same; each chunk takes its own
+product, so its mean keeps the bits of scoring it alone.  Under full
 participation the sampled clients are all N, what the sorted draw of all
 of them gives, and no sample stream is drawn.  All compute and traffic is
 metered in a :class:`CostLedger`.
@@ -44,15 +45,14 @@ one SGD step for all the clients whose next batch is full and one for
 their partial last batches, both taken by the one step kernel, and each
 client's arithmetic is unchanged bit for bit from training it alone.  Each
 client's training rows are gathered from its chunk straight into the row
-table of the round's lock-step plan.  :func:`run_training` keeps the plan
-from round to round in a :class:`~fedcoreset.model.PlanCache`, so the rows
-are copied again only when the round's trainees or one of their row vectors
-change: on a gcfl refresh, and each round under partial participation.  A
-refresh drops only the lock-step plan before the selection runs, as that
-plan's rows change and no copy of rows may sit under the selector's
-memory; the scoring plan holds views of the chunks' rows, not copies, and
-the selection never reads it.  The arm drops every plan when its rounds
-end.
+table of the round's lock-step plan.  Each round kernel keys its own plan
+in the arm's :class:`~fedcoreset.model.PlanCache`, so the rows are copied
+again only when the round's trainees or one of their row vectors change:
+on a gcfl refresh, and each round under partial participation.  A refresh
+drops only the lock-step plan before the selection runs, as that plan's
+rows change and no copy of rows may sit under the selector's memory; the
+scoring plan holds views of the chunks' rows, not copies, and the
+selection never reads it.  The arm drops every plan after its fine-tune.
 The canonical order is that of ``np.lexsort`` over all P values of each
 delta (the first value the primary key), but it is read off the first
 value with one stable argsort, O(m log m) for m deltas.  Only where
@@ -84,7 +84,7 @@ from .data import (
 from .errors import ConfigurationError
 from .metrics import RoundMetrics, dataset_fingerprint
 from .model import ParamVector, PlanCache, init_params, labelwise_validation_grads, sgd_epochs
-from .scoring import evaluate_accuracy, loss, scoring_plan
+from .scoring import evaluate_accuracy, loss
 from .seeding import client_seed_words, derive_seed, seed_words, spawn_rng
 
 if TYPE_CHECKING:
@@ -212,7 +212,7 @@ def client_update(
     theta' - theta_t as the rows of one ``[clients, P]`` array, in the order
     of ``chunks``.  ``seeds`` holds each client's PCG64 seed words, one
     ``[4]`` uint64 row per chunk (see :mod:`~fedcoreset.seeding`).
-    The clients train in lock-step (:func:`sgd_epochs`),
+    The clients, at least one, train in lock-step (:func:`sgd_epochs`),
     each bit for bit as if alone, on non-empty index vectors; the indexed
     rows are gathered straight into the row table of its plan, which
     ``cache`` keeps for the next call on the same rows."""
@@ -327,7 +327,8 @@ def run_round(
     plan for the next round (see :func:`client_update`,
     :func:`~fedcoreset.scoring.loss` and
     :func:`~fedcoreset.coreset.labelwise_omp_select`); a refresh round drops
-    the lock-step plan before the selection runs.
+    the lock-step plan before the selection runs.  A round in which no
+    client trains calls neither :func:`client_update` nor :func:`aggregate`.
     """
     chunks = prepared.chunks
     theta_size = params.values.size
@@ -358,23 +359,22 @@ def run_round(
     picked = sum(sizes)
     ledger.sgd_sample_visits += cfg.local_epochs * picked
     ledger.update_uploads += len(trainees) * theta_size
-    deltas = client_update(
-        [chunks[cid] for cid in trainees],
-        params,
-        [train_rows[cid] for cid in trainees],
-        cfg,
-        seeds=client_words[np.flatnonzero(sizes)],
-        mu=algo.mu if algo.kind == "fedprox" else 0.0,
-        cache=cache,
-    )
-
     # nothing modifies a ParamVector in place, so an idle round can return its input
-    new_params = aggregate(params, deltas, cfg.global_lr) if trainees else params
+    new_params = params
+    if trainees:
+        deltas = client_update(
+            [chunks[cid] for cid in trainees],
+            params,
+            [train_rows[cid] for cid in trainees],
+            cfg,
+            seeds=client_words[np.flatnonzero(sizes)],
+            mu=algo.mu if algo.kind == "fedprox" else 0.0,
+            cache=cache,
+        )
+        new_params = aggregate(params, deltas, cfg.global_lr)
 
     scored = [chunks[cid].dataset for cid in sampled if chunks[cid].n]
-    plan = cache.keep("scoring", lambda: scoring_plan(scored, prepared.test),
-                      same=(*scored, prepared.test))
-    mean_loss, accuracy = loss(new_params, plan)
+    mean_loss, accuracy = loss(new_params, scored, prepared.test, cache=cache)
 
     clean_frac = None
     if algo.uses_coreset:
@@ -469,14 +469,14 @@ def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> Tra
     The arm stops after the first round whose aggregated parameters hold a
     non-finite value, records it as ``diverged_round`` and skips the
     fine-tune: a diverged model's accuracy is not a result.  The rounds
-    share one :class:`~fedcoreset.model.PlanCache`, so local SGD copies its
-    training rows only in rounds where they change, the scoring plan is
-    rebuilt only when the sampled chunks change and the selection plan only
-    when the selecting chunks do; it is emptied when the rounds end.  The
-    sampled clients and their seed words are drawn a block of rounds at a
-    time, ``max(1, SEED_BLOCK // clients_per_round)`` rounds, so their
-    memory does not grow with the rounds, and only the sampled clients'
-    streams are hashed."""
+    and the fine-tune share one :class:`~fedcoreset.model.PlanCache`, so
+    local SGD copies its training rows only in rounds where they change,
+    the scoring plan is rebuilt only when the sampled chunks change and the
+    selection plan only when the selecting chunks do; it is emptied after
+    the fine-tune.  The sampled clients and their seed words are drawn a
+    block of rounds at a time, ``max(1, SEED_BLOCK // clients_per_round)``
+    rounds, so their memory does not grow with the rounds, and only the
+    sampled clients' streams are hashed."""
     params = init_params(
         cfg.model, prepared.test.dim, prepared.test.num_classes, derive_seed(cfg.seed, "init")
     )
@@ -510,7 +510,6 @@ def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> Tra
             if not np.isfinite(params.values).all():
                 diverged_round = t
                 break
-    cache.clear()
 
     # the last round's metrics already hold the accuracy of these parameters
     if series:
@@ -533,8 +532,12 @@ def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> Tra
             lr=cfg.local_lr,
             batch_size=cfg.batch_size,
             seeds=seed_words([derive_seed(cfg.seed, "finetune")]),
+            mu=0.0,
+            indices=[np.arange(prepared.val.n)],
+            cache=cache,
         )
         result.fine_tuned_accuracy = evaluate_accuracy(params.with_values(tuned), prepared.test)
+    cache.clear()
     return result
 
 

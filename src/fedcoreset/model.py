@@ -23,10 +23,9 @@ with.  Scoring runs class-major, in :mod:`~fedcoreset.scoring`.
 (:func:`lockstep_plan`): their training rows copied into one row table with
 a bias column of ones, and the batch schedule.  Each stacked step gathers
 its batches with one ``take`` of table rows and one of labels, and the
-step's softmax and update run in place.  A caller that trains on the same
-rows again keeps the plan in a :class:`PlanCache`, so the rows are copied
-again only when they change.  One step function, :func:`_sgd_step`, takes
-every step.  The runs whose next batch is full step on equal batches, each
+step's softmax and update run in place.  The plan is kept in the caller's
+:class:`PlanCache`, so the rows are copied again only when they change.
+One step function, :func:`_sgd_step`, takes every step.  The runs whose next batch is full step on equal batches, each
 product one stacked matmul on views of the stack; the runs' partial last
 batches, of unequal sizes, share one step per epoch, in which each run's
 products are 2-D matmuls into its rows of one buffer.  Either way the
@@ -359,16 +358,12 @@ class LockStepPlan:
 
 
 def lockstep_plan(
-    datasets: Sequence[Dataset],
-    batch_size: int,
-    indices: Sequence[np.ndarray] | None = None,
+    datasets: Sequence[Dataset], batch_size: int, indices: Sequence[np.ndarray]
 ) -> LockStepPlan:
     """The lock-step plan of one run per dataset, run i on the rows
-    ``indices[i]`` of ``datasets[i]`` (all its rows when ``indices`` is
-    None), at least one run and each with at least one row; the rows are
-    copied, so the plan shares no memory with the datasets."""
-    if indices is None:
-        indices = [np.arange(ds.n) for ds in datasets]
+    ``indices[i]`` of ``datasets[i]``, at least one run and each with at
+    least one row; the rows are copied, so the plan shares no memory with
+    the datasets."""
     sizes = np.array([len(idx) for idx in indices], dtype=np.int64)
 
     stack = np.argsort(-(sizes // batch_size), kind="stable")
@@ -443,20 +438,21 @@ def sgd_epochs(
     lr: float,
     batch_size: int,
     seeds: np.ndarray,
-    mu: float = 0.0,
-    indices: Sequence[np.ndarray] | None = None,
-    cache: PlanCache | None = None,
+    *,
+    mu: float,
+    indices: Sequence[np.ndarray],
+    cache: PlanCache,
 ) -> np.ndarray:
     """Shuffled mini-batch SGD on mean cross-entropy from ``params``, one
     run per dataset, each step ``theta - lr * grad``.  Returns the trained
     parameter values as one C-contiguous ``[runs, P]`` float64 array, row i
     the run of ``datasets[i]``; with ``epochs == 0`` every row is
-    ``params.values``, and no datasets give a ``(0, P)`` array.
+    ``params.values``.
 
-    Run i trains on the rows ``indices[i]`` of ``datasets[i]`` (all its
-    rows, in order, when ``indices`` is None), shuffling them each epoch
-    with the generator whose PCG64 seed words are ``seeds[i]`` and stepping
-    on its batches in that order; ``seeds`` is a ``[runs, 4]`` uint64 array
+    Run i trains on the rows ``indices[i]`` of ``datasets[i]``, shuffling
+    them each epoch with the generator whose PCG64 seed words are
+    ``seeds[i]`` and stepping on its batches in that order; ``seeds`` is a
+    ``[runs, 4]`` uint64 array
     (:func:`~fedcoreset.seeding.seed_words` turns an int seed, and
     :func:`~fedcoreset.seeding.client_seed_words` a client's round, into
     its row), so run i shuffles as ``np.random.default_rng`` would on the
@@ -469,12 +465,12 @@ def sgd_epochs(
     full-batch counts, largest first, so the runs taking step k are a
     prefix of the stack.
 
-    A call builds its :class:`LockStepPlan` (:func:`lockstep_plan`), which
-    copies all runs' rows into one ``[sum n, d + 1]`` row table whose bias
-    column is set once, then runs the epochs on it.  With a ``cache`` the
-    plan is taken from its ``"lockstep"`` slot, and built only when the
-    cache holds none for these datasets and index vectors, compared by
-    identity, and this batch size (:meth:`PlanCache.keep`): a plan holds
+    A call runs the epochs on a :class:`LockStepPlan`
+    (:func:`lockstep_plan`), which copies all runs' rows into one ``[sum n,
+    d + 1]`` row table whose bias column is set once.  The plan is kept in
+    the ``"lockstep"`` slot of ``cache``, and built only when the cache
+    holds none for these datasets and index vectors, compared by identity,
+    and this batch size (:meth:`PlanCache.keep`): a plan holds
     no seed, parameter or hyperparameter but the batch size, so one serves
     every call on the same rows.  The generators, the models (one
     contiguous stack per layer) and the order matrix are the call's own, so
@@ -489,19 +485,13 @@ def sgd_epochs(
     mu/2 * ||theta - params||^2, a pull toward the parameters SGD started
     from.  Deterministic given (params, datasets, indices, seeds,
     hyperparameters), which are values ``ExperimentConfig`` has checked:
-    epochs >= 0, lr > 0, batch_size >= 1.  The datasets share one feature
-    dimension, and each has a row of seed words and at least one row to
-    train on.
+    epochs >= 0, lr > 0, batch_size >= 1.  There is at least one dataset;
+    the datasets share one feature dimension, and each has a row of seed
+    words and at least one row to train on.
     Neither ``params`` nor the datasets are modified.
     """
-    if epochs == 0 or not datasets:
-        return np.tile(params.values, (len(datasets), 1))
-    if cache is None:
-        plan = lockstep_plan(datasets, batch_size, indices)
-    else:
-        runs = (*datasets, *(() if indices is None else indices))
-        plan = cache.keep("lockstep", lambda: lockstep_plan(datasets, batch_size, indices),
-                          same=runs, equal=(batch_size,))
+    plan = cache.keep("lockstep", lambda: lockstep_plan(datasets, batch_size, indices),
+                      same=(*datasets, *indices), equal=(batch_size,))
     sizes, starts = plan.sizes, plan.starts
     rngs = words_rngs(np.asarray(seeds)[plan.stack])
 

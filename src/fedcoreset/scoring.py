@@ -1,12 +1,13 @@
 """A round's scoring: the mean train loss of its sampled chunks and the
 test accuracy, from one class-major pass over a kept plan.
 
-:func:`scoring_plan` precomputes what no parameter changes, and the round
-engine keeps the plan in its :class:`~fedcoreset.model.PlanCache` while
-the scored chunks stay the same.  Each scored dataset takes its own BLAS
-product per layer, so its mean keeps the bits of scoring it alone.
-Logits are class-major, ``[classes, rows]``, so each per-sample reduction
-over the classes is a vector operation across the samples.
+:func:`scoring_plan` precomputes what no parameter changes, and
+:func:`loss` keeps the plan in the caller's
+:class:`~fedcoreset.model.PlanCache` while the scored datasets stay the
+same.  Each scored dataset takes its own BLAS product per layer, so its
+mean keeps the bits of scoring it alone.  Logits are class-major,
+``[classes, rows]``, so each per-sample reduction over the classes is a
+vector operation across the samples.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Dataset
-
-if TYPE_CHECKING:
-    from .model import ParamVector
+from .model import ParamVector, PlanCache
 
 __all__ = ["LOSS_BLOCK", "ScoringPlan", "scoring_plan", "loss", "evaluate_accuracy"]
 
@@ -108,17 +106,23 @@ def _pass_logits(w1: np.ndarray | None, out: np.ndarray, p: _Pass) -> np.ndarray
     return z
 
 
-def loss(params: ParamVector, plan: ScoringPlan) -> tuple[float, float]:
-    """``(mean loss, accuracy)`` of ``params`` on the plan's datasets, one
-    class-major pass a pass of the plan (:func:`_pass_logits`,
-    :func:`_pass_means`): the mean cross-entropy over the scored datasets'
-    samples, each dataset's mean weighted by its size (bit for bit
-    ``np.average``; NaN without datasets), and the fraction of the test set
-    whose largest logit is their label's.  The prediction is the argmax of
-    the logits, ties to the lowest class; a sample whose logits hold a NaN
-    or whose largest is infinite has no defined softmax and is predicted
-    class 0.
+def loss(
+    params: ParamVector, datasets: Sequence[Dataset], test: Dataset, *, cache: PlanCache
+) -> tuple[float, float]:
+    """``(mean loss, accuracy)`` of ``params``: the mean cross-entropy over
+    the samples of ``datasets``, each non-empty, each dataset's mean weighted
+    by its size (bit for bit ``np.average``; NaN without datasets), and the
+    fraction of ``test`` whose largest logit is their label's.  The
+    prediction is the argmax of the logits, ties to the lowest class; a
+    sample whose logits hold a NaN or whose largest is infinite has no
+    defined softmax and is predicted class 0.
+
+    The call runs one class-major pass a pass of a :class:`ScoringPlan`
+    (:func:`_pass_logits`, :func:`_pass_means`), kept in the ``"scoring"``
+    slot of ``cache`` while the datasets and ``test`` are the very objects
+    it was built for (:meth:`~fedcoreset.model.PlanCache.keep`).
     """
+    plan = cache.keep("scoring", lambda: scoring_plan(datasets, test), same=(*datasets, test))
     w1, out = params.blocks()
     means = []
     for p in plan.passes:
@@ -157,5 +161,5 @@ def _pass_means(z: np.ndarray, p: _Pass) -> list[float]:
 
 def evaluate_accuracy(params: ParamVector, test: Dataset) -> float:
     """Fraction of the non-empty ``test`` whose largest logit is their
-    label's: :func:`loss`'s accuracy on a plan of ``test`` alone."""
-    return loss(params, scoring_plan((), test))[1]
+    label's: :func:`loss`'s accuracy on ``test`` alone."""
+    return loss(params, (), test, cache=PlanCache())[1]

@@ -25,12 +25,13 @@ from fedcoreset.federation import (
 )
 from fedcoreset.model import (
     ModelConfig,
+    PlanCache,
     init_params,
     labelwise_validation_grads,
     last_layer_grad_stack,
     sgd_epochs,
 )
-from fedcoreset.scoring import loss, scoring_plan
+from fedcoreset.scoring import loss
 from fedcoreset.seeding import derive_seed, seed_words
 from worldgen import balanced_world, blobs
 
@@ -271,14 +272,15 @@ class TestCriterion6GradientSuite:
                 params = init_params(model, 8, 5, seed=int(rng.integers(1 << 30)))
                 params.values[:] = rng.normal(scale=0.6, size=params.values.size)
                 analytic = last_layer_grad_stack(params, ds)[0]
-                plan = scoring_plan([ds], ds)
+                cache = PlanCache()
                 fd = np.zeros(analytic.shape)
                 for i in range(fd.size):
                     hi = params.with_values(params.values.copy())
                     lo = params.with_values(params.values.copy())
                     hi.blocks()[1].flat[i] += step
                     lo.blocks()[1].flat[i] -= step
-                    fd.flat[i] = (loss(hi, plan)[0] - loss(lo, plan)[0]) / (2 * step)
+                    fd.flat[i] = (loss(hi, [ds], ds, cache=cache)[0]
+                                  - loss(lo, [ds], ds, cache=cache)[0]) / (2 * step)
                 denom = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-12)
                 worst = max(worst, float(np.abs(analytic - fd).max() / denom))
         report(
@@ -326,6 +328,7 @@ class TestCriterion7ProtocolSuite:
             (values,) = sgd_epochs(
                 theta, [ds], epochs=1, lr=0.1, batch_size=10_000,
                 seeds=seed_words([derive_seed(cfg.seed, "client", 0, "round", t)]),
+                mu=0.0, indices=[np.arange(ds.n)], cache=PlanCache(),
             )
             theta = theta.with_values(values)
         gap = float(np.abs(fed.final_params.values - theta.values).max())

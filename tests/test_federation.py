@@ -14,6 +14,7 @@ import fedcoreset.cli as cli
 import fedcoreset.coreset as coreset_module
 import fedcoreset.federation as federation
 import fedcoreset.model as model_module
+import fedcoreset.scoring as scoring_module
 from fedcoreset.config import DatasetConfig, ExperimentConfig, ModelConfig
 from fedcoreset.data import NOISE_KINDS, ClientChunk, NoiseSpec
 from fedcoreset.errors import ConfigurationError
@@ -36,7 +37,7 @@ from fedcoreset.model import (
     last_layer_grad_stack,
     sgd_epochs,
 )
-from fedcoreset.scoring import loss, scoring_plan
+from fedcoreset.scoring import loss
 from fedcoreset.seeding import client_seed_words, derive_seed, seed_words, spawn_rng
 from reference import reference_run
 from worldgen import balanced_world, blobs, sized_world
@@ -335,40 +336,46 @@ class TestRunRound:
     @pytest.mark.parametrize("m", [None, 2])
     def test_train_loss_is_one_call_a_round(self, m, monkeypatch):
         """A round scores all its sampled non-empty chunks, in sampled order,
-        and then the test set with one ``loss`` call on the plan the arm's
-        cache keeps for them; a round that samples only empty chunks scores
-        the test set alone and logs a NaN loss."""
+        and then the test set with one ``loss`` call, which keeps their
+        scoring plan in the arm's cache and builds it only in a round whose
+        scored chunks differ from the last; a round that samples only
+        empty chunks scores the test set alone and logs a NaN loss."""
         prepared = sized_world((0, 9, 0, 1, 0, 40))
         cfg = tiny_cfg(num_clients=6, clients_per_round=m, rounds=12)
         scored: list[list] = []
-        real_round, real_loss, real_keep = federation.run_round, federation.loss, PlanCache.keep
+        built: list[int] = []
+        real_round, real_loss = federation.run_round, federation.loss
+        real_plan = scoring_module.scoring_plan
 
         def round_(*args, **kw):
             scored.append([])
             return real_round(*args, **kw)
 
-        def keep_(cache, slot, build, *, same=(), equal=()):
-            plan = real_keep(cache, slot, build, same=same, equal=equal)
-            if slot == "scoring":
-                scored[-1].append((list(same[:-1]), same[-1], plan))
-            return plan
+        def loss_(params, datasets, test, *, cache):
+            out = real_loss(params, datasets, test, cache=cache)
+            scored[-1].append((list(datasets), test, cache.plans["scoring"]))
+            return out
 
-        def loss_(params, plan):
-            assert plan is scored[-1][-1][2]
-            return real_loss(params, plan)
+        def plan_(datasets, test):
+            built.append(len(scored) - 1)
+            return real_plan(datasets, test)
 
         monkeypatch.setattr(federation, "run_round", round_)
         monkeypatch.setattr(federation, "loss", loss_)
-        monkeypatch.setattr(PlanCache, "keep", keep_)
+        monkeypatch.setattr(scoring_module, "scoring_plan", plan_)
         result = run_training(cfg, Algo("fedavg"), prepared)
+        changed = []
         for t, calls in enumerate(scored):
             sampled = range(6) if m is None else sorted(
                 spawn_rng(cfg.seed, "sample", t).choice(6, size=m, replace=False))
             want = [prepared.chunks[cid].dataset for cid in sampled if prepared.chunks[cid].n]
-            (datasets, test, _), = calls
+            (datasets, test, plan), = calls
             assert list(map(id, datasets)) == list(map(id, want)) and test is prepared.test
+            assert plan.sizes.tolist() == [ds.n for ds in want] and plan.test is test
             assert np.isnan(result.rounds[t].mean_train_loss) == (not want)
-        assert len(scored) == cfg.rounds
+            if t == 0 or list(map(id, datasets)) != list(map(id, scored[t - 1][0][0])):
+                changed.append(t)
+        assert len(scored) == cfg.rounds and built == changed
         assert any(calls[0][0] for calls in scored)
         assert m is None or not all(calls[0][0] for calls in scored)
 
@@ -451,6 +458,7 @@ class TestSingleClientEquivalence:
             (values,) = sgd_epochs(
                 theta, [ds], epochs=1, lr=0.1, batch_size=10_000,
                 seeds=seed_words([derive_seed(cfg.seed, "client", 0, "round", t)]),
+                mu=0.0, indices=[np.arange(ds.n)], cache=PlanCache(),
             )
             theta = theta.with_values(values)
         assert np.abs(fed.final_params.values - theta.values).max() <= 1e-12
@@ -594,7 +602,7 @@ class TestKeptPlan:
         round-log bytes, final-parameter bytes, fine-tuned accuracy and the
         numbers of lock-step, scoring and selection plans built."""
         built = Counter()
-        real_lockstep, real_scoring = model_module.lockstep_plan, federation.scoring_plan
+        real_lockstep, real_scoring = model_module.lockstep_plan, scoring_module.scoring_plan
         real_selection = coreset_module.selection_plan
 
         def lockstep(*args):
@@ -616,7 +624,7 @@ class TestKeptPlan:
 
         with monkeypatch.context() as patch:
             patch.setattr(model_module, "lockstep_plan", lockstep)
-            patch.setattr(federation, "scoring_plan", scoring)
+            patch.setattr(scoring_module, "scoring_plan", scoring)
             patch.setattr(coreset_module, "selection_plan", selection)
             if rebuild:
                 patch.setattr(federation, "PlanCache", Rebuilding)
@@ -636,18 +644,62 @@ class TestKeptPlan:
         rebuilt, builds = self.arm(cfg, algo, prepared, tmp_path / "rebuilt.csv", monkeypatch, True)
         assert kept == rebuilt
         # gcfl refreshes at rounds 0, 2 and 4; the fine-tune builds one
-        # lock-step plan on each side
+        # lock-step plan and its accuracy one scoring plan on each side
         refreshes = 3 if kind == "gcfl" else 0
-        assert builds == Counter(lockstep=cfg.rounds + 1, scoring=cfg.rounds, selection=refreshes)
+        assert builds == Counter(
+            lockstep=cfg.rounds + 1, scoring=cfg.rounds + 1, selection=refreshes)
         if m is None:
             # the rows change only on a gcfl refresh, which drops only the
             # lock-step plan, and the scored and selecting chunks never:
             # round 0's lock-step plan or each refresh's, then the fine-tune's
             assert kept_builds == Counter(
-                lockstep=(refreshes or 1) + 1, scoring=1, selection=min(refreshes, 1))
+                lockstep=(refreshes or 1) + 1, scoring=2, selection=min(refreshes, 1))
         else:
             for plan in ("lockstep", "scoring", "selection"):
                 assert kept_builds[plan] <= builds[plan]
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("m", [None, 5])
+    @pytest.mark.parametrize("kind", ["gcfl", "fedavg"])
+    def test_each_plan_is_built_inside_its_kernels_call(self, kind, m, arch, monkeypatch):
+        """Each kernel keys its own plan: every lock-step plan is built
+        inside an ``sgd_epochs`` call, every scoring plan inside a ``loss``
+        call and every selection plan inside a ``labelwise_omp_select``
+        call, the fine-tune's and its accuracy's included, so each build
+        falls in the span of the kernel the benchmark names."""
+        prepared = sized_world(self.SIZES, dim=4)
+        cfg = self.world_cfg(clients_per_round=m, model=ModelConfig(arch, hidden_dim=3))
+        owners = {"lockstep": "sgd_epochs", "scoring": "loss", "selection": "labelwise_omp_select"}
+        open_calls: list[str] = []
+        builds: list[tuple[str, tuple]] = []
+
+        def kernel(name, real):
+            def call(*args, **kw):
+                open_calls.append(name)
+                try:
+                    return real(*args, **kw)
+                finally:
+                    open_calls.pop()
+            return call
+
+        def builder(plan, real):
+            def build(*args):
+                builds.append((plan, tuple(open_calls)))
+                return real(*args)
+            return build
+
+        for name in owners.values():
+            monkeypatch.setattr(federation, name, kernel(name, getattr(federation, name)))
+        # evaluate_accuracy's own call
+        monkeypatch.setattr(scoring_module, "loss", kernel("loss", scoring_module.loss))
+        for module, name, plan in ((model_module, "lockstep_plan", "lockstep"),
+                                   (scoring_module, "scoring_plan", "scoring"),
+                                   (coreset_module, "selection_plan", "selection")):
+            monkeypatch.setattr(module, name, builder(plan, getattr(module, name)))
+        run_training(cfg, Algo(kind), prepared)
+        plans = {"lockstep", "scoring"} | ({"selection"} if kind == "gcfl" else set())
+        assert {plan for plan, _ in builds} == plans
+        assert all(calls == (owners[plan],) for plan, calls in builds), builds
 
     @pytest.mark.parametrize("period", [1, 2])
     @pytest.mark.parametrize("m", [None, 5])
@@ -833,8 +885,8 @@ class TestFinalAccuracy:
         evaluated = []
         real_loss, real_evaluate = federation.loss, federation.evaluate_accuracy
 
-        def loss_(params, plan):
-            out = real_loss(params, plan)
+        def loss_(*args, **kw):
+            out = real_loss(*args, **kw)
             evaluated.append(out[1])
             return out
 
@@ -854,21 +906,27 @@ class TestFinalAccuracy:
 class TestFineTune:
     """Server fine-tuning is ``sgd_epochs`` on the validation split."""
 
+    @staticmethod
+    def tune(params, val, epochs, lr, seed):
+        """The fine-tune's call: every validation row, no FedProx pull."""
+        (tuned,) = sgd_epochs(params, [val], epochs=epochs, lr=lr, batch_size=32,
+                              seeds=seed_words([seed]), mu=0.0, indices=[np.arange(val.n)],
+                              cache=PlanCache())
+        return tuned
+
     def test_zero_epochs_identity(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=0)
-        (out,) = sgd_epochs(p, [prepared.val], epochs=0, lr=0.1, batch_size=32,
-                            seeds=seed_words([0]))
+        out = self.tune(p, prepared.val, epochs=0, lr=0.1, seed=0)
         assert np.array_equal(out, p.values)
 
     def test_loss_non_increasing_on_val(self):
         prepared = prepare_experiment(tiny_cfg())
         p = init_params(ModelConfig("softmax_regression"), 4, 4, seed=1)
-        plan = scoring_plan([prepared.val], prepared.test)
-        before = loss(p, plan)[0]
-        (tuned,) = sgd_epochs(p, [prepared.val], epochs=50, lr=0.05, batch_size=32,
-                              seeds=seed_words([2]))
-        assert loss(p.with_values(tuned), plan)[0] <= before
+        cache = PlanCache()
+        before = loss(p, [prepared.val], prepared.test, cache=cache)[0]
+        tuned = self.tune(p, prepared.val, epochs=50, lr=0.05, seed=2)
+        assert loss(p.with_values(tuned), [prepared.val], prepared.test, cache=cache)[0] <= before
 
 
 class TestCostRatio:
@@ -943,6 +1001,17 @@ class TestPrivacySurface:
                 # the broadcast must not alias the validation set's memory
                 assert not np.shares_memory(row, prepared.val.features)
                 assert not np.shares_memory(row, prepared.val.labels)
+
+    def test_round_kernels_take_every_argument(self):
+        """One calling convention: no parameter of a round kernel has a
+        default, so every caller passes the arm's cache and every input."""
+        from fedcoreset.coreset import labelwise_omp_select
+
+        kernels = (sgd_epochs, model_module.lockstep_plan, loss, labelwise_omp_select,
+                   client_update, federation.run_round)
+        for fn in kernels:
+            for name, param in inspect.signature(fn).parameters.items():
+                assert param.default is inspect.Parameter.empty, f"{fn.__name__}({name})"
 
     def test_client_side_signatures_take_no_dataset(self):
         from fedcoreset.coreset import labelwise_omp_select, omp_select
@@ -1037,8 +1106,9 @@ class TestProtocolProperties:
         def nonempty(params, ds):
             assert ds.n > 0
 
-        def scored(params, plan):
-            assert plan.test.n > 0 and (plan.sizes > 0).all()
+        def scored(params, datasets, test, *, cache):
+            assert isinstance(cache, PlanCache)
+            assert test.n > 0 and all(ds.n > 0 for ds in datasets)
 
         def labelwise(chunks, params, server_rows, budgets, *, lam, cache):
             assert isinstance(cache, PlanCache)
@@ -1052,9 +1122,11 @@ class TestProtocolProperties:
         def aggregate_(params, deltas, global_lr):
             assert len(deltas) and deltas.shape[1] == params.values.size
 
-        def sgd(params, datasets, epochs, lr, batch_size, seeds, mu=0.0, indices=None, cache=None):
-            rows = [ds.n for ds in datasets] if indices is None else [len(i) for i in indices]
-            assert np.shape(seeds) == (len(rows), 4) and len(rows) == len(datasets) and all(rows)
+        def sgd(params, datasets, epochs, lr, batch_size, seeds, *, mu, indices, cache):
+            assert isinstance(cache, PlanCache)
+            rows = [len(i) for i in indices]
+            assert rows and all(rows) and len(rows) == len(datasets)
+            assert np.shape(seeds) == (len(rows), 4)
 
         def open_set(chunks, test, val, noise, seed):
             parts = [chunk.dataset for chunk in chunks] + [val]

@@ -24,7 +24,7 @@ from fedcoreset.model import (
     own_class_grads,
     sgd_epochs,
 )
-from fedcoreset.scoring import loss, scoring_plan
+from fedcoreset.scoring import loss
 from fedcoreset.seeding import seed_words
 from reference import (
     class_major_loss,
@@ -50,7 +50,15 @@ def random_dataset(n, dim, num_classes, seed):
 def mean_loss(params: ParamVector, *datasets: Dataset) -> float:
     """The mean loss of ``datasets`` from the one scoring pass, the first
     standing in as its test set."""
-    return loss(params, scoring_plan(datasets, datasets[0]))[0]
+    return loss(params, datasets, datasets[0], cache=PlanCache())[0]
+
+
+def sgd(params: ParamVector, datasets, **knobs) -> np.ndarray:
+    """``sgd_epochs`` on every row of each dataset, without a FedProx pull
+    and with a fresh plan cache, unless ``knobs`` names them."""
+    rows = [np.arange(ds.n) for ds in datasets]
+    knobs = {"mu": 0.0, "indices": rows, "cache": PlanCache(), **knobs}
+    return sgd_epochs(params, datasets, **knobs)
 
 
 def fd_last_layer_grad(params: ParamVector, ds: Dataset, step=1e-5) -> np.ndarray:
@@ -330,7 +338,7 @@ class TestSgd:
     def test_zero_epochs_identity(self):
         ds = random_dataset(10, 10, 10, seed=20)
         p = init_params(*SOFTMAX, seed=21)
-        (out,) = sgd_epochs(p, [ds], epochs=0, lr=0.1, batch_size=4, seeds=seed_words([0]))
+        (out,) = sgd(p, [ds], epochs=0, lr=0.1, batch_size=4, seeds=seed_words([0]))
         assert np.array_equal(out, p.values)
 
     def test_single_full_batch_step_matches_gradient(self):
@@ -338,7 +346,7 @@ class TestSgd:
         # full-batch step must equal theta - lr * mean last-layer gradient
         ds = random_dataset(20, 10, 10, seed=22)
         p = init_params(*SOFTMAX, seed=23)
-        (out,) = sgd_epochs(p, [ds], epochs=1, lr=0.05, batch_size=ds.n, seeds=seed_words([0]))
+        (out,) = sgd(p, [ds], epochs=1, lr=0.05, batch_size=ds.n, seeds=seed_words([0]))
         expect = p.values - 0.05 * last_layer_grad_stack(p, ds).mean(axis=0).ravel()
         assert np.allclose(out, expect, atol=1e-12)
 
@@ -346,15 +354,15 @@ class TestSgd:
         ds = blobs(3, 4, [0.5, 0.5, 0.5], 30, seed=24)
         p = init_params(ModelConfig("softmax_regression"), 4, 3, seed=25)
         before = mean_loss(p, ds)
-        (out,) = sgd_epochs(p, [ds], epochs=200, lr=0.1, batch_size=32, seeds=seed_words([1]))
+        (out,) = sgd(p, [ds], epochs=200, lr=0.1, batch_size=32, seeds=seed_words([1]))
         after = mean_loss(p.with_values(out), ds)
         assert after < 0.5 * before
 
     def test_deterministic(self):
         ds = random_dataset(25, 10, 10, seed=26)
         p = init_params(*HIDDEN, seed=27)
-        (a,) = sgd_epochs(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=seed_words([5]))
-        (b,) = sgd_epochs(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=seed_words([5]))
+        (a,) = sgd(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=seed_words([5]))
+        (b,) = sgd(p, [ds], epochs=3, lr=0.1, batch_size=8, seeds=seed_words([5]))
         assert np.array_equal(a, b)
 
     def test_prox_pulls_toward_anchor(self):
@@ -362,8 +370,8 @@ class TestSgd:
         ds = random_dataset(30, 10, 10, seed=28)
         p = init_params(*SOFTMAX, seed=29)
         start = p.values.copy()
-        (plain,) = sgd_epochs(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=seed_words([6]))
-        (proxed,) = sgd_epochs(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=seed_words([6]),
+        (plain,) = sgd(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=seed_words([6]))
+        (proxed,) = sgd(p, [ds], epochs=5, lr=0.2, batch_size=8, seeds=seed_words([6]),
                                mu=2.0)
         assert np.array_equal(p.values, start)
         assert np.linalg.norm(proxed - start) < np.linalg.norm(plain - start)
@@ -371,7 +379,7 @@ class TestSgd:
     def test_one_hidden_trains(self):
         ds = blobs(3, 4, [0.5] * 3, 30, seed=32)
         p = init_params(ModelConfig("one_hidden", hidden_dim=8), 4, 3, seed=33)
-        (out,) = sgd_epochs(p, [ds], epochs=100, lr=0.2, batch_size=16, seeds=seed_words([7]))
+        (out,) = sgd(p, [ds], epochs=100, lr=0.2, batch_size=16, seeds=seed_words([7]))
         assert mean_loss(p.with_values(out), ds) < 0.5 * mean_loss(p, ds)
 
 
@@ -410,7 +418,7 @@ class TestLockstepSgd:
                     for n, s in zip(case["sizes"], rng.integers(0, 2**32, len(case["sizes"])))]
         seeds = [int(s) for s in rng.integers(0, 2**63, len(datasets))]
         knobs = dict(epochs=case["epochs"], lr=0.1, batch_size=case["batch"], mu=case["mu"])
-        trained = sgd_epochs(p, datasets, seeds=seed_words(seeds), **knobs)
+        trained = sgd(p, datasets, seeds=seed_words(seeds), **knobs)
         assert len(trained) == len(datasets)
         for ds, seed, theta in zip(datasets, seeds, trained):
             assert np.array_equal(theta, reference_sgd(p, ds, seed=seed, **knobs))
@@ -427,7 +435,7 @@ class TestLockstepSgd:
         datasets = [random_dataset(n, dim, 10, seed=i) for i, n in enumerate(sizes)]
         seeds = [1000 + i for i in range(len(sizes))]
         knobs = dict(epochs=2, lr=0.3, batch_size=32, mu=mu)
-        trained = sgd_epochs(p, datasets, seeds=seed_words(seeds), **knobs)
+        trained = sgd(p, datasets, seeds=seed_words(seeds), **knobs)
         for ds, seed, theta in zip(datasets, seeds, trained):
             assert np.array_equal(theta, reference_sgd(p, ds, seed=seed, **knobs))
 
@@ -442,9 +450,9 @@ class TestLockstepSgd:
         datasets = [random_dataset(n, 10, 10, seed=i) for i, n in enumerate(sizes)]
         seeds = [50 + i for i in range(len(sizes))]
         knobs = dict(epochs=2, lr=0.3, batch_size=batch, mu=0.5)
-        trained = sgd_epochs(p, datasets, seeds=seed_words(seeds), **knobs)
+        trained = sgd(p, datasets, seeds=seed_words(seeds), **knobs)
         for ds, seed, theta in zip(datasets, seeds, trained):
-            (alone,) = sgd_epochs(p, [ds], seeds=seed_words([seed]), **knobs)
+            (alone,) = sgd(p, [ds], seeds=seed_words([seed]), **knobs)
             assert np.array_equal(theta, alone)
             assert np.array_equal(theta, reference_sgd(p, ds, seed=seed, **knobs))
 
@@ -483,10 +491,10 @@ class TestLockstepSgd:
         p = init_params(ModelConfig("one_hidden", hidden_dim=64), 50, 10, seed=0)
         knobs = dict(epochs=2, lr=0.1, batch_size=32, seeds=seed_words(list(range(10))),
                      mu=0.1, cache=PlanCache())
-        sgd_epochs(p, datasets, **knobs)  # builds the kept plan; numpy's lazy set-up
+        sgd(p, datasets, **knobs)  # builds the kept plan; numpy's lazy set-up
         tracemalloc.start()
         try:
-            sgd_epochs(p, datasets, **knobs)
+            sgd(p, datasets, **knobs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -504,7 +512,7 @@ class TestLockstepSgd:
         p = init_params(ModelConfig("one_hidden", hidden_dim=64), 50, 10, seed=0)
         knobs = dict(epochs=2, lr=0.1, batch_size=32, seeds=seed_words(list(range(10))),
                      mu=0.1, cache=PlanCache())
-        sgd_epochs(p, datasets, **knobs)  # builds the kept plan; numpy's lazy set-up
+        sgd(p, datasets, **knobs)  # builds the kept plan; numpy's lazy set-up
         peaks = {"stacked": 0, "tail": 0}
         step = model_module._sgd_step
 
@@ -517,7 +525,7 @@ class TestLockstepSgd:
         monkeypatch.setattr(model_module, "_sgd_step", measured)
         tracemalloc.start()
         try:
-            sgd_epochs(p, datasets, **knobs)
+            sgd(p, datasets, **knobs)
         finally:
             tracemalloc.stop()
         assert 0 < peaks["tail"] <= peaks["stacked"], peaks
@@ -527,7 +535,7 @@ class TestLockstepSgd:
         p = init_params(ModelConfig(arch, hidden_dim=5), 4, 3, seed=1)
         datasets = [random_dataset(n, 4, 3, seed=n) for n in (9, 1, 16, 5)]
         before = p.values.tobytes(), [(ds.features.tobytes(), ds.labels.tobytes()) for ds in datasets]
-        sgd_epochs(p, datasets, epochs=2, lr=0.3, batch_size=4, seeds=seed_words([1, 2, 3, 4]),
+        sgd(p, datasets, epochs=2, lr=0.3, batch_size=4, seeds=seed_words([1, 2, 3, 4]),
                    mu=0.5)
         after = p.values.tobytes(), [(ds.features.tobytes(), ds.labels.tobytes()) for ds in datasets]
         assert after == before
@@ -538,8 +546,8 @@ class TestLockstepSgd:
         indices = [rng.permutation(ds.n)[: ds.n // 2 + 1] for ds in datasets]
         p = init_params(ModelConfig("one_hidden", hidden_dim=5), 4, 3, seed=2)
         knobs = dict(epochs=2, lr=0.3, batch_size=4, seeds=seed_words([1, 2, 3]), mu=0.1)
-        got = sgd_epochs(p, datasets, indices=indices, **knobs)
-        want = sgd_epochs(p, [ds.subset(idx) for ds, idx in zip(datasets, indices)], **knobs)
+        got = sgd(p, datasets, indices=indices, **knobs)
+        want = sgd(p, [ds.subset(idx) for ds, idx in zip(datasets, indices)], **knobs)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("arch", ARCHS)
@@ -551,16 +559,13 @@ class TestLockstepSgd:
         datasets = [random_dataset(n, 4, 3, seed=n) for n in (3, 17, 9, 26)]
         seeds = [4, 5, 6, 7]
         knobs = dict(epochs=epochs, lr=0.3, batch_size=4)
-        got = sgd_epochs(p, datasets, seeds=seed_words(seeds), **knobs)
+        got = sgd(p, datasets, seeds=seed_words(seeds), **knobs)
         assert type(got) is np.ndarray and got.dtype == np.float64
         assert got.shape == (4, p.values.size) and got.flags.c_contiguous
         for row, ds, seed in zip(got, datasets, seeds):
-            (alone,) = sgd_epochs(p, [ds], seeds=seed_words([seed]), **knobs)
+            (alone,) = sgd(p, [ds], seeds=seed_words([seed]), **knobs)
             assert np.array_equal(row, alone)
             assert np.array_equal(row, reference_sgd(p, ds, seed=seed, **knobs))
-        empty = sgd_epochs(p, [], seeds=seed_words([]), **knobs)
-        assert type(empty) is np.ndarray and empty.dtype == np.float64
-        assert empty.shape == (0, p.values.size) and empty.flags.c_contiguous
 
 
 class TestPlanCache:
@@ -571,7 +576,8 @@ class TestPlanCache:
 
     def train(self, indices, seeds, cache=None, datasets=None, batch_size=4):
         return sgd_epochs(self.params, datasets or self.datasets, seeds=seed_words(seeds),
-                          indices=indices, cache=cache, batch_size=batch_size, **self.knobs)
+                          indices=indices, cache=cache or PlanCache(), batch_size=batch_size,
+                          **self.knobs)
 
     def test_kept_plan_serves_calls_on_the_same_rows(self):
         cache = PlanCache()
@@ -605,7 +611,7 @@ class TestPlanCache:
         assert cache.plans["lockstep"] is not plan
 
     def test_plan_owns_its_rows(self):
-        plan = lockstep_plan(self.datasets, 4)
+        plan = lockstep_plan(self.datasets, 4, [np.arange(ds.n) for ds in self.datasets])
         for ds in self.datasets:
             assert not np.shares_memory(plan.table, ds.features)
             assert not np.shares_memory(plan.labels, ds.labels)
@@ -639,7 +645,7 @@ class TestPlanCache:
 
     def test_clear_drops_the_plan(self):
         cache = PlanCache()
-        self.train(None, [1, 2, 3], cache)
+        self.train([np.arange(ds.n) for ds in self.datasets], [1, 2, 3], cache)
         ref = weakref.ref(cache.plans["lockstep"])
         cache.keep("other", lambda: [1])
         cache.clear()

@@ -20,7 +20,7 @@ from fedcoreset.data import NOISE_KINDS, Dataset, NoiseSpec
 from fedcoreset.errors import ConfigurationError
 from fedcoreset.federation import prepare_experiment
 from fedcoreset.model import ARCHS, PlanCache, init_params
-from fedcoreset.scoring import loss, scoring_plan
+from fedcoreset.scoring import loss
 from reference import _train_loss, chunk_losses, class_major_logits
 
 def oracle_accuracy(params, test) -> float:
@@ -32,8 +32,9 @@ def oracle_accuracy(params, test) -> float:
     return float(np.mean(pred == test.labels))
 
 
-def scored_means(params, plan):
-    """``loss(params, plan)`` and each scored dataset's mean in it."""
+def scored_means(params, datasets, test, cache):
+    """``loss`` of ``datasets`` and ``test`` and each scored dataset's mean
+    in it."""
     means, one_pass = [], scoring_module._pass_means
 
     def spy(z, p):
@@ -43,7 +44,7 @@ def scored_means(params, plan):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scoring_module, "_pass_means", spy)
-        return loss(params, plan), means
+        return loss(params, datasets, test, cache=cache), means
 
 
 @st.composite
@@ -90,9 +91,8 @@ def check_rounds(cfg, block, scale, poison, reached):
             sampled = federation._sample(cfg, len(chunks), t)
             ids = [c for c in sampled if chunks[c].n]
             scored = [chunks[c].dataset for c in ids]
-            plan = cache.keep("scoring", lambda: scoring_plan(scored, test),
-                              same=(*scored, test))
-            (mean, accuracy), means = scored_means(params, plan)
+            (mean, accuracy), means = scored_means(params, scored, test, cache)
+            plan = cache.plans["scoring"]
             # each chunk's mean, as the weighting can hide an ulp of a small one's
             assert [m.hex() for m in means] == [m.hex() for m in chunk_losses(params, chunks, sampled)]
             assert float(mean).hex() == _train_loss(params, chunks, sampled).hex()
@@ -166,18 +166,19 @@ class TestScoringPlan:
         params = init_params(cfg.model, test.dim, test.num_classes, seed=cfg.seed)
         params.values[:] = np.random.default_rng(cfg.seed).normal(size=params.values.size)
         ids = [c for c, chunk in enumerate(chunks) if chunk.n]
-        own = {c: scored_means(params, scoring_plan([chunks[c].dataset], test))[1][0].hex()
+        own = {c: scored_means(params, [chunks[c].dataset], test, PlanCache())[1][0].hex()
                for c in ids}
         for k in range(2, len(ids) + 1):
             for sample in combinations(ids, k):
-                plan = scoring_plan([chunks[c].dataset for c in sample], test)
-                assert [m.hex() for m in scored_means(params, plan)[1]] == [own[c] for c in sample]
+                scored = [chunks[c].dataset for c in sample]
+                means = scored_means(params, scored, test, PlanCache())[1]
+                assert [m.hex() for m in means] == [own[c] for c in sample]
 
     def test_no_datasets(self):
         params = init_params(ModelConfig(), 3, 2, seed=0)
         params.values[:] = 0.0  # equal logits: every test sample is predicted class 0
         test = Dataset(np.ones((4, 3)), np.array([0, 1, 1, 0]), 2)
-        mean, accuracy = loss(params, scoring_plan((), test))
+        mean, accuracy = loss(params, (), test, cache=PlanCache())
         assert np.isnan(mean) and accuracy == 0.5
 
 
@@ -213,14 +214,14 @@ class TestNoCopy:
                                model=ModelConfig(arch, hidden), num_clients=6, seed=4)
         prepared = prepare_experiment(cfg)
         scored = [chunk.dataset for chunk in prepared.chunks if chunk.n]
-        plan = scoring_plan(scored, prepared.test)
+        params, cache = init_params(cfg.model, 60, 3, seed=0), PlanCache()
+        loss(params, scored, prepared.test, cache=cache)  # builds the kept plan
+        plan = cache.plans["scoring"]
         table = prepared.chunks[0].dataset.features.base
         assert all(np.shares_memory(x, table) for p in plan.passes for x, _ in p.parts
                    if x is not prepared.test.features)
-        params = init_params(cfg.model, 60, 3, seed=0)
-        loss(params, plan)
         tracemalloc.start()
-        loss(params, plan)
+        loss(params, scored, prepared.test, cache=cache)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         cols = max(p.cols for p in plan.passes)
