@@ -42,8 +42,9 @@ def run(cfg: ExperimentConfig) -> int:
     round logs and a single summary.json under cfg.output_dir.
 
     An arm whose parameters turn non-finite stops at that round, which its
-    summary entry records as ``diverged_round``; the other arms still run,
-    and the run returns 1."""
+    summary entry records as ``diverged_round``; an arm whose fine-tune
+    does records ``fine_tune_diverged`` instead of a fine-tuned accuracy.
+    Either way the other arms still run, and the run returns 1."""
     prepared = prepare_experiment(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -63,6 +64,10 @@ def run(cfg: ExperimentConfig) -> int:
         entry = {"final_accuracy": result.final_accuracy}
         if result.fine_tuned_accuracy is not None:
             entry["fine_tuned_accuracy"] = result.fine_tuned_accuracy
+        if result.fine_tune_diverged:
+            entry["fine_tune_diverged"] = True
+            print(f"error: arm {algo.label} diverged in the fine-tune", file=sys.stderr)
+            status = 1
         clean = result.rounds[-1].coreset_clean_fraction if result.rounds else None
         if clean is not None:
             entry["final_clean_fraction"] = clean

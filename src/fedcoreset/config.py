@@ -205,6 +205,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config: {exc}") from exc
 
+    if parser.defaults():  # configparser would copy its entries into every section
+        raise ConfigurationError("unknown config section [DEFAULT]")
     pairs: list[tuple[str, str]] = []
     for section in parser.sections():
         if section == "experiment":

@@ -194,6 +194,7 @@ class TrainingResult:
     ledger: CostLedger
     fine_tuned_accuracy: float | None = None
     diverged_round: int | None = None  # the round a non-finite model stopped the run at
+    fine_tune_diverged: bool = False  # the fine-tune left a non-finite model: no accuracy
 
 
 def client_update(
@@ -468,7 +469,9 @@ def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> Tra
 
     The arm stops after the first round whose aggregated parameters hold a
     non-finite value, records it as ``diverged_round`` and skips the
-    fine-tune: a diverged model's accuracy is not a result.  The rounds
+    fine-tune: a diverged model's accuracy is not a result.  Likewise a
+    fine-tune that leaves a non-finite value records no accuracy but
+    ``fine_tune_diverged``.  The rounds
     and the fine-tune share one :class:`~fedcoreset.model.PlanCache`, so
     local SGD copies its training rows only in rounds where they change,
     the scoring plan is rebuilt only when the sampled chunks change and the
@@ -496,7 +499,7 @@ def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> Tra
     diverged_round = None
     n_clients = len(chunks)
     block = max(1, SEED_BLOCK // (cfg.clients_per_round or n_clients))
-    with np.errstate(over="ignore", invalid="ignore"):  # the guard reports a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):  # the guards report a blow-up
         for t in range(cfg.rounds):
             if t % block == 0:
                 rounds = np.arange(t, min(t + block, cfg.rounds))
@@ -511,32 +514,36 @@ def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> Tra
                 diverged_round = t
                 break
 
-    # the last round's metrics already hold the accuracy of these parameters
-    if series:
-        final_accuracy = series[-1].test_accuracy
-    else:
-        final_accuracy = evaluate_accuracy(params, prepared.test)
-    result = TrainingResult(
-        rounds=series,
-        final_params=params,
-        final_accuracy=final_accuracy,
-        ledger=ledger,
-        diverged_round=diverged_round,
-    )
-    if cfg.fine_tune_epochs > 0 and diverged_round is None:
-        # post-hoc SGD on the server's validation data
-        (tuned,) = sgd_epochs(
-            params,
-            [prepared.val],
-            epochs=cfg.fine_tune_epochs,
-            lr=cfg.local_lr,
-            batch_size=cfg.batch_size,
-            seeds=seed_words([derive_seed(cfg.seed, "finetune")]),
-            mu=0.0,
-            indices=[np.arange(prepared.val.n)],
-            cache=cache,
+        # the last round's metrics already hold the accuracy of these parameters
+        if series:
+            final_accuracy = series[-1].test_accuracy
+        else:
+            final_accuracy = evaluate_accuracy(params, prepared.test)
+        result = TrainingResult(
+            rounds=series,
+            final_params=params,
+            final_accuracy=final_accuracy,
+            ledger=ledger,
+            diverged_round=diverged_round,
         )
-        result.fine_tuned_accuracy = evaluate_accuracy(params.with_values(tuned), prepared.test)
+        if cfg.fine_tune_epochs > 0 and diverged_round is None:
+            # post-hoc SGD on the server's validation data
+            (tuned,) = sgd_epochs(
+                params,
+                [prepared.val],
+                epochs=cfg.fine_tune_epochs,
+                lr=cfg.local_lr,
+                batch_size=cfg.batch_size,
+                seeds=seed_words([derive_seed(cfg.seed, "finetune")]),
+                mu=0.0,
+                indices=[np.arange(prepared.val.n)],
+                cache=cache,
+            )
+            if np.isfinite(tuned).all():
+                tuned_params = params.with_values(tuned)
+                result.fine_tuned_accuracy = evaluate_accuracy(tuned_params, prepared.test)
+            else:
+                result.fine_tune_diverged = True
     cache.clear()
     return result
 

@@ -25,14 +25,15 @@ a bias column of ones, and the batch schedule.  Each stacked step gathers
 its batches with one ``take`` of table rows and one of labels, and the
 step's softmax and update run in place.  The plan is kept in the caller's
 :class:`PlanCache`, so the rows are copied again only when they change.
-One step function, :func:`_sgd_step`, takes every step.  The runs whose next batch is full step on equal batches, each
-product one stacked matmul on views of the stack; the runs' partial last
-batches, of unequal sizes, share one step per epoch, in which each run's
-products are 2-D matmuls into its rows of one buffer.  Either way the
-elementwise work runs once over all the step's rows.  Partial batches are
-never zero-padded into a stacked step, whose BLAS remainder path would
-change their bits.  Each run's generator is built
-from its precomputed PCG64 seed words (:func:`~fedcoreset.seeding.words_rngs`).
+One step function, :func:`_sgd_step`, takes every step.  The runs whose
+next batch is full step on equal batches, each product one stacked matmul
+on views of the stack; the runs' partial last batches, of unequal sizes,
+share one step per epoch, in which each run's products are 2-D matmuls
+into its rows of one buffer.  Either way the elementwise work runs once
+over all the step's rows.  Partial batches are never zero-padded into a
+stacked step, whose BLAS remainder path would change their bits.  Each
+run's generator is built from its precomputed PCG64 seed words
+(:func:`~fedcoreset.seeding.words_rngs`).
 The trained models come back as the rows of one ``[runs, P]`` array, not
 as one :class:`ParamVector` each: a round's callers only add and average
 them.
@@ -390,10 +391,12 @@ def lockstep_plan(
 
 
 class PlanCache:
-    """Keeps a run's plans from round to round, one per slot: local SGD's
-    :class:`LockStepPlan` (``"lockstep"``), the round's
-    :class:`~fedcoreset.scoring.ScoringPlan` (``"scoring"``) and the
-    refresh's :class:`~fedcoreset.coreset.SelectionPlan` (``"selection"``).
+    """Keeps a run's plans from round to round, one per slot, each keyed
+    by the kernel that uses it: :func:`sgd_epochs`'s :class:`LockStepPlan`
+    (``"lockstep"``), :func:`~fedcoreset.scoring.loss`'s
+    :class:`~fedcoreset.scoring.ScoringPlan` (``"scoring"``) and
+    :func:`~fedcoreset.coreset.labelwise_omp_select`'s
+    :class:`~fedcoreset.coreset.SelectionPlan` (``"selection"``).
     ``plans`` maps each slot to its kept plan.
 
     :meth:`keep` returns a slot's kept plan when the call's ``same``

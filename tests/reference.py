@@ -238,7 +238,8 @@ def reference_run(cfg, algo, prepared) -> TrainingResult:
     order; and the round is scored with :func:`_train_loss` on the
     sampled chunks and :func:`reference_accuracy` on the test set.  The
     ledger counts as the engine's does, and the run stops after a round
-    that leaves a non-finite parameter.
+    that leaves a non-finite parameter.  A fine-tune that leaves one
+    records no accuracy but ``fine_tune_diverged``.
     """
     chunks, test = prepared.chunks, prepared.test
     m = cfg.clients_per_round or len(chunks)
@@ -293,9 +294,13 @@ def reference_run(cfg, algo, prepared) -> TrainingResult:
     final_accuracy = series[-1].test_accuracy if series else reference_accuracy(params, test)
     result = TrainingResult(series, params, final_accuracy, ledger, diverged_round=diverged)
     if cfg.fine_tune_epochs > 0 and diverged is None:
-        tuned = reference_sgd(
-            params, prepared.val, cfg.fine_tune_epochs, cfg.local_lr, cfg.batch_size,
-            derive_seed(cfg.seed, "finetune"),
-        )
-        result.fine_tuned_accuracy = reference_accuracy(params.with_values(tuned), test)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tuned = reference_sgd(
+                params, prepared.val, cfg.fine_tune_epochs, cfg.local_lr, cfg.batch_size,
+                derive_seed(cfg.seed, "finetune"),
+            )
+            if np.isfinite(tuned).all():
+                result.fine_tuned_accuracy = reference_accuracy(params.with_values(tuned), test)
+            else:
+                result.fine_tune_diverged = True
     return result

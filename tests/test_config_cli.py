@@ -120,6 +120,20 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="mystery"):
             parse_config("[mystery]\nx = 1\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nrounds = 3\n",
+            "[DEFAULT]\nrounds = 3\n[noise]\nratio = 0.4\n",
+            "[DEFAULT]\nseed = 4\n[experiment]\nrounds = 3\n",
+        ],
+        ids=["alone", "beside_noise", "beside_experiment"],
+    )
+    def test_default_section_rejected(self, text):
+        # configparser hands a [DEFAULT] entry to every other section
+        with pytest.raises(ConfigurationError, match=r"^unknown config section \[DEFAULT\]$"):
+            parse_config(text)
+
     def test_type_mismatch_names_key(self):
         with pytest.raises(ConfigurationError, match="rounds"):
             parse_config("[experiment]\nrounds = soon\n")
@@ -1080,6 +1094,20 @@ class TestDivergence:
             assert "fine_tuned_accuracy" in summary["arms"][arm]
             assert len((out / f"{arm}.csv").read_text(encoding="utf-8").splitlines()) == 4
         assert capsys.readouterr().err.count("diverged") == 1
+
+    def test_a_diverged_fine_tune_is_an_error_not_an_accuracy(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        code = main(
+            ["run", "--rounds", "0", "--fine_tune_epochs", "3", "--local_lr", "1e308",
+             "--arms", "fedavg", "--output_dir", str(out)]
+        )
+        assert code == 1
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        entry = summary["arms"]["fedavg"]
+        assert entry["fine_tune_diverged"] is True and "fine_tuned_accuracy" not in entry
+        assert "diverged_round" not in entry
+        # the guard's line is all of stderr: numpy's warnings stay silent
+        assert capsys.readouterr().err == "error: arm fedavg diverged in the fine-tune\n"
 
     def test_sweep_exits_nonzero_when_a_point_diverged(self, tmp_path):
         # at this budget no random client trains, so only fedavg diverges

@@ -579,6 +579,24 @@ class TestRunTraining:
         cfg = tiny_cfg(rounds=5)
         assert run_training(cfg, Algo("fedavg"), prepare_experiment(cfg)).diverged_round is None
 
+    @pytest.mark.parametrize("rounds", [0, 2])
+    def test_a_diverged_fine_tune_reports_no_accuracy(self, rounds):
+        """A fine-tune that leaves a non-finite parameter is flagged and
+        gives no accuracy, the reference agreeing, and numpy's warnings stay
+        silent as in the rounds (tier-1 turns a RuntimeWarning into an
+        error); the rounds, at E = 0 here, stand."""
+        cfg = tiny_cfg(rounds=rounds, local_epochs=0, local_lr=1e308, fine_tune_epochs=3)
+        prepared = prepare_experiment(cfg)
+        result = run_training(cfg, Algo("fedavg"), prepared)
+        want = reference_run(cfg, Algo("fedavg"), prepared)
+        assert result.fine_tune_diverged and result.fine_tuned_accuracy is None
+        assert want.fine_tune_diverged and want.fine_tuned_accuracy is None
+        assert result.diverged_round is None and len(result.rounds) == rounds
+        assert np.isfinite(result.final_params.values).all()
+        tame = replace(cfg, local_lr=0.1)
+        tuned = run_training(tame, Algo("fedavg"), prepared)
+        assert not tuned.fine_tune_diverged and tuned.fine_tuned_accuracy is not None
+
 
 class TestKeptPlan:
     """``run_training`` keeps the lock-step plan of local SGD, the scoring

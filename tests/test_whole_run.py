@@ -80,6 +80,7 @@ def check_config(cfg):
         assert got.final_params.values.tobytes() == want.final_params.values.tobytes(), label
         assert got.final_accuracy == want.final_accuracy, label
         assert got.fine_tuned_accuracy == want.fine_tuned_accuracy, label
+        assert got.fine_tune_diverged == want.fine_tune_diverged, label
         assert got.diverged_round == want.diverged_round, label
         assert got.ledger == want.ledger, label
 
