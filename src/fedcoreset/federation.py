@@ -471,15 +471,15 @@ def run_training(cfg: "ExperimentConfig", algo: Algo, prepared: Prepared) -> Tra
     non-finite value, records it as ``diverged_round`` and skips the
     fine-tune: a diverged model's accuracy is not a result.  Likewise a
     fine-tune that leaves a non-finite value records no accuracy but
-    ``fine_tune_diverged``.  The rounds
-    and the fine-tune share one :class:`~fedcoreset.model.PlanCache`, so
-    local SGD copies its training rows only in rounds where they change,
-    the scoring plan is rebuilt only when the sampled chunks change and the
-    selection plan only when the selecting chunks do; it is emptied after
-    the fine-tune.  The sampled clients and their seed words are drawn a
-    block of rounds at a time, ``max(1, SEED_BLOCK // clients_per_round)``
-    rounds, so their memory does not grow with the rounds, and only the
-    sampled clients' streams are hashed."""
+    ``fine_tune_diverged``.  The rounds and the fine-tune share one
+    :class:`~fedcoreset.model.PlanCache`, so local SGD copies its training
+    rows only in rounds where they change, the scoring plan is rebuilt only
+    when the sampled chunks change and the selection plan only when the
+    selecting chunks do; it is emptied after the fine-tune.  The sampled
+    clients and their seed words are drawn a block of rounds at a time,
+    ``max(1, SEED_BLOCK // clients_per_round)`` rounds, so their memory
+    does not grow with the rounds, and only the sampled clients' streams
+    are hashed."""
     params = init_params(
         cfg.model, prepared.test.dim, prepared.test.num_classes, derive_seed(cfg.seed, "init")
     )

@@ -455,11 +455,10 @@ def sgd_epochs(
     Run i trains on the rows ``indices[i]`` of ``datasets[i]``, shuffling
     them each epoch with the generator whose PCG64 seed words are
     ``seeds[i]`` and stepping on its batches in that order; ``seeds`` is a
-    ``[runs, 4]`` uint64 array
-    (:func:`~fedcoreset.seeding.seed_words` turns an int seed, and
-    :func:`~fedcoreset.seeding.client_seed_words` a client's round, into
-    its row), so run i shuffles as ``np.random.default_rng`` would on the
-    seed its words come from.
+    ``[runs, 4]`` uint64 array (:func:`~fedcoreset.seeding.seed_words`
+    turns an int seed, and :func:`~fedcoreset.seeding.client_seed_words` a
+    client's round, into its row), so run i shuffles as
+    ``np.random.default_rng`` would on the seed its words come from.
     The runs advance in lock-step (:func:`_sgd_step`): step k of every run
     whose k-th batch of the epoch is full is one step on equal batches, and
     the runs' partial last batches, of unequal sizes, are one step after
