@@ -10,23 +10,23 @@ in ``[experiment]``; the nested groups ``[dataset]``, ``[noise]`` and
 file.
 
 The keys are derived from the dataclass fields: each field of
-:class:`ExperimentConfig` is an ``[experiment]`` key (``lam`` is spelled
-``lambda``) and each field of a nested group is a key of that group's
-section, parsed according to the field's annotation.  Adding a field adds
-its key.  Every config validates itself when it is built, so a config
-object that exists is valid.  The nested groups live beside the code that
-consumes them (``DatasetConfig`` and ``NoiseSpec`` in :mod:`.data`,
-``ModelConfig`` in :mod:`.model`) and are re-exported here.
+:class:`ExperimentConfig` is an ``[experiment]`` key (a field's ``key``
+metadata renames it: ``lam`` is ``lambda``) and each field of a nested group
+is a key of that group's section, parsed according to the field's
+annotation.  Adding a field adds its key, and the rule its metadata declares
+(:func:`.errors.bounds`, ``choices``) is checked when its group is built, so
+a config object that exists is valid.  The nested groups live beside the
+code that consumes them (``DatasetConfig`` and ``NoiseSpec`` in
+:mod:`.data`, ``ModelConfig`` in :mod:`.model`) and are re-exported here.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .data import DatasetConfig, NoiseSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, bounds, check_fields
 from .federation import Algo, parse_algo
 from .model import ModelConfig
 
@@ -44,62 +44,36 @@ class ExperimentConfig:
     """All protocol hyperparameters for one experiment."""
 
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    num_clients: int = 10
+    num_clients: int = field(default=10, metadata=bounds(1))
     clients_per_round: int | None = None  # None -> all clients every round
-    rounds: int = 100
-    refresh_period: int = 10
-    budget_fraction: float = 0.1
-    local_epochs: int = 1
-    local_lr: float = 0.01
-    global_lr: float = 0.01
-    lam: float = 0.5
-    dirichlet_alpha: float = 0.4
-    batch_size: int = 32
+    rounds: int = field(default=100, metadata=bounds(0))
+    refresh_period: int = field(default=10, metadata=bounds(1))
+    budget_fraction: float = field(default=0.1, metadata=bounds(0, 1, above=True))
+    local_epochs: int = field(default=1, metadata=bounds(0))
+    local_lr: float = field(default=0.01, metadata=bounds(0, above=True))
+    global_lr: float = field(default=0.01, metadata=bounds(0, above=True))
+    lam: float = field(default=0.5, metadata=bounds(0) | {"key": "lambda"})
+    dirichlet_alpha: float = field(default=0.4, metadata=bounds(0, above=True))
+    batch_size: int = field(default=32, metadata=bounds(1))
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     arms: tuple[Algo, ...] = (Algo("gcfl"),)
     model: ModelConfig = field(default_factory=ModelConfig)
-    val_frac: float = 0.10
-    test_frac: float = 0.15
-    seed: int = 0
+    val_frac: float = field(default=0.10, metadata=bounds(0))
+    test_frac: float = field(default=0.15, metadata=bounds(0))
+    seed: int = field(default=0, metadata=bounds(0))
     output_dir: str = "runs"
-    fine_tune_epochs: int = 0
+    fine_tune_epochs: int = field(default=0, metadata=bounds(0))
 
     def __post_init__(self) -> None:
         self.validate()
 
     def validate(self) -> None:
-        # nan and inf pass every range check below, so reject them first;
-        # the nested groups check their own floats when they are built
-        for key, (group, name, (parse, _)) in _KEYS.items():
-            if group is None and parse is float:
-                value = getattr(self, name)
-                if not math.isfinite(value):
-                    raise ConfigurationError(f"{key} must be finite, got {value}")
-        if self.num_clients < 1:
-            raise ConfigurationError("num_clients must be >= 1")
+        check_fields(self, "")  # the nested groups checked theirs when built
         m = self.clients_per_round
         if m is not None and not 1 <= m <= self.num_clients:
             raise ConfigurationError(
                 f"clients_per_round must satisfy 1 <= m <= num_clients ({m} vs {self.num_clients})"
             )
-        if self.rounds < 0:
-            raise ConfigurationError("rounds must be >= 0")
-        if self.refresh_period < 1:
-            raise ConfigurationError("refresh_period must be >= 1")
-        if not 0.0 < self.budget_fraction <= 1.0:
-            raise ConfigurationError("budget_fraction must be in (0, 1]")
-        if self.local_epochs < 0:
-            raise ConfigurationError("local_epochs must be >= 0")
-        if self.local_lr <= 0:
-            raise ConfigurationError("local_lr must be > 0")
-        if self.global_lr <= 0:
-            raise ConfigurationError("global_lr must be > 0")
-        if self.lam < 0:
-            raise ConfigurationError("lambda must be non-negative")
-        if self.dirichlet_alpha <= 0:
-            raise ConfigurationError("dirichlet_alpha must be > 0")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         if not self.arms:
             raise ConfigurationError("arms: at least one algorithm arm is required")
         # each arm writes its round log and summary entry under its label
@@ -107,12 +81,8 @@ class ExperimentConfig:
         for label in labels:
             if labels.count(label) > 1:
                 raise ConfigurationError(f"arms: {label} is listed more than once")
-        if self.val_frac < 0 or self.test_frac < 0 or self.val_frac + self.test_frac >= 1:
-            raise ConfigurationError("val_frac and test_frac must be >= 0 and sum below 1")
-        if self.fine_tune_epochs < 0:
-            raise ConfigurationError("fine_tune_epochs must be >= 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
+        if (held_out := self.val_frac + self.test_frac) >= 1:
+            raise ConfigurationError(f"val_frac + test_frac must be < 1, got {held_out}")
 
 
 def _parse_optional_int(text: str) -> int | None:
@@ -137,7 +107,8 @@ _PARSERS = {
     "tuple[Algo, ...]": (_parse_arms, ""),
 }
 
-_ALIASES = {"lam": "lambda"}  # field name -> config key
+# field name -> config key, where a field declares its own key
+_ALIASES = {f.name: f.metadata["key"] for f in fields(ExperimentConfig) if "key" in f.metadata}
 
 # the nested groups: fields of ExperimentConfig that are dataclasses themselves
 _GROUPS = tuple(f.name for f in fields(ExperimentConfig) if is_dataclass(f.default_factory))

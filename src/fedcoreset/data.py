@@ -14,11 +14,11 @@ Sample counts derived from a ratio use round-half-away-from-zero
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, bounds, check_fields
 
 __all__ = [
     "Dataset",
@@ -117,11 +117,11 @@ class DatasetConfig:
     ``DatasetConfig`` can build its blobs.
     """
 
-    kind: str = "blobs"  # blobs | csv
-    num_blobs: int = 10
-    dim: int = 10
-    stds: tuple[float, ...] = ()  # empty -> linspace(1, 8, num_blobs)
-    samples_per_blob: int = 500
+    kind: str = field(default="blobs", metadata={"choices": ("blobs", "csv")})
+    num_blobs: int = field(default=10, metadata=bounds(1))
+    dim: int = field(default=10, metadata=bounds(1))
+    stds: tuple[float, ...] = field(default=(), metadata=bounds(0))  # empty -> linspace(1, 8)
+    samples_per_blob: int = field(default=500, metadata=bounds(1))
     csv_path: str = ""
 
     def resolved_stds(self) -> np.ndarray:
@@ -130,26 +130,14 @@ class DatasetConfig:
         return np.linspace(1.0, 8.0, self.num_blobs)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("blobs", "csv"):
-            raise ConfigurationError(f"dataset.kind must be blobs or csv, got {self.kind!r}")
+        check_fields(self, "dataset.")
         if self.kind == "csv" and not self.csv_path:
             raise ConfigurationError("dataset.csv_path is required when dataset.kind = csv")
-        if self.num_blobs < 1:
-            raise ConfigurationError("dataset.num_blobs must be >= 1")
-        if self.dim < 1:
-            raise ConfigurationError("dataset.dim must be >= 1")
-        if self.samples_per_blob < 1:
-            raise ConfigurationError("dataset.samples_per_blob must be >= 1")
         if self.stds and len(self.stds) != self.num_blobs:
             raise ConfigurationError(
                 "dataset.stds must have one entry per blob "
                 f"({len(self.stds)} given for {self.num_blobs} blobs)"
             )
-        # nan and inf pass the sign check, so reject them first
-        if not all(math.isfinite(std) for std in self.stds):
-            raise ConfigurationError(f"dataset.stds must be finite, got {self.stds}")
-        if any(std < 0 for std in self.stds):
-            raise ConfigurationError("dataset.stds must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -160,23 +148,12 @@ class NoiseSpec:
     Gaussian feature corruption).
     """
 
-    kind: str = "none"
-    ratio: float = 0.0
-    severity: float = 0.0
+    kind: str = field(default="none", metadata={"choices": NOISE_KINDS})
+    ratio: float = field(default=0.0, metadata=bounds(0, 1))
+    severity: float = field(default=0.0, metadata=bounds(0))
 
     def __post_init__(self) -> None:
-        if self.kind not in NOISE_KINDS:
-            raise ConfigurationError(
-                f"noise.kind must be one of {NOISE_KINDS}, got {self.kind!r}"
-            )
-        if not 0.0 <= self.ratio <= 1.0:
-            raise ConfigurationError(f"noise.ratio must be in [0, 1], got {self.ratio}")
-        if not math.isfinite(self.severity):
-            raise ConfigurationError(f"noise.severity must be finite, got {self.severity}")
-        if self.severity < 0.0:
-            raise ConfigurationError(
-                f"noise.severity must be non-negative, got {self.severity}"
-            )
+        check_fields(self, "noise.")
 
 
 def make_blobs(dc: DatasetConfig, seed: int) -> Dataset:

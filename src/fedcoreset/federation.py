@@ -63,7 +63,7 @@ holds a NaN is the full O(m P log m) lexsort taken.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -81,7 +81,7 @@ from .data import (
     round_half_away,
     split_train_val_test,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, bounds, check_fields
 from .metrics import RoundMetrics, dataset_fingerprint
 from .model import ParamVector, PlanCache, init_params, labelwise_validation_grads, sgd_epochs
 from .scoring import evaluate_accuracy, loss
@@ -120,14 +120,11 @@ SEED_BLOCK = 1024
 class Algo:
     """An algorithm arm.  ``mu`` is the fedprox proximal coefficient."""
 
-    kind: str
-    mu: float = DEFAULT_FEDPROX_MU
+    kind: str = field(metadata={"choices": ALGO_KINDS})
+    mu: float = field(default=DEFAULT_FEDPROX_MU, metadata=bounds(0))
 
     def __post_init__(self) -> None:
-        if self.kind not in ALGO_KINDS:
-            raise ConfigurationError(f"algo must be one of {ALGO_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.mu < float("inf"):
-            raise ConfigurationError("fedprox mu must be finite and non-negative")
+        check_fields(self, "arm ")
 
     @property
     def uses_coreset(self) -> bool:

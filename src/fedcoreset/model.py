@@ -43,14 +43,14 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import EllipsisType
 from typing import Any, TypeVar
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields
 from .seeding import words_rngs
 
 T = TypeVar("T")
@@ -75,12 +75,11 @@ ARCHS = ("softmax_regression", "one_hidden")
 class ModelConfig:
     """The client model; ``hidden_dim`` is ignored for softmax_regression."""
 
-    arch: str = "softmax_regression"
+    arch: str = field(default="softmax_regression", metadata={"choices": ARCHS})
     hidden_dim: int = 32
 
     def __post_init__(self) -> None:
-        if self.arch not in ARCHS:
-            raise ConfigurationError(f"model.arch must be one of {ARCHS}, got {self.arch!r}")
+        check_fields(self, "model.")
         if self.arch == "one_hidden" and self.hidden_dim < 1:
             raise ConfigurationError("model.hidden_dim must be >= 1 for one_hidden")
 

@@ -353,12 +353,12 @@ def test_readme_commands_pass_a_dry_run(tmp_path, capsys):
 def test_negative_std_rejected_before_dry_run_echo(capsys):
     code = main(["run", "--dry-run", "--dataset.num_blobs", "3", "--dataset.stds=-1,1,1"])
     assert code == 1
-    assert capsys.readouterr() == ("", "error: dataset.stds must be non-negative\n")
+    assert capsys.readouterr() == ("", "error: dataset.stds must be >= 0, got -1.0\n")
 
 
 def test_negative_seed_rejected_before_dry_run_echo(capsys):
     assert main(["run", "--dry-run", "--seed", "-1"]) == 1
-    assert capsys.readouterr() == ("", "error: seed must be non-negative\n")
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
 
 
 def test_non_integer_seed_names_the_key(capsys):
@@ -1040,7 +1040,7 @@ class TestCliSweep:
         for values_flags in (["--values=-1,0"], ["--values", "-1,0"]):
             code, out = self.seed_sweep(tmp_path, *values_flags)
             assert code == 1
-            assert capsys.readouterr().err == "error: seed must be non-negative\n"
+            assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
             assert not out.exists()
 
     def test_arm_isolation_same_fingerprint(self, tmp_path):

@@ -94,12 +94,14 @@ class TestMakeBlobs:
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_config_groups_reject_non_finite_when_built(bad):
     # built directly, without an ExperimentConfig around them
-    with pytest.raises(ConfigurationError, match=r"^dataset\.stds must be finite"):
-        DatasetConfig(num_blobs=2, stds=(bad, 1.0))
-    with pytest.raises(ConfigurationError, match=r"^noise\.severity must be finite"):
-        NoiseSpec("attribute", 0.3, bad)
-    with pytest.raises(ConfigurationError, match=r"^noise\.ratio must be in \[0, 1\]"):
-        NoiseSpec("attribute", bad, 1.0)
+    for build, key in (
+        (lambda: DatasetConfig(num_blobs=2, stds=(bad, 1.0)), "dataset.stds"),
+        (lambda: NoiseSpec("attribute", 0.3, bad), "noise.severity"),
+        (lambda: NoiseSpec("attribute", bad, 1.0), "noise.ratio"),
+    ):
+        with pytest.raises(ConfigurationError) as exc:
+            build()
+        assert str(exc.value) == f"{key} must be finite, got {bad}"
 
 
 class TestSplit:
