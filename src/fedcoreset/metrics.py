@@ -92,7 +92,7 @@ def write_summary(
     path: str,
     manifest: dict[str, Any],
     arms: dict[str, Any],
-    comparisons: dict[str, Any] | None = None,
+    comparisons: dict[str, Any],
 ) -> None:
     """JSON summary: the manifest (everything needed to reproduce the run:
     config echo, version, seed, dataset fingerprint), one entry per
@@ -101,7 +101,7 @@ def write_summary(
         "schema_version": SCHEMA_VERSION,
         "manifest": manifest,
         "arms": arms,
-        "comparisons": comparisons or {},
+        "comparisons": comparisons,
     }
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -345,7 +345,6 @@ class LockStepPlan:
     label vector.  Stacked run i is run ``stack[i]`` of the plan's
     datasets; its rows are ``table[starts[i] : starts[i] + sizes[i]]``."""
 
-    batch_size: int
     stack: np.ndarray  # runs by full-batch count, largest first (stable)
     sizes: np.ndarray  # each stacked run's rows
     starts: np.ndarray  # and its first row in the table
@@ -384,9 +383,7 @@ def lockstep_plan(
     for i, start, n in zip(stack, starts, sizes):
         table[start : start + n, :-1] = datasets[i].features.take(indices[i], axis=0)
         labels[start : start + n] = datasets[i].labels.take(indices[i])
-    return LockStepPlan(
-        batch_size, stack, sizes, starts, live, tail, spans, tail_rows, table, labels
-    )
+    return LockStepPlan(stack, sizes, starts, live, tail, spans, tail_rows, table, labels)
 
 
 class PlanCache:

@@ -1,8 +1,9 @@
 import configparser
 import json
+import math
 import re
 import shlex
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from fedcoreset.config import (
 )
 from fedcoreset.data import Dataset, NoiseSpec
 from fedcoreset.errors import ConfigurationError
+from fedcoreset.federation import Algo
 from fedcoreset.presets import blob_benchmark_config
 from worldgen import write_csv
 
@@ -305,6 +307,75 @@ def test_range_rule_names_the_key(key, text):
 def test_float_keys_cover_every_float_field():
     assert len(FLOAT_KEYS) == 10
     assert {"lambda", "noise.severity", "dataset.stds"} <= set(FLOAT_KEYS)
+
+
+# every group whose fields carry declared rules: a valid instance, and the
+# prefix its error messages put before a field's key
+RULED_GROUPS = {
+    "experiment": (ExperimentConfig(), ""),
+    "dataset": (DatasetConfig(csv_path="data.csv"), "dataset."),  # so kind = csv is valid
+    "noise": (NoiseSpec(), "noise."),
+    "model": (ModelConfig(), "model."),
+    "arm": (Algo("fedprox"), "arm "),
+}
+NUMERIC_TYPES = ("int", "int | None", "float", "tuple[float, ...]")
+# the numeric fields whose rule relates them to another field, checked by hand
+CROSS_FIELD = {("experiment", "clients_per_round"), ("model", "hidden_dim")}
+
+
+def test_every_numeric_field_declares_bounds():
+    numeric = {
+        (name, f.name): f
+        for name, (group, _) in RULED_GROUPS.items()
+        for f in fields(group)
+        if f.type in NUMERIC_TYPES
+    }
+    assert CROSS_FIELD <= numeric.keys()
+    undeclared = {k for k, f in numeric.items() if "bounds" not in f.metadata}
+    assert undeclared == CROSS_FIELD
+
+
+def _beyond(value, to):
+    """The next int or float after value, toward to."""
+    return value + (1 if to > value else -1) if isinstance(value, int) else math.nextafter(value, to)
+
+
+def _rule_cases(group, prefix: str) -> list[tuple[str, str, object, bool]]:
+    """(field, key, value, valid) at and just beyond each declared bound (an
+    upper bound of inf is none), and at each declared choice and one beyond."""
+    cases = []
+    for f in fields(group):
+        key = prefix + f.metadata.get("key", f.name)
+        if "choices" in f.metadata:
+            cases += [(f.name, key, choice, True) for choice in f.metadata["choices"]]
+            cases.append((f.name, key, "not_a_choice", False))
+        if "bounds" not in f.metadata:
+            continue
+        low, high, above = f.metadata["bounds"]
+        if f.type != "int":
+            low, high = float(low), float(high)
+        cases += [(f.name, key, low, not above), (f.name, key, _beyond(low, -math.inf), False)]
+        if above:
+            cases.append((f.name, key, _beyond(low, math.inf), True))
+        if math.isfinite(high):
+            cases += [(f.name, key, high, True), (f.name, key, _beyond(high, math.inf), False)]
+    return cases
+
+
+@pytest.mark.parametrize("section", RULED_GROUPS)
+def test_each_declared_rule_holds_at_its_edge(section):
+    group, prefix = RULED_GROUPS[section]
+    cases = _rule_cases(group, prefix)
+    assert cases, f"{section} declares no rule"
+    for name, key, value, valid in cases:
+        if name == "stds":
+            value = (value,) * group.num_blobs
+        if valid:
+            replace(group, **{name: value})
+            continue
+        with pytest.raises(ConfigurationError) as exc:
+            replace(group, **{name: value})
+        assert str(exc.value).startswith(f"{key} must be "), (value, str(exc.value))
 
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

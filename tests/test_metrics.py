@@ -182,7 +182,7 @@ class TestSummary:
 
     def test_schema_version_present(self, tmp_path):
         path = str(tmp_path / "summary.json")
-        write_summary(path, self.manifest(), {"gcfl": {"final_accuracy": 0.9}})
+        write_summary(path, self.manifest(), {"gcfl": {"final_accuracy": 0.9}}, {})
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         assert payload["schema_version"] == SCHEMA_VERSION

@@ -4,6 +4,7 @@ submodules, so each submodule's ``__all__`` must name what it defines, and
 distribution's version."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fedcoreset
+from fedcoreset.config import ExperimentConfig, config_to_dict
 from fedcoreset.data import NOISE_KINDS
 from fedcoreset.federation import ALGO_KINDS
 
@@ -30,6 +32,18 @@ def test_every_name_in_all_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def _src_env() -> dict[str, str]:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_python_m_runs_the_cli_from_a_checkout():
+    done = subprocess.run([sys.executable, "-m", "fedcoreset", "run", "--dry-run"],
+                          capture_output=True, text=True, env=_src_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == json.dumps(config_to_dict(ExperimentConfig()), indent=2, sort_keys=True) + "\n"
 
 
 def test_version_matches_pyproject():
@@ -54,7 +68,6 @@ def test_no_run_imports_numpy_ma(kind, tmp_path):
         f"assert cli.main({argv!r}) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
+                          env=_src_env(), check=True)
     assert done.stdout.strip() == "False"
